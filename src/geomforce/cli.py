@@ -11,6 +11,7 @@ leading dashes) can seed any flag; explicit flags take precedence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -256,10 +257,12 @@ def _cmd_force(args):
         return 0
     spec = _surface_from_args(args)
     length_unit = min(v for v in spec.params.values()) if spec.params else 1.0
-    # model surface uses parameters scaled by the length unit
-    model_params = {k: v / length_unit for k, v in spec.params.items()}
-    model_spec = builtin_surface(spec.name, model_params) if spec.name in (
-        "circle", "sphere", "cylinder", "spheroid", "torus", "plane") else spec
+    if not length_unit > 0:
+        raise CliInputError(f"the smallest parameter sets the length unit and must "
+                            f"be positive, got {length_unit}")
+    # the model surface, catalog or --expr, has its parameters in length units
+    model_spec = dataclasses.replace(
+        spec, params={k: v / length_unit for k, v in spec.params.items()})
     if args.at:
         point = np.array([float(v) for v in args.at.split(",")])
     else:

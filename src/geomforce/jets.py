@@ -147,15 +147,6 @@ class Jet:
         sub = jet_space(self.space.nvars, self.degree - 1)
         return Jet(sub, self.coeffs[self.space.derivative_map(axis)])
 
-    def truncated(self, degree):
-        """Restriction to a lower degree (table prefix)."""
-        if degree == self.degree:
-            return self
-        if degree > self.degree:
-            raise OrderExceededError(f"cannot extend degree {self.degree} to {degree}")
-        sub = jet_space(self.space.nvars, degree)
-        return Jet(sub, self.coeffs[: sub.size])
-
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

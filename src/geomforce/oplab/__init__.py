@@ -12,7 +12,11 @@ from .operators import (
     build_momentum,
     build_surface_gradient,
     commutator,
+    divergence,
+    gradient,
+    hamiltonian,
     hermiticity_defect,
+    momentum,
     random_band_states,
     residual_on_testspace,
 )
@@ -22,6 +26,7 @@ from .evolve import EhrenfestTrace, NormDriftError, evolve_wavepacket, hbar_scal
 __all__ = [
     "ParamSurfaceGrid", "build_grid",
     "LinOp", "inner", "norm_w", "multiplication", "spectral_derivative",
+    "gradient", "momentum", "divergence", "hamiltonian",
     "build_surface_gradient", "build_momentum", "build_hamiltonian",
     "commutator", "residual_on_testspace", "hermiticity_defect",
     "random_band_states",

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import inner, norm_w, spectral_derivative
-from .operators import build_momentum, centripetal_quadratic
-from .identities import _quartic
+from .operators import centripetal, momentum, quartics
 
 
 class NormDriftError(RuntimeError):
@@ -85,34 +84,18 @@ def _circle_packet(grid, packet, hbar):
 
 
 def _observables(grid, hbar, mu):
-    ps = build_momentum(grid, hbar)
-    q = centripetal_quadratic(grid, hbar)
     n = grid.geo["n"]
-    lap_m = grid.geo["lapM"]
-    dn = grid.geo["dn"]
-    nvars = grid.ndim_embed
-    f_defs = [
-        (1j * hbar / 2.0) * _quartic(grid, ps, lambda l, k, j=j: dn[j, l] * n[k])
-        for j in range(nvars)
-    ]
+    quantum = -(hbar ** 2 / (4.0 * mu)) * grid.geo["lapM"] * n
 
     def measure(psi):
-        mean_p = np.empty(nvars)
-        cent = np.empty(nvars)
-        quant = np.empty(nvars)
-        fterm = np.empty(nvars)
-        q_psi = q(psi)
-        for j in range(nvars):
-            mean_p[j] = np.real(inner(grid.weights, psi, ps[j](psi)))
-            cent[j] = np.real(inner(
-                grid.weights, psi,
-                (-0.5 / mu) * (n[j] * q_psi + q(n[j] * psi))))
-            quant[j] = np.real(inner(
-                grid.weights, psi,
-                -(hbar ** 2 / (4.0 * mu)) * lap_m * n[j] * psi))
-            fterm[j] = np.real(inner(
-                grid.weights, psi, f_defs[j](psi) / (2.0 * mu * 1j * hbar)))
-        return mean_p, cent, quant, fterm
+        p_psi = momentum(grid, psi, hbar)
+        cent = (-0.5 / mu) * (n * centripetal(grid, psi, hbar, p_psi)
+                              + centripetal(grid, n * psi, hbar))
+        f_psi, _ = quartics(grid, psi, p_psi, momentum(grid, p_psi, hbar), hbar)
+        w = grid.weights
+        return (np.real(inner(w, psi, p_psi)), np.real(inner(w, psi, cent)),
+                np.real(inner(w, psi, quantum * psi)),
+                np.real(inner(w, psi, f_psi / (2.0 * mu * 1j * hbar))))
 
     return measure
 

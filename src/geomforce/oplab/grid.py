@@ -32,7 +32,8 @@ class ParamSurfaceGrid:
 
     Grid-function arrays have shape `shape`; embedded quantities carry
     leading component axes.  weights are the quadrature weights
-    sqrt(g) * du (positive; they sum to the surface area).
+    sqrt(g) * du (positive; they sum to the surface area).  cache holds
+    per-grid work shared between checks (test states, quartic residuals).
     """
 
     kind: str
@@ -46,6 +47,7 @@ class ParamSurfaceGrid:
     weights: np.ndarray      # shape
     geo: dict = field(repr=False, default=None)
     spec: object = field(repr=False, default=None)
+    cache: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def ndim_embed(self):

@@ -1,9 +1,11 @@
-"""Matrix-free linear operators on periodic grid functions.
+"""Fourier differentiation, weighted inner products and linear operators.
 
-Operators compose spectral derivative passes and pointwise
-multiplications; the algebra (+, -, scalar *, @ for composition) builds
-the larger expressions.  Dense materialization is allowed up to 4096
-grid dimensions (eigen-decompositions stay on the circle).
+Grid functions are arrays whose trailing axes are the periodic grid
+axes; any leading axes (components, states) ride along, so one FFT pass
+differentiates a whole stack.  LinOp wraps an array function as a single
+operator for composition (+, -, scalar *, @, commutators) and dense
+materialization, which is allowed up to 4096 grid dimensions
+(eigen-decompositions stay on the circle).
 """
 
 from __future__ import annotations
@@ -79,36 +81,38 @@ def identity(shape):
     return LinOp(lambda p: p.copy(), shape, "I")
 
 
-def zero(shape):
-    return LinOp(lambda p: np.zeros_like(p), shape, "0")
-
-
 def multiplication(coef, label="m"):
     coef = np.asarray(coef)
     return LinOp(lambda p: coef * p, coef.shape, label)
 
 
-def _wavenumbers(n):
-    return np.fft.fftfreq(n, d=1.0 / n) * 1j  # i*k for period 2*pi
+def fourier_derivative(psi, axis, ndim):
+    """d/du^axis (period 2*pi) of a stack whose last ndim axes are the grid.
+
+    One fft/ifft pair differentiates every leading-axis component.
+    """
+    n = psi.shape[axis - ndim]
+    ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * (ndim - 1 - axis))
+    return np.fft.ifft(ik * np.fft.fft(psi, axis=axis - ndim), axis=axis - ndim)
 
 
 def spectral_derivative(shape, axis, label=None):
     """Exact Fourier differentiation along one periodic axis."""
-    ik = _wavenumbers(shape[axis])
-    expand = [None] * len(shape)
-    expand[axis] = slice(None)
-    ik = ik[tuple(expand)]
-
-    def apply_fn(psi):
-        return np.fft.ifft(ik * np.fft.fft(psi, axis=axis), axis=axis)
-
-    return LinOp(apply_fn, shape, label or f"d_{axis}")
+    return LinOp(lambda psi: fourier_derivative(psi, axis, len(shape)), shape,
+                 label or f"d_{axis}")
 
 
 def inner(weights, phi, psi):
-    """Weighted inner product <phi, psi> = sum w conj(phi) psi."""
-    return complex(np.sum(weights * np.conj(phi) * psi))
+    """Weighted inner product <phi, psi> = sum w conj(phi) psi over the grid.
+
+    Leading axes broadcast: a component stack gives one product per
+    component.
+    """
+    value = np.sum(weights * np.conj(phi) * psi, axis=tuple(range(-weights.ndim, 0)))
+    return complex(value) if value.ndim == 0 else value
 
 
 def norm_w(weights, psi):
-    return float(np.sqrt(np.real(inner(weights, psi, psi))))
+    """Weighted norm; one norm per component of a stack."""
+    value = np.sqrt(np.real(inner(weights, psi, psi)))
+    return float(value) if np.ndim(value) == 0 else value

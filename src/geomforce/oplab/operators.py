@@ -1,117 +1,197 @@
 """Geometric momentum and Hamiltonian operators on surface grids.
 
-The Cartesian surface-gradient components are realized as
-(grad_S)_i = sum_a g^{aa} (dx/du^a)_i * spectral d_a, the hermitian
-momentum as p_j = -i hbar ((grad_S)_j + M n_j / 2), and the Hamiltonian
-either in Laplace-Beltrami form (spectral divergence form plus the
-geometric potential) or composed from the momentum components.
+Three array functions carry the lab.  On a grid with N embedding
+dimensions, `gradient` returns the Cartesian surface gradient
+(grad_S)_i = sum_a g^{aa} (dx/du^a)_i d_a as an (N,)+shape stack,
+`momentum` the hermitian p_j = -i hbar ((grad_S)_j + M n_j / 2) as an
+(N,)+shape stack, and `divergence` contracts an (N, ...) stack A into
+sum_l p_l A_l.  All three accept leading axes and take one fft/ifft
+pair per parametric axis however many components they carry.  The
+Hamiltonian (Laplace-Beltrami or momentum form), the centripetal
+quadratic and the quartics F_j, G_j are built from them.
+
+LinOp views (build_surface_gradient, build_momentum, build_hamiltonian)
+index these stacks where an operator object is needed: commutators and
+dense materialization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linops import LinOp, inner, norm_w, spectral_derivative
+from .linops import LinOp, fourier_derivative, inner, norm_w
+
+
+def _lift(field, nlead):
+    """View a (K,)+shape field so it broadcasts over nlead stack axes."""
+    return field.reshape(field.shape[:1] + (1,) * nlead + field.shape[1:])
+
+
+def _momentum_coefficients(grid):
+    """Per-axis gradient coefficients and M n / 2, cached as complex arrays.
+
+    Complex copies multiply exactly like the real fields, minus the casts.
+    """
+    coefs = grid.cache.get("momentum")
+    if coefs is None:
+        coefs = [np.ascontiguousarray(grid.grad_coefs[:, a], dtype=complex)
+                 for a in range(len(grid.shape))]
+        coefs.append((0.5 * grid.geo["M"] * grid.geo["n"]).astype(complex))
+        grid.cache["momentum"] = coefs
+    return coefs
+
+
+def _tangential(grid, x, nlead):
+    """sum_a c[i, a] d_a x for every component i.
+
+    x is one field broadcast to every i (nlead leading axes) or an
+    (N,)+lead+shape stack whose entry i gets component i.
+    """
+    naxes = len(grid.shape)
+    coefs = _momentum_coefficients(grid)
+    out = _lift(coefs[0], nlead) * fourier_derivative(x, 0, naxes)
+    for a in range(1, naxes):
+        out += _lift(coefs[a], nlead) * fourier_derivative(x, a, naxes)
+    return out
+
+
+def _apply(grid, x, nlead, hbar):
+    """-i hbar (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
+    half_mn = _lift(_momentum_coefficients(grid)[-1], nlead)
+    return -1j * hbar * (_tangential(grid, x, nlead) + half_mn * x)
+
+
+def gradient(grid, psi):
+    """Cartesian grad_S psi as an (N,)+psi.shape stack."""
+    psi = np.asarray(psi, dtype=complex)
+    return _tangential(grid, psi, psi.ndim - len(grid.shape))
+
+
+def momentum(grid, psi, hbar=1.0):
+    """p psi = -i hbar (grad_S psi + M n psi / 2) as an (N,)+psi.shape stack."""
+    psi = np.asarray(psi, dtype=complex)
+    return _apply(grid, psi, psi.ndim - len(grid.shape), hbar)
+
+
+def divergence(grid, stack, hbar=1.0):
+    """sum_l p_l A_l for an (N,)+lead+shape stack A; returns lead+shape."""
+    stack = np.asarray(stack, dtype=complex)
+    return _apply(grid, stack, stack.ndim - 1 - len(grid.shape), hbar).sum(axis=0)
+
+
+def laplace_beltrami(grid, psi):
+    """Spectral (1/sqrt g) d_a (sqrt g g^{ab} d_b psi) for diagonal metrics."""
+    naxes = len(grid.shape)
+    out = 0.0
+    for a in range(naxes):
+        flux = (grid.sqrtg * grid.ginv_diag[a]) * fourier_derivative(psi, a, naxes)
+        out = out + fourier_derivative(flux, a, naxes)
+    return (1.0 / grid.sqrtg) * out
+
+
+def hamiltonian(grid, psi, hbar=1.0, mu=1.0, form="lb", p_psi=None):
+    """Surface Hamiltonian applied to psi (leading axes allowed).
+
+    lb:       -(hbar^2 / 2 mu) lap_LB + V_G
+    momentum: sum_j p_j p_j / (2 mu) - (hbar^2 / 4 mu) S2; p_psi, when
+              given, is momentum(grid, psi, hbar) already computed.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if form == "lb":
+        vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
+        return (-(hbar ** 2) / (2.0 * mu)) * laplace_beltrami(grid, psi) + vg * psi
+    if form == "momentum":
+        if p_psi is None:
+            p_psi = momentum(grid, psi, hbar)
+        s2 = (hbar ** 2 / (4.0 * mu)) * grid.geo["S2"]
+        return (1.0 / (2.0 * mu)) * divergence(grid, p_psi, hbar) - s2 * psi
+    raise ValueError(f"unknown Hamiltonian form '{form}'")
+
+
+def centripetal(grid, psi, hbar=1.0, p_psi=None):
+    """Q psi = sum_{i,k} p_i n_{i,k} p_k psi (hermitian ordering)."""
+    if p_psi is None:
+        p_psi = momentum(grid, psi, hbar)
+    dn = grid.geo["dn"]
+    dn = dn.reshape(dn.shape[:2] + (1,) * (p_psi.ndim - dn.ndim + 1) + dn.shape[2:])
+    return divergence(grid, np.einsum("ik...,k...->i...", dn, p_psi), hbar)
+
+
+def quartics(grid, psi, p_psi, pp_psi, hbar=1.0):
+    """F_j psi and G_j psi for one state, as two (N,)+shape stacks.
+
+    F_j = (i hbar / 2) Q[c] with c_{lk} = n_{j,l} n_k and
+    G_j = -(i hbar / 2) Q[c] with c_{lk} = n_j n_{k,l}, where
+    Q[c] = sum_{l,k} {c p_l p_k + p_l c p_k + p_k c p_l + p_k p_l c}.
+    p_psi = p psi and pp_psi[l, k] = p_l p_k psi are shared, and so are
+    the innermost passes inner[j, k] = sum_l p_l (n_{j,l} n_k psi), which
+    are F's last term and, transposed, G's.  F keeps every term apart
+    (see _quartic); G folds its three outer p passes into one divergence.
+    """
+    n, dn = grid.geo["n"], grid.geo["dn"]
+    c_f = dn[:, :, None] * n[None, None]
+    inner = np.zeros(c_f.shape[:1] + c_f.shape[2:], dtype=complex)
+    for j in range(len(n)):
+        for term in _apply(grid, c_f[j] * psi, 1, hbar):
+            inner[j] += term
+    f_psi = np.stack([_quartic(grid, c_f[j], inner[j], p_psi, pp_psi, hbar)
+                      for j in range(len(n))])
+    dn_p = (np.einsum("km...,k...->m...", dn, p_psi)
+            + np.einsum("mk...,k...->m...", dn, p_psi))
+    g_psi = (n * np.einsum("kl...,lk...->...", dn, pp_psi)
+             + divergence(grid, dn_p[:, None] * n[None] + inner, hbar))
+    return (1j * hbar / 2.0) * f_psi, (-1j * hbar / 2.0) * g_psi
+
+
+def _quartic(grid, c, inner, p_psi, pp_psi, hbar):
+    """Q[c] psi for an (N, N)+shape coefficient c[l, k], term by term.
+
+    inner[k] = sum_l p_l (c_{lk} psi).  Every p pass acts on its own
+    (l, k) term and the terms are added in one fixed order (over l, then
+    k).  The F residuals tie at roundoff across test states on the torus,
+    so this order is what keeps them, and their witness, reproducible to
+    the bit.
+    """
+    nvars = len(c)
+    p_c_p = _apply(grid, np.swapaxes(c * p_psi[:, None], 0, 1), 1, hbar)
+    acc2 = np.zeros_like(p_psi)
+    for k in range(nvars):
+        acc2 += c[:, k] * p_psi[k]
+    p_acc2 = _apply(grid, acc2, 0, hbar)
+    p_inner = _apply(grid, inner, 0, hbar)
+    out = np.zeros_like(p_psi[0])
+    for l in range(nvars):
+        for k in range(nvars):
+            out += c[l, k] * pp_psi[l, k]  # c p_l p_k
+            out += p_c_p[k, l]             # p_k c p_l
+        out += p_acc2[l]                   # p_l c p_k
+    for k in range(nvars):
+        out += p_inner[k]                  # p_k p_l c
+    return out
+
+
+# LinOp views ------------------------------------------------------------------
 
 
 def build_surface_gradient(grid):
     """Cartesian components of grad_S as linear operators."""
-    derivs = [spectral_derivative(grid.shape, a) for a in range(len(grid.shape))]
-
-    def component(i):
-        coefs = [np.ascontiguousarray(grid.grad_coefs[i, a])
-                 for a in range(len(grid.shape))]
-
-        def apply_fn(psi, coefs=coefs):
-            out = coefs[0] * derivs[0](psi)
-            for c, d in zip(coefs[1:], derivs[1:]):
-                out += c * d(psi)
-            return out
-
-        return LinOp(apply_fn, grid.shape, f"gradS_{i}")
-
-    return [component(i) for i in range(grid.ndim_embed)]
+    return [LinOp(lambda psi, i=i: gradient(grid, psi)[i], grid.shape, f"gradS_{i}")
+            for i in range(grid.ndim_embed)]
 
 
 def build_momentum(grid, hbar=1.0):
     """p_j = -i hbar ((grad_S)_j + M n_j / 2), one operator per component."""
-    grads = build_surface_gradient(grid)
-    m_field = grid.geo["M"]
-    out = []
-    for j in range(grid.ndim_embed):
-        half_mn = 0.5 * m_field * grid.geo["n"][j]
-        gj = grads[j]
-
-        def apply_fn(psi, gj=gj, half_mn=half_mn):
-            return -1j * hbar * (gj(psi) + half_mn * psi)
-
-        out.append(LinOp(apply_fn, grid.shape, f"p_{j}"))
-    return out
-
-
-def laplace_beltrami(grid):
-    """Spectral (1/sqrt g) d_a (sqrt g g^{ab} d_b psi) for diagonal metrics."""
-    naxes = len(grid.shape)
-    derivs = [spectral_derivative(grid.shape, a) for a in range(naxes)]
-    coefs = [grid.sqrtg * grid.ginv_diag[a] for a in range(naxes)]
-    inv_sqrtg = 1.0 / grid.sqrtg
-
-    def apply_fn(psi):
-        out = np.zeros_like(psi)
-        for a in range(naxes):
-            out += derivs[a](coefs[a] * derivs[a](psi))
-        return inv_sqrtg * out
-
-    return LinOp(apply_fn, grid.shape, "lap_LB")
+    return [LinOp(lambda psi, j=j: momentum(grid, psi, hbar)[j], grid.shape, f"p_{j}")
+            for j in range(grid.ndim_embed)]
 
 
 def build_hamiltonian(grid, hbar=1.0, mu=1.0, form="lb"):
-    """Surface Hamiltonian, in 'lb' or 'momentum' form.
-
-    lb:       -(hbar^2 / 2 mu) lap_LB + V_G
-    momentum: sum_j p_j p_j / (2 mu) - (hbar^2 / 4 mu) S2
-    """
-    if form == "lb":
-        lb = laplace_beltrami(grid)
-        vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
-        coef = -(hbar ** 2) / (2.0 * mu)
-
-        def apply_fn(psi):
-            return coef * lb(psi) + vg * psi
-
-        return LinOp(apply_fn, grid.shape, "H_lb")
-    if form == "momentum":
-        ps = build_momentum(grid, hbar)
-        s2 = (hbar ** 2 / (4.0 * mu)) * grid.geo["S2"]
-        inv_2mu = 1.0 / (2.0 * mu)
-
-        def apply_fn(psi):
-            out = -s2 * psi
-            for p in ps:
-                out += inv_2mu * p(p(psi))
-            return out
-
-        return LinOp(apply_fn, grid.shape, "H_p")
-    raise ValueError(f"unknown Hamiltonian form '{form}'")
-
-
-def centripetal_quadratic(grid, hbar=1.0):
-    """Q = sum_{i,k} p_i n_{i,k} p_k (hermitian operator ordering)."""
-    ps = build_momentum(grid, hbar)
-    dn = grid.geo["dn"]
-    nvars = grid.ndim_embed
-
-    def apply_fn(psi):
-        us = [p(psi) for p in ps]
-        out = np.zeros_like(psi)
-        for i in range(nvars):
-            v = dn[i, 0] * us[0]
-            for k in range(1, nvars):
-                v += dn[i, k] * us[k]
-            out += ps[i](v)
-        return out
-
-    return LinOp(apply_fn, grid.shape, "Q")
+    """Surface Hamiltonian, in 'lb' or 'momentum' form, as an operator."""
+    labels = {"lb": "H_lb", "momentum": "H_p"}
+    if form not in labels:
+        raise ValueError(f"unknown Hamiltonian form '{form}'")
+    return LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu, form), grid.shape,
+                 labels[form])
 
 
 def commutator(a, b):
@@ -120,66 +200,108 @@ def commutator(a, b):
                  f"[{a.label},{b.label}]")
 
 
+# test space ---------------------------------------------------------------------
+
+
 def random_band_states(grid, count=8, seed=0, band_fraction=1.0 / 3.0):
     """Unit-norm states with Fourier support on the lowest band of modes.
 
     Band fraction 1/3 keeps products with smooth coefficient fields free
-    of aliasing at the tested grid sizes.
+    of aliasing at the tested grid sizes.  The states are generated once
+    per grid, seed and band (a longer request extends the same sequence)
+    and returned read-only.
     """
+    key = ("states", seed, band_fraction)
+    states = grid.cache.get(key, [])
+    if len(states) < count:
+        states = _band_states(grid, count, seed, band_fraction)
+        grid.cache[key] = states
+    return states[:count]
+
+
+def _band_states(grid, count, seed, band_fraction):
     rng = np.random.default_rng(seed)
-    states = []
     cut = [max(1, int((n // 2) * band_fraction)) for n in grid.shape]
+    mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape],
+                       indexing="ij")
+    mask = np.ones(grid.shape, dtype=bool)
+    for m, c in zip(mesh, cut):
+        mask &= np.abs(m) <= c
+    states = []
     for _ in range(count):
         coeffs = np.zeros(grid.shape, dtype=complex)
-        mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape],
-                           indexing="ij")
-        mask = np.ones(grid.shape, dtype=bool)
-        for m, c in zip(mesh, cut):
-            mask &= np.abs(m) <= c
         values = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
         coeffs[mask] = values
         psi = np.fft.ifftn(coeffs)
         psi /= norm_w(grid.weights, psi)
+        psi.flags.writeable = False
         states.append(psi)
     return states
+
+
+def relative_residuals(weights, a_psi, b_psi):
+    """||(A - B) psi|| / ||B psi|| per component of two equal stacks.
+
+    The denominator is floored at machine scale; when both actions are
+    numerically zero the operators compare as equal (residual 0).
+    """
+    eps = np.finfo(float).eps
+    na, nb = norm_w(weights, a_psi), norm_w(weights, b_psi)
+    num = norm_w(weights, a_psi - b_psi)
+    floor = 100.0 * eps * np.maximum(np.maximum(na, nb), 1.0)
+    return np.where((num <= floor) & (nb <= floor), 0.0, num / np.maximum(nb, floor))
+
+
+def worst_entry(table):
+    """(largest residual, its state index) of a (pairs, states) table.
+
+    Within a pair the first state attaining the maximum is the witness;
+    across pairs the last pair attaining it wins.
+    """
+    table = np.atleast_2d(table)
+    best = table.max(axis=1)
+    pair = len(best) - 1 - int(np.argmax(best[::-1]))
+    return float(best[pair]), int(np.argmax(table[pair]))
+
+
+def residual_tables(sides, grid, count=8, seed=0, band_fraction=1.0 / 3.0,
+                    pairs=((0, 1),)):
+    """Relative-residual tables over the band-limited test states.
+
+    sides maps one state to a tuple of equally shaped arrays (single grid
+    functions or component stacks); each (a, b) in pairs gives one
+    (components, states) table of ||(A - B) psi|| / ||B psi||.
+    """
+    rows = [[] for _ in pairs]
+    for psi in random_band_states(grid, count, seed, band_fraction):
+        actions = sides(psi)
+        for row, (a, b) in zip(rows, pairs):
+            row.append(np.ravel(relative_residuals(grid.weights, actions[a], actions[b])))
+    return [np.stack(row, axis=1) for row in rows]
 
 
 def residual_on_testspace(a, b, grid, count=8, seed=0, band_fraction=1.0 / 3.0):
     """max over band-limited test states of ||(A - B) psi|| / ||B psi||.
 
-    The denominator is floored at machine scale; when both actions are
-    numerically zero the operators compare as equal (residual 0).
-    Returns (residual, witness_index).
+    a and b map one state to an array; each component of a stack counts
+    as one operator pair.  Returns (residual, witness_index).
     """
-    states = random_band_states(grid, count, seed, band_fraction)
-    eps = np.finfo(float).eps
-    worst, witness = 0.0, 0
-    for idx, psi in enumerate(states):
-        a_psi = a(psi)
-        b_psi = b(psi)
-        na = norm_w(grid.weights, a_psi)
-        nb = norm_w(grid.weights, b_psi)
-        num = norm_w(grid.weights, a_psi - b_psi)
-        scale = max(na, nb, 1.0)
-        if num <= 100.0 * eps * scale and nb <= 100.0 * eps * scale:
-            value = 0.0
-        else:
-            value = num / max(nb, 100.0 * eps * scale)
-        if value > worst:
-            worst, witness = value, idx
-    return worst, witness
+    table, = residual_tables(lambda psi: (a(psi), b(psi)), grid, count, seed,
+                             band_fraction)
+    return worst_entry(table)
 
 
 def hermiticity_defect(op, grid, count=6, seed=0, band_fraction=1.0 / 3.0):
-    """max |<phi, A psi> - <A phi, psi>| over unit test pairs, normalized."""
+    """max |<phi, A psi> - <A phi, psi>| over unit test pairs, normalized.
+
+    op may return a component stack; the worst component counts.
+    """
     states = random_band_states(grid, 2 * count, seed, band_fraction)
+    w = grid.weights
     worst = 0.0
-    for k in range(count):
-        phi, psi = states[2 * k], states[2 * k + 1]
-        a_psi = op(psi)
-        a_phi = op(phi)
-        lhs = inner(grid.weights, phi, a_psi)
-        rhs = inner(grid.weights, a_phi, psi)
-        scale = max(norm_w(grid.weights, a_psi), norm_w(grid.weights, a_phi), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for phi, psi in zip(states[0::2], states[1::2]):
+        a_psi, a_phi = op(psi), op(phi)
+        defect = np.abs(inner(w, phi, a_psi) - inner(w, a_phi, psi))
+        scale = np.maximum(np.maximum(norm_w(w, a_psi), norm_w(w, a_phi)), 1.0)
+        worst = max(worst, float(np.max(defect / scale)))
     return worst

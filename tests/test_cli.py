@@ -78,6 +78,30 @@ def test_force_circle_quantitative(capsys):
     assert payload["magnitude_pN"] == pytest.approx(expected, rel=1e-9)
 
 
+def test_force_expr_scales_lengths_like_catalog(capsys):
+    torus = "sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r"
+    code, out, _ = run_cli(["force", "--surface", "torus", "--R", "4", "--r", "2",
+                            "--at", "3,0,0", "--mass", "1e-30"], capsys)
+    assert code == 0
+    catalog = json.loads(out)
+    code, out, _ = run_cli(["force", "--expr", torus, "--param", "R=4",
+                            "--param", "r=2", "--signed-distance",
+                            "--at", "3,0,0", "--mass", "1e-30"], capsys)
+    assert code == 0
+    expression = json.loads(out)
+    assert expression["length_unit_m"] == catalog["length_unit_m"] == 2.0
+    assert expression["magnitude_pN"] == pytest.approx(catalog["magnitude_pN"],
+                                                       rel=1e-9)
+
+
+def test_force_rejects_a_non_positive_length_unit(capsys):
+    code, _, err = run_cli(["force", "--expr", "x^2 + y^2 + z^2 - a^2 + c",
+                            "--param", "a=1", "--param", "c=0", "--at", "1,0,0",
+                            "--mass", "1e-30"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "CliInputError"
+
+
 def test_fields_json_deterministic(tmp_path, capsys):
     out1 = tmp_path / "f1.json"
     out2 = tmp_path / "f2.json"

@@ -322,3 +322,136 @@ def test_verdict_judgement_rules():
     assert _judge([1e-12, 1e-4, 1e-12], 1e-10) == "inconclusive"
     # residuals above tolerance but shrinking: neither confirmed nor stable
     assert _judge([1e-2, 1e-4, 1e-6], 1e-10) == "inconclusive"
+
+
+def test_roundoff_floor_residuals_do_not_break_monotonicity():
+    from geomforce.oplab.identities import ROUNDOFF_FLOOR, _judge
+
+    # growth between residuals that all sit at roundoff is noise
+    assert _judge([1.2e-14, 2.2e-14, 3.8e-14], 1e-10) == "confirmed"
+    assert _judge([1e-3, 1e-12, 2e-12], 1e-10) == "inconclusive"
+    assert _judge([1e-3, 0.5 * ROUNDOFF_FLOOR, 0.9 * ROUNDOFF_FLOOR], 1e-10) == "confirmed"
+    assert _judge([0.5 * ROUNDOFF_FLOOR, 4.0 * ROUNDOFF_FLOOR], 1e-10) == "inconclusive"
+
+
+def test_circle_suite_seed_two_confirms_at_roundoff():
+    # seed 2 puts EQ3_MAIN and EQ8_PP at 1e-14..4e-14, growing with the grid
+    report = run_identity_suite("circle", {"a": 1.0}, [32, 64, 128], seed=2)
+    by_id = {v["identity"]: v for v in report["identities"]}
+    for ident in ("EQ3_MAIN", "EQ8_PP", "EQ10_SCALAR", "H_FORMS", "HERMITICITY"):
+        assert by_id[ident]["verdict"] == "confirmed", (ident, by_id[ident]["residuals"])
+    for ident in ("EQ11_F_SIMPL", "EQ13_G_SIMPL"):
+        assert by_id[ident]["verdict"] == "refuted"
+    assert report["hard_failures"] == []
+
+
+# stack operators -------------------------------------------------------------------
+
+
+def test_momentum_stack_matches_componentwise_formula(torus32):
+    from geomforce.oplab import momentum
+
+    d = [spectral_derivative(torus32.shape, a) for a in range(2)]
+    c = torus32.grad_coefs
+    half_mn = 0.5 * torus32.geo["M"] * torus32.geo["n"]
+    for psi in random_band_states(torus32, 2, seed=8):
+        stack = momentum(torus32, psi, hbar=0.7)
+        assert stack.shape == (3,) + torus32.shape
+        for j in range(3):
+            want = -0.7j * (c[j, 0] * d[0](psi) + c[j, 1] * d[1](psi) + half_mn[j] * psi)
+            assert np.max(np.abs(stack[j] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_stack_operators_accept_leading_axes(torus32):
+    from geomforce.oplab import divergence, momentum
+
+    states = np.stack(random_band_states(torus32, 2, seed=9))
+    stack = momentum(torus32, states)
+    assert stack.shape == (3, 2) + torus32.shape
+    for s, psi in enumerate(states):
+        assert np.array_equal(stack[:, s], momentum(torus32, psi))
+    total = divergence(torus32, stack)
+    for s in range(2):
+        assert np.array_equal(total[s], divergence(torus32, stack[:, s]))
+
+
+def test_divergence_matches_single_component_momenta(torus32):
+    from geomforce.oplab import divergence
+
+    ps = build_momentum(torus32, hbar=1.3)
+    fields = random_band_states(torus32, 3, seed=10)
+    stack = np.stack(fields)
+    want = sum(ps[l](fields[l]) for l in range(3))
+    got = divergence(torus32, stack, hbar=1.3)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_quartics_match_operator_composition(torus32):
+    from geomforce.oplab import momentum
+    from geomforce.oplab.operators import quartics
+
+    ps = build_momentum(torus32)
+    n, dn = torus32.geo["n"], torus32.geo["dn"]
+    psi = random_band_states(torus32, 1, seed=11)[0]
+
+    def quartic(coef):
+        out = 0.0
+        for l in range(3):
+            for k in range(3):
+                c = coef(l, k)
+                out = (out + c * ps[l](ps[k](psi)) + ps[l](c * ps[k](psi))
+                       + ps[k](c * ps[l](psi)) + ps[k](ps[l](c * psi)))
+        return out
+
+    p_psi = momentum(torus32, psi)
+    f_psi, g_psi = quartics(torus32, psi, p_psi, momentum(torus32, p_psi))
+    for j in range(3):
+        want_f = 0.5j * quartic(lambda l, k: dn[j, l] * n[k])
+        want_g = -0.5j * quartic(lambda l, k: n[j] * dn[k, l])
+        assert np.max(np.abs(f_psi[j] - want_f)) < 1e-12 * np.max(np.abs(want_f))
+        assert np.max(np.abs(g_psi[j] - want_g)) < 1e-12 * np.max(np.abs(want_g))
+
+
+@pytest.fixture(scope="module")
+def torus_suite():
+    return run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [32, 64, 128])
+
+
+def test_torus_suite_pins_refuted_residuals(torus_suite):
+    by_id = {v["identity"]: v for v in torus_suite["identities"]}
+    # finest-grid residuals of the printed simplifications, seed 0
+    pinned = {"EQ10_SCALAR": 2.000000000000001,
+              "EQ11_F_SIMPL": 0.5000000000000052,
+              "EQ13_G_SIMPL": 0.49936276467477786}
+    for ident, value in pinned.items():
+        v = by_id[ident]
+        assert v["verdict"] == "refuted"
+        assert v["residuals"][-1] == pytest.approx(value, rel=1e-12), ident
+    assert by_id["EQ11_F_SIMPL"]["witness"]["state_index"] == 3
+    assert by_id["EQ13_G_SIMPL"]["witness"]["state_index"] == 5
+    tol = torus_suite["tol"]
+    for ident in ("EQ3_MAIN", "EQ8_PP", "H_FORMS", "HERMITICITY"):
+        assert by_id[ident]["verdict"] == "confirmed"
+        assert by_id[ident]["residuals"][-1] < tol
+    for v in by_id.values():
+        assert np.isfinite(v["slope"])
+    assert by_id["EQ3_MAIN"]["slope"] < -4
+    assert torus_suite["hard_failures"] == []
+
+
+def test_torus_suite_fft_budget(monkeypatch):
+    # the operator stacks take one fft/ifft pair per axis for every
+    # component; the per-component closures they replaced made 54,648 calls
+    calls = [0]
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(ifft))
+    run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32, 64])
+    assert calls[0] <= 0.25 * 54648, calls[0]
