@@ -34,7 +34,6 @@ from .geometry import (
     NoConvergenceError,
     NormalJet,
     PhysicalScale,
-    PrecisionLossError,
     curvature_sample,
     curvature_samples,
     lb_laplacian_mean_curvature,
@@ -60,7 +59,7 @@ __all__ = [
     "normal_jet", "curvature_sample", "curvature_samples",
     "lb_laplacian_mean_curvature", "split_residual", "si_force_magnitude",
     "project_to_surface", "sample_field",
-    "NoConvergenceError", "PrecisionLossError",
+    "NoConvergenceError",
     "CriticalPoint", "SearchConfig", "find_critical_points", "classify_critical_point",
     "TrajectoryState", "IntegratorConfig", "integrate",
     "force_residual", "geodesic_form_residual",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -19,8 +20,9 @@ import numpy as np
 from . import dynamics as dyn
 from . import expr as ex
 from . import geometry as geo
+from . import jets
 from . import optim
-from .oplab import run_identity_suite
+from .oplab import IDENTITY_IDS, run_identity_suite
 from .reports import atomic_write, canonical_json
 from .surfaces import (
     InvalidParametersError,
@@ -34,20 +36,22 @@ class CliInputError(ValueError):
     pass
 
 
+# Typed errors only: a bare ValueError or KeyError is a bug and propagates.
 _INPUT_ERRORS = (
     CliInputError,
     ex.ParseError,
     ex.UnknownIdentifierError,
     UnknownSurfaceError,
     InvalidParametersError,
-    ValueError,
-    KeyError,
+    geo.OffSurfaceError,
+    dyn.IntegratorInputError,
+    jets.DomainError,
     FileNotFoundError,
+    json.JSONDecodeError,
 )
 
 _NUMERIC_ERRORS = (
     geo.NoConvergenceError,
-    geo.PrecisionLossError,
     dyn.ProjectionFailureError,
     dyn.StepTooLargeError,
     optim.NoCriticalPointFoundError,
@@ -78,6 +82,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _numbers(text, flag, cast=float, count=None):
+    """Comma-separated numbers of one flag, `count` of them when given."""
+    try:
+        values = [cast(v) for v in str(text).split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise CliInputError(f"bad {flag} '{text}', expected {count or 'some'} "
+                            f"comma-separated numbers")
+    return values
+
+
 def _surface_from_args(args):
     if getattr(args, "expr", None):
         if args.surface:
@@ -87,7 +103,11 @@ def _surface_from_args(args):
             key, _, value = item.partition("=")
             if not _:
                 raise CliInputError(f"bad --param '{item}', expected name=value")
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise CliInputError(f"bad --param '{item}', value is not a "
+                                    f"number") from None
         return from_expression(args.expr, args.dim, params,
                                is_signed_distance=args.signed_distance)
     if not args.surface:
@@ -113,7 +133,7 @@ def _add_surface_flags(parser, lengths=False):
     parser.add_argument("--R", dest="big_r", type=cast, help="torus ring radius")
     parser.add_argument("--r", type=cast, help="torus tube radius")
     parser.add_argument("--expr", help="implicit surface expression f(x) = 0")
-    parser.add_argument("--dim", type=int, default=3,
+    parser.add_argument("--dim", type=int, default=3, choices=(2, 3, 4),
                         help="ambient dimension for --expr")
     parser.add_argument("--param", action="append",
                         help="name=value binding for --expr (repeatable)")
@@ -157,8 +177,14 @@ def _cmd_fields(args):
     policy = geo.ExtensionPolicy.parse(args.policy)
     resolution = None
     if args.resolution:
-        parts = [int(p) for p in args.resolution.lower().split("x")]
+        parts = _numbers(args.resolution.lower().replace("x", ","),
+                         "--resolution", int)
+        if len(parts) > spec.dimension - 1 or min(parts) < 0:
+            raise CliInputError(f"bad --resolution '{args.resolution}' for a "
+                                f"{spec.dimension}-D surface")
         resolution = parts[0] if len(parts) == 1 else tuple(parts)
+    if args.count is not None and args.count < 0:
+        raise CliInputError("--count must be >= 0")
     samples = geo.sample_field(spec, policy, sampling=args.sampling,
                                resolution=resolution, count=args.count,
                                seed=args.seed)
@@ -184,6 +210,8 @@ def _cmd_fields(args):
 def _cmd_extrema(args):
     spec = _surface_from_args(args)
     policy = geo.ExtensionPolicy.parse(args.policy)
+    if args.starts < 1:
+        raise CliInputError("--starts must be >= 1")
     config = optim.SearchConfig(starts=args.starts, seed=args.seed, tol=args.tol)
     points = optim.find_critical_points(spec, args.field, policy, config)
     payload = {
@@ -200,8 +228,8 @@ def _cmd_extrema(args):
 
 def _cmd_classical(args):
     spec = _surface_from_args(args)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    p0 = np.array([float(v) for v in args.p0.split(",")])
+    x0 = np.array(_numbers(args.x0, "--x0", count=spec.dimension))
+    p0 = np.array(_numbers(args.p0, "--p0", count=spec.dimension))
     config = dyn.IntegratorConfig(dt=args.dt, steps=args.steps, mass=args.mass)
     traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config)
     eq1 = dyn.force_residual(spec, traj)
@@ -232,8 +260,17 @@ def _cmd_verify(args):
                   "r": args.r if args.r is not None else 1.0}
     else:
         raise CliInputError("verify runs on --surface circle or torus")
-    sizes = [int(s) for s in args.grids.split(",")]
+    if not (args.hbar > 0 and args.mass > 0):
+        raise CliInputError("--hbar and --mass must be positive")
+    sizes = _numbers(args.grids, "--grids", int)
+    if len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes):
+        raise CliInputError(f"--grids needs at least 3 powers of two >= 16, "
+                            f"got {args.grids}")
     identities = args.identities.split(",") if args.identities else None
+    unknown = sorted(set(identities or ()) - set(IDENTITY_IDS))
+    if unknown:
+        raise CliInputError(f"unknown identities {unknown}; known: "
+                            f"{', '.join(IDENTITY_IDS)}")
     report = run_identity_suite(args.surface, params, sizes, hbar=args.hbar,
                                 mu=args.mass, tol=args.tol,
                                 identities=identities, seed=args.seed)
@@ -242,11 +279,13 @@ def _cmd_verify(args):
 
 
 def _cmd_force(args):
-    mass = parse_mass(args.mass)
+    mass = args.mass
+    if not mass > 0:
+        raise CliInputError(f"--mass must be positive, got {mass}")
     if args.surface == "generic":
         if args.curvature_scale is None:
             raise CliInputError("--surface generic needs --curvature-scale")
-        length = parse_length(args.curvature_scale)
+        length = args.curvature_scale
         payload = {
             "surface": "generic",
             "mass_kg": mass,
@@ -264,7 +303,7 @@ def _cmd_force(args):
     model_spec = dataclasses.replace(
         spec, params={k: v / length_unit for k, v in spec.params.items()})
     if args.at:
-        point = np.array([float(v) for v in args.at.split(",")])
+        point = np.array(_numbers(args.at, "--at", count=spec.dimension))
     else:
         point = _default_point(model_spec)
     policy = geo.ExtensionPolicy.parse(args.policy)
@@ -293,12 +332,10 @@ def _default_point(spec):
         return np.array([0.0, 0.0, spec.params["b"]])
     if spec.name == "torus":
         return np.array([spec.params["R"] + spec.params["r"], 0.0, 0.0])
-    return np.array([0.0, 0.0, 0.0])
+    return np.zeros(spec.dimension)
 
 
 def _cmd_report(args):
-    import json
-
     merged = {"reports": []}
     for path in args.inputs.split(","):
         with open(path) as handle:
@@ -320,7 +357,8 @@ def build_parser():
 
     p = sub.add_parser("fields", help="sample curvature fields over a surface")
     _add_surface_flags(p)
-    p.add_argument("--policy", default="sd", help="sd or gn extension")
+    p.add_argument("--policy", default="sd", type=str.lower, choices=geo.POLICY_NAMES,
+                   help="sd or gn extension")
     p.add_argument("--sampling", default="grid", choices=["grid", "random"])
     p.add_argument("--resolution", help="grid resolution, e.g. 64 or 64x1")
     p.add_argument("--count", type=int, help="random sample count")
@@ -332,7 +370,7 @@ def build_parser():
     p = sub.add_parser("extrema", help="locate critical points of a curvature field")
     _add_surface_flags(p)
     p.add_argument("--field", default="lapM", choices=list(geo.FIELD_NAMES))
-    p.add_argument("--policy", default="gn")
+    p.add_argument("--policy", default="gn", type=str.lower, choices=geo.POLICY_NAMES)
     p.add_argument("--starts", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -366,10 +404,12 @@ def build_parser():
 
     p = sub.add_parser("force", help="curvature-induced force in SI units")
     _add_surface_flags(p, lengths=True)
-    p.add_argument("--mass", required=True, help="particle mass, kg (suffix optional)")
-    p.add_argument("--curvature-scale", help="length scale for --surface generic")
+    p.add_argument("--mass", required=True, type=parse_mass,
+                   help="particle mass, kg (suffix optional)")
+    p.add_argument("--curvature-scale", type=parse_length,
+                   help="length scale for --surface generic")
     p.add_argument("--at", help="model-unit surface point, comma separated")
-    p.add_argument("--policy", default="sd")
+    p.add_argument("--policy", default="sd", type=str.lower, choices=geo.POLICY_NAMES)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_force)
 

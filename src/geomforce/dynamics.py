@@ -26,6 +26,10 @@ class StepTooLargeError(RuntimeError):
     """Projection moved the point by more than half the free drift."""
 
 
+class IntegratorInputError(ValueError):
+    """Initial state or integrator settings out of range."""
+
+
 class TooFewStepsError(ValueError):
     """Residual series need at least 3 stored states."""
 
@@ -50,9 +54,9 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise IntegratorInputError("dt must be positive")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise IntegratorInputError("steps must be >= 1")
 
 
 @dataclass
@@ -95,11 +99,11 @@ def integrate(spec, initial, config):
     p = np.asarray(initial.p, dtype=float).copy()
     mu, dt = config.mass, config.dt
     if abs(float(spec.f(x))) > max(config.constraint_tol, 1e-9):
-        raise ValueError("initial position violates the constraint")
+        raise IntegratorInputError("initial position violates the constraint")
     g = spec.grad_f(x)
     nhat = g / np.linalg.norm(g)
     if abs(float(nhat @ p)) > 1e-9 * max(1.0, float(np.linalg.norm(p))):
-        raise ValueError("initial momentum is not tangent")
+        raise IntegratorInputError("initial momentum is not tangent")
 
     count = config.steps + 1
     ts = np.empty(count)
@@ -168,7 +172,7 @@ class ResidualSeries:
 
 def _interior_tables(spec, traj, policy):
     pts = traj.xs[1:-1].T
-    n, dn, _, _, _ = geo._tables_batch(spec, pts, policy, order=1)
+    n, dn, _, _ = geo._tables_batch(spec, pts, policy, order=1)
     return n, dn
 
 

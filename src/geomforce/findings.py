@@ -86,8 +86,9 @@ def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
     """lap M at the poles and equator under both extensions vs references.
 
     The quadric is not a distance function, so the SignedDistance values
-    come from numeric distance jets and carry an error bound.  No
-    reference value is assumed correct; matches are recorded per policy.
+    come from exact jets of the distance solved through the foot-point
+    equations (geometry.distance_jet).  No reference value is assumed
+    correct; matches are recorded per policy.
     """
     spec = builtin_surface("spheroid", {"a": a, "b": b})
     locations = {
@@ -103,11 +104,9 @@ def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
             "reference": float(reference),
             "lapM_gradient_normalized": gn.lapM,
             "lapM_signed_distance": sd.lapM,
-            "signed_distance_error_bound": sd.error_bound,
             "lapLB": gn.lapLB_M,
             "matches_gradient_normalized": _match(gn.lapM, reference, rel_tol),
-            "matches_signed_distance": _match(sd.lapM, reference,
-                                              max(rel_tol, 10 * (sd.error_bound or 0))),
+            "matches_signed_distance": _match(sd.lapM, reference, rel_tol),
         }
         if not (entry["matches_gradient_normalized"]
                 or entry["matches_signed_distance"]):

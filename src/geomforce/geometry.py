@@ -6,10 +6,10 @@ extensions are supported:
 
 * GradientNormalized: n = grad f / |grad f| for the given f, exact via
   jet arithmetic.
-* SignedDistance: n = grad d for the signed distance d.  When f already
-  is a signed distance its jets are used directly; otherwise d is
-  differentiated numerically (central differences plus Richardson
-  extrapolation around closest-point projections).
+* SignedDistance: n = grad d for the signed distance d, exact too.  When
+  f already is a signed distance its jets are used directly; otherwise
+  the jet of d comes from solving the foot-point equations in jet
+  arithmetic (see distance_jet).
 
 Sign conventions: M = -n_{i,i}, so a sphere of radius a with outward
 normal has M = -2/a.  The quantum force density along n is
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import jets
+from .surfaces import UnknownSurfaceError
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -45,12 +45,8 @@ class NoConvergenceError(RuntimeError):
         super().__init__(f"{message} ({iterations} iterations, residual {residual:.3e})")
 
 
-class PrecisionLossError(RuntimeError):
-    """Richardson levels disagree beyond threshold; carries the estimate."""
-
-    def __init__(self, message, estimate):
-        self.estimate = estimate
-        super().__init__(f"{message} (disagreement estimate {estimate:.3e})")
+class OffSurfaceError(ValueError):
+    """A point handed to a surface-point routine does not lie on f = 0."""
 
 
 class ExtensionPolicy(enum.Enum):
@@ -59,16 +55,16 @@ class ExtensionPolicy(enum.Enum):
 
     @classmethod
     def parse(cls, text):
-        table = {
-            "gn": cls.GRADIENT_NORMALIZED,
-            "gradient-normalized": cls.GRADIENT_NORMALIZED,
-            "sd": cls.SIGNED_DISTANCE,
-            "signed-distance": cls.SIGNED_DISTANCE,
-        }
         try:
-            return table[text.lower()]
+            return POLICY_NAMES[text.lower()]
         except KeyError:
             raise ValueError(f"unknown extension policy '{text}'") from None
+
+
+POLICY_NAMES = {"gn": ExtensionPolicy.GRADIENT_NORMALIZED,
+                "gradient-normalized": ExtensionPolicy.GRADIENT_NORMALIZED,
+                "sd": ExtensionPolicy.SIGNED_DISTANCE,
+                "signed-distance": ExtensionPolicy.SIGNED_DISTANCE}
 
 
 @dataclass(frozen=True)
@@ -123,14 +119,6 @@ def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
     )
 
 
-def signed_distance(spec, point, tol=1e-13, max_iter=100):
-    """sign(f) * |x - project(x)| for point(s)."""
-    point = np.asarray(point, dtype=float)
-    y = project_to_surface(spec, point, tol=tol, max_iter=max_iter)
-    d = np.linalg.norm(point - y, axis=0)
-    return np.sign(spec.f(point)) * d
-
-
 # Normal derivative tables -----------------------------------------------------
 
 
@@ -155,14 +143,14 @@ def _unit_index_tensors(nvars, degree, depth):
     return out
 
 
-def _tables_from_f_jet(fjet, order):
-    """SignedDistance tables for an exact distance function: n_i = d_i f.
+def _tables_from_distance_jet(djet, order):
+    """SignedDistance tables from a jet of the distance: n_i = d_i d.
 
-    Batched: fjet coeffs (T, B) give tables with trailing batch axis.
+    Batched: djet coeffs (T, B) give tables with trailing batch axis.
     """
-    nvars = fjet.space.nvars
-    tensors = _unit_index_tensors(nvars, fjet.degree, order + 1)
-    tabs = [fjet.coeffs[t] for t in tensors]
+    nvars = djet.space.nvars
+    tensors = _unit_index_tensors(nvars, djet.degree, order + 1)
+    tabs = [djet.coeffs[t] for t in tensors]
     n, dn = tabs[0], tabs[1]
     d2n = tabs[2] if order >= 2 else None
     d3n = tabs[3] if order >= 3 else None
@@ -184,71 +172,54 @@ def _normalized_gradient_jets(spec, points, degree):
     """Jets of grad f / |grad f| components to the given degree."""
     fjet = spec.jet(points, degree + 1)
     g = [fjet.derivative(i) for i in range(spec.dimension)]
-    norm2 = g[0] * g[0]
-    for gi in g[1:]:
-        norm2 = norm2 + gi * gi
-    inv_norm = jets.apply_function("sqrt", norm2).reciprocal()
+    inv_norm = _norm(g).reciprocal()
     return [gi * inv_norm for gi in g]
 
 
-_FD_STENCILS = {
-    0: {(0,): 1.0},
-    1: {(-1,): -0.5, (1,): 0.5},
-    2: {(-1,): 1.0, (0,): -2.0, (1,): 1.0},
-    3: {(-2,): -0.5, (-1,): 1.0, (1,): -1.0, (2,): 0.5},
-    4: {(-2,): 1.0, (-1,): -4.0, (0,): 6.0, (1,): -4.0, (2,): 1.0},
-}
+def _norm(components):
+    """Jet of the Euclidean norm of a vector of jets."""
+    norm2 = components[0] * components[0]
+    for c in components[1:]:
+        norm2 = norm2 + c * c
+    return jets.apply_function("sqrt", norm2)
 
 
-def _fd_partial(values, counts, h):
-    """Tensor-product central difference for one multi-index (counts per axis)."""
-    total = 0.0
-    per_axis = [_FD_STENCILS[c].items() for c in counts]
-    for combo in itertools.product(*per_axis):
-        key = tuple(o[0] for o, _ in combo)
-        weight = math.prod(w for _, w in combo)
-        total += weight * values[key]
-    return total / h ** sum(counts)
+def distance_jet(spec, points, degree):
+    """Jet of the signed distance d at on-surface point(s) (N,) or (N, B).
 
-
-def _numeric_distance_tables(spec, point, order, threshold=0.5):
-    """Richardson-extrapolated derivative tables of the signed distance.
-
-    Central differences at steps h and h/2 with
-    h = eps^(1/(order+3)) * feature scale; the per-entry disagreement of
-    the two levels is the error estimate (kept as error_bound).
+    When f is a distance function this is the jet of f.  Otherwise the
+    foot point y(x) and multiplier t(x) solve y + t grad f(y) = x,
+    f(y) = 0 with x = x0 + xi as the jet variable, by chord Newton from
+    y = x0, t = 0 with the float Jacobian [[I, g], [g^T, 0]],
+    g = grad f(x0).  Each step gains one order, so `degree` steps make
+    d = t |grad f(y)| exact to that degree (truncated Taylor arithmetic
+    through implicit functions: Griewank & Walther, Evaluating
+    Derivatives, ch. 13).
     """
-    nvars = spec.dimension
-    h = np.finfo(float).eps ** (1.0 / (order + 3)) * spec.feature_scale()
-    offsets = list(itertools.product(range(-4, 5), repeat=nvars))
-    lattice = np.array(offsets, dtype=float).T * (h / 2) + point[:, None]
-    d = signed_distance(spec, lattice)
-    fine = {off: d[i] for i, off in enumerate(offsets)}
-    coarse = {
-        tuple(k // 2 for k in off): v
-        for off, v in fine.items()
-        if all(k % 2 == 0 for k in off)
-    }
-
-    tables = []
-    worst = 0.0
-    for nd in range(1, order + 2):
-        t = np.zeros((nvars,) * nd)
-        for axes in itertools.product(range(nvars), repeat=nd):
-            counts = [0] * nvars
-            for a in axes:
-                counts[a] += 1
-            dh = _fd_partial(coarse, counts, h)
-            dh2 = _fd_partial(fine, counts, h / 2)
-            t[axes] = (4.0 * dh2 - dh) / 3.0
-            worst = max(worst, abs(dh2 - dh) / (1.0 + abs(t[axes])))
-        tables.append(t)
-    if worst > threshold:
-        raise PrecisionLossError(f"numeric distance jets unreliable at {point}", worst)
-    n, dn = tables[0], tables[1]
-    d2n = tables[2] if order >= 2 else None
-    d3n = tables[3] if order >= 3 else None
-    return n, dn, d2n, d3n, worst
+    if spec.is_signed_distance:
+        return spec.jet(points, degree)
+    fjet = spec.jet(points, degree + 1)
+    grads = [fjet.derivative(i) for i in range(spec.dimension)]
+    space = grads[0].space
+    g = np.stack([gi.value for gi in grads])
+    g2 = np.sum(g * g, axis=0)
+    if np.any(g2 == 0.0):
+        where = np.reshape(points, (spec.dimension, -1))[:, np.argmin(np.ravel(g2))]
+        raise jets.DomainError(f"grad f vanishes at {where.tolist()} on "
+                               f"'{spec.name}'; the signed distance has no jet there")
+    xi = np.stack([jets.variable(space, i, np.zeros_like(g2)).coeffs
+                   for i in range(spec.dimension)])
+    u = np.zeros_like(xi)  # y - x0
+    t = jets.Jet(space, np.zeros_like(xi[0]))
+    for _ in range(degree):
+        fy, *gy = jets.substitute([fjet] + grads, [jets.Jet(space, c) for c in u])
+        r1 = u + np.stack([(t * gi).coeffs for gi in gy]) - xi
+        r2 = fy.coeffs
+        r2[0] = 0.0  # x0 is on the surface; f(x0) is roundoff
+        dt = (np.einsum("i...,it...->t...", g, r1) - r2) / g2
+        u = u - (r1 - g[:, None] * dt)
+        t = jets.Jet(space, t.coeffs - dt)
+    return t * _norm(gy)
 
 
 @dataclass(frozen=True)
@@ -257,8 +228,7 @@ class NormalJet:
 
     Arrays: n (N,), dn (N, N) with dn[i, j] = d n_i / d x_j, and when the
     order allows, d2n (N, N, N) and d3n (N, N, N, N) with trailing axes
-    the derivative directions.  error_bound is None for exact jets and
-    the worst Richardson disagreement for numeric distance jets.
+    the derivative directions.  Both extensions give exact jets.
     """
 
     point: np.ndarray
@@ -268,7 +238,6 @@ class NormalJet:
     dn: np.ndarray
     d2n: np.ndarray | None
     d3n: np.ndarray | None
-    error_bound: float | None = None
 
     def unit_norm_defect(self):
         return abs(float(np.sum(self.n * self.n)) - 1.0)
@@ -279,23 +248,20 @@ class NormalJet:
 
 
 def _tables_batch(spec, points, policy, order):
-    """(n, dn, d2n, d3n, error_bound) with trailing batch axis."""
-    if policy is ExtensionPolicy.SIGNED_DISTANCE and spec.is_signed_distance:
-        fjet = spec.jet(points, order + 1)
-        return _tables_from_f_jet(fjet, order) + (None,)
-    if policy is ExtensionPolicy.GRADIENT_NORMALIZED:
-        njets = _normalized_gradient_jets(spec, points, order)
-        return _tables_from_component_jets(njets, order) + (None,)
-    # numeric signed distance: per-point lattices
-    cols = [
-        _numeric_distance_tables(spec, points[:, b], order)
-        for b in range(points.shape[1])
-    ]
-    n = np.stack([c[0] for c in cols], axis=-1)
-    dn = np.stack([c[1] for c in cols], axis=-1)
-    d2n = np.stack([c[2] for c in cols], axis=-1) if order >= 2 else None
-    d3n = np.stack([c[3] for c in cols], axis=-1) if order >= 3 else None
-    return n, dn, d2n, d3n, max(c[4] for c in cols)
+    """(n, dn, d2n, d3n) with trailing batch axis."""
+    if policy is ExtensionPolicy.SIGNED_DISTANCE:
+        return _tables_from_distance_jet(distance_jet(spec, points, order + 1), order)
+    njets = _normalized_gradient_jets(spec, points, order)
+    return _tables_from_component_jets(njets, order)
+
+
+def _require_on_surface(spec, points):
+    """Raise OffSurfaceError naming the worst of the (N, B) points."""
+    residual = np.abs(spec.f(points))
+    worst = int(np.argmax(residual))
+    if residual[worst] > 1e-9:
+        raise OffSurfaceError(f"point {points[:, worst].tolist()} is not on the "
+                              f"surface: |f| = {residual[worst]:.2e}")
 
 
 def normal_jet(spec, point, policy, order=3):
@@ -307,15 +273,12 @@ def normal_jet(spec, point, policy, order=3):
     if order > 3:
         raise ValueError("normal jet order is capped at 3")
     point = np.asarray(point, dtype=float)
-    if abs(float(spec.f(point))) > 1e-9:
-        raise ValueError(
-            f"point is not on the surface: |f| = {abs(float(spec.f(point))):.2e}"
-        )
-    n, dn, d2n, d3n, err = _tables_batch(spec, point[:, None], policy, order)
+    _require_on_surface(spec, point[:, None])
+    n, dn, d2n, d3n = _tables_batch(spec, point[:, None], policy, order)
     squeeze = lambda a: None if a is None else a[..., 0]
     return NormalJet(point=point, policy=policy, order=order,
                      n=squeeze(n), dn=squeeze(dn), d2n=squeeze(d2n),
-                     d3n=squeeze(d3n), error_bound=err)
+                     d3n=squeeze(d3n))
 
 
 # Curvature samples ------------------------------------------------------------
@@ -339,7 +302,6 @@ class CurvatureSample:
     lapLB_M: float
     vg_geom: float
     chi_geom: float
-    error_bound: float | None = None
 
     def to_dict(self):
         return {
@@ -378,13 +340,12 @@ def curvature_fields(spec, points, policy):
 
     Returns a dict of arrays keyed n, dn, d2n, d3n, M, S2, gradM, hessM,
     lapM, lapLB_M, gradS2, vg_geom, chi_geom (trailing batch axis), plus
-    error_bound.  This is the bulk interface used by grid builders.
+    error_bound, always None since both extensions are exact.  This is
+    the bulk interface used by grid builders.
     """
     points = np.asarray(points, dtype=float)
-    worst = float(np.max(np.abs(spec.f(points))))
-    if worst > 1e-9:
-        raise ValueError(f"points must lie on the surface; worst |f| = {worst:.2e}")
-    n, dn, d2n, d3n, err = _tables_batch(spec, points, policy, order=3)
+    _require_on_surface(spec, points)
+    n, dn, d2n, d3n = _tables_batch(spec, points, policy, order=3)
     m = -np.einsum("ii...->...", dn)
     s2 = np.einsum("ij...,ij...->...", dn, dn)
     grad_m = -np.einsum("iik...->k...", d2n)
@@ -405,7 +366,10 @@ def curvature_fields(spec, points, policy):
         "M": m, "S2": s2, "gradM": grad_m, "hessM": hess_m,
         "lapM": lap_m, "lapLB_M": lap_lb, "gradS2": grad_s2,
         "vg_geom": m * m / 2.0 - s2, "chi_geom": -lap_m,
-        "error_bound": err,
+        # always None (both extensions are exact); the key stays because the
+        # spheroid gate in perfbench/workloads.py reads it and falls back to
+        # 1e-9 when it is None, and that benchmark code is kept as it is
+        "error_bound": None,
     }
 
 
@@ -427,7 +391,6 @@ def curvature_samples(spec, points, policy=ExtensionPolicy.SIGNED_DISTANCE):
             lapLB_M=float(fields["lapLB_M"][b]),
             vg_geom=float(fields["vg_geom"][b]),
             chi_geom=float(fields["chi_geom"][b]),
-            error_bound=fields["error_bound"],
         ))
     return out
 
@@ -435,10 +398,6 @@ def curvature_samples(spec, points, policy=ExtensionPolicy.SIGNED_DISTANCE):
 def curvature_sample(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
     """Full curvature record at one surface point."""
     point = np.asarray(point, dtype=float)
-    if abs(float(spec.f(point))) > 1e-9:
-        raise ValueError(
-            f"point is not on the surface: |f| = {abs(float(spec.f(point))):.2e}"
-        )
     return curvature_samples(spec, point[:, None], policy)[0]
 
 
@@ -553,7 +512,7 @@ def _parametric_points(spec, resolution):
         v = np.linspace(-1.0, 1.0, ny)
         U, V = np.meshgrid(u, v, indexing="ij")
         return np.stack([U, V, np.zeros_like(U)]).reshape(3, -1)
-    raise ValueError(f"no parametric grid for surface '{spec.name}'")
+    raise UnknownSurfaceError(f"no parametric grid for surface '{spec.name}'")
 
 
 def _random_surface_points(spec, count, seed):
@@ -582,7 +541,7 @@ def _random_surface_points(spec, count, seed):
         u = rng.uniform(-1, 1, (2, count))
         pts = np.stack([u[0], u[1], np.zeros(count)])
     else:
-        raise ValueError(f"random sampling needs a catalog surface, got '{spec.name}'")
+        raise UnknownSurfaceError(f"random sampling needs a catalog surface, got '{spec.name}'")
     # small normal offset, then projected back: exercises the projection
     offset = rng.uniform(-0.05, 0.05, count) * spec.feature_scale()
     pts = pts + spec.grad_f(pts) * offset
@@ -637,15 +596,11 @@ def samples_to_csv(samples):
 
 
 def _field_jet(spec, point, policy, field):
-    """Jet (degree >= 1) of the chosen curvature field at a point.
-
-    Exact path only: GradientNormalized, or SignedDistance with a
-    signed-distance f.
-    """
+    """Jet (degree >= 1) of the chosen curvature field at a point."""
     n_degree = {"M": 2, "vg_geom": 2, "lapM": 4}[field]
-    if policy is ExtensionPolicy.SIGNED_DISTANCE and spec.is_signed_distance:
-        fjet = spec.jet(point, n_degree + 1)
-        njets = [fjet.derivative(i) for i in range(spec.dimension)]
+    if policy is ExtensionPolicy.SIGNED_DISTANCE:
+        djet = distance_jet(spec, point, n_degree + 1)
+        njets = [djet.derivative(i) for i in range(spec.dimension)]
     else:
         njets = _normalized_gradient_jets(spec, point, n_degree)
     m_jet = -sum(nj.derivative(i) for i, nj in enumerate(njets))
@@ -672,24 +627,10 @@ def field_value(spec, point, policy, field):
 
 
 def field_value_and_gradient(spec, point, policy, field):
-    """Field value and its ambient gradient at a surface point.
-
-    Uses exact jets when available; otherwise (SignedDistance on a
-    non-distance f) tangent-frame central differences of projected
-    samples, which is what the numeric extension admits.
-    """
+    """Field value and its ambient gradient at a surface point, from jets."""
     point = np.asarray(point, dtype=float)
-    exact = (policy is ExtensionPolicy.GRADIENT_NORMALIZED
-             or (policy is ExtensionPolicy.SIGNED_DISTANCE and spec.is_signed_distance))
-    if not exact:
-        value = field_value(spec, point, policy, field)
-        return value, _tangent_fd_gradient(spec, point, policy, field)
     fj = _field_jet(spec, point, policy, field)
-    nvars = spec.dimension
-    grad = np.array([
-        jets.jet_partial(fj, tuple(1 if k == i else 0 for k in range(nvars)))
-        for i in range(nvars)
-    ])
+    grad = np.array([fj.derivative(i).value for i in range(spec.dimension)])
     return float(fj.value), grad
 
 
@@ -709,17 +650,3 @@ def tangent_frame(n):
         if len(basis) == nvars - 1:
             break
     return np.array(basis)
-
-
-def _tangent_fd_gradient(spec, point, policy, field, step_factor=1e-4):
-    nj = normal_jet(spec, point, policy, order=1)
-    frame = tangent_frame(nj.n)
-    h = step_factor * spec.feature_scale()
-    grad = np.zeros(spec.dimension)
-    for t in frame:
-        plus = project_to_surface(spec, point + h * t)
-        minus = project_to_surface(spec, point - h * t)
-        df = (field_value(spec, plus, policy, field)
-              - field_value(spec, minus, policy, field)) / (2 * h)
-        grad += df * t
-    return grad

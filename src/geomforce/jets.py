@@ -293,6 +293,33 @@ def apply_function(name, g):
     return _compose(g, _elementary_series(name, g.value, g.degree))
 
 
+def substitute(outer, shifts):
+    """Jets of g(x0 + u) for each jet g in `outer`, all taken at x0.
+
+    shifts holds one zero-valued jet u_k per variable of the outer jets,
+    all of one space of degree D; every outer jet has degree >= D.  Since
+    u^alpha vanishes beyond degree D for |alpha| > D, the truncated sum
+    sum_{|alpha| <= D} d^alpha g(x0) u^alpha / alpha! is exact.  The
+    monomials u^alpha are built once and shared by all outer jets.
+    """
+    space = shifts[0].space
+    if any(np.any(u.value != 0.0) for u in shifts):
+        raise ValueError("substituted shifts must have zero value")
+    grades = jet_space(len(shifts), space.degree)
+    monomials = [constant(space, 1.0, like=shifts[0].coeffs)]
+    for alpha in grades.indices[1:]:
+        k = next(i for i, a in enumerate(alpha) if a)
+        lower = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+        monomials.append(monomials[grades.index_of[lower]] * shifts[k])
+    stack = np.stack([m.coeffs for m in monomials])
+    out = []
+    for g in outer:
+        rows = [g.space.index_of[alpha] for alpha in grades.indices]
+        taylor = g.coeffs[rows] / _colvec(grades.factorials, g.coeffs)
+        out.append(Jet(space, np.einsum("a...,at...->t...", taylor, stack)))
+    return out
+
+
 # Expression evaluation -------------------------------------------------------
 
 

@@ -114,9 +114,15 @@ def test_criterion_4_spheroid_extrema():
             assert "matches_signed_distance" in entry
             assert entry["lapM_gradient_normalized"] == pytest.approx(
                 cf.SPHEROID_LAP[(a, b)][where]["gn"], rel=1e-9)
-            bound = max(1e-3, 50 * (entry["signed_distance_error_bound"] or 0.0))
             assert entry["lapM_signed_distance"] == pytest.approx(
-                cf.SPHEROID_LAP[(a, b)][where]["sd"], rel=bound)
+                cf.SPHEROID_LAP[(a, b)][where]["sd"], rel=1e-9)
+
+        # every symbolic signed-distance value, through curvature_sample
+        for (a, b), want in cf.SPHEROID_LAP.items():
+            spec = builtin_surface("spheroid", {"a": a, "b": b})
+            for where, point in (("pole", [0.0, 0.0, b]), ("equator", [a, 0.0, 0.0])):
+                sample = geo.curvature_sample(spec, np.array(point), SD)
+                assert sample.lapM == pytest.approx(want[where]["sd"], rel=1e-9)
 
 
 def test_criterion_5_geometric_potential_cross_check():

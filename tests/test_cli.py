@@ -215,3 +215,43 @@ def test_expression_surface_through_cli(capsys):
                             "--dim", "3", "--signed-distance",
                             "--sampling", "random", "--count", "0"], capsys)
     assert code == 0
+
+
+def test_internal_value_error_is_not_reported_as_input_error(monkeypatch):
+    from geomforce import geometry as geo
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(geo, "sample_field", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["fields", "--surface", "circle", "--a", "1", "--resolution", "4"])
+
+
+@pytest.mark.parametrize("args,error", [
+    (["fields", "--surface", "circle", "--a", "1", "--resolution", "4",
+      "--policy", "bogus"], "CliInputError"),
+    (["fields", "--expr", "x^2 + y^2 - 1", "--dim", "5", "--resolution", "4"],
+     "CliInputError"),
+    (["fields", "--expr", "x^2 + y^2 + z^2 - 1", "--resolution", "4"],
+     "UnknownSurfaceError"),
+    (["force", "--surface", "sphere", "--a", "1", "--mass", "1e-30",
+      "--at", "1,zero,0"], "CliInputError"),
+    (["force", "--surface", "sphere", "--a", "1", "--mass", "1e-30",
+      "--at", "1,0"], "CliInputError"),
+    (["force", "--surface", "sphere", "--a", "1", "--mass", "1e-30",
+      "--at", "2,0,0"], "OffSurfaceError"),
+    (["force", "--expr", "x^2 + y^2 - z^2", "--mass", "1e-30", "--at", "0,0,0"],
+     "DomainError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0",
+      "--p0", "0,1", "--dt", "0"], "IntegratorInputError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0",
+      "--p0", "0,1", "--steps", "0"], "IntegratorInputError"),
+    (["verify", "--surface", "circle", "--grids", "16,24,32"], "CliInputError"),
+    (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "0"],
+     "CliInputError"),
+])
+def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == error

@@ -34,8 +34,7 @@ def test_spheroid_comparison_against_symbolic_constants(a, b, where):
     entry = report["locations"][where]
     want = cf.SPHEROID_LAP[(a, b)][where]
     assert entry["lapM_gradient_normalized"] == pytest.approx(want["gn"], rel=1e-10)
-    bound = max(1e-3, 50 * (entry["signed_distance_error_bound"] or 0))
-    assert entry["lapM_signed_distance"] == pytest.approx(want["sd"], rel=bound)
+    assert entry["lapM_signed_distance"] == pytest.approx(want["sd"], rel=1e-9)
     assert entry["lapLB"] == pytest.approx(want["lb"], rel=1e-9)
 
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomforce import geometry as geo
+from geomforce import jets
+from geomforce.expr import unparse
 from geomforce.geometry import ExtensionPolicy
 from geomforce.surfaces import builtin_surface, from_expression
 
@@ -93,19 +97,23 @@ def test_normal_jet_requires_surface_point(sphere):
         geo.normal_jet(sphere, np.array([1.5, 0.0, 0.0]), SD)
 
 
-def test_numeric_distance_jets_match_exact_for_sdf_surface(torus):
-    # quadric-free check of the numeric path: rebuild the torus as a
-    # plain expression without the signed-distance flag
-    raw = from_expression("sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r", 3,
-                          {"R": 2.0, "r": 1.0})
-    assert not raw.is_signed_distance
-    p = torus_point(0.9)
-    exact = geo.normal_jet(torus, p, SD)
-    numeric = geo.normal_jet(raw, p, SD)
-    assert numeric.error_bound is not None
-    assert np.allclose(numeric.n, exact.n, atol=1e-9)
-    assert np.allclose(numeric.dn, exact.dn, atol=1e-7)
-    assert np.allclose(numeric.d3n, exact.d3n, atol=5e-2)
+@pytest.mark.parametrize("name,params,point", [
+    ("circle", {"a": 1.0}, [np.cos(0.4), np.sin(0.4)]),
+    ("sphere", {"a": 1.0}, [0.0, 0.6, 0.8]),
+    ("torus", {"R": 2.0, "r": 1.0}, torus_point(0.9, phi=0.3)),
+], ids=["circle", "sphere", "torus"])
+def test_numeric_distance_jets_match_exact_for_sdf_surface(name, params, point):
+    # the foot-point Newton jets against the f-jet tables: rebuild each
+    # distance surface as a plain expression without the distance flag
+    exact = builtin_surface(name, params)
+    raw = from_expression(unparse(exact.expression), exact.dimension, params)
+    assert exact.is_signed_distance and not raw.is_signed_distance
+    p = np.array(point)
+    want = geo.normal_jet(exact, p, SD)
+    got = geo.normal_jet(raw, p, SD)
+    for table in ("n", "dn", "d2n", "d3n"):
+        assert np.allclose(getattr(got, table), getattr(want, table),
+                           rtol=0.0, atol=1e-12), table
 
 
 # curvature samples --------------------------------------------------------------
@@ -293,20 +301,83 @@ def test_spheroid_numeric_sd_matches_symbolic_constants():
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
     want = cf.SPHEROID_LAP[(1.0, 2.0)]
     pole = geo.curvature_sample(spec, np.array([0.0, 0.0, 2.0]), SD)
-    assert pole.error_bound is not None
-    assert pole.lapM == pytest.approx(want["pole"]["sd"],
-                                      rel=50 * pole.error_bound)
+    assert pole.lapM == pytest.approx(want["pole"]["sd"], rel=1e-9)
     gn_pole = geo.curvature_sample(spec, np.array([0.0, 0.0, 2.0]), GN)
     assert gn_pole.lapM == pytest.approx(want["pole"]["gn"], rel=1e-11)
     eq = geo.curvature_sample(spec, np.array([1.0, 0.0, 0.0]), SD)
-    assert eq.lapM == pytest.approx(want["equator"]["sd"], abs=0.02)
+    assert eq.lapM == pytest.approx(want["equator"]["sd"], rel=1e-9)
     gn_eq = geo.curvature_sample(spec, np.array([1.0, 0.0, 0.0]), GN)
     assert gn_eq.lapM == pytest.approx(want["equator"]["gn"], rel=1e-11)
 
 
-def test_precision_loss_guard_reports_estimate():
+# exact signed-distance jets for non-distance f ------------------------------------
+
+
+def _ellipsoid(a, b, c):
+    return from_expression("x^2/a^2 + y^2/b^2 + z^2/c^2 - 1", 3,
+                           {"a": a, "b": b, "c": c})
+
+
+def _ellipsoid_points(axes, directions):
+    """Radial scaling of (3, B) directions onto the ellipsoid with these axes."""
+    axes = np.asarray(axes, dtype=float)[:, None]
+    return directions / np.sqrt(np.sum(directions ** 2 / axes ** 2, axis=0))
+
+
+@pytest.mark.parametrize("spec,axes", [
+    (builtin_surface("spheroid", {"a": 1.0, "b": 2.0}), (1.0, 1.0, 2.0)),
+    (builtin_surface("spheroid", {"a": 2.0, "b": 1.0}), (2.0, 2.0, 1.0)),
+    (_ellipsoid(1.0, 1.5, 2.0), (1.0, 1.5, 2.0)),
+], ids=["prolate", "oblate", "triaxial"])
+def test_signed_distance_split_without_closed_forms(spec, axes):
+    # in 3-D the signed-distance extension obeys
+    # lapM = lapLB_M - (k1 + k2)(k1 - k2)^2, whatever the surface
+    rng = np.random.default_rng(11)
+    points = _ellipsoid_points(axes, rng.normal(size=(3, 12)))
+    points = geo.project_to_surface(spec, points)
+    for s in geo.curvature_samples(spec, points, SD):
+        k1, k2 = s.kappa
+        normal = (k1 + k2) * (k1 - k2) ** 2
+        scale = abs(s.lapLB_M) + abs(normal)
+        assert abs(s.lapM - (s.lapLB_M - normal)) <= 1e-9 * scale
+
+
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+@settings(max_examples=40, deadline=None)
+def test_distance_jet_is_eikonal_on_random_ellipsoids(a, b, c, z, phi):
+    spec = _ellipsoid(a, b, c)
+    r = np.sqrt(1.0 - z * z)
+    point = _ellipsoid_points([a, b, c], np.array([[r * np.cos(phi)],
+                                                   [r * np.sin(phi)], [z]]))
+    point = geo.project_to_surface(spec, point)[:, 0]
+    djet = geo.distance_jet(spec, point, 4)
+    assert djet.value == 0.0
+    grad = [djet.derivative(i) for i in range(3)]
+    defect = grad[0] * grad[0] + grad[1] * grad[1] + grad[2] * grad[2] - 1.0
+    assert defect.degree == 3
+    assert np.max(np.abs(defect.coeffs)) <= 1e-12 * np.max(np.abs(djet.coeffs))
+
+
+def test_distance_jet_refuses_a_vanishing_gradient():
+    cone = from_expression("x^2 + y^2 - z^2", 3)
+    with pytest.raises(jets.DomainError, match="vanishes"):
+        geo.normal_jet(cone, np.zeros(3), SD)
+
+
+def test_exact_sd_field_gradient_on_the_spheroid():
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
-    with pytest.raises(geo.PrecisionLossError) as err:
-        geo._numeric_distance_tables(spec, np.array([0.0, 0.0, 2.0]), 3,
-                                     threshold=1e-12)
-    assert err.value.estimate > 1e-12
+    pole = np.array([0.0, 0.0, 2.0])
+    value, grad = geo.field_value_and_gradient(spec, pole, SD, "lapM")
+    assert value == pytest.approx(cf.SPHEROID_LAP[(1.0, 2.0)]["pole"]["sd"], rel=1e-9)
+    assert np.linalg.norm(grad[:2]) < 1e-9  # the tangent plane at the pole is z = const
+
+    x = geo.project_to_surface(spec, np.array([0.5, 0.3, 1.2]))
+    value, grad = geo.field_value_and_gradient(spec, x, SD, "lapM")
+    assert value == pytest.approx(geo.field_value(spec, x, SD, "lapM"), rel=1e-12)
+    normal = spec.grad_f(x) / np.linalg.norm(spec.grad_f(x))
+    h = 1e-4
+    for t in geo.tangent_frame(normal):
+        plus = geo.field_value(spec, geo.project_to_surface(spec, x + h * t), SD, "lapM")
+        minus = geo.field_value(spec, geo.project_to_surface(spec, x - h * t), SD, "lapM")
+        assert (plus - minus) / (2 * h) == pytest.approx(grad @ t, abs=1e-5)
