@@ -18,7 +18,6 @@ from .jets import (
     DomainError,
     Jet,
     OrderExceededError,
-    evaluate_jet,
     jet_partial,
 )
 from .surfaces import (
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "parse_expression", "unparse",
     "ParseError", "NonIntegerExponentError", "UnknownIdentifierError",
-    "Jet", "evaluate_jet", "jet_partial",
+    "Jet", "jet_partial",
     "DomainError", "DivisionByZeroLeadingTerm", "OrderExceededError",
     "SurfaceSpec", "builtin_surface", "from_expression",
     "UnknownSurfaceError", "InvalidParametersError",

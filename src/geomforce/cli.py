@@ -25,6 +25,7 @@ from . import optim
 from .oplab import IDENTITY_IDS, run_identity_suite
 from .reports import atomic_write, canonical_json
 from .surfaces import (
+    CATALOG,
     InvalidParametersError,
     UnknownSurfaceError,
     builtin_surface,
@@ -46,6 +47,7 @@ _INPUT_ERRORS = (
     geo.OffSurfaceError,
     dyn.IntegratorInputError,
     jets.DomainError,
+    jets.DivisionByZeroLeadingTerm,
     FileNotFoundError,
     json.JSONDecodeError,
 )
@@ -112,12 +114,10 @@ def _surface_from_args(args):
                                is_signed_distance=args.signed_distance)
     if not args.surface:
         raise CliInputError("a surface is required (--surface or --expr)")
-    wanted = {"circle": ("a",), "sphere": ("a",), "cylinder": ("a",),
-              "spheroid": ("a", "b"), "torus": ("R", "r"), "plane": ()}
-    if args.surface not in wanted:
+    if args.surface not in CATALOG:
         raise UnknownSurfaceError(f"unknown surface '{args.surface}'")
     params = {}
-    for name in wanted[args.surface]:
+    for name in CATALOG[args.surface][2]:
         value = getattr(args, name if name != "R" else "big_r", None)
         if value is None:
             raise CliInputError(f"surface '{args.surface}' needs --{name}")
@@ -299,13 +299,11 @@ def _cmd_force(args):
     if not length_unit > 0:
         raise CliInputError(f"the smallest parameter sets the length unit and must "
                             f"be positive, got {length_unit}")
-    # the model surface, catalog or --expr, has its parameters in length units
-    model_spec = dataclasses.replace(
-        spec, params={k: v / length_unit for k, v in spec.params.items()})
+    model_spec = _model_surface(spec, length_unit)
     if args.at:
         point = np.array(_numbers(args.at, "--at", count=spec.dimension))
     else:
-        point = _default_point(model_spec)
+        point = _default_point(spec) / length_unit
     policy = geo.ExtensionPolicy.parse(args.policy)
     sample = geo.curvature_sample(model_spec, point, policy)
     scale = geo.PhysicalScale(mass_kg=mass, length_unit_m=length_unit)
@@ -321,6 +319,19 @@ def _cmd_force(args):
     }
     _emit(args, payload)
     return 0
+
+
+def _model_surface(spec, length_unit):
+    """f_m(x) = f(L x) / L: the surface with lengths in units of L.
+
+    Scaling the coordinates leaves dimensionless parameters alone, so a
+    catalog surface and the same --expr surface share one model.
+    """
+    scale = ex.Num(length_unit)
+    coordinates = {name: ex.BinOp("*", scale, ex.Name(name))
+                   for names in ex.VARIABLE_NAMES[spec.dimension] for name in names}
+    expression = ex.substitute(spec.expression, coordinates)
+    return dataclasses.replace(spec, expression=ex.BinOp("/", expression, scale))
 
 
 def _default_point(spec):

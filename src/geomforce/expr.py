@@ -1,4 +1,4 @@
-"""Arithmetic expression trees for implicit surface definitions.
+"""Implicit surface expressions: parser, unparser and compiled tape.
 
 Grammar (EBNF):
 
@@ -11,12 +11,21 @@ Identifiers are either coordinate variables (``x, y, z`` or ``x1..x4``),
 bound parameters, or one of the supported function names
 (sqrt, sin, cos, exp, log).  Exponents must be integer literals so that
 derivative propagation stays closed-form.
+
+`compile_tape` turns a tree into a `Tape`, a flat tuple of (op, a, b)
+instructions over numbered slots, which is the one evaluator of an
+expression: `Tape.run` executes it over float arrays (f) or over Taylor
+jets (exact derivatives), and `Tape.gradient` sweeps a float run
+backwards for grad f (reverse-mode differentiation; Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 3 and 13).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
@@ -345,155 +354,176 @@ def identifiers(node):
     return identifiers(node.left) | identifiers(node.right)
 
 
-def check_bindings(node, variables, params):
-    """Verify every identifier is a declared variable or bound parameter."""
-    free = identifiers(node) - set(variables) - set(params)
-    if free:
-        raise UnknownIdentifierError(
-            f"unbound identifier(s): {', '.join(sorted(free))}"
-        )
 
 
-def canonicalize_variables(node, dimension):
-    """Rewrite coordinate aliases (x1, x2, ...) to the canonical names.
+def substitute(node, replacements):
+    """The tree with each Name in `replacements` replaced by its subtree."""
+    if isinstance(node, Name):
+        return replacements.get(node.ident, node)
+    if isinstance(node, (Neg, Call)):
+        return replace(node, arg=substitute(node.arg, replacements))
+    if isinstance(node, Pow):
+        return replace(node, base=substitute(node.base, replacements))
+    if isinstance(node, BinOp):
+        return replace(node, left=substitute(node.left, replacements),
+                       right=substitute(node.right, replacements))
+    return node
 
-    After this pass a dimension-3 tree only refers to x, y, z, so
-    differentiation and compilation need a single name per axis.
+
+# Compiled tape ----------------------------------------------------------------
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+_NUMPY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
+# splits an (N,) point into scalars over twice as fast as iterating it
+_COORDINATES = {n: operator.itemgetter(*range(n)) for n in VARIABLE_NAMES}
+
+# One rule per op: (d op/d a, d op/d b) from the operand values and result y.
+_LOCAL_DERIVATIVES = {
+    operator.add: lambda a, b, y: (1.0, 1.0),
+    operator.sub: lambda a, b, y: (1.0, -1.0),
+    operator.mul: lambda a, b, y: (b, a),
+    operator.truediv: lambda a, b, y: (1.0 / b, -y / b),
+    operator.pow: lambda a, n, y: (n * a ** (n - 1) if n else 0.0, None),
+    "sqrt": lambda a, b, y: (0.5 / y, None),
+    "sin": lambda a, b, y: (np.cos(a), None),
+    "cos": lambda a, b, y: (-np.sin(a), None),
+    "exp": lambda a, b, y: (y, None),
+    "log": lambda a, b, y: (1.0 / a, None),
+}
+
+
+def numpy_call(name, value):
+    """The `call` of a float run: the numpy function of that name."""
+    return _NUMPY_FUNCTIONS[name](value)
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Straight-line program of one expression over numbered slots.
+
+    Slots 0..nvars-1 hold the coordinates, the next ones `constants`, and
+    instruction k of `code` writes the slot after those.  An instruction
+    (op, a, b) applies an operator function (add, sub, mul, truediv, pow)
+    to slots a and b, or, with b None, the FUNCTIONS name op to slot a.
+    `out` is the expression's slot; dead[k] lists the slots that
+    instruction k reads for the last time.
     """
-    canonical = VARIABLE_NAMES[dimension][0]
-    rename = {}
-    for alias_tuple in VARIABLE_NAMES[dimension]:
-        for axis, name in enumerate(alias_tuple):
-            rename[name] = canonical[axis]
+
+    nvars: int
+    constants: tuple
+    code: tuple
+    out: int
+    dead: tuple
+
+    def run(self, inputs, call, release=False):
+        """Every slot's value in slot order, from one input per coordinate.
+
+        Operators dispatch through the Python arithmetic of the values, so
+        one tape runs over float arrays and over jets; functions go through
+        call(name, value).  release=True leaves None in each slot after its
+        last reader, so dead jets are freed (inputs may then be an iterator,
+        which leaves the interpreter the only reference to each coordinate
+        jet); float runs keep every slot for the adjoint sweep.
+        """
+        if not release:  # skips the bookkeeping below, about 1/6 of a B=1 f
+            values = [*_COORDINATES[self.nvars](inputs), *self.constants]
+            append = values.append
+            for op, a, b in self.code:
+                append(call(op, values[a]) if b is None else op(values[a], values[b]))
+            return values
+        values = [*inputs, *self.constants]
+        append = values.append
+        for (op, a, b), dead in zip(self.code, self.dead):
+            append(call(op, values[a]) if b is None else op(values[a], values[b]))
+            for slot in dead:
+                values[slot] = None
+        return values
+
+    def gradient(self, values):
+        """[d out / d x_i] over the coordinates: one adjoint sweep back over
+        the slot values of a float run."""
+        adjoint = [0.0] * len(values)
+        adjoint[self.out] = 1.0
+        first = len(values) - len(self.code)
+        for k in range(len(self.code) - 1, -1, -1):
+            op, a, b = self.code[k]
+            g = adjoint[first + k]
+            operand = None if b is None else values[b]
+            da, db = _LOCAL_DERIVATIVES[op](values[a], operand, values[first + k])
+            adjoint[a] = adjoint[a] + g * da
+            if db is not None:
+                adjoint[b] = adjoint[b] + g * db
+        return adjoint[:self.nvars]
+
+
+def _fold(op, a, b=None):
+    """op on constants, with the float semantics of a run (inf or nan, no raise)."""
+    with np.errstate(all="ignore"):
+        return float(numpy_call(op, np.float64(a)) if b is None else op(np.float64(a), b))
+
+
+def compile_tape(node, dimension, params=None):
+    """Compile a tree into a Tape over the coordinates of `dimension`.
+
+    Coordinate aliases resolve to axis slots and bound parameters to float
+    constants; constant subtrees are folded, and repeated subexpressions
+    share one slot.  -x runs as x * -1.0, exact for floats and jets.
+    Raises UnknownIdentifierError naming every other identifier.
+    """
+    params = {key: float(value) for key, value in (params or {}).items()}
+    axes = {name: axis for names in VARIABLE_NAMES[dimension]
+            for axis, name in enumerate(names)}
+    free = identifiers(node) - set(axes) - set(params)
+    if free:
+        raise UnknownIdentifierError(f"unbound identifier(s): {', '.join(sorted(free))}")
+    # rec() returns a 1-tuple (value,) for a constant subtree, else a
+    # provisional slot: the axis, ~j for constant j, dimension + k for code k
+    constants, code, slot_of = [], [], {}
+
+    def slot(operand):
+        if not isinstance(operand, tuple):
+            return operand
+        key = (type(operand[0]), repr(operand[0]))  # 2 vs 2.0, 0.0 vs -0.0
+        if key not in slot_of:
+            slot_of[key] = ~len(constants)
+            constants.append(operand[0])
+        return slot_of[key]
+
+    def emit(op, a, b=None):
+        if isinstance(a, tuple) and (b is None or isinstance(b, tuple)):
+            return (_fold(op, a[0], None if b is None else b[0]),)
+        key = (op, slot(a), slot(b))
+        if key not in slot_of:
+            slot_of[key] = dimension + len(code)
+            code.append(key)
+        return slot_of[key]
 
     def rec(n):
-        if isinstance(n, Name) and n.ident in rename:
-            return Name(rename[n.ident])
-        if isinstance(n, Neg):
-            return Neg(rec(n.arg))
-        if isinstance(n, Call):
-            return Call(n.func, rec(n.arg))
-        if isinstance(n, Pow):
-            return Pow(rec(n.base), n.exponent)
-        if isinstance(n, BinOp):
-            return BinOp(n.op, rec(n.left), rec(n.right))
-        return n
-
-    return rec(node)
-
-
-def differentiate(node, ident):
-    """Structural partial derivative with respect to one identifier.
-
-    No simplification beyond constant folding of literal zeros and ones;
-    used for fast gradient callables, not symbolic work.
-    """
-    zero = Num(0.0)
-    if isinstance(node, Num):
-        return zero
-    if isinstance(node, Name):
-        return Num(1.0) if node.ident == ident else zero
-    if isinstance(node, Neg):
-        return _neg(differentiate(node.arg, ident))
-    if isinstance(node, BinOp):
-        dl = differentiate(node.left, ident)
-        dr = differentiate(node.right, ident)
-        if node.op == "+":
-            return _add(dl, dr)
-        if node.op == "-":
-            return _sub(dl, dr)
-        if node.op == "*":
-            return _add(_mul(dl, node.right), _mul(node.left, dr))
-        # quotient rule
-        num = _sub(_mul(dl, node.right), _mul(node.left, dr))
-        return BinOp("/", num, Pow(node.right, 2)) if not _is_zero(num) else zero
-    if isinstance(node, Pow):
-        db = differentiate(node.base, ident)
-        if _is_zero(db) or node.exponent == 0:
-            return zero
-        factor = _mul(Num(float(node.exponent)), Pow(node.base, node.exponent - 1))
-        return _mul(factor, db)
-    if isinstance(node, Call):
-        da = differentiate(node.arg, ident)
-        if _is_zero(da):
-            return zero
-        outer = {
-            "sqrt": BinOp("/", Num(0.5), Call("sqrt", node.arg)),
-            "sin": Call("cos", node.arg),
-            "cos": Neg(Call("sin", node.arg)),
-            "exp": Call("exp", node.arg),
-            "log": BinOp("/", Num(1.0), node.arg),
-        }[node.func]
-        return _mul(outer, da)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _is_zero(node):
-    return isinstance(node, Num) and node.value == 0.0
-
-
-def _is_one(node):
-    return isinstance(node, Num) and node.value == 1.0
-
-
-def _neg(a):
-    return a if _is_zero(a) else Neg(a)
-
-
-def _add(a, b):
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if _is_zero(b):
-        return a
-    if _is_zero(a):
-        return Neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if _is_zero(a) or _is_zero(b):
-        return Num(0.0)
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return BinOp("*", a, b)
-
-
-def to_callable(node, variables, params=None):
-    """Compile the tree to a numpy-vectorized function of the variables.
-
-    Returns f with signature f(points) where points has shape (N,) or
-    (N, B).  Parameter values are baked in at compile time.
-    """
-    import numpy as np  # local to keep module import light
-
-    params = dict(params or {})
-    check_bindings(node, variables, params)
-    names = {name: f"v[{i}]" for i, name in enumerate(variables)}
-
-    def emit(n):
         if isinstance(n, Num):
-            return repr(n.value)
+            return (float(n.value),)
         if isinstance(n, Name):
-            if n.ident in names:
-                return names[n.ident]
-            return repr(float(params[n.ident]))
-        if isinstance(n, Neg):
-            return f"(-{emit(n.arg)})"
+            return axes[n.ident] if n.ident in axes else (params[n.ident],)
         if isinstance(n, BinOp):
-            return f"({emit(n.left)} {n.op} {emit(n.right)})"
+            return emit(_OPERATORS[n.op], rec(n.left), rec(n.right))
+        if isinstance(n, Neg):
+            return emit(operator.mul, rec(n.arg), (-1.0,))
         if isinstance(n, Pow):
-            return f"({emit(n.base)} ** {n.exponent})"
-        if isinstance(n, Call):
-            return f"np.{n.func}({emit(n.arg)})"
-        raise TypeError(repr(n))
+            return emit(operator.pow, rec(n.base), (n.exponent,))
+        return emit(n.func, rec(n.arg))
 
-    source = f"lambda v: ({emit(node)}) + 0.0 * v[0]"
-    return eval(source, {"np": np, "math": math})  # noqa: S307 (own AST only)
+    out = slot(rec(node))
+
+    def final(s):  # the constants go in between the coordinates and the code
+        if s is None or 0 <= s < dimension:
+            return s
+        return dimension + ~s if s < 0 else s + len(constants)
+
+    code = tuple((op, final(a), final(b)) for op, a, b in code)
+    out = final(out)
+    dead = [[] for _ in code]
+    last_read = {s: k for k, (_, a, b) in enumerate(code) for s in (a, b)}
+    for s, k in last_read.items():
+        if s is not None and s != out:
+            dead[k].append(s)
+    return Tape(dimension, tuple(constants), code, out, tuple(map(tuple, dead)))

@@ -256,10 +256,13 @@ def _tables_batch(spec, points, policy, order):
 
 
 def _require_on_surface(spec, points):
-    """Raise OffSurfaceError naming the worst of the (N, B) points."""
+    """Raise OffSurfaceError naming the worst of the (N, B) points.
+
+    A non-finite f (NaN or inf) counts as off the surface.
+    """
     residual = np.abs(spec.f(points))
-    worst = int(np.argmax(residual))
-    if residual[worst] > 1e-9:
+    worst = int(np.argmax(residual))  # the first NaN, if there is one
+    if not residual[worst] <= 1e-9:
         raise OffSurfaceError(f"point {points[:, worst].tolist()} is not on the "
                               f"surface: |f| = {residual[worst]:.2e}")
 

@@ -9,7 +9,9 @@ table has C(N + D, D) entries.  Coefficients are the raw values ``d^a f``
 Arithmetic (+, -, *, /, integer ^) and the elementary functions
 sqrt/sin/cos/exp/log propagate derivatives exactly through truncated
 power-series composition.  All operations broadcast over a trailing batch
-axis, so jets can be evaluated for many points at once.
+axis, so jets can be evaluated for many points at once.  The jet of a
+surface expression comes from running its compiled tape with `variable`
+inputs and `apply_function` as the function call (`SurfaceSpec.jet`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from . import expr as ex
 
 MAX_DEGREE = 7
 
@@ -318,63 +318,6 @@ def substitute(outer, shifts):
         taylor = g.coeffs[rows] / _colvec(grades.factorials, g.coeffs)
         out.append(Jet(space, np.einsum("a...,at...->t...", taylor, stack)))
     return out
-
-
-# Expression evaluation -------------------------------------------------------
-
-
-def _variable_axes(nvars):
-    axes = {}
-    for alias_tuple in ex.VARIABLE_NAMES[nvars]:
-        for i, name in enumerate(alias_tuple):
-            axes[name] = i
-    return axes
-
-
-def evaluate_jet(node, point, degree, params=None):
-    """Jet of the expression at a point, exact to the requested degree.
-
-    point has shape (N,) for one point or (N, B) for a batch; N in 2..4
-    selects which coordinate names are in scope.
-    """
-    params = dict(params or {})
-    point = np.asarray(point, dtype=float)
-    nvars = point.shape[0]
-    space = jet_space(nvars, degree)
-    axes = _variable_axes(nvars)
-    ex.check_bindings(node, axes.keys(), params)
-    template = np.zeros((space.size,) if point.ndim == 1 else (space.size, point.shape[1]))
-
-    def const(value):
-        coeffs = template.copy()
-        coeffs[0] = value
-        return Jet(space, coeffs)
-
-    def rec(n):
-        if isinstance(n, ex.Num):
-            return const(n.value)
-        if isinstance(n, ex.Name):
-            if n.ident in axes:
-                return variable(space, axes[n.ident], point[axes[n.ident]])
-            return const(float(params[n.ident]))
-        if isinstance(n, ex.Neg):
-            return -rec(n.arg)
-        if isinstance(n, ex.BinOp):
-            left, right = rec(n.left), rec(n.right)
-            if n.op == "+":
-                return left + right
-            if n.op == "-":
-                return left - right
-            if n.op == "*":
-                return left * right
-            return left / right
-        if isinstance(n, ex.Pow):
-            return rec(n.base) ** n.exponent
-        if isinstance(n, ex.Call):
-            return apply_function(n.func, rec(n.arg))
-        raise TypeError(repr(n))
-
-    return rec(node)
 
 
 def jet_partial(jet, alpha):

@@ -3,13 +3,14 @@
 A SurfaceSpec bundles an expression f with its dimension, parameter
 bindings, and a signed-distance flag (true when |grad f| = 1 holds
 identically near the surface, which makes jets of f directly usable as
-jets of the distance function).
+jets of the distance function).  The expression is compiled once into an
+`expr.Tape`; f runs it over float arrays, grad f is the tape's adjoint
+sweep over that run, and jets run it over Taylor jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,50 +28,42 @@ class InvalidParametersError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """An implicit surface f(x) = 0 with bound parameters."""
+    """An implicit surface f(x) = 0 with bound parameters.
+
+    The expression is compiled at construction into `tape`, so an unbound
+    identifier raises UnknownIdentifierError here.
+    """
 
     name: str
     expression: ex.Node
     dimension: int
     params: dict = field(default_factory=dict)
     is_signed_distance: bool = False
+    tape: ex.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        axes = set()
-        for alias_tuple in ex.VARIABLE_NAMES[self.dimension]:
-            axes.update(alias_tuple)
-        ex.check_bindings(self.expression, axes, self.params)
-        # collapse coordinate aliases so downstream code sees one name per axis
-        object.__setattr__(self, "expression",
-                           ex.canonicalize_variables(self.expression, self.dimension))
-
-    @cached_property
-    def _value_fn(self):
-        return ex.to_callable(self.expression, self._variables, self.params)
-
-    @cached_property
-    def _grad_fns(self):
-        return tuple(
-            ex.to_callable(ex.differentiate(self.expression, v), self._variables, self.params)
-            for v in self._variables
-        )
-
-    @property
-    def _variables(self):
-        return ex.VARIABLE_NAMES[self.dimension][0]
+        object.__setattr__(self, "tape",
+                           ex.compile_tape(self.expression, self.dimension, self.params))
 
     def f(self, points):
         """f at shape (N,) or (N, B) points."""
-        return self._value_fn(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        return self.tape.run(points, ex.numpy_call)[self.tape.out] + 0.0 * points[0]
 
     def grad_f(self, points):
-        """grad f, same shape as points."""
+        """grad f, same shape as points, by the adjoint sweep of the tape."""
         points = np.asarray(points, dtype=float)
-        return np.stack([g(points) for g in self._grad_fns])
+        zero = 0.0 * points[0]
+        partials = self.tape.gradient(self.tape.run(points, ex.numpy_call))
+        return np.array([g + zero for g in partials])
 
     def jet(self, points, degree):
         """Exact jet of f at the point(s)."""
-        return jets.evaluate_jet(self.expression, points, degree, self.params)
+        points = np.asarray(points, dtype=float)
+        space = jets.jet_space(self.dimension, degree)
+        inputs = (jets.variable(space, axis, x) for axis, x in enumerate(points))
+        out = self.tape.run(inputs, jets.apply_function, release=True)[self.tape.out]
+        return out if isinstance(out, jets.Jet) else jets.constant(space, out, like=points)
 
     def feature_scale(self):
         """Characteristic length for step sizes and merge tolerances."""
@@ -90,7 +83,7 @@ def from_expression(text, dimension, params=None, is_signed_distance=False, name
     )
 
 
-_CATALOG = {
+CATALOG = {
     "circle": ("sqrt(x^2 + y^2) - a", 2, ("a",), True),
     "sphere": ("sqrt(x^2 + y^2 + z^2) - a", 3, ("a",), True),
     "cylinder": ("sqrt(x^2 + y^2) - a", 3, ("a",), True),
@@ -107,11 +100,11 @@ def builtin_surface(name, params=None):
     r < R, and plane (z = 0).  All members except the spheroid are exact
     signed-distance expressions.
     """
-    if name not in _CATALOG:
+    if name not in CATALOG:
         raise UnknownSurfaceError(
-            f"unknown surface '{name}'; catalog: {', '.join(sorted(_CATALOG))}"
+            f"unknown surface '{name}'; catalog: {', '.join(sorted(CATALOG))}"
         )
-    text, dimension, wanted, signed = _CATALOG[name]
+    text, dimension, wanted, signed = CATALOG[name]
     params = dict(params or {})
     missing = set(wanted) - set(params)
     extra = set(params) - set(wanted)

@@ -94,6 +94,24 @@ def test_force_expr_scales_lengths_like_catalog(capsys):
                                                        rel=1e-9)
 
 
+def test_force_expr_keeps_dimensionless_parameters(capsys):
+    # ring s*R = 3 and tube 2: the catalog torus R=3, r=2, whatever the unit
+    code, out, _ = run_cli(["force", "--surface", "torus", "--R", "3", "--r", "2",
+                            "--at", "2.5,0,0", "--mass", "1e-30"], capsys)
+    assert code == 0
+    catalog = json.loads(out)
+    torus = "sqrt((sqrt(x^2 + y^2) - s*R)^2 + z^2) - r"
+    outer = repr(5.0 / 0.75)  # R + r in units of the smallest parameter, s
+    code, out, _ = run_cli(["force", "--expr", torus, "--param", "s=0.75",
+                            "--param", "R=4", "--param", "r=2", "--signed-distance",
+                            "--at", f"{outer},0,0", "--mass", "1e-30"], capsys)
+    assert code == 0
+    expression = json.loads(out)
+    assert expression["length_unit_m"] == 0.75
+    assert expression["magnitude_pN"] == pytest.approx(catalog["magnitude_pN"],
+                                                       rel=1e-9)
+
+
 def test_force_rejects_a_non_positive_length_unit(capsys):
     code, _, err = run_cli(["force", "--expr", "x^2 + y^2 + z^2 - a^2 + c",
                             "--param", "a=1", "--param", "c=0", "--at", "1,0,0",
@@ -250,6 +268,10 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch):
     (["verify", "--surface", "circle", "--grids", "16,24,32"], "CliInputError"),
     (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "0"],
      "CliInputError"),
+    (["force", "--expr", "x - 1 + 0*y/z", "--at", "1,0,0", "--mass", "1e-30"],
+     "OffSurfaceError"),
+    (["force", "--expr", "1/(1/(x-1))", "--at", "1,0,0", "--mass", "1e-30"],
+     "DivisionByZeroLeadingTerm"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

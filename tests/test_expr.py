@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomforce import expr as ex
+from geomforce.surfaces import SurfaceSpec, from_expression
 
 
 def test_polynomial_parses_to_top_level_subtraction():
@@ -60,8 +61,8 @@ def test_left_associative_subtraction():
 
 
 def _eval(tree, point=(0.0, 0.0), params=None):
-    fn = ex.to_callable(tree, ("x", "y"), params or {})
-    return float(fn(np.asarray(point, dtype=float)))
+    spec = SurfaceSpec("tree", tree, 2, params or {})
+    return float(spec.f(np.asarray(point, dtype=float)))
 
 
 def test_evaluation_matches_python_semantics():
@@ -74,13 +75,13 @@ def test_evaluation_matches_python_semantics():
 def test_unbound_identifier_is_reported_at_bind_time():
     tree = ex.parse_expression("x + q")
     with pytest.raises(ex.UnknownIdentifierError, match="q"):
-        ex.to_callable(tree, ("x", "y"), {})
+        SurfaceSpec("tree", tree, 2, {})
 
 
 def test_parameters_bake_into_callables():
     tree = ex.parse_expression("a * x + b")
-    fn = ex.to_callable(tree, ("x", "y"), {"a": 2.0, "b": 5.0})
-    assert fn(np.array([3.0, 0.0])) == 11.0
+    spec = SurfaceSpec("tree", tree, 2, {"a": 2.0, "b": 5.0})
+    assert spec.f(np.array([3.0, 0.0])) == 11.0
 
 
 # round-trip property ---------------------------------------------------------
@@ -123,24 +124,25 @@ def test_unparse_is_idempotent_through_parse(tree):
     assert ex.unparse(ex.parse_expression(text)) == text
 
 
+FD_SAMPLES = [
+    "x^2 * y + sin(x)",
+    "sqrt(x^2 + y^2 + 1)",
+    "exp(x / 2) * cos(y)",
+    "log(x + 3) - y^3",
+    "(x + y)^4 / (1 + x^2)",
+]
+
+
 def test_differentiate_matches_finite_differences():
     rng = np.random.default_rng(7)
-    samples = [
-        "x^2 * y + sin(x)",
-        "sqrt(x^2 + y^2 + 1)",
-        "exp(x / 2) * cos(y)",
-        "log(x + 3) - y^3",
-        "(x + y)^4 / (1 + x^2)",
-    ]
-    for text in samples:
-        tree = ex.parse_expression(text)
-        fn = ex.to_callable(tree, ("x", "y"))
-        dfdx = ex.to_callable(ex.differentiate(tree, "x"), ("x", "y"))
+    for text in FD_SAMPLES:
+        spec = from_expression(text, 2)
+        fn = spec.f
         for _ in range(5):
             p = rng.uniform(0.2, 1.5, 2)
             h = 1e-6
             fd = (fn(p + [h, 0]) - fn(p - [h, 0])) / (2 * h)
-            assert math.isclose(float(dfdx(p)), float(fd), rel_tol=1e-7, abs_tol=1e-9)
+            assert math.isclose(float(spec.grad_f(p)[0]), float(fd), rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_exponent_chain_is_right_associative():

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomforce import expr as ex
 from geomforce import jets
-from geomforce.surfaces import builtin_surface
+from geomforce.surfaces import builtin_surface, from_expression
 
 from closed_forms import richardson_partial
 
 
 def _jet(text, point, degree, params=None):
-    return jets.evaluate_jet(ex.parse_expression(text), np.asarray(point, float),
-                             degree, params)
+    point = np.asarray(point, float)
+    return from_expression(text, point.shape[0], params).jet(point, degree)
 
 
 def test_square_at_three():
@@ -157,19 +156,26 @@ def test_leibniz_product_rule_exact_for_polynomials(pair, x, y):
     assert np.allclose(product.coeffs, direct.coeffs, rtol=1e-12, atol=1e-9)
 
 
-def test_fifty_random_expressions_match_richardson_oracle():
+def random_expressions():
+    """50 seeded (text, point) pairs of three glued atoms in x and y."""
     rng = np.random.default_rng(42)
     atoms = ["x", "y", "x^2", "y^2", "x*y", "sin(x)", "cos(y)",
              "exp(x/4)", "sqrt(x + 3)", "1 + x^2"]
     ops = [" + ", " - ", " * "]
-    checked = 0
+    out = []
     for _ in range(50):
         parts = rng.choice(atoms, size=3)
         glue = rng.choice(ops, size=2)
         text = f"({parts[0]}){glue[0]}({parts[1]}){glue[1]}({parts[2]})"
-        point = rng.uniform(0.3, 1.2, 2)
+        out.append((text, rng.uniform(0.3, 1.2, 2)))
+    return out
+
+
+def test_fifty_random_expressions_match_richardson_oracle():
+    checked = 0
+    for text, point in random_expressions():
         j = _jet(text, point, 4)
-        fn = ex.to_callable(ex.parse_expression(text), ("x", "y"))
+        fn = from_expression(text, 2).f
 
         def fun(p):
             return float(fn(p))

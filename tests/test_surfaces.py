@@ -9,6 +9,9 @@ from geomforce.surfaces import (
     from_expression,
 )
 
+from test_expr import FD_SAMPLES
+from test_jets import random_expressions
+
 
 def test_sphere_is_signed_distance_expression():
     spec = builtin_surface("sphere", {"a": 1.0})
@@ -79,3 +82,65 @@ def test_feature_scale_uses_smallest_parameter():
     spec = builtin_surface("torus", {"R": 2.0, "r": 0.5})
     assert spec.feature_scale() == 0.5
     assert builtin_surface("plane", {}).feature_scale() == 1.0
+
+
+# the compiled tape: adjoint gradient, coordinate spellings, constants -------
+
+CATALOG_PARAMS = {"circle": {"a": 1.3}, "sphere": {"a": 1.2}, "cylinder": {"a": 0.8},
+                  "spheroid": {"a": 1.0, "b": 2.0}, "torus": {"R": 2.0, "r": 1.0},
+                  "plane": {}}
+
+
+def _assert_gradient_is_degree_1_jet(spec, points):
+    jet = spec.jet(points, 1)
+    want = np.array([jet.derivative(i).value for i in range(spec.dimension)])
+    got = spec.grad_f(points)
+    assert got.shape == points.shape
+    scale = np.max(np.abs(want))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), spec.name
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_adjoint_gradient_is_the_degree_1_jet_on_the_catalog(name):
+    spec = builtin_surface(name, CATALOG_PARAMS[name])
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-2.0, 2.0, (spec.dimension, 16))
+    _assert_gradient_is_degree_1_jet(spec, points)
+    for b in range(points.shape[1]):
+        _assert_gradient_is_degree_1_jet(spec, points[:, b])
+
+
+def test_adjoint_gradient_is_the_degree_1_jet_on_sample_expressions():
+    rng = np.random.default_rng(5)
+    cases = [(text, rng.uniform(0.2, 1.5, 2)) for text in FD_SAMPLES]
+    cases.append(("-x^3 / y - exp(-y)", np.array([0.7, 1.1])))  # unary minus
+    for text, point in cases + random_expressions():
+        spec = from_expression(text, 2)
+        _assert_gradient_is_degree_1_jet(spec, point)
+        batch = point[:, None] + rng.uniform(-0.2, 0.2, (2, 5))
+        _assert_gradient_is_degree_1_jet(spec, batch)
+
+
+def test_coordinate_spellings_compile_alike():
+    torus = "sqrt((sqrt({0}^2 + {1}^2) - R)^2 + {2}^2) - r"
+    params = {"R": 2.0, "r": 1.0}
+    xyz = from_expression(torus.format("x", "y", "z"), 3, params)
+    numbered = from_expression(torus.format("x1", "x2", "x3"), 3, params)
+    assert xyz.tape == numbered.tape
+    points = np.random.default_rng(2).uniform(-3.0, 3.0, (3, 7))
+    for pts in (points, points[:, 0]):
+        assert np.array_equal(xyz.f(pts), numbered.f(pts))
+        assert np.array_equal(xyz.grad_f(pts), numbered.grad_f(pts))
+        assert np.array_equal(xyz.jet(pts, 4).coeffs, numbered.jet(pts, 4).coeffs)
+
+
+def test_constant_expression_broadcasts_over_a_batch():
+    spec = from_expression("5", 3)
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 6))
+    assert np.array_equal(spec.f(points), np.full(6, 5.0))
+    assert np.array_equal(spec.grad_f(points), np.zeros((3, 6)))
+    jet = spec.jet(points, 2)
+    assert jet.coeffs.shape == (10, 6)
+    assert np.array_equal(jet.value, np.full(6, 5.0))
+    assert np.all(jet.coeffs[1:] == 0.0)
+    assert np.array_equal(spec.grad_f(points[:, 0]), np.zeros(3))
