@@ -89,29 +89,33 @@ def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
 
     Alternates a Newton step along grad f with a tangential closest-point
     correction.  Convergence requires |f(y)| < tol and (y - point)
-    parallel to grad f(y) within angle_tol.
+    parallel to grad f(y) within angle_tol.  A converged column is not
+    iterated further, so no point's result depends on its batch.
     """
     point = np.asarray(point, dtype=float)
     single = point.ndim == 1
     pts = point[:, None] if single else point
     y = pts.copy()
+    live = np.arange(pts.shape[1])
     scale = spec.feature_scale()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            g = spec.grad_f(y)
+            p, yl = pts[:, live], y[:, live]
+            g = spec.grad_f(yl)
             g2 = np.sum(g * g, axis=0)
-            fv = spec.f(y)
-            y = y - g * (fv / g2)
-            g = spec.grad_f(y)
+            fv = spec.f(yl)
+            yl = yl - g * (fv / g2)
+            g = spec.grad_f(yl)
             ghat = g / np.linalg.norm(g, axis=0)
-            r = pts - y
+            r = p - yl
             r_tan = r - ghat * np.sum(ghat * r, axis=0)
-            y = y + r_tan
-            f_res = np.abs(spec.f(y))
+            y[:, live] = yl = yl + r_tan
+            f_res = np.abs(spec.f(yl))
             tan_res = np.linalg.norm(r_tan, axis=0)
-            dist = np.linalg.norm(pts - y, axis=0)
+            dist = np.linalg.norm(p - yl, axis=0)
             ok = (f_res < tol) & (tan_res <= angle_tol * dist + 1e-13 * scale)
-            if np.all(ok):
+            live = live[~ok]  # NaN is not ok
+            if not live.size:
                 return y[:, 0] if single else y
     worst = float(np.max(np.abs(spec.f(y))))
     raise NoConvergenceError(
@@ -260,7 +264,8 @@ def _require_on_surface(spec, points):
 
     A non-finite f (NaN or inf) counts as off the surface.
     """
-    residual = np.abs(spec.f(points))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.abs(spec.f(points))
     worst = int(np.argmax(residual))  # the first NaN, if there is one
     if not residual[worst] <= 1e-9:
         raise OffSurfaceError(f"point {points[:, worst].tolist()} is not on the "
@@ -598,30 +603,22 @@ def samples_to_csv(samples):
 # Scalar fields for optimization -------------------------------------------------
 
 
-def _field_jet(spec, point, policy, field):
-    """Jet (degree >= 1) of the chosen curvature field at a point."""
-    n_degree = {"M": 2, "vg_geom": 2, "lapM": 4}[field]
+def _field_jet(spec, points, policy, field, degree):
+    """Jet of the chosen curvature field to `degree`, and the normal component jets."""
+    n_degree = {"M": 1, "vg_geom": 1, "lapM": 3}[field] + degree
     if policy is ExtensionPolicy.SIGNED_DISTANCE:
-        djet = distance_jet(spec, point, n_degree + 1)
+        djet = distance_jet(spec, points, n_degree + 1)
         njets = [djet.derivative(i) for i in range(spec.dimension)]
     else:
-        njets = _normalized_gradient_jets(spec, point, n_degree)
+        njets = _normalized_gradient_jets(spec, points, n_degree)
     m_jet = -sum(nj.derivative(i) for i, nj in enumerate(njets))
     if field == "M":
-        return m_jet
+        return m_jet, njets
     if field == "vg_geom":
-        s2 = None
-        for nj in njets:
-            for axis in range(spec.dimension):
-                term = nj.derivative(axis)
-                term = term * term
-                s2 = term if s2 is None else s2 + term
-        return m_jet * m_jet / 2.0 - s2
-    lap = None
-    for j in range(spec.dimension):
-        term = m_jet.derivative(j).derivative(j)
-        lap = term if lap is None else lap + term
-    return lap
+        s2 = sum(d * d for d in (nj.derivative(a) for nj in njets
+                                 for a in range(spec.dimension)))
+        return m_jet * m_jet / 2.0 - s2, njets
+    return sum(m_jet.derivative(j).derivative(j) for j in range(spec.dimension)), njets
 
 
 def field_value(spec, point, policy, field):
@@ -630,26 +627,24 @@ def field_value(spec, point, policy, field):
 
 
 def field_value_and_gradient(spec, point, policy, field):
-    """Field value and its ambient gradient at a surface point, from jets."""
-    point = np.asarray(point, dtype=float)
-    fj = _field_jet(spec, point, policy, field)
-    grad = np.array([fj.derivative(i).value for i in range(spec.dimension)])
-    return float(fj.value), grad
+    """Field value and ambient gradient at point(s) (N,) or (N, B), from jets."""
+    fj, _ = _field_jet(spec, np.asarray(point, dtype=float), policy, field, 1)
+    return fj.value, np.stack([fj.derivative(i).value for i in range(spec.dimension)])
 
 
-def tangent_frame(n):
-    """Orthonormal basis of the tangent space (rows), from the normal."""
-    nvars = len(n)
-    basis = []
-    for k in range(nvars):
-        e = np.zeros(nvars)
-        e[k] = 1.0
-        v = e - n * (n @ e)
-        for b in basis:
-            v = v - b * (b @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == nvars - 1:
-            break
-    return np.array(basis)
+def field_derivatives(spec, points, policy, field, degree=1):
+    """Value (B,), tangential gradient and unit normal (N, B) at points (N, B).
+
+    For degree 2 the fourth entry is the Riemannian Hessian
+    Hs = P (H - (n . g) dn) P (N, N, B), P = I - n n^T, exact from one set
+    of jets (Absil, Mahony & Trumpf 2013), with Hs n = 0; else None.
+    """
+    fj, njets = _field_jet(spec, points, policy, field, degree)
+    n, dn, _, _ = _tables_from_component_jets(njets, 1)
+    g, *hess = (fj.coeffs[t] for t in _unit_index_tensors(spec.dimension, degree, degree))
+    ng = np.sum(n * g, axis=0)
+    proj = np.eye(spec.dimension)[..., None] - n[:, None] * n[None]
+    hs = (np.einsum("ij...,jk...,kl...->il...", proj, hess[0] - ng * dn, proj)
+          if hess else None)
+    return fj.value, g - n * ng, n, hs
+

@@ -1,9 +1,9 @@
 """Extrema of curvature fields on the constraint surface f = 0.
 
-Multistart projected ascent/descent with exact field gradients from
-jets, tangential steps, re-projection each step, and a tangent-frame
-Newton polish.  Axisymmetric catalog surfaces collapse hits that lie on
-the same orbit into a single record with an orbit descriptor.
+Every start climbs and descends as two columns of one batch of projected
+gradient walks on exact jet gradients.  Stalled walks get Newton steps on
+the exact Riemannian Hessian, whose eigenvalues also classify each hit.
+Axisymmetric catalog surfaces collapse hits on one orbit into one record.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ from . import geometry as geo
 from .geometry import ExtensionPolicy
 
 AXISYMMETRIC = ("sphere", "cylinder", "spheroid", "torus")
+
+MAX_ITER = 200       # accepted moves per walk
+MERGE_TOL = 1e-5     # times feature scale
+STEP0 = 0.1          # times feature scale
+STEP_FLOOR = 1e-12
+NEWTON_ITERATIONS = 12
+EIG_TOL = 1e-6
 
 
 class NoCriticalPointFoundError(RuntimeError):
@@ -51,105 +58,79 @@ class SearchConfig:
     starts: int = 24
     seed: int = 0
     tol: float = 1e-8
-    max_iter: int = 200
-    merge_tol: float = 1e-5  # times feature scale
-    step0: float = 0.1       # times feature scale
-    step_floor: float = 1e-12
 
 
-def _tangential(spec, x, g):
-    n = spec.grad_f(x)
-    n = n / np.linalg.norm(n)
-    return g - n * (n @ g)
+def _walk(spec, x, value, g_tan, field, policy, direction, tol, scale):
+    """Projected gradient walks on the columns of x, in place.
+
+    direction +1 climbs, -1 descends.  A column's step doubles on an
+    accepted move, up to STEP0 * scale, and halves on a rejected one.  It
+    converges at |g_tan| < tol and stalls at a step below STEP_FLOOR or
+    after MAX_ITER moves.  Returns the converged mask.
+    """
+    step = np.full(value.shape, STEP0 * scale)
+    moves = np.zeros(value.shape, dtype=int)
+    converged = np.linalg.norm(g_tan, axis=0) < tol
+    live = ~converged
+    while np.any(live):
+        k = np.flatnonzero(live)
+        unit = g_tan[:, k] / np.linalg.norm(g_tan[:, k], axis=0)
+        trial = geo.project_to_surface(spec, x[:, k] + direction[k] * step[k] * unit)
+        v_new, g_new, _, _ = geo.field_derivatives(spec, trial, policy, field)
+        up = direction[k] * (v_new - value[k]) > 0
+        a, r = k[up], k[~up]
+        x[:, a], value[a], g_tan[:, a] = trial[:, up], v_new[up], g_new[:, up]
+        step[a] = np.minimum(step[a] * 2.0, STEP0 * scale)
+        step[r] *= 0.5
+        moves[a] += 1
+        converged[a] = (moves[a] < MAX_ITER) & (np.linalg.norm(g_new[:, up], axis=0) < tol)
+        live[a] = (moves[a] < MAX_ITER) & ~converged[a]
+        live[r] = step[r] >= STEP_FLOOR
+    return converged
 
 
-def _ascend(spec, x0, field, policy, direction, cfg, scale):
-    """Projected gradient walk; direction +1 climbs, -1 descends."""
-    x = geo.project_to_surface(spec, np.asarray(x0, dtype=float))
-    value, grad = geo.field_value_and_gradient(spec, x, policy, field)
-    step = cfg.step0 * scale
-    for _ in range(cfg.max_iter):
-        g_tan = _tangential(spec, x, grad)
-        gnorm = np.linalg.norm(g_tan)
-        if gnorm < cfg.tol:
-            return x, value, gnorm, True
-        moved = False
-        while step >= cfg.step_floor:
-            trial = geo.project_to_surface(spec, x + direction * step * g_tan / gnorm)
-            v_new, g_new = geo.field_value_and_gradient(spec, trial, policy, field)
-            if direction * (v_new - value) > 0:
-                x, value, grad = trial, v_new, g_new
-                step = min(step * 2.0, cfg.step0 * scale)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
+def _newton(spec, x, field, policy, tol, scale):
+    """Newton steps (Hs + n n^T) delta = -g_tan, whose delta is tangent.
+
+    A column stops at |g_tan| < 1e-3 tol, on a singular system or after
+    NEWTON_ITERATIONS steps.  Returns x, value and |g_tan| per column.
+    """
+    value, gnorm = np.empty((2, x.shape[1]))
+    live = np.arange(x.shape[1])
+    for it in range(NEWTON_ITERATIONS + 1):
+        value[live], g_tan, n, hs = geo.field_derivatives(
+            spec, x[:, live], policy, field, degree=2)
+        gnorm[live] = np.linalg.norm(g_tan, axis=0)
+        # a zero eigenvalue (a singular system) stops only its own column
+        lam, vec = np.linalg.eigh(np.moveaxis(hs + n[:, None] * n[None], -1, 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.einsum("bji,jb->bi", vec, g_tan) / lam
+        delta = -np.einsum("bij,bj->bi", vec, coef)
+        keep = (gnorm[live] >= 1e-3 * tol) & np.all(np.isfinite(delta), axis=1)
+        live, delta = live[keep], delta[keep]
+        if it == NEWTON_ITERATIONS or not live.size:
             break
-    x, value, gnorm = _newton_polish(spec, x, field, policy, cfg, scale)
-    return x, value, gnorm, gnorm < cfg.tol
-
-
-def _newton_polish(spec, x, field, policy, cfg, scale, iterations=12):
-    """Tangent-frame Newton steps on the projected gradient."""
-    for _ in range(iterations):
-        value, grad = geo.field_value_and_gradient(spec, x, policy, field)
-        g_tan = _tangential(spec, x, grad)
-        gnorm = np.linalg.norm(g_tan)
-        if gnorm < 1e-3 * cfg.tol:
-            break
-        n = spec.grad_f(x)
-        frame = geo.tangent_frame(n / np.linalg.norm(n))
-        hess = _surface_hessian(spec, x, field, policy, frame, 1e-4 * scale)
-        rhs = frame @ g_tan
-        try:
-            delta = np.linalg.solve(hess, -rhs)
-        except np.linalg.LinAlgError:
-            break
-        if np.linalg.norm(delta) > 0.2 * scale:  # distrust huge Newton steps
-            delta = delta * (0.2 * scale / np.linalg.norm(delta))
-        x = geo.project_to_surface(spec, x + frame.T @ delta)
-    value, grad = geo.field_value_and_gradient(spec, x, policy, field)
-    gnorm = float(np.linalg.norm(_tangential(spec, x, grad)))
+        length = np.linalg.norm(delta, axis=1)
+        over = length > 0.2 * scale  # distrust huge Newton steps
+        delta[over] *= (0.2 * scale / length[over])[:, None]
+        x[:, live] = geo.project_to_surface(spec, x[:, live] + delta.T)
     return x, value, gnorm
 
 
-def _surface_hessian(spec, x, field, policy, frame, h):
-    """Second differences of the field in an orthonormal tangent frame."""
-    dim = len(frame)
-
-    def fval(p):
-        return geo.field_value(spec, geo.project_to_surface(spec, p), policy, field)
-
-    f0 = fval(x)
-    hess = np.zeros((dim, dim))
-    for i in range(dim):
-        fp = fval(x + h * frame[i])
-        fm = fval(x - h * frame[i])
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h ** 2
-        for j in range(i + 1, dim):
-            fpp = fval(x + h * (frame[i] + frame[j]))
-            fpm = fval(x + h * (frame[i] - frame[j]))
-            fmp = fval(x - h * (frame[i] - frame[j]))
-            fmm = fval(x - h * (frame[i] + frame[j]))
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
-    return hess
+def _classify(spec, points, field, policy):
+    """max/min/saddle/degenerate-orbit per column of points (N, B)."""
+    _, _, n, hs = geo.field_derivatives(spec, points, policy, field, degree=2)
+    eigs = geo.principal_curvatures_batch(n, hs)  # drops the n eigenvector
+    flat = np.any(np.abs(eigs) <= EIG_TOL, axis=0)
+    return np.select([flat, np.all(eigs < 0, axis=0), np.all(eigs > 0, axis=0)],
+                     ["degenerate-orbit", "max", "min"], "saddle").tolist()
 
 
-def classify_critical_point(spec, point, field, policy, eig_tol=1e-6):
-    """max/min/saddle/degenerate-orbit from tangential second differences."""
+def classify_critical_point(spec, point, field, policy):
+    """max/min/saddle/degenerate-orbit from the signs of the tangent
+    eigenvalues of the exact Riemannian Hessian (|eig| <= EIG_TOL: orbit)."""
     point = geo.project_to_surface(spec, np.asarray(point, dtype=float))
-    n = spec.grad_f(point)
-    frame = geo.tangent_frame(n / np.linalg.norm(n))
-    h = 1e-4 * spec.feature_scale()
-    hess = _surface_hessian(spec, point, field, policy, frame, h)
-    eigs = np.linalg.eigvalsh(hess)
-    if np.any(np.abs(eigs) <= eig_tol):
-        return "degenerate-orbit"
-    if np.all(eigs < 0):
-        return "max"
-    if np.all(eigs > 0):
-        return "min"
-    return "saddle"
+    return _classify(spec, point[:, None], field, policy)[0]
 
 
 def _orbit_signature(spec, location):
@@ -160,7 +141,7 @@ def _orbit_signature(spec, location):
 
 
 def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED,
-                         config=None, initial_points=None):
+                         config=None):
     """Locate critical points of a curvature field on the surface.
 
     field is one of 'lapM', 'vg_geom', 'M'.  Deterministic for a fixed
@@ -171,16 +152,11 @@ def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED
         raise ValueError(f"field must be one of {geo.FIELD_NAMES}")
     cfg = config or SearchConfig()
     scale = spec.feature_scale()
-    if initial_points is None:
-        starts = geo._random_surface_points(spec, cfg.starts, cfg.seed)
-    else:
-        starts = np.asarray(initial_points, dtype=float)
-    values = np.array([
-        geo.field_value(spec, geo.project_to_surface(spec, starts[:, i]), policy, field)
-        for i in range(starts.shape[1])
-    ])
+    starts = geo._random_surface_points(spec, cfg.starts, cfg.seed)
+    values, g_tan, _, _ = geo.field_derivatives(spec, starts, policy, field)
     span = float(values.max() - values.min())
-    if span < 1e-10 * (1.0 + float(np.abs(values).max())):
+    if (span < 1e-10 * (1.0 + float(np.abs(values).max()))
+            and np.all(np.linalg.norm(g_tan, axis=0) < cfg.tol)):
         return [CriticalPoint(
             location=starts[:, 0],
             value=float(values[0]),
@@ -190,39 +166,43 @@ def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED
             orbit="entire surface (constant field)",
         )]
 
-    hits = []
-    diagnostics = []
-    for i in range(starts.shape[1]):
-        for direction in (+1.0, -1.0):
-            x, value, gnorm, ok = _ascend(spec, starts[:, i], field, policy,
-                                          direction, cfg, scale)
-            if ok:
-                hits.append((x, value, gnorm))
-            else:
-                diagnostics.append({"start": i, "direction": direction,
-                                    "grad_norm": gnorm, "value": value})
-    if not hits:
+    # column 2i climbs from start i, column 2i + 1 descends from it
+    x, value, g_tan = (np.repeat(a, 2, axis=-1) for a in (starts, values, g_tan))
+    direction = np.tile([1.0, -1.0], starts.shape[1])
+    converged = _walk(spec, x, value, g_tan, field, policy, direction, cfg.tol, scale)
+    gnorm = np.linalg.norm(g_tan, axis=0)
+    stalled = np.flatnonzero(~converged)
+    x[:, stalled], value[stalled], gnorm[stalled] = _newton(
+        spec, x[:, stalled], field, policy, cfg.tol, scale)
+    ok = gnorm < cfg.tol
+    if not np.any(ok):
+        diagnostics = [{"start": k // 2, "direction": float(direction[k]),
+                        "grad_norm": float(gnorm[k]), "value": float(value[k])}
+                       for k in range(len(value))]
         raise NoCriticalPointFoundError(
             f"no critical point of {field} found on '{spec.name}'", diagnostics
         )
 
     merged = []
-    for x, value, gnorm in hits:
+    for k in np.flatnonzero(ok):  # hits in start order, climb before descent
+        loc, val, gn = x[:, k].copy(), float(value[k]), float(gnorm[k])
         for rec in merged:
-            if np.linalg.norm(rec.location - x) < cfg.merge_tol * scale:
+            if np.linalg.norm(rec.location - loc) < MERGE_TOL * scale:
                 rec.multiplicity += 1
-                if gnorm < rec.grad_norm:
-                    rec.location, rec.value, rec.grad_norm = x, value, gnorm
+                if gn < rec.grad_norm:
+                    rec.location, rec.value, rec.grad_norm = loc, val, gn
                 break
         else:
-            merged.append(CriticalPoint(location=x, value=value,
-                                        classification="", grad_norm=gnorm))
+            merged.append(CriticalPoint(location=loc, value=val,
+                                        classification="", grad_norm=gn))
 
-    for rec in merged:
-        rec.classification = classify_critical_point(spec, rec.location, field, policy)
+    labels = _classify(spec, np.stack([rec.location for rec in merged], axis=1),
+                       field, policy)
+    for rec, label in zip(merged, labels):
+        rec.classification = label
 
     if spec.name in AXISYMMETRIC:
-        merged = _collapse_orbits(spec, merged, cfg.merge_tol * scale)
+        merged = _collapse_orbits(spec, merged, MERGE_TOL * scale)
 
     merged.sort(key=lambda r: (round(r.value, 10),
                                tuple(np.round(r.location, 8))))
@@ -250,10 +230,10 @@ def _collapse_orbits(spec, records, tol):
         # or the classifier saw a flat direction
         if len(group) > 1 and rho > 10 * tol:
             spread = max(np.linalg.norm(r.location - best.location) for r in group)
-            if spread > 10 * tol or best.classification == "degenerate-orbit":
+            if spread > 10 * tol:
                 best.classification = "degenerate-orbit"
-                best.orbit = f"circle z={z:.6g}, rho={rho:.6g}"
-        elif best.classification == "degenerate-orbit" and rho > 10 * tol:
+        if best.classification == "degenerate-orbit" and rho > 10 * tol:
+            z = 0.0 if abs(z) < 10 * tol else z  # roundoff off the z = 0 plane
             best.orbit = f"circle z={z:.6g}, rho={rho:.6g}"
         out.append(best)
     return out

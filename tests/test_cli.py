@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,17 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert json.loads(err)["error"] == error
+
+
+def test_numpy_warnings_stay_off_stderr():
+    # a NaN residual from 0*y/z at z = 0 must reach stderr only as the JSON
+    # diagnostic, not preceded by a RuntimeWarning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomforce.cli", "force", "--expr", "x - 1 + 0*y/z",
+         "--at", "1,0,0", "--mass", "1e-30"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "OffSurfaceError"
