@@ -2,7 +2,8 @@
 
 Subcommands: parse, fields, extrema, classical, verify, force, report.
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
-3 refuted hard invariant.  Errors go to stderr as one JSON object.
+3 refuted hard invariant, 70 internal bug (EX_SOFTWARE).  Errors go to
+stderr as one JSON object, after the traceback for an internal bug.
 
 A config file of `key = value` lines (long option names without the
 leading dashes) can seed any flag; explicit flags take precedence.
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -37,7 +39,7 @@ class CliInputError(ValueError):
     pass
 
 
-# Typed errors only: a bare ValueError or KeyError is a bug and propagates.
+# Typed errors only: a bare ValueError or KeyError is a bug and exits 70.
 _INPUT_ERRORS = (
     CliInputError,
     ex.ParseError,
@@ -77,6 +79,14 @@ def parse_mass(text):
     if text.endswith("kg"):
         return float(text[:-2])
     return float(text)
+
+
+def parse_tolerance(text):
+    """Tolerance literal; a finite positive float out."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,7 +394,7 @@ def build_parser():
     p.add_argument("--policy", default="gn", type=str.lower, choices=geo.POLICY_NAMES)
     p.add_argument("--starts", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extrema)
 
@@ -407,7 +417,7 @@ def build_parser():
     p.add_argument("--grids", default="32,64,128")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=parse_tolerance, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--identities", help="comma-separated identity ids (default all)")
     p.add_argument("--out")
@@ -480,6 +490,10 @@ def main(argv=None):
     except _INPUT_ERRORS as error:
         _diagnostic(1, error)
         return 1
+    except Exception as error:  # a bug: keep its traceback, exit EX_SOFTWARE
+        traceback.print_exc()
+        _diagnostic(70, error)
+        return 70
 
 
 if __name__ == "__main__":

@@ -57,6 +57,8 @@ class IntegratorConfig:
             raise IntegratorInputError("dt must be positive")
         if self.steps < 1:
             raise IntegratorInputError("steps must be >= 1")
+        if not self.mass > 0:
+            raise IntegratorInputError("mass must be positive")
 
 
 @dataclass

@@ -147,22 +147,8 @@ def _unit_index_tensors(nvars, degree, depth):
     return out
 
 
-def _tables_from_distance_jet(djet, order):
-    """SignedDistance tables from a jet of the distance: n_i = d_i d.
-
-    Batched: djet coeffs (T, B) give tables with trailing batch axis.
-    """
-    nvars = djet.space.nvars
-    tensors = _unit_index_tensors(nvars, djet.degree, order + 1)
-    tabs = [djet.coeffs[t] for t in tensors]
-    n, dn = tabs[0], tabs[1]
-    d2n = tabs[2] if order >= 2 else None
-    d3n = tabs[3] if order >= 3 else None
-    return n, dn, d2n, d3n
-
-
 def _tables_from_component_jets(njets, order):
-    """Tables from one jet per normal component (GradientNormalized path)."""
+    """Tables from one jet per normal component, with trailing batch axis."""
     nvars = njets[0].space.nvars
     tensors = _unit_index_tensors(nvars, njets[0].degree, order)
     n = np.stack([j.coeffs[0] for j in njets])
@@ -251,12 +237,17 @@ class NormalJet:
         return float(np.max(np.abs(self.n @ self.dn)))
 
 
+def _normal_jets(spec, points, policy, degree):
+    """The N normal component jets to `degree`: d_i d (SD) or grad f / |grad f| (GN)."""
+    if policy is ExtensionPolicy.SIGNED_DISTANCE:
+        djet = distance_jet(spec, points, degree + 1)
+        return [djet.derivative(i) for i in range(spec.dimension)]
+    return _normalized_gradient_jets(spec, points, degree)
+
+
 def _tables_batch(spec, points, policy, order):
     """(n, dn, d2n, d3n) with trailing batch axis."""
-    if policy is ExtensionPolicy.SIGNED_DISTANCE:
-        return _tables_from_distance_jet(distance_jet(spec, points, order + 1), order)
-    njets = _normalized_gradient_jets(spec, points, order)
-    return _tables_from_component_jets(njets, order)
+    return _tables_from_component_jets(_normal_jets(spec, points, policy, order), order)
 
 
 def _require_on_surface(spec, points):
@@ -606,11 +597,7 @@ def samples_to_csv(samples):
 def _field_jet(spec, points, policy, field, degree):
     """Jet of the chosen curvature field to `degree`, and the normal component jets."""
     n_degree = {"M": 1, "vg_geom": 1, "lapM": 3}[field] + degree
-    if policy is ExtensionPolicy.SIGNED_DISTANCE:
-        djet = distance_jet(spec, points, n_degree + 1)
-        njets = [djet.derivative(i) for i in range(spec.dimension)]
-    else:
-        njets = _normalized_gradient_jets(spec, points, n_degree)
+    njets = _normal_jets(spec, points, policy, n_degree)
     m_jet = -sum(nj.derivative(i) for i, nj in enumerate(njets))
     if field == "M":
         return m_jet, njets
@@ -619,17 +606,6 @@ def _field_jet(spec, points, policy, field, degree):
                                  for a in range(spec.dimension)))
         return m_jet * m_jet / 2.0 - s2, njets
     return sum(m_jet.derivative(j).derivative(j) for j in range(spec.dimension)), njets
-
-
-def field_value(spec, point, policy, field):
-    sample = curvature_sample(spec, point, policy)
-    return float(getattr(sample, field))
-
-
-def field_value_and_gradient(spec, point, policy, field):
-    """Field value and ambient gradient at point(s) (N,) or (N, B), from jets."""
-    fj, _ = _field_jet(spec, np.asarray(point, dtype=float), policy, field, 1)
-    return fj.value, np.stack([fj.derivative(i).value for i in range(spec.dimension)])
 
 
 def field_derivatives(spec, points, policy, field, degree=1):

@@ -2,16 +2,14 @@
 
 Discretizes the geometric momentum and Hamiltonian on the circle (R^2)
 and torus (R^3) with Fourier-spectral accuracy, and adjudicates operator
-identities numerically across grid refinements.
+identities numerically across grid refinements.  Operators are array
+functions of a grid and a state (gradient, momentum, divergence,
+hamiltonian); LinOp only materializes one as a dense matrix.
 """
 
 from .grid import ParamSurfaceGrid, build_grid
-from .linops import LinOp, inner, multiplication, norm_w, spectral_derivative
+from .linops import LinOp, inner, norm_w
 from .operators import (
-    build_hamiltonian,
-    build_momentum,
-    build_surface_gradient,
-    commutator,
     divergence,
     gradient,
     hamiltonian,
@@ -25,10 +23,9 @@ from .evolve import EhrenfestTrace, NormDriftError, evolve_wavepacket, hbar_scal
 
 __all__ = [
     "ParamSurfaceGrid", "build_grid",
-    "LinOp", "inner", "norm_w", "multiplication", "spectral_derivative",
+    "LinOp", "inner", "norm_w",
     "gradient", "momentum", "divergence", "hamiltonian",
-    "build_surface_gradient", "build_momentum", "build_hamiltonian",
-    "commutator", "residual_on_testspace", "hermiticity_defect",
+    "residual_on_testspace", "hermiticity_defect",
     "random_band_states",
     "IDENTITY_IDS", "IdentityVerdict", "check_identity", "run_identity_suite",
     "EhrenfestTrace", "NormDriftError", "evolve_wavepacket", "hbar_scaling_slopes",

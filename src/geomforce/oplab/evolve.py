@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import inner, norm_w, spectral_derivative
+from .linops import LinOp, fourier_derivative, inner, norm_w
 from .operators import centripetal, momentum, quartics
 
 
@@ -185,18 +185,13 @@ def _theta_propagator(grid, dt, hbar, mu):
     nth = grid.shape[0]
     r = grid.params["r"]
     rho = grid.params["R"] + r * np.sin(grid.coords[0])
-    d = spectral_derivative((nth,), 0)
     coef = rho / r
 
-    def l_theta(v):
-        return (d(coef * d(v)) / (r * rho))
+    def a_theta(v):
+        d_v = fourier_derivative(v, 0, 1)
+        return -(hbar ** 2 / (2.0 * mu)) * (fourier_derivative(coef * d_v, 0, 1) / (r * rho))
 
-    a_dense = np.empty((nth, nth), dtype=complex)
-    basis = np.zeros(nth, dtype=complex)
-    for j in range(nth):
-        basis[j] = 1.0
-        a_dense[:, j] = -(hbar ** 2 / (2.0 * mu)) * l_theta(basis)
-        basis[j] = 0.0
+    a_dense = LinOp(a_theta, (nth,)).dense()
     w_half = np.sqrt(rho)
     sym = (a_dense * w_half[:, None]) / w_half[None, :]
     sym = 0.5 * (sym + sym.conj().T)

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import build_grid
-from .linops import fourier_derivative, norm_w
+from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
-    build_hamiltonian,
     centripetal,
     divergence,
     hamiltonian,
@@ -305,7 +304,7 @@ def circle_anchor_report(grid, hbar=1.0, mu=1.0, n_eigs=10, seed=0):
     a = grid.params["a"]
     vg = (hbar ** 2 / (4.0 * mu)) * float(grid.geo["vg_geom"][0])
 
-    dense = build_hamiltonian(grid, hbar, mu, "lb").dense()
+    dense = LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu, "lb"), grid.shape).dense()
     dense = 0.5 * (dense + dense.conj().T)
     eigs = np.sort(np.linalg.eigvalsh(dense))
     ms = range(-n_eigs, n_eigs + 1)

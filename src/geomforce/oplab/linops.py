@@ -1,11 +1,11 @@
-"""Fourier differentiation, weighted inner products and linear operators.
+"""Fourier differentiation, weighted inner products and dense matrices.
 
 Grid functions are arrays whose trailing axes are the periodic grid
 axes; any leading axes (components, states) ride along, so one FFT pass
-differentiates a whole stack.  LinOp wraps an array function as a single
-operator for composition (+, -, scalar *, @, commutators) and dense
-materialization, which is allowed up to 4096 grid dimensions
-(eigen-decompositions stay on the circle).
+differentiates a whole stack.  LinOp wraps an array function of one
+grid function so it can be materialized as a dense matrix, which is
+allowed up to 4096 grid dimensions (eigen-decompositions stay on the
+circle and on the torus tube angle).
 """
 
 from __future__ import annotations
@@ -16,44 +16,14 @@ DENSE_LIMIT = 4096
 
 
 class LinOp:
-    """Linear transformation of complex grid functions."""
+    """Linear map of complex grid functions of the given grid shape."""
 
-    def __init__(self, apply_fn, shape, label=""):
+    def __init__(self, apply_fn, shape):
         self._apply = apply_fn
         self.shape = tuple(shape)
-        self.label = label
 
     def __call__(self, psi):
         return self._apply(np.asarray(psi, dtype=complex))
-
-    def __add__(self, other):
-        other = _coerce(other, self.shape)
-        return LinOp(lambda p: self(p) + other(p), self.shape,
-                     f"({self.label}+{other.label})")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other, self.shape)
-        return LinOp(lambda p: self(p) - other(p), self.shape,
-                     f"({self.label}-{other.label})")
-
-    def __neg__(self):
-        return LinOp(lambda p: -self(p), self.shape, f"(-{self.label})")
-
-    def __mul__(self, scalar):
-        return LinOp(lambda p: scalar * self(p), self.shape,
-                     f"({scalar}*{self.label})")
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return LinOp(lambda p: self(other(p)), self.shape,
-                     f"({self.label}@{other.label})")
-
-    @property
-    def dense_materializable(self):
-        return int(np.prod(self.shape)) <= DENSE_LIMIT
 
     def dense(self):
         """Materialize by applying to the coordinate basis."""
@@ -69,23 +39,6 @@ class LinOp:
         return cols
 
 
-def _coerce(value, shape):
-    if isinstance(value, LinOp):
-        return value
-    if np.isscalar(value):
-        return LinOp(lambda p: value * p, shape, f"{value}")
-    raise TypeError(f"cannot combine LinOp with {type(value)!r}")
-
-
-def identity(shape):
-    return LinOp(lambda p: p.copy(), shape, "I")
-
-
-def multiplication(coef, label="m"):
-    coef = np.asarray(coef)
-    return LinOp(lambda p: coef * p, coef.shape, label)
-
-
 def fourier_derivative(psi, axis, ndim):
     """d/du^axis (period 2*pi) of a stack whose last ndim axes are the grid.
 
@@ -94,12 +47,6 @@ def fourier_derivative(psi, axis, ndim):
     n = psi.shape[axis - ndim]
     ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * (ndim - 1 - axis))
     return np.fft.ifft(ik * np.fft.fft(psi, axis=axis - ndim), axis=axis - ndim)
-
-
-def spectral_derivative(shape, axis, label=None):
-    """Exact Fourier differentiation along one periodic axis."""
-    return LinOp(lambda psi: fourier_derivative(psi, axis, len(shape)), shape,
-                 label or f"d_{axis}")
 
 
 def inner(weights, phi, psi):

@@ -8,18 +8,15 @@ dimensions, `gradient` returns the Cartesian surface gradient
 sum_l p_l A_l.  All three accept leading axes and take one fft/ifft
 pair per parametric axis however many components they carry.  The
 Hamiltonian (Laplace-Beltrami or momentum form), the centripetal
-quadratic and the quartics F_j, G_j are built from them.
-
-LinOp views (build_surface_gradient, build_momentum, build_hamiltonian)
-index these stacks where an operator object is needed: commutators and
-dense materialization.
+quadratic and the quartics F_j, G_j are built from them.  A commutator
+is a pair of such functions applied in both orders.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linops import LinOp, fourier_derivative, inner, norm_w
+from .linops import fourier_derivative, inner, norm_w
 
 
 def _lift(field, nlead):
@@ -168,36 +165,6 @@ def _quartic(grid, c, inner, p_psi, pp_psi, hbar):
     for k in range(nvars):
         out += p_inner[k]                  # p_k p_l c
     return out
-
-
-# LinOp views ------------------------------------------------------------------
-
-
-def build_surface_gradient(grid):
-    """Cartesian components of grad_S as linear operators."""
-    return [LinOp(lambda psi, i=i: gradient(grid, psi)[i], grid.shape, f"gradS_{i}")
-            for i in range(grid.ndim_embed)]
-
-
-def build_momentum(grid, hbar=1.0):
-    """p_j = -i hbar ((grad_S)_j + M n_j / 2), one operator per component."""
-    return [LinOp(lambda psi, j=j: momentum(grid, psi, hbar)[j], grid.shape, f"p_{j}")
-            for j in range(grid.ndim_embed)]
-
-
-def build_hamiltonian(grid, hbar=1.0, mu=1.0, form="lb"):
-    """Surface Hamiltonian, in 'lb' or 'momentum' form, as an operator."""
-    labels = {"lb": "H_lb", "momentum": "H_p"}
-    if form not in labels:
-        raise ValueError(f"unknown Hamiltonian form '{form}'")
-    return LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu, form), grid.shape,
-                 labels[form])
-
-
-def commutator(a, b):
-    """[A, B] = A B - B A as a linear operator."""
-    return LinOp(lambda psi: a(b(psi)) - b(a(psi)), a.shape,
-                 f"[{a.label},{b.label}]")
 
 
 # test space ---------------------------------------------------------------------

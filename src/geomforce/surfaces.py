@@ -114,8 +114,13 @@ def builtin_surface(name, params=None):
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
     for key in wanted:
-        if not params[key] > 0:
-            raise InvalidParametersError(f"parameter {key} must be positive, got {params[key]}")
+        value = params[key]
+        if not value > 0:
+            raise InvalidParametersError(f"parameter {key} must be positive, got {value}")
+        # the catalog squares its parameters; a square of 0 or inf breaks f
+        if not 0.0 < value * value < np.inf:
+            raise InvalidParametersError(f"parameter {key}={value} leaves the "
+                                         f"float range when squared")
     if name == "torus" and not params["r"] < params["R"]:
         raise InvalidParametersError(
             f"torus tube radius r={params['r']} must be smaller than ring radius R={params['R']}"

@@ -239,15 +239,17 @@ def test_expression_surface_through_cli(capsys):
     assert code == 0
 
 
-def test_internal_value_error_is_not_reported_as_input_error(monkeypatch):
+def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys):
     from geomforce import geometry as geo
 
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(geo, "sample_field", broken)
-    with pytest.raises(ValueError, match="internal bug"):
-        main(["fields", "--surface", "circle", "--a", "1", "--resolution", "4"])
+    code, _, err = run_cli(["fields", "--surface", "circle", "--a", "1",
+                            "--resolution", "4"], capsys)
+    assert code == 70  # EX_SOFTWARE, never the input-error code 1
+    assert "internal bug" in err and "Traceback" in err
 
 
 @pytest.mark.parametrize("args,error", [
@@ -276,6 +278,17 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch):
      "OffSurfaceError"),
     (["force", "--expr", "1/(1/(x-1))", "--at", "1,0,0", "--mass", "1e-30"],
      "DivisionByZeroLeadingTerm"),
+    (["fields", "--surface", "spheroid", "--a", "1e-200", "--b", "1",
+      "--resolution", "4x4"], "InvalidParametersError"),
+    (["verify", "--surface", "circle", "--tol", "-1"], "CliInputError"),
+    (["verify", "--surface", "circle", "--tol", "0"], "CliInputError"),
+    (["verify", "--surface", "circle", "--tol", "nan"], "CliInputError"),
+    (["extrema", "--surface", "sphere", "--a", "1", "--tol", "-1"], "CliInputError"),
+    (["extrema", "--surface", "sphere", "--a", "1", "--tol", "nan"], "CliInputError"),
+    (["classical", "--surface", "sphere", "--a", "1", "--x0", "1,0,0",
+      "--p0", "0,1,0", "--mass", "-1"], "IntegratorInputError"),
+    (["classical", "--surface", "sphere", "--a", "1", "--x0", "1,0,0",
+      "--p0", "0,1,0", "--mass", "0"], "IntegratorInputError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

@@ -59,16 +59,15 @@ def test_torus_splitting_is_unitary():
 
 def test_torus_splitting_tracks_energy():
     # a correct unitary splitting keeps <H> nearly constant over the run
-    from geomforce.oplab import build_hamiltonian
+    from geomforce.oplab import hamiltonian
     from geomforce.oplab.evolve import _theta_propagator, _torus_packet
     from geomforce.oplab.linops import inner
 
     grid = build_grid("torus", {"R": 2.0, "r": 1.0}, 64)
     packet = WavePacket(center=(np.pi / 2, 0.0), sigma=0.45,
                         mean_momentum=4.0, azimuthal_momentum=6.0)
-    h = build_hamiltonian(grid, form="lb")
     psi = _torus_packet(grid, packet, 1.0)
-    e0 = inner(grid.weights, psi, h(psi)).real
+    e0 = inner(grid.weights, psi, hamiltonian(grid, psi)).real
     dt = 5e-4
     rho = 2.0 + np.sin(grid.coords[0])
     m_ph = np.fft.fftfreq(64, d=1.0 / 64)
@@ -80,5 +79,5 @@ def test_torus_splitting_tracks_energy():
         psi = np.fft.ifft(half_c * np.fft.fft(psi, axis=1), axis=1)
         psi = prop_a @ psi
         psi = np.fft.ifft(half_c * np.fft.fft(psi, axis=1), axis=1)
-    e1 = inner(grid.weights, psi, h(psi)).real
+    e1 = inner(grid.weights, psi, hamiltonian(grid, psi)).real
     assert e1 == pytest.approx(e0, rel=1e-4)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,22 +367,53 @@ def test_distance_jet_refuses_a_vanishing_gradient():
         geo.normal_jet(cone, np.zeros(3), SD)
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("name,params", [
+    ("torus", {"R": 2.0, "r": 1.0}),
+    ("spheroid", {"a": 1.0, "b": 2.0}),
+    ("sphere", {"a": 1.0}),
+])
+def test_sd_tables_are_the_raw_partials_of_the_distance_jet(name, params, order):
+    # n_i = d_i d, so each table is a plain gather of the distance jet:
+    # n[i] = d_i d, dn[i, j] = d_i d_j d, and so on
+    spec = builtin_surface(name, params)
+    points = geo._random_surface_points(spec, 16, seed=4)
+    djet = geo.distance_jet(spec, points, order + 1)
+
+    def partials(depth):
+        out = np.empty((3,) * depth + (points.shape[1],))
+        for axes in itertools.product(range(3), repeat=depth):
+            out[axes] = djet.partial(tuple(axes.count(i) for i in range(3)))
+        return out
+
+    tables = geo._tables_batch(spec, points, SD, order)
+    for depth, table in enumerate(tables, start=1):
+        if depth > order + 1:
+            assert table is None
+        else:
+            assert np.array_equal(table, partials(depth))
+
+
 def test_exact_sd_field_gradient_on_the_spheroid():
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
     pole = np.array([0.0, 0.0, 2.0])
-    value, grad = geo.field_value_and_gradient(spec, pole, SD, "lapM")
-    assert value == pytest.approx(cf.SPHEROID_LAP[(1.0, 2.0)]["pole"]["sd"], rel=1e-9)
-    assert np.linalg.norm(grad[:2]) < 1e-9  # the tangent plane at the pole is z = const
+    value, grad, _, _ = geo.field_derivatives(spec, pole[:, None], SD, "lapM")
+    assert value[0] == pytest.approx(cf.SPHEROID_LAP[(1.0, 2.0)]["pole"]["sd"], rel=1e-9)
+    assert np.linalg.norm(grad[:2, 0]) < 1e-9  # the tangent plane at the pole is z = const
+
+    def lap_m(point):
+        return geo.curvature_sample(spec, point, SD).lapM
 
     x = geo.project_to_surface(spec, np.array([0.5, 0.3, 1.2]))
-    value, grad = geo.field_value_and_gradient(spec, x, SD, "lapM")
-    assert value == pytest.approx(geo.field_value(spec, x, SD, "lapM"), rel=1e-12)
-    values, grads = geo.field_value_and_gradient(spec, np.stack([pole, x], axis=1),
-                                                 SD, "lapM")
+    value, grad, _, _ = geo.field_derivatives(spec, x[:, None], SD, "lapM")
+    value, grad = value[0], grad[:, 0]
+    assert value == pytest.approx(lap_m(x), rel=1e-12)
+    values, grads, _, _ = geo.field_derivatives(spec, np.stack([pole, x], axis=1),
+                                                SD, "lapM")
     assert values[1] == value and np.array_equal(grads[:, 1], grad)
     normal = spec.grad_f(x) / np.linalg.norm(spec.grad_f(x))
     h = 1e-4
     for t in np.linalg.svd(normal[None])[2][1:]:  # tangent basis
-        plus = geo.field_value(spec, geo.project_to_surface(spec, x + h * t), SD, "lapM")
-        minus = geo.field_value(spec, geo.project_to_surface(spec, x - h * t), SD, "lapM")
+        plus = lap_m(geo.project_to_surface(spec, x + h * t))
+        minus = lap_m(geo.project_to_surface(spec, x - h * t))
         assert (plus - minus) / (2 * h) == pytest.approx(grad @ t, abs=1e-5)

@@ -162,7 +162,8 @@ def _second_difference_hessian(spec, x, field, policy, frame, h):
     dim = len(frame)
 
     def fval(p):
-        return geo.field_value(spec, geo.project_to_surface(spec, p), policy, field)
+        sample = geo.curvature_sample(spec, geo.project_to_surface(spec, p), policy)
+        return getattr(sample, field)
 
     f0 = fval(x)
     hess = np.zeros((dim, dim))

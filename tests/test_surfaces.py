@@ -58,6 +58,11 @@ def test_parameters_validated():
         builtin_surface("sphere", {})
     with pytest.raises(InvalidParametersError):
         builtin_surface("sphere", {"a": 1.0, "extra": 2.0})
+    # a square that underflows to 0 or overflows to inf leaves the float range
+    with pytest.raises(InvalidParametersError):
+        builtin_surface("spheroid", {"a": 1e-200, "b": 1.0})
+    with pytest.raises(InvalidParametersError):
+        builtin_surface("spheroid", {"a": 1.0, "b": 1e200})
 
 
 def test_circle_lives_in_the_plane():
