@@ -62,6 +62,11 @@ class UnknownIdentifierError(ValueError):
     """Identifier is neither a declared variable nor a bound parameter."""
 
 
+class InvalidParametersError(ValueError):
+    """Surface parameters are out of range, or a constant subexpression
+    of them leaves the float range."""
+
+
 # AST nodes ------------------------------------------------------------------
 
 
@@ -457,10 +462,19 @@ class Tape:
         return adjoint[:self.nvars]
 
 
-def _fold(op, a, b=None):
-    """op on constants, with the float semantics of a run (inf or nan, no raise)."""
-    with np.errstate(all="ignore"):
-        return float(numpy_call(op, np.float64(a)) if b is None else op(np.float64(a), b))
+def _fold(node, op, operands, params):
+    """op on constants, as a float run computes it.  A fold that overflows,
+    underflows, divides by zero or is invalid raises InvalidParametersError
+    naming `node` and its parameters."""
+    a = np.float64(operands[0])
+    try:
+        with np.errstate(all="raise"):
+            return float(numpy_call(op, a) if len(operands) == 1 else op(a, operands[1]))
+    except FloatingPointError as error:
+        names = sorted(identifiers(node) & set(params))
+        bound = f" with {', '.join(f'{k}={params[k]!r}' for k in names)}" if names else ""
+        raise InvalidParametersError(f"constant subexpression '{unparse(node)}'{bound} "
+                                     f"leaves the float range: {error}") from None
 
 
 def compile_tape(node, dimension, params=None):
@@ -469,7 +483,9 @@ def compile_tape(node, dimension, params=None):
     Coordinate aliases resolve to axis slots and bound parameters to float
     constants; constant subtrees are folded, and repeated subexpressions
     share one slot.  -x runs as x * -1.0, exact for floats and jets.
-    Raises UnknownIdentifierError naming every other identifier.
+    Raises UnknownIdentifierError naming every other identifier, and
+    InvalidParametersError naming a constant subtree whose fold leaves the
+    float range.
     """
     params = {key: float(value) for key, value in (params or {}).items()}
     axes = {name: axis for names in VARIABLE_NAMES[dimension]
@@ -490,9 +506,9 @@ def compile_tape(node, dimension, params=None):
             constants.append(operand[0])
         return slot_of[key]
 
-    def emit(op, a, b=None):
+    def emit(node, op, a, b=None):
         if isinstance(a, tuple) and (b is None or isinstance(b, tuple)):
-            return (_fold(op, a[0], None if b is None else b[0]),)
+            return (_fold(node, op, a if b is None else a + b, params),)
         key = (op, slot(a), slot(b))
         if key not in slot_of:
             slot_of[key] = dimension + len(code)
@@ -505,12 +521,12 @@ def compile_tape(node, dimension, params=None):
         if isinstance(n, Name):
             return axes[n.ident] if n.ident in axes else (params[n.ident],)
         if isinstance(n, BinOp):
-            return emit(_OPERATORS[n.op], rec(n.left), rec(n.right))
+            return emit(n, _OPERATORS[n.op], rec(n.left), rec(n.right))
         if isinstance(n, Neg):
-            return emit(operator.mul, rec(n.arg), (-1.0,))
+            return emit(n, operator.mul, rec(n.arg), (-1.0,))
         if isinstance(n, Pow):
-            return emit(operator.pow, rec(n.base), (n.exponent,))
-        return emit(n.func, rec(n.arg))
+            return emit(n, operator.pow, rec(n.base), (n.exponent,))
+        return emit(n, n.func, rec(n.arg))
 
     out = slot(rec(node))
 

@@ -22,9 +22,7 @@ grids of thousands of points evaluate in vectorized numpy.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,12 +35,20 @@ FIELD_NAMES = ("lapM", "vg_geom", "M")
 
 
 class NoConvergenceError(RuntimeError):
-    """Projection iteration failed; carries iteration count and residual."""
+    """Projection iteration failed.
 
-    def __init__(self, message, iterations, residual):
+    Carries the iteration count, the worst |f| over the unconverged
+    points, that point's input, and how many of how many points failed.
+    """
+
+    def __init__(self, message, iterations, residual, point, failed, total):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(f"{message} ({iterations} iterations, residual {residual:.3e})")
+        self.point = point
+        self.failed = failed
+        self.total = total
+        super().__init__(f"{message} for {failed} of {total} point(s), worst from {point} "
+                         f"({iterations} iterations, residual {residual:.3e})")
 
 
 class OffSurfaceError(ValueError):
@@ -117,44 +123,21 @@ def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
             live = live[~ok]  # NaN is not ok
             if not live.size:
                 return y[:, 0] if single else y
-    worst = float(np.max(np.abs(spec.f(y))))
-    raise NoConvergenceError(
-        f"projection to '{spec.name}' did not converge", max_iter, worst
-    )
+        residual = np.abs(spec.f(y[:, live]))
+    worst = int(np.argmax(residual))  # the first NaN, if there is one
+    raise NoConvergenceError(f"projection to '{spec.name}' did not converge", max_iter,
+                             float(residual[worst]), pts[:, live[worst]].tolist(),
+                             live.size, pts.shape[1])
 
 
 # Normal derivative tables -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _unit_index_tensors(nvars, degree, depth):
-    """Index tensors mapping derivative axes to jet table positions.
-
-    Entry k of the returned list has shape (nvars,) * (k + 1) and holds
-    the flat index of the multi-index e_{a_0} + ... + e_{a_k} in the jet
-    space (nvars, degree).
-    """
-    space = jets.jet_space(nvars, degree)
-    out = []
-    for nd in range(1, depth + 1):
-        t = np.empty((nvars,) * nd, dtype=np.intp)
-        for axes in itertools.product(range(nvars), repeat=nd):
-            alpha = [0] * nvars
-            for a in axes:
-                alpha[a] += 1
-            t[axes] = space.index_of[tuple(alpha)]
-        out.append(t)
-    return out
-
-
 def _tables_from_component_jets(njets, order):
     """Tables from one jet per normal component, with trailing batch axis."""
-    nvars = njets[0].space.nvars
-    tensors = _unit_index_tensors(nvars, njets[0].degree, order)
-    n = np.stack([j.coeffs[0] for j in njets])
-    dn = np.stack([j.coeffs[tensors[0]] for j in njets])
-    d2n = np.stack([j.coeffs[tensors[1]] for j in njets]) if order >= 2 else None
-    d3n = np.stack([j.coeffs[tensors[2]] for j in njets]) if order >= 3 else None
+    n = np.stack([j.value for j in njets])
+    dn, d2n, d3n = (np.stack([j.tensor(k) for j in njets]) if order >= k else None
+                    for k in (1, 2, 3))
     return n, dn, d2n, d3n
 
 
@@ -162,16 +145,13 @@ def _normalized_gradient_jets(spec, points, degree):
     """Jets of grad f / |grad f| components to the given degree."""
     fjet = spec.jet(points, degree + 1)
     g = [fjet.derivative(i) for i in range(spec.dimension)]
-    inv_norm = _norm(g).reciprocal()
-    return [gi * inv_norm for gi in g]
+    norm = _norm(g)
+    return [gi / norm for gi in g]
 
 
 def _norm(components):
     """Jet of the Euclidean norm of a vector of jets."""
-    norm2 = components[0] * components[0]
-    for c in components[1:]:
-        norm2 = norm2 + c * c
-    return jets.apply_function("sqrt", norm2)
+    return jets.apply_function("sqrt", sum(c * c for c in components))
 
 
 def distance_jet(spec, points, degree):
@@ -617,7 +597,7 @@ def field_derivatives(spec, points, policy, field, degree=1):
     """
     fj, njets = _field_jet(spec, points, policy, field, degree)
     n, dn, _, _ = _tables_from_component_jets(njets, 1)
-    g, *hess = (fj.coeffs[t] for t in _unit_index_tensors(spec.dimension, degree, degree))
+    g, *hess = (fj.tensor(k) for k in range(1, degree + 1))
     ng = np.sum(n * g, axis=0)
     proj = np.eye(spec.dimension)[..., None] - n[:, None] * n[None]
     hs = (np.einsum("ij...,jk...,kl...->il...", proj, hess[0] - ng * dn, proj)

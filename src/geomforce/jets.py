@@ -1,21 +1,31 @@
-"""Truncated multivariate Taylor jets with raw partial-derivative storage.
+"""Truncated multivariate Taylor jets in Taylor-normalized storage.
 
-A jet holds every partial derivative of a scalar field at a point up to a
-total degree D, indexed by multi-index in graded ordering: ascending total
-degree, descending lexicographic within a degree.  For N variables the
-table has C(N + D, D) entries.  Coefficients are the raw values ``d^a f``
-(not divided by a!); conversion to Taylor-normalized form is a helper.
+A jet holds the Taylor coefficients d^a f / a! of a scalar field at a
+point up to a total degree D, indexed by multi-index in graded ordering:
+ascending total degree, descending lexicographic within a degree.  For N
+variables the table has C(N + D, D) entries, and the entries of one total
+degree k (the grade-k homogeneous part) are contiguous.  The storage is
+this module's business: `partial`, `jet_partial` and `Jet.tensor` return
+raw partials d^a f.
 
-Arithmetic (+, -, *, /, integer ^) and the elementary functions
-sqrt/sin/cos/exp/log propagate derivatives exactly through truncated
-power-series composition.  All operations broadcast over a trailing batch
-axis, so jets can be evaluated for many points at once.  The jet of a
-surface expression comes from running its compiled tape with `variable`
-inputs and `apply_function` as the function call (`SurfaceSpec.jet`).
+Products are truncated convolutions of the coefficients.  Quotients,
+negative powers and sqrt/exp/log/sin/cos fill the result one grade at a
+time from the grades below it, by the Taylor recurrences of Griewank &
+Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 13, Table 13.2.  They
+hold for multivariate jets because the Euler operator x . grad multiplies
+the grade-k part by k (Neidinger 2005, "Directions for computing truncated
+multivariate Taylor series", Math. Comp. 74:321-340).  Each grade takes
+one sum over the inner pairs, whose two factors both have grade >= 1.
+
+All operations broadcast over a trailing batch axis, so jets can be
+evaluated for many points at once.  The jet of a surface expression comes
+from running its compiled tape with `variable` inputs and `apply_function`
+as the function call (`SurfaceSpec.jet`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,6 +87,9 @@ class JetSpace:
             [math.prod(math.factorial(k) for k in alpha) for alpha in self.indices],
             dtype=float,
         )
+        self.grade = np.array([sum(alpha) for alpha in self.indices])
+        bounds = np.searchsorted(self.grade, np.arange(degree + 2))
+        self.grades = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._build_product_table()
 
     def _build_product_table(self):
@@ -96,30 +109,62 @@ class JetSpace:
         # reduceat segment starts, one per distinct k (k values are 0..size-1)
         starts = np.searchsorted(self._prod_k, np.arange(self.size))
         self._prod_starts = starts
+        # inner pairs by output grade; every entry of grade >= 2 has one
+        inner = arr[(self.grade[arr[:, 1]] > 0) & (self.grade[arr[:, 2]] > 0)]
+        self._inner = {}
+        for k in range(2, self.degree + 1):
+            block = inner[self.grade[inner[:, 0]] == k]
+            at = np.arange(self.grades[k].start, self.grades[k].stop)
+            self._inner[k] = (block[:, 1], block[:, 2], np.searchsorted(block[:, 0], at))
 
     def multiply_normalized(self, a, b):
         """Truncated convolution of Taylor-normalized coefficient arrays."""
         terms = a[self._prod_i] * b[self._prod_j]
         return np.add.reduceat(terms, self._prod_starts, axis=0)
 
+    def inner_sum(self, k, a, b):
+        """Grade-k part of the product of a and b over the inner pairs only.
+
+        That is the sum of a_i b_j over grade(i), grade(j) >= 1 with
+        grade(i) + grade(j) = k, which reads a and b below grade k only.
+        """
+        if k < 2:
+            return 0.0
+        i, j, starts = self._inner[k]
+        return np.add.reduceat(a[i] * b[j], starts, axis=0)
+
     @lru_cache(maxsize=None)
     def derivative_map(self, axis):
-        """Indices such that raw_out[m] = raw_in[map[m]] for the d/dx_axis jet."""
+        """(index, scale): d/dx_axis has coefficients coeffs[index] * scale.
+
+        The coefficient of x^a in the derivative is (a_axis + 1) times the
+        coefficient of x^(a + e_axis).
+        """
         sub = jet_space(self.nvars, self.degree - 1)
-        unit = tuple(1 if k == axis else 0 for k in range(self.nvars))
-        return np.array(
-            [self.index_of[tuple(x + y for x, y in zip(alpha, unit))]
-             for alpha in sub.indices],
-            dtype=np.intp,
-        )
+        index = [self.index_of[alpha[:axis] + (alpha[axis] + 1,) + alpha[axis + 1:]]
+                 for alpha in sub.indices]
+        scale = [alpha[axis] + 1.0 for alpha in sub.indices]
+        return np.array(index, dtype=np.intp), np.array(scale)
+
+    @lru_cache(maxsize=None)
+    def tensor_map(self, order):
+        """(index, factorial) tensors of shape (nvars,) * order.
+
+        Entry (a_1, ..., a_order) is the flat index of the multi-index
+        e_{a_1} + ... + e_{a_order} and that multi-index's factorial.
+        """
+        index = np.empty((self.nvars,) * order, dtype=np.intp)
+        for axes in itertools.product(range(self.nvars), repeat=order):
+            index[axes] = self.index_of[tuple(axes.count(i) for i in range(self.nvars))]
+        return index, self.factorials[index]
 
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative table of a scalar field at a point.
+    """Taylor coefficients of a scalar field at a point.
 
-    coeffs holds raw partials d^a f in the space's multi-index order; shape
-    (T,) for a single point or (T, B) for a batch.
+    coeffs holds d^a f / a! in the space's multi-index order; shape (T,)
+    for a single point or (T, B) for a batch.
     """
 
     space: JetSpace
@@ -133,19 +178,23 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    def normalized(self):
-        """Taylor coefficients d^a f / a! (pure conversion helper)."""
-        return self.coeffs / _colvec(self.space.factorials, self.coeffs)
-
     def partial(self, alpha):
         return jet_partial(self, alpha)
+
+    def tensor(self, order):
+        """Derivative tensor d^order f / dx_a1 ... dx_a_order, raw partials,
+        of shape (N,) * order + batch."""
+        index, factorial = self.space.tensor_map(order)
+        coeffs = self.coeffs[index]
+        return coeffs * factorial.reshape(factorial.shape + (1,) * (self.coeffs.ndim - 1))
 
     def derivative(self, axis):
         """Jet of d f / d x_axis, one degree lower."""
         if self.degree == 0:
             raise OrderExceededError("cannot differentiate a degree-0 jet")
         sub = jet_space(self.space.nvars, self.degree - 1)
-        return Jet(sub, self.coeffs[self.space.derivative_map(axis)])
+        index, scale = self.space.derivative_map(axis)
+        return Jet(sub, self.coeffs[index] * _colvec(scale, self.coeffs))
 
     # arithmetic ---------------------------------------------------------
 
@@ -169,44 +218,28 @@ class Jet:
         if np.isscalar(other):
             return Jet(self.space, self.coeffs * other)
         other = self._coerce(other)
-        fact = _colvec(self.space.factorials, self.coeffs)
-        prod = self.space.multiply_normalized(self.coeffs / fact, other.coeffs / fact)
-        return Jet(self.space, prod * fact)
+        return Jet(self.space, self.space.multiply_normalized(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if np.isscalar(other):
             return Jet(self.space, self.coeffs / other)
-        return self * self._coerce(other).reciprocal()
+        other = self._coerce(other)
+        return Jet(self.space, _quotient(self.space, self.coeffs, other.coeffs))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
+        return self._coerce(other) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
         if exponent < 0:
-            return (self ** (-exponent)).reciprocal()
-        result = constant(self.space, 1.0, like=self.coeffs)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def reciprocal(self):
-        c0 = np.asarray(self.value, dtype=float)
-        if np.any(c0 == 0.0):
-            raise DivisionByZeroLeadingTerm("reciprocal of jet with zero value")
-        series = np.empty((self.degree + 1,) + c0.shape)
-        series[0] = 1.0 / c0
-        for i in range(1, self.degree + 1):
-            series[i] = -series[i - 1] / c0
-        return _compose(self, series)
+            return 1.0 / self ** -exponent
+        if exponent < 2:
+            return self if exponent else constant(self.space, 1.0, like=self.coeffs)
+        half = self ** (exponent // 2)
+        return half * half * self if exponent & 1 else half * half
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -239,58 +272,54 @@ def variable(space, axis, value):
     return Jet(space, coeffs)
 
 
-def _compose(g, series):
-    """Sum_k series[k] * (g - g0)^k, truncated; series shape (D+1,) + batch."""
-    space = g.space
-    h_coeffs = g.coeffs.copy()
-    h_coeffs[0] = 0.0
-    h = Jet(space, h_coeffs)
-    coeffs = np.zeros_like(g.coeffs)
-    coeffs[0] = series[space.degree]
-    result = Jet(space, coeffs)
-    for k in range(space.degree - 1, -1, -1):
-        result = result * h
-        result.coeffs[0] += series[k]  # fresh array from the product, safe in place
-    return result
-
-
-def _elementary_series(name, c0, degree):
-    """Taylor coefficients f^(k)(c0)/k! of the named elementary function."""
-    c0 = np.asarray(c0, dtype=float)
-    k = np.arange(degree + 1)
-    if name == "exp":
-        return np.exp(c0) / _fact(k, c0)
-    if name == "log":
-        if np.any(c0 <= 0.0):
-            raise DomainError("log of jet with non-positive value")
-        out = np.empty((degree + 1,) + c0.shape)
-        out[0] = np.log(c0)
-        for i in range(1, degree + 1):
-            out[i] = ((-1.0) ** (i - 1)) / (i * c0 ** i)
-        return out
-    if name == "sqrt":
-        if np.any(c0 <= 0.0):
-            raise DomainError("sqrt of jet with non-positive value")
-        out = np.empty((degree + 1,) + c0.shape)
-        out[0] = np.sqrt(c0)
-        for i in range(1, degree + 1):
-            out[i] = out[i - 1] * (0.5 - (i - 1)) / (i * c0)
-        return out
-    if name in ("sin", "cos"):
-        cycle = [np.sin(c0), np.cos(c0), -np.sin(c0), -np.cos(c0)]
-        offset = 0 if name == "sin" else 1
-        out = np.stack([cycle[(i + offset) % 4] for i in range(degree + 1)])
-        return out / _fact(k, c0)
-    raise ValueError(f"unsupported function {name}")
-
-
-def _fact(k, c0):
-    f = np.array([math.factorial(int(i)) for i in k], dtype=float)
-    return f.reshape((-1,) + (1,) * np.ndim(c0))
+def _quotient(space, a, b):
+    """Coefficients of a / b: Q_k = (A_k - B_k Q_0 - sum_inner B_j Q_{k-j}) / B_0."""
+    b0 = b[0]
+    if np.any(b0 == 0.0):
+        raise DivisionByZeroLeadingTerm("division by a jet with zero value")
+    q = np.empty_like(b)
+    q[0] = a[0] / b0
+    for k, s in enumerate(space.grades[1:], 1):
+        q[s] = (a[s] - b[s] * q[0] - space.inner_sum(k, b, q)) / b0
+    return q
 
 
 def apply_function(name, g):
-    return _compose(g, _elementary_series(name, g.value, g.degree))
+    """Jet of the named elementary function of g, one grade at a time.
+
+    exp, log, sin and cos go through the Euler operator: with W = x . grad
+    (W g has coefficients k g_k at grade k), W exp(g) = exp(g) W g,
+    W log(g) = W g / g, and W sin(g) = cos(g) W g, W cos(g) = -sin(g) W g.
+    """
+    space, c = g.space, g.coeffs
+    c0 = c[0]
+    if name in ("sqrt", "log") and np.any(c0 <= 0.0):
+        raise DomainError(f"{name} of jet with non-positive value")
+    out = np.empty_like(c)
+    if name == "sqrt":  # S^2 = g
+        out[0] = np.sqrt(c0)
+        for k, s in enumerate(space.grades[1:], 1):
+            out[s] = (c[s] - space.inner_sum(k, out, out)) / (2.0 * out[0])
+        return Jet(space, out)
+    weight = _colvec(space.grade.astype(float), c)
+    wg = weight * c
+    if name == "log":
+        out[0] = np.log(c0)
+        out[1:] = _quotient(space, wg, c)[1:] / weight[1:]
+    elif name == "exp":
+        out[0] = np.exp(c0)
+        for k, s in enumerate(space.grades[1:], 1):
+            out[s] = (wg[s] * out[0] + space.inner_sum(k, wg, out)) / k
+    elif name in ("sin", "cos"):
+        sin, cos = out, np.empty_like(c)
+        sin[0], cos[0] = np.sin(c0), np.cos(c0)
+        for k, s in enumerate(space.grades[1:], 1):
+            sin[s] = (wg[s] * cos[0] + space.inner_sum(k, wg, cos)) / k
+            cos[s] = -(wg[s] * sin[0] + space.inner_sum(k, wg, sin)) / k
+        out = sin if name == "sin" else cos
+    else:
+        raise ValueError(f"unsupported function {name}")
+    return Jet(space, out)
 
 
 def substitute(outer, shifts):
@@ -299,8 +328,9 @@ def substitute(outer, shifts):
     shifts holds one zero-valued jet u_k per variable of the outer jets,
     all of one space of degree D; every outer jet has degree >= D.  Since
     u^alpha vanishes beyond degree D for |alpha| > D, the truncated sum
-    sum_{|alpha| <= D} d^alpha g(x0) u^alpha / alpha! is exact.  The
-    monomials u^alpha are built once and shared by all outer jets.
+    sum_{|alpha| <= D} g_alpha u^alpha over the Taylor coefficients g_alpha
+    is exact.  The monomials u^alpha are built once and shared by all
+    outer jets.
     """
     space = shifts[0].space
     if any(np.any(u.value != 0.0) for u in shifts):
@@ -314,8 +344,7 @@ def substitute(outer, shifts):
     stack = np.stack([m.coeffs for m in monomials])
     out = []
     for g in outer:
-        rows = [g.space.index_of[alpha] for alpha in grades.indices]
-        taylor = g.coeffs[rows] / _colvec(grades.factorials, g.coeffs)
+        taylor = g.coeffs[[g.space.index_of[alpha] for alpha in grades.indices]]
         out.append(Jet(space, np.einsum("a...,at...->t...", taylor, stack)))
     return out
 
@@ -329,4 +358,5 @@ def jet_partial(jet, alpha):
         raise ValueError("multi-index entries must be non-negative")
     if sum(alpha) > jet.degree:
         raise OrderExceededError(f"|alpha|={sum(alpha)} exceeds jet degree {jet.degree}")
-    return jet.coeffs[jet.space.index_of[alpha]]
+    index = jet.space.index_of[alpha]
+    return jet.coeffs[index] * jet.space.factorials[index]

@@ -31,6 +31,7 @@ import numpy as np
 from .grid import build_grid
 from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
+    ROUNDOFF_FLOOR,
     centripetal,
     divergence,
     hamiltonian,
@@ -195,10 +196,6 @@ def _fit_slope(sizes, residuals):
     if len(x) < 2:
         return 0.0
     return float(np.polyfit(x, y, 1)[0])
-
-
-# Residuals below this floor are roundoff; their order carries no signal.
-ROUNDOFF_FLOOR = 512 * np.finfo(float).eps
 
 
 def _judge(residuals, tol):

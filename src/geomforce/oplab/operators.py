@@ -122,49 +122,22 @@ def quartics(grid, psi, p_psi, pp_psi, hbar=1.0):
     Q[c] = sum_{l,k} {c p_l p_k + p_l c p_k + p_k c p_l + p_k p_l c}.
     p_psi = p psi and pp_psi[l, k] = p_l p_k psi are shared, and so are
     the innermost passes inner[j, k] = sum_l p_l (n_{j,l} n_k psi), which
-    are F's last term and, transposed, G's.  F keeps every term apart
-    (see _quartic); G folds its three outer p passes into one divergence.
+    are F's last term and, transposed, G's.  Each quartic folds its three
+    outer p passes into one divergence.
     """
     n, dn = grid.geo["n"], grid.geo["dn"]
-    c_f = dn[:, :, None] * n[None, None]
-    inner = np.zeros(c_f.shape[:1] + c_f.shape[2:], dtype=complex)
-    for j in range(len(n)):
-        for term in _apply(grid, c_f[j] * psi, 1, hbar):
-            inner[j] += term
-    f_psi = np.stack([_quartic(grid, c_f[j], inner[j], p_psi, pp_psi, hbar)
-                      for j in range(len(n))])
+    dn_t = np.swapaxes(dn, 0, 1)
+    inner = divergence(grid, dn_t[:, :, None] * n[None, None] * psi, hbar)
+    n_p = np.einsum("k...,k...->...", n, p_psi)
+    f_p = np.einsum("jl...,l...->j...", dn, p_psi)
+    f_psi = (np.einsum("jl...,k...,lk...->j...", dn, n, pp_psi)
+             + divergence(grid, dn_t * n_p + n[:, None] * f_p[None]
+                          + np.swapaxes(inner, 0, 1), hbar))
     dn_p = (np.einsum("km...,k...->m...", dn, p_psi)
             + np.einsum("mk...,k...->m...", dn, p_psi))
     g_psi = (n * np.einsum("kl...,lk...->...", dn, pp_psi)
              + divergence(grid, dn_p[:, None] * n[None] + inner, hbar))
     return (1j * hbar / 2.0) * f_psi, (-1j * hbar / 2.0) * g_psi
-
-
-def _quartic(grid, c, inner, p_psi, pp_psi, hbar):
-    """Q[c] psi for an (N, N)+shape coefficient c[l, k], term by term.
-
-    inner[k] = sum_l p_l (c_{lk} psi).  Every p pass acts on its own
-    (l, k) term and the terms are added in one fixed order (over l, then
-    k).  The F residuals tie at roundoff across test states on the torus,
-    so this order is what keeps them, and their witness, reproducible to
-    the bit.
-    """
-    nvars = len(c)
-    p_c_p = _apply(grid, np.swapaxes(c * p_psi[:, None], 0, 1), 1, hbar)
-    acc2 = np.zeros_like(p_psi)
-    for k in range(nvars):
-        acc2 += c[:, k] * p_psi[k]
-    p_acc2 = _apply(grid, acc2, 0, hbar)
-    p_inner = _apply(grid, inner, 0, hbar)
-    out = np.zeros_like(p_psi[0])
-    for l in range(nvars):
-        for k in range(nvars):
-            out += c[l, k] * pp_psi[l, k]  # c p_l p_k
-            out += p_c_p[k, l]             # p_k c p_l
-        out += p_acc2[l]                   # p_l c p_k
-    for k in range(nvars):
-        out += p_inner[k]                  # p_k p_l c
-    return out
 
 
 # test space ---------------------------------------------------------------------
@@ -219,16 +192,21 @@ def relative_residuals(weights, a_psi, b_psi):
     return np.where((num <= floor) & (nb <= floor), 0.0, num / np.maximum(nb, floor))
 
 
-def worst_entry(table):
-    """(largest residual, its state index) of a (pairs, states) table.
+# Residuals below this floor are roundoff; their order carries no signal.
+ROUNDOFF_FLOOR = 512 * np.finfo(float).eps
 
-    Within a pair the first state attaining the maximum is the witness;
-    across pairs the last pair attaining it wins.
+
+def worst_entry(table):
+    """(largest residual, its witness state) of a (pairs, states) table.
+
+    The witness is the first state whose largest residual over the pairs
+    is within max(ROUNDOFF_FLOOR, 64 eps max) of the table's maximum, or
+    the first NaN state, so residuals that tie at roundoff do not pick it.
     """
-    table = np.atleast_2d(table)
-    best = table.max(axis=1)
-    pair = len(best) - 1 - int(np.argmax(best[::-1]))
-    return float(best[pair]), int(np.argmax(table[pair]))
+    per_state = np.atleast_2d(table).max(axis=0)
+    worst = float(per_state.max())
+    tie = max(ROUNDOFF_FLOOR, 64.0 * np.finfo(float).eps * worst)
+    return worst, int(np.argmax(np.isnan(per_state) | (per_state >= worst - tie)))
 
 
 def residual_tables(sides, grid, count=8, seed=0, band_fraction=1.0 / 3.0,

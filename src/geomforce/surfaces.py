@@ -16,14 +16,11 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
+from .expr import InvalidParametersError
 
 
 class UnknownSurfaceError(ValueError):
     """Requested catalog surface does not exist."""
-
-
-class InvalidParametersError(ValueError):
-    """Catalog surface parameters are out of range."""
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,17 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     assert json.loads(err)["error"] == error
 
 
+def test_expr_parameter_that_leaves_the_float_range_is_named(capsys):
+    # a^2 underflows to 0 at a = 1e-200; the error names a, not the point
+    code, _, err = run_cli(["force", "--expr", "(x^2+y^2)/a^2 + z^2/b^2 - 1",
+                            "--param", "a=1e-200", "--param", "b=1",
+                            "--at", "0,0,1", "--mass", "1e-30"], capsys)
+    diagnostic = json.loads(err)
+    assert code == 1
+    assert diagnostic["error"] == "InvalidParametersError"
+    assert "'a^2' with a=1e-200" in diagnostic["message"]
+
+
 def test_numpy_warnings_stay_off_stderr():
     # a NaN residual from 0*y/z at z = 0 must reach stderr only as the JSON
     # diagnostic, not preceded by a RuntimeWarning

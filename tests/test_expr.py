@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_unbound_identifier_is_reported_at_bind_time():
     tree = ex.parse_expression("x + q")
     with pytest.raises(ex.UnknownIdentifierError, match="q"):
         SurfaceSpec("tree", tree, 2, {})
+
+
+def test_constant_folds_outside_the_float_range_are_named():
+    cases = [("x - 1e300 * 1e300", {}, "'1e+300 * 1e+300'"),
+             ("x - exp(-a)", {"a": 1000.0}, "'exp(-a)' with a=1000.0"),
+             ("x - 1 / (b - b)", {"b": 1.0}, "with b=1.0 leaves")]
+    for text, params, named in cases:
+        with pytest.raises(ex.InvalidParametersError, match=re.escape(named)):
+            from_expression(text, 2, params)
+    # an exact zero from nonzero operands is not an underflow
+    spec = from_expression("x - (a - a) - log(a)", 2, {"a": 3.0})
+    assert spec.f([1.0, 0.0]) == 1.0 - math.log(3.0)
 
 
 def test_parameters_bake_into_callables():

@@ -61,6 +61,14 @@ def test_projection_failure_reports_iterations():
     with pytest.raises(geo.NoConvergenceError) as err:
         geo.project_to_surface(spec, np.array([0.0, 0.0, 0.0]), max_iter=5)
     assert err.value.iterations == 5
+    # the columns (2, 0, 0) and (0, 0.5, 0) converge; the centre fails with NaN
+    points = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    with pytest.raises(geo.NoConvergenceError) as err:
+        geo.project_to_surface(spec, points, max_iter=5)
+    assert err.value.point == [0.0, 0.0, 0.0]
+    assert (err.value.failed, err.value.total) == (1, 3)
+    assert np.isnan(err.value.residual)
+    assert "1 of 3 point(s), worst from [0.0, 0.0, 0.0]" in str(err.value)
 
 
 # normal jets ------------------------------------------------------------------

@@ -69,6 +69,46 @@ def test_torus_jet_matches_finite_differences_to_degree_5():
         assert got == pytest.approx(oracle, rel=1e-6, abs=max(floor, 1e-9)), alpha
 
 
+# Exact oracle: sympy partials at a rational point ------------------------------
+
+_ORACLE_CASES = [
+    ("sqrt(1 + x*y)", 7),
+    ("exp(x*y - x)", 7),
+    ("log(2 + x - y^2)", 7),
+    ("sin(x*y + y)", 7),
+    ("cos(x - y^2)", 7),
+    ("(x + y^3)/(1 + x*y)", 7),
+    ("(1 + x*y)^0 + (1 + x*y)^2 + (1 + x - y)^3 + (1 + x*y)^-2", 7),
+    ("sqrt(2 + x*y*z) + exp(x - z) + log(3 + x*z) + sin(y - z) - cos(x*y)"
+     " + (x + y*z)/(1 + z) + (1 + x*y*z)^-2", 5),
+    ("sqrt(2 + x1*x2 + x3*x4) + exp(x1 - x4) + sin(x2*x3) - log(3 + x1*x3)"
+     " + cos(x4*x2) + x1/(2 + x3 - x2*x4) + (x1 + x2*x4)^-2 + (x3 - x1)^3", 5),
+]
+
+
+@pytest.mark.parametrize("text,degree", _ORACLE_CASES)
+def test_jets_match_exact_sympy_partials(text, degree):
+    sp = pytest.importorskip("sympy")
+    names = sorted(set(re.findall(r"\b(?:x\d|[xyz])\b", text)))
+    syms = sp.symbols(names)
+    point = [sp.Rational(1, 2), sp.Rational(1, 3), sp.Rational(-1, 4), sp.Rational(1, 5)]
+    at = dict(zip(syms, point))
+    f = sp.sympify(text.replace("^", "**"), locals=dict(zip(names, syms)))
+    j = _jet(text, [float(at[s]) for s in syms], degree)
+    # d^alpha f from d^(alpha - e_k) f, k the first nonzero entry of alpha
+    derivative = {j.space.indices[0]: f}
+    want = []
+    for alpha in j.space.indices:
+        if alpha not in derivative:
+            k = next(i for i, a in enumerate(alpha) if a)
+            lower = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+            derivative[alpha] = sp.diff(derivative[lower], syms[k])
+        want.append(float(sp.N(derivative[alpha].xreplace(at), 20)))
+    want = np.array(want)
+    got = np.array([j.partial(alpha) for alpha in j.space.indices])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_order_exceeded():
     j = _jet("x", [1.0, 0.0], 2)
     with pytest.raises(jets.OrderExceededError):
@@ -117,11 +157,15 @@ def test_batch_evaluation_matches_per_point():
 
 
 def test_taylor_normalized_conversion():
-    j = _jet("x^3", [2.0, 0.0], 3)
-    norm = j.normalized()
-    idx = j.space.index_of[(3, 0)]
-    assert norm[idx] == pytest.approx(1.0)  # 6 / 3!
-    assert j.partial((3, 0)) == pytest.approx(6.0)
+    # coeffs store d^a f / a!; partial and tensor convert back to d^a f
+    j = _jet("x^3 * y^2", [2.0, 3.0], 5)
+    raw = {(3, 2): 12.0, (2, 2): 12.0 * 2.0, (3, 1): 12.0 * 3.0, (1, 0): 3.0 * 4.0 * 9.0}
+    for alpha, partial in raw.items():
+        factorial = math.factorial(alpha[0]) * math.factorial(alpha[1])
+        assert j.coeffs[j.space.index_of[alpha]] == pytest.approx(partial / factorial)
+        assert j.partial(alpha) == pytest.approx(partial)
+    assert j.tensor(2)[0, 1] == j.tensor(2)[1, 0] == pytest.approx(3.0 * 4.0 * 2.0 * 3.0)
+    assert j.derivative(0).partial((2, 2)) == pytest.approx(12.0)
 
 
 # Leibniz closure for polynomials ----------------------------------------------
