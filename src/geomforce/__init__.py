@@ -34,13 +34,10 @@ from .geometry import (
     NormalJet,
     PhysicalScale,
     curvature_sample,
-    curvature_samples,
-    lb_laplacian_mean_curvature,
     normal_jet,
     project_to_surface,
     sample_field,
     si_force_magnitude,
-    split_residual,
 )
 from .optim import CriticalPoint, SearchConfig, classify_critical_point, find_critical_points
 from .dynamics import IntegratorConfig, TrajectoryState, force_residual, geodesic_form_residual, integrate
@@ -55,8 +52,7 @@ __all__ = [
     "SurfaceSpec", "builtin_surface", "from_expression",
     "UnknownSurfaceError", "InvalidParametersError",
     "ExtensionPolicy", "PhysicalScale", "NormalJet", "CurvatureSample",
-    "normal_jet", "curvature_sample", "curvature_samples",
-    "lb_laplacian_mean_curvature", "split_residual", "si_force_magnitude",
+    "normal_jet", "curvature_sample", "si_force_magnitude",
     "project_to_surface", "sample_field",
     "NoConvergenceError",
     "CriticalPoint", "SearchConfig", "find_critical_points", "classify_critical_point",

@@ -195,11 +195,11 @@ def _cmd_fields(args):
         resolution = parts[0] if len(parts) == 1 else tuple(parts)
     if args.count is not None and args.count < 0:
         raise CliInputError("--count must be >= 0")
-    samples = geo.sample_field(spec, policy, sampling=args.sampling,
+    columns = geo.sample_field(spec, policy, sampling=args.sampling,
                                resolution=resolution, count=args.count,
                                seed=args.seed)
     if args.format == "csv":
-        text = geo.samples_to_csv(samples)
+        text = geo.samples_to_csv(columns)
         if args.out:
             atomic_write(args.out, text)
         else:
@@ -211,7 +211,7 @@ def _cmd_fields(args):
         "policy": policy.value,
         "sampling": args.sampling,
         "seed": args.seed,
-        "samples": [s.to_dict() for s in samples],
+        "samples": geo.sample_records(columns),
     }
     _emit(args, payload)
     return 0

@@ -17,6 +17,8 @@ import numpy as np
 from . import geometry as geo
 from .geometry import ExtensionPolicy
 
+MAX_NEWTON = 50  # multiplier iterations per step
+
 
 class ProjectionFailureError(RuntimeError):
     """Constraint multiplier solve did not converge."""
@@ -72,10 +74,6 @@ class Trajectory:
     mass: float
     dt: float
 
-    def states(self):
-        return [TrajectoryState(self.xs[k], self.ps[k], float(self.ts[k]))
-                for k in range(len(self.ts))]
-
     def to_csv(self):
         nvars = self.xs.shape[1]
         header = (["t"] + [f"x{i}" for i in range(nvars)]
@@ -100,9 +98,9 @@ def integrate(spec, initial, config):
     x = np.asarray(initial.x, dtype=float).copy()
     p = np.asarray(initial.p, dtype=float).copy()
     mu, dt = config.mass, config.dt
-    if abs(float(spec.f(x))) > max(config.constraint_tol, 1e-9):
+    fx, g = spec.f_and_grad(x)
+    if abs(float(fx)) > max(config.constraint_tol, 1e-9):
         raise IntegratorInputError("initial position violates the constraint")
-    g = spec.grad_f(x)
     nhat = g / np.linalg.norm(g)
     if abs(float(nhat @ p)) > 1e-9 * max(1.0, float(np.linalg.norm(p))):
         raise IntegratorInputError("initial momentum is not tangent")
@@ -120,28 +118,32 @@ def integrate(spec, initial, config):
         xs[k] = x
         ps[k] = p
         energy[k] = float(p @ p) / (2.0 * mu)
-        f_res[k] = abs(float(spec.f(x)))
-        g_ = spec.grad_f(x)
-        tan_res[k] = abs(float((g_ / np.linalg.norm(g_)) @ p))
+        f_res[k] = abs(float(fx))
+        tan_res[k] = abs(float((g / np.linalg.norm(g)) @ p))
 
     record(0, initial.t)
     t = initial.t
     for k in range(1, count):
-        x, p = _rattle_step(spec, x, p, dt, mu, config.constraint_tol)
+        x, p, fx, g = _rattle_step(spec, x, p, g, dt, mu, config.constraint_tol)
         t += dt
         record(k, t)
     return Trajectory(ts, xs, ps, energy, f_res, tan_res, mass=mu, dt=dt)
 
 
-def _rattle_step(spec, x, p, dt, mu, tol, max_newton=50):
-    g0 = spec.grad_f(x)
+def _rattle_step(spec, x, p, g0, dt, mu, tol):
+    """One step from x, p with g0 = grad f(x).
+
+    Returns x_new, p_new and f, grad f at x_new, all from the Newton
+    iterate that meets the constraint, so the caller records them and
+    hands the gradient to the next step.
+    """
     lam = 0.0
     x_new = x + dt * p / mu
-    for _ in range(max_newton):
-        fv = float(spec.f(x_new))
+    for _ in range(MAX_NEWTON):
+        fv, g1 = spec.f_and_grad(x_new)
         if abs(fv) < tol:
             break
-        slope = float(spec.grad_f(x_new) @ g0) * (-dt / mu)
+        slope = float(g1 @ g0) * (-dt / mu)
         if slope == 0.0:
             raise ProjectionFailureError("degenerate constraint direction")
         lam -= fv / slope
@@ -158,10 +160,9 @@ def _rattle_step(spec, x, p, dt, mu, tol, max_newton=50):
             f"the free drift {free:.3e}"
         )
     p_half = p - lam * g0
-    g1 = spec.grad_f(x_new)
     n1 = g1 / np.linalg.norm(g1)
     p_new = p_half - n1 * float(n1 @ p_half)
-    return x_new, p_new
+    return x_new, p_new, fv, g1
 
 
 @dataclass(frozen=True)

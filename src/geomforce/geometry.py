@@ -33,6 +33,12 @@ HBAR_SI = 1.054571817e-34  # J s
 
 FIELD_NAMES = ("lapM", "vg_geom", "M")
 
+# per-sample keys of the fields report, in JSON key and CSV column order
+SAMPLE_KEYS = ("x", "n", "M", "S2", "kappa", "lapM", "lapLB_M", "vg_geom", "chi_geom")
+
+PROJECTION_TOL = 1e-12       # |f| at a converged projection
+PROJECTION_ANGLE_TOL = 1e-6  # angle of (y - point) to grad f(y) at convergence
+
 
 class NoConvergenceError(RuntimeError):
     """Projection iteration failed.
@@ -90,13 +96,14 @@ class PhysicalScale:
 # Closest-point projection ----------------------------------------------------
 
 
-def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
+def project_to_surface(spec, point, max_iter=100):
     """Closest point on f = 0, for one point (N,) or a batch (N, B).
 
     Alternates a Newton step along grad f with a tangential closest-point
-    correction.  Convergence requires |f(y)| < tol and (y - point)
-    parallel to grad f(y) within angle_tol.  A converged column is not
-    iterated further, so no point's result depends on its batch.
+    correction.  Convergence requires |f(y)| < PROJECTION_TOL and
+    (y - point) parallel to grad f(y) within PROJECTION_ANGLE_TOL.  A
+    converged column is not iterated further, so no point's result
+    depends on its batch.
     """
     point = np.asarray(point, dtype=float)
     single = point.ndim == 1
@@ -107,9 +114,8 @@ def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
             p, yl = pts[:, live], y[:, live]
-            g = spec.grad_f(yl)
+            fv, g = spec.f_and_grad(yl)
             g2 = np.sum(g * g, axis=0)
-            fv = spec.f(yl)
             yl = yl - g * (fv / g2)
             g = spec.grad_f(yl)
             ghat = g / np.linalg.norm(g, axis=0)
@@ -119,7 +125,8 @@ def project_to_surface(spec, point, tol=1e-12, max_iter=100, angle_tol=1e-6):
             f_res = np.abs(spec.f(yl))
             tan_res = np.linalg.norm(r_tan, axis=0)
             dist = np.linalg.norm(p - yl, axis=0)
-            ok = (f_res < tol) & (tan_res <= angle_tol * dist + 1e-13 * scale)
+            ok = ((f_res < PROJECTION_TOL)
+                  & (tan_res <= PROJECTION_ANGLE_TOL * dist + 1e-13 * scale))
             live = live[~ok]  # NaN is not ok
             if not live.size:
                 return y[:, 0] if single else y
@@ -265,7 +272,7 @@ def normal_jet(spec, point, policy, order=3):
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Per-point geometric record.
+    """Curvature record at one point, as curvature_sample returns it.
 
     vg_geom = M^2/2 - S2 and chi_geom = -lap M are expressed in units of
     hbar^2 / (4 mu); kappa holds the N-1 principal curvatures.
@@ -281,19 +288,6 @@ class CurvatureSample:
     lapLB_M: float
     vg_geom: float
     chi_geom: float
-
-    def to_dict(self):
-        return {
-            "x": [float(v) for v in self.x],
-            "n": [float(v) for v in self.n],
-            "M": self.M,
-            "S2": self.S2,
-            "kappa": [float(v) for v in self.kappa],
-            "lapM": self.lapM,
-            "lapLB_M": self.lapLB_M,
-            "vg_geom": self.vg_geom,
-            "chi_geom": self.chi_geom,
-        }
 
 
 def principal_curvatures_batch(n, dn):
@@ -352,37 +346,21 @@ def curvature_fields(spec, points, policy):
     }
 
 
-def curvature_samples(spec, points, policy=ExtensionPolicy.SIGNED_DISTANCE):
-    """CurvatureSample list for a batch of on-surface points (N, B)."""
-    points = np.asarray(points, dtype=float)
-    fields = curvature_fields(spec, points, policy)
-    kappa = principal_curvatures_batch(fields["n"], fields["dn"])
-    out = []
-    for b in range(points.shape[1]):
-        out.append(CurvatureSample(
-            x=points[:, b],
-            n=fields["n"][:, b],
-            shape=fields["dn"][:, :, b],
-            M=float(fields["M"][b]),
-            S2=float(fields["S2"][b]),
-            kappa=kappa[:, b],
-            lapM=float(fields["lapM"][b]),
-            lapLB_M=float(fields["lapLB_M"][b]),
-            vg_geom=float(fields["vg_geom"][b]),
-            chi_geom=float(fields["chi_geom"][b]),
-        ))
-    return out
+def _sample_columns(spec, points, policy):
+    """curvature_fields at on-surface points (N, B) plus their x and kappa."""
+    columns = curvature_fields(spec, points, policy)
+    columns["x"] = points
+    columns["kappa"] = principal_curvatures_batch(columns["n"], columns["dn"])
+    return columns
 
 
 def curvature_sample(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
     """Full curvature record at one surface point."""
     point = np.asarray(point, dtype=float)
-    return curvature_samples(spec, point[:, None], policy)[0]
-
-
-def lb_laplacian_mean_curvature(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
-    """Laplace-Beltrami of M at the point (intrinsic surface Laplacian)."""
-    return curvature_sample(spec, point, policy).lapLB_M
+    columns = _sample_columns(spec, point[:, None], policy)
+    return CurvatureSample(shape=columns["dn"][..., 0], **{
+        key: columns[key][:, 0] if columns[key].ndim == 2 else float(columns[key][0])
+        for key in SAMPLE_KEYS})
 
 
 @dataclass(frozen=True)
@@ -411,15 +389,6 @@ def split_report(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
         residual=lap_m - lap_lb - normal_term,
         residual_flipped=lap_m - lap_lb + normal_term,
     )
-
-
-def split_residual(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
-    """lapM - lapLB_M - n . grad(M^2/2 - S2).
-
-    Zero confirms the printed normal/surface split; a stable nonzero
-    value is a reportable finding, not a failure.
-    """
-    return split_report(spec, point, policy).residual
 
 
 # SI force estimate ------------------------------------------------------------
@@ -528,47 +497,47 @@ def _random_surface_points(spec, count, seed):
 
 
 def sample_field(spec, policy, sampling="grid", resolution=None, count=None, seed=0):
-    """Curvature samples over the surface; deterministic given the seed.
+    """Curvature field columns over the surface; deterministic given the seed.
 
     sampling='grid' places points on the catalog parametric grid at the
     given resolution; sampling='random' draws `count` seeded random
-    points and projects them to the surface.
+    points and projects them to the surface.  Returns the curvature_fields
+    arrays plus x (N, B) and kappa (N-1, B), one column per sample, or {}
+    when the resolution or count is empty.
     """
     if sampling == "grid":
         if not resolution:
-            return []
+            return {}
         pts = _parametric_points(spec, resolution)
     elif sampling == "random":
         if not count:
-            return []
+            return {}
         pts = _random_surface_points(spec, count, seed)
     else:
         raise ValueError(f"unknown sampling mode '{sampling}'")
-    pts = project_to_surface(spec, pts, tol=1e-12)
-    return curvature_samples(spec, pts, policy)
+    return _sample_columns(spec, project_to_surface(spec, pts), policy)
 
 
-def samples_to_csv(samples):
-    """Flat CSV text with one row per sample and a header row."""
-    if not samples:
+def sample_records(columns):
+    """One dict per sample of sample_field columns, keyed by SAMPLE_KEYS."""
+    if not columns:
+        return []
+    values = [columns[key].T.tolist() for key in SAMPLE_KEYS]
+    return [dict(zip(SAMPLE_KEYS, row)) for row in zip(*values)]
+
+
+def samples_to_csv(columns):
+    """CSV text of sample_field columns: a header row, then one row per
+    sample, with a vector key spread over numbered columns (x0, x1, ...)."""
+    if not columns:
         return ""
-    nvars = len(samples[0].x)
-    nk = len(samples[0].kappa)
-    header = (
-        [f"x{i}" for i in range(nvars)]
-        + [f"n{i}" for i in range(nvars)]
-        + ["M", "S2"]
-        + [f"kappa{i}" for i in range(nk)]
-        + ["lapM", "lapLB_M", "vg_geom", "chi_geom"]
-    )
-    rows = [",".join(header)]
-    for s in samples:
-        cells = (
-            list(s.x) + list(s.n) + [s.M, s.S2] + list(s.kappa)
-            + [s.lapM, s.lapLB_M, s.vg_geom, s.chi_geom]
-        )
-        rows.append(",".join(format(float(c), ".17g") for c in cells))
-    return "\n".join(rows) + "\n"
+    header = []
+    for key in SAMPLE_KEYS:
+        column = columns[key]
+        header += [f"{key}{i}" for i in range(len(column))] if column.ndim == 2 else [key]
+    rows = np.vstack([columns[key] for key in SAMPLE_KEYS]).T.tolist()
+    lines = [",".join(header)] + [",".join([format(c, ".17g") for c in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # Scalar fields for optimization -------------------------------------------------

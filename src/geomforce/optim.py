@@ -23,6 +23,7 @@ STEP0 = 0.1          # times feature scale
 STEP_FLOOR = 1e-12
 NEWTON_ITERATIONS = 12
 EIG_TOL = 1e-6
+PINV_FLOOR = 1e-10   # relative |eigenvalue| below which a Newton direction is dropped
 
 
 class NoCriticalPointFoundError(RuntimeError):
@@ -92,7 +93,11 @@ def _walk(spec, x, value, g_tan, field, policy, direction, tol, scale):
 def _newton(spec, x, field, policy, tol, scale):
     """Newton steps (Hs + n n^T) delta = -g_tan, whose delta is tangent.
 
-    A column stops at |g_tan| < 1e-3 tol, on a singular system or after
+    The solve is a pseudo-inverse: an eigen-direction with |lam| at most
+    PINV_FLOOR times its column's largest |lam| gets no weight, so a flat
+    direction along a degenerate orbit leaves the rest of the step intact
+    (the n n^T term keeps one lam = 1, so the floor is never 0).  A column
+    stops at |g_tan| < 1e-3 tol, on a non-finite step or after
     NEWTON_ITERATIONS steps.  Returns x, value and |g_tan| per column.
     """
     value, gnorm = np.empty((2, x.shape[1]))
@@ -101,10 +106,9 @@ def _newton(spec, x, field, policy, tol, scale):
         value[live], g_tan, n, hs = geo.field_derivatives(
             spec, x[:, live], policy, field, degree=2)
         gnorm[live] = np.linalg.norm(g_tan, axis=0)
-        # a zero eigenvalue (a singular system) stops only its own column
         lam, vec = np.linalg.eigh(np.moveaxis(hs + n[:, None] * n[None], -1, 0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.einsum("bji,jb->bi", vec, g_tan) / lam
+        flat = np.abs(lam) <= PINV_FLOOR * np.max(np.abs(lam), axis=1, keepdims=True)
+        coef = np.einsum("bji,jb->bi", vec, g_tan) / np.where(flat, np.inf, lam)
         delta = -np.einsum("bij,bj->bi", vec, coef)
         keep = (gnorm[live] >= 1e-3 * tol) & np.all(np.isfinite(delta), axis=1)
         live, delta = live[keep], delta[keep]

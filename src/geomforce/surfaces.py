@@ -4,8 +4,8 @@ A SurfaceSpec bundles an expression f with its dimension, parameter
 bindings, and a signed-distance flag (true when |grad f| = 1 holds
 identically near the surface, which makes jets of f directly usable as
 jets of the distance function).  The expression is compiled once into an
-`expr.Tape`; f runs it over float arrays, grad f is the tape's adjoint
-sweep over that run, and jets run it over Taylor jets.
+`expr.Tape`; f runs it over float arrays, f_and_grad adds the tape's
+adjoint sweep over that run, and jets run it over Taylor jets.
 """
 
 from __future__ import annotations
@@ -47,12 +47,18 @@ class SurfaceSpec:
         points = np.asarray(points, dtype=float)
         return self.tape.run(points, ex.numpy_call)[self.tape.out] + 0.0 * points[0]
 
-    def grad_f(self, points):
-        """grad f, same shape as points, by the adjoint sweep of the tape."""
+    def f_and_grad(self, points):
+        """f and grad f (same shape as points) from one float run of the tape
+        and its adjoint sweep."""
         points = np.asarray(points, dtype=float)
         zero = 0.0 * points[0]
-        partials = self.tape.gradient(self.tape.run(points, ex.numpy_call))
-        return np.array([g + zero for g in partials])
+        values = self.tape.run(points, ex.numpy_call)
+        return (values[self.tape.out] + zero,
+                np.array([g + zero for g in self.tape.gradient(values)]))
+
+    def grad_f(self, points):
+        """grad f, same shape as points."""
+        return self.f_and_grad(points)[1]
 
     def jet(self, points, degree):
         """Exact jet of f at the point(s)."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomforce import dynamics as dyn
+from geomforce import expr as ex
 from geomforce.surfaces import builtin_surface
 
 
@@ -161,9 +162,37 @@ def test_trajectory_csv_schema():
     assert len(lines) == 7
 
 
-def test_states_sequence_roundtrip():
-    spec, traj = _circle_run(1e-3, 3)
-    states = traj.states()
-    assert len(states) == 4
-    assert states[0].t == 0.0
-    assert np.allclose(states[-1].x, traj.xs[-1])
+
+def _torus_run(steps):
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]),
+                               np.array([0.0, 0.6, 0.8]), 0.0)
+    return spec, dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=steps))
+
+
+def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):
+    # each Newton iterate evaluates f and grad f at one point in one pass,
+    # and the converged iterate's values serve the record and the next step
+    calls = {"run": 0, "gradient": 0}
+
+    def counted(name):
+        original = getattr(ex.Tape, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ex.Tape, name, counted(name))
+    _torus_run(200)
+    assert calls["run"] == calls["gradient"] > 200
+
+
+def test_stored_residuals_belong_to_the_stored_state():
+    spec, traj = _torus_run(200)
+    for x, p, f_res, tan_res in zip(traj.xs, traj.ps, traj.f_residual,
+                                    traj.tangency_residual):
+        f, g = spec.f_and_grad(x)
+        assert f_res == abs(float(f))
+        assert tan_res == abs(float((g / np.linalg.norm(g)) @ p))

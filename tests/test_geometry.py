@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from geomforce import geometry as geo
 from geomforce import jets
+from geomforce.cli import main as cli_main
 from geomforce.expr import unparse
 from geomforce.geometry import ExtensionPolicy
 from geomforce.surfaces import builtin_surface, from_expression
@@ -170,8 +172,8 @@ def test_torus_outer_equator_spot_values(torus):
 
 def test_lb_laplacian_is_extension_independent(torus):
     p = torus_point(0.8)
-    lb_sd = geo.lb_laplacian_mean_curvature(torus, p, SD)
-    lb_gn = geo.lb_laplacian_mean_curvature(torus, p, GN)
+    lb_sd = geo.curvature_sample(torus, p, SD).lapLB_M
+    lb_gn = geo.curvature_sample(torus, p, GN).lapLB_M
     assert lb_sd == pytest.approx(lb_gn, abs=1e-9)
 
 
@@ -200,7 +202,7 @@ def test_vg_equals_minus_half_squared_curvature_difference(torus):
 
 
 def test_split_residual_sphere_vanishes(sphere):
-    assert abs(geo.split_residual(sphere, np.array([0.0, 0.0, 1.0]), SD)) < 1e-10
+    assert abs(geo.split_report(sphere, np.array([0.0, 0.0, 1.0]), SD).residual) < 1e-10
 
 
 def test_split_residual_circle_is_minus_two(circle):
@@ -259,32 +261,30 @@ def test_si_force_cubic_length_scaling(circle):
 def test_sample_field_deterministic(torus):
     s1 = geo.sample_field(torus, SD, sampling="random", count=10, seed=3)
     s2 = geo.sample_field(torus, SD, sampling="random", count=10, seed=3)
-    assert all(np.allclose(a.x, b.x) for a, b in zip(s1, s2))
+    assert all(np.allclose(a, b) for a, b in zip(s1["x"].T, s2["x"].T))
     s3 = geo.sample_field(torus, SD, sampling="random", count=10, seed=4)
-    assert not np.allclose(s1[0].x, s3[0].x)
+    assert not np.allclose(s1["x"][:, 0], s3["x"][:, 0])
 
 
 def test_sample_field_empty(torus):
-    assert geo.sample_field(torus, SD, sampling="random", count=0) == []
-    assert geo.sample_field(torus, SD, sampling="grid", resolution=0) == []
+    assert geo.sample_field(torus, SD, sampling="random", count=0) == {}
+    assert geo.sample_field(torus, SD, sampling="grid", resolution=0) == {}
 
 
 def test_sample_field_points_on_surface(torus):
     samples = geo.sample_field(torus, SD, sampling="random", count=25, seed=1)
-    assert len(samples) == 25
-    for s in samples:
-        assert abs(float(torus.f(s.x))) < 1e-9
+    assert samples["x"].shape[1] == 25
+    for x in samples["x"].T:
+        assert abs(float(torus.f(x))) < 1e-9
 
 
 def test_tube_angle_grid_matches_closed_forms(torus):
     samples = geo.sample_field(torus, SD, sampling="grid", resolution=(64, 1))
-    assert len(samples) == 64
-    for s in samples:
-        theta = np.arctan2(s.x[0] - 2.0 * s.x[0] / np.hypot(s.x[0], s.x[1]) * 0
-                           + (np.hypot(s.x[0], s.x[1]) - 2.0), s.x[2])
-        # recover tube angle from the embedding instead: sin t = rho - R
-        sin_t = np.hypot(s.x[0], s.x[1]) - 2.0
-        assert s.lapM == pytest.approx(
+    assert samples["x"].shape[1] == 64
+    for x, lap_m in zip(samples["x"].T, samples["lapM"]):
+        # recover the tube angle from the embedding: sin t = rho - R
+        sin_t = np.hypot(x[0], x[1]) - 2.0
+        assert lap_m == pytest.approx(
             float(-2.0 * (4.0 + 2.0 * sin_t - 1.0) / (2.0 + sin_t) ** 3), abs=1e-9)
 
 
@@ -297,11 +297,25 @@ def test_csv_serialization_schema(circle):
     assert len(text.splitlines()) == 5
 
 
-def test_sample_to_dict_schema(circle):
-    s = geo.curvature_sample(circle, np.array([1.0, 0.0]), SD)
-    d = s.to_dict()
-    assert list(d.keys()) == ["x", "n", "M", "S2", "kappa", "lapM",
-                              "lapLB_M", "vg_geom", "chi_geom"]
+def test_fields_json_and_csv_carry_the_same_rows(capsys):
+    args = ["fields", "--surface", "torus", "--R", "2", "--r", "1",
+            "--sampling", "random", "--count", "20", "--seed", "2"]
+    assert cli_main(args) == 0
+    records = json.loads(capsys.readouterr().out)["samples"]
+    assert cli_main(args + ["--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert list(records[0].keys()) == ["x", "n", "M", "S2", "kappa", "lapM",
+                                       "lapLB_M", "vg_geom", "chi_geom"]
+    columns = []
+    for key, value in records[0].items():
+        columns += [f"{key}{i}" for i in range(len(value))] \
+            if isinstance(value, list) else [key]
+    assert header.split(",") == columns
+    assert len(rows) == len(records) == 20
+    for record, row in zip(records, rows):
+        flat = [v for value in record.values()
+                for v in (value if isinstance(value, list) else [value])]
+        assert [float(c) for c in row.split(",")] == flat
 
 
 # spheroid numeric signed distance ---------------------------------------------------
@@ -345,11 +359,12 @@ def test_signed_distance_split_without_closed_forms(spec, axes):
     rng = np.random.default_rng(11)
     points = _ellipsoid_points(axes, rng.normal(size=(3, 12)))
     points = geo.project_to_surface(spec, points)
-    for s in geo.curvature_samples(spec, points, SD):
-        k1, k2 = s.kappa
+    fields = geo.curvature_fields(spec, points, SD)
+    kappa = geo.principal_curvatures_batch(fields["n"], fields["dn"])
+    for (k1, k2), lap_m, lap_lb in zip(kappa.T, fields["lapM"], fields["lapLB_M"]):
         normal = (k1 + k2) * (k1 - k2) ** 2
-        scale = abs(s.lapLB_M) + abs(normal)
-        assert abs(s.lapM - (s.lapLB_M - normal)) <= 1e-9 * scale
+        scale = abs(lap_lb) + abs(normal)
+        assert abs(lap_m - (lap_lb - normal)) <= 1e-9 * scale
 
 
 @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),

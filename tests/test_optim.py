@@ -61,6 +61,16 @@ def test_oblate_spheroid_equator_orbit():
     assert rec.orbit == "circle z=0, rho=2"
 
 
+def test_walks_ending_on_a_degenerate_orbit_converge():
+    # the tangent Hessian is flat along the equator orbit; Newton must not
+    # let that roundoff eigenvalue stall the walk, so every climb and every
+    # descent of every start lands on a hit
+    spec = builtin_surface("spheroid", {"a": 2.0, "b": 1.0})
+    points = optim.find_critical_points(spec, "lapM", GN,
+                                        optim.SearchConfig(starts=24, seed=3))
+    assert sum(p.multiplicity for p in points) == 2 * 24
+
+
 def test_torus_inner_circle_orbit():
     spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
     points = optim.find_critical_points(
