@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import jets
 from . import optim
 from .oplab import IDENTITY_IDS, run_identity_suite
-from .reports import atomic_write, canonical_json
+from .reports import atomic_write, canonical_json, json_records
 from .surfaces import (
     CATALOG,
     InvalidParametersError,
@@ -151,13 +151,15 @@ def _add_surface_flags(parser, lengths=False):
                         help="declare that --expr is a signed distance")
 
 
-def _emit(args, payload, default_name=None):
-    text = canonical_json(payload) + "\n"
-    out = getattr(args, "out", None)
+def _emit(args, payload):
+    _write(getattr(args, "out", None), [canonical_json(payload) + "\n"])
+
+
+def _write(out, chunks):  # text chunks to the file out, or to stdout
     if out:
-        atomic_write(out, text)
+        atomic_write(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_parse(args):
@@ -199,11 +201,7 @@ def _cmd_fields(args):
                                resolution=resolution, count=args.count,
                                seed=args.seed)
     if args.format == "csv":
-        text = geo.samples_to_csv(columns)
-        if args.out:
-            atomic_write(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _write(args.out, [geo.samples_to_csv(columns)])
         return 0
     payload = {
         "surface": spec.name,
@@ -211,9 +209,9 @@ def _cmd_fields(args):
         "policy": policy.value,
         "sampling": args.sampling,
         "seed": args.seed,
-        "samples": geo.sample_records(columns),
     }
-    _emit(args, payload)
+    layout, table = geo.sample_table(columns) if columns else ([], ())
+    _write(args.out, json_records(payload, "samples", layout, table))
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import ExtensionPolicy
+from .reports import csv_text
 
 MAX_NEWTON = 50  # multiplier iterations per step
 
@@ -76,15 +77,10 @@ class Trajectory:
 
     def to_csv(self):
         nvars = self.xs.shape[1]
-        header = (["t"] + [f"x{i}" for i in range(nvars)]
-                  + [f"p{i}" for i in range(nvars)]
+        header = (["t"] + [f"{name}{i}" for name in "xp" for i in range(nvars)]
                   + ["energy", "f_residual", "tangency_residual"])
-        rows = [",".join(header)]
-        for k in range(len(self.ts)):
-            cells = ([self.ts[k]] + list(self.xs[k]) + list(self.ps[k])
-                     + [self.energy[k], self.f_residual[k], self.tangency_residual[k]])
-            rows.append(",".join(format(float(c), ".17g") for c in cells))
-        return "\n".join(rows) + "\n"
+        return csv_text(header, np.column_stack([self.ts, self.xs, self.ps, self.energy,
+                                                 self.f_residual, self.tangency_residual]))
 
 
 def integrate(spec, initial, config):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import jets, reports
 from .surfaces import UnknownSurfaceError
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -38,6 +38,7 @@ SAMPLE_KEYS = ("x", "n", "M", "S2", "kappa", "lapM", "lapLB_M", "vg_geom", "chi_
 
 PROJECTION_TOL = 1e-12       # |f| at a converged projection
 PROJECTION_ANGLE_TOL = 1e-6  # angle of (y - point) to grad f(y) at convergence
+BLOCK = 1024  # columns per normal-table pass, so that a block's jets stay in cache
 
 
 class NoConvergenceError(RuntimeError):
@@ -233,8 +234,12 @@ def _normal_jets(spec, points, policy, degree):
 
 
 def _tables_batch(spec, points, policy, order):
-    """(n, dn, d2n, d3n) with trailing batch axis."""
-    return _tables_from_component_jets(_normal_jets(spec, points, policy, order), order)
+    """(n, dn, d2n, d3n) with trailing batch axis, per BLOCK columns (bitwise as if whole)."""
+    blocks = [_tables_from_component_jets(_normal_jets(spec, points[:, start:start + BLOCK],
+                                                       policy, order), order)
+              for start in range(0, points.shape[1], BLOCK)]
+    return tuple(None if parts[0] is None else np.concatenate(parts, axis=-1)
+                 for parts in zip(*blocks))
 
 
 def _require_on_surface(spec, points):
@@ -518,12 +523,11 @@ def sample_field(spec, policy, sampling="grid", resolution=None, count=None, see
     return _sample_columns(spec, project_to_surface(spec, pts), policy)
 
 
-def sample_records(columns):
-    """One dict per sample of sample_field columns, keyed by SAMPLE_KEYS."""
-    if not columns:
-        return []
-    values = [columns[key].T.tolist() for key in SAMPLE_KEYS]
-    return [dict(zip(SAMPLE_KEYS, row)) for row in zip(*values)]
+def sample_table(columns):
+    """Non-empty sample_field columns as (layout, table): the (key, width) of
+    each of SAMPLE_KEYS, width 0 for a scalar, and the (B, width sum) rows."""
+    layout = [(key, len(columns[key]) if columns[key].ndim == 2 else 0) for key in SAMPLE_KEYS]
+    return layout, np.vstack([columns[key] for key in SAMPLE_KEYS]).T
 
 
 def samples_to_csv(columns):
@@ -531,13 +535,9 @@ def samples_to_csv(columns):
     sample, with a vector key spread over numbered columns (x0, x1, ...)."""
     if not columns:
         return ""
-    header = []
-    for key in SAMPLE_KEYS:
-        column = columns[key]
-        header += [f"{key}{i}" for i in range(len(column))] if column.ndim == 2 else [key]
-    rows = np.vstack([columns[key] for key in SAMPLE_KEYS]).T.tolist()
-    lines = [",".join(header)] + [",".join([format(c, ".17g") for c in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+    layout, table = sample_table(columns)
+    return reports.csv_text([f"{key}{i}" if width else key
+                             for key, width in layout for i in range(width or 1)], table)
 
 
 # Scalar fields for optimization -------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..reports import csv_text
 from .linops import LinOp, fourier_derivative, inner, norm_w
 from .operators import centripetal, momentum, quartics
 
@@ -52,23 +53,12 @@ class EhrenfestTrace:
 
     def to_csv(self):
         nvars = self.mean_p.shape[1]
-        cols = (["t"]
-                + [f"mean_p{j}" for j in range(nvars)]
-                + [f"dmean_p_dt{j}" for j in range(nvars)]
-                + [f"centripetal_term{j}" for j in range(nvars)]
-                + [f"quantum_term{j}" for j in range(nvars)]
-                + [f"f_term{j}" for j in range(nvars)])
-        rows = [",".join(cols)]
-        for k in range(len(self.t)):
-            if 1 <= k < len(self.t) - 1:
-                dp = list(self.dmean_p_dt[k - 1])
-            else:
-                dp = [float("nan")] * nvars
-            cells = ([self.t[k]] + list(self.mean_p[k]) + dp
-                     + list(self.centripetal[k]) + list(self.quantum[k])
-                     + list(self.f_term[k]))
-            rows.append(",".join(format(float(c), ".17g") for c in cells))
-        return "\n".join(rows) + "\n"
+        cols = ["t"] + [f"{name}{j}" for name in ("mean_p", "dmean_p_dt", "centripetal_term",
+                                                  "quantum_term", "f_term") for j in range(nvars)]
+        dp = np.full_like(self.mean_p, np.nan)  # no central difference at the ends
+        dp[1:-1] = self.dmean_p_dt
+        return csv_text(cols, np.column_stack([self.t, self.mean_p, dp, self.centripetal,
+                                               self.quantum, self.f_term]))
 
 
 def _circle_packet(grid, packet, hbar):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,44 @@ def test_sample_field_points_on_surface(torus):
     assert samples["x"].shape[1] == 25
     for x in samples["x"].T:
         assert abs(float(torus.f(x))) < 1e-9
+
+
+# column blocks --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", [GN, SD], ids=["gn", "sd"])
+@pytest.mark.parametrize("name,params", [("torus", {"R": 2.0, "r": 1.0}),
+                                         ("spheroid", {"a": 1.0, "b": 2.0})])
+def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkeypatch):
+    # B = BLOCK + 1 leaves the last column alone in a second block.  The
+    # normal tables are made per block, and each column's tables are the
+    # ones it gets on its own.  The einsums run on the whole batch, because
+    # einsum sums a two-operand contraction in an order that depends on the
+    # batch length (S2 and lapLB_M differ in the last bit at B = 1), so the
+    # fields must equal those of one unblocked pass, bit for bit.
+    spec = builtin_surface(name, params)
+    points = geo._random_surface_points(spec, geo.BLOCK + 1, seed=6)
+    tables = geo._tables_batch(spec, points, policy, 3)
+    for b in (0, 1, geo.BLOCK // 2, geo.BLOCK - 2, geo.BLOCK - 1, geo.BLOCK):
+        column = geo._tables_batch(spec, points[:, b:b + 1], policy, 3)
+        for table, alone in zip(tables, column):
+            assert np.array_equal(table[..., b:b + 1], alone), b
+    fields = geo.curvature_fields(spec, points, policy)
+    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
+    whole = geo.curvature_fields(spec, points, policy)
+    assert fields.keys() == whole.keys()
+    for key, value in whole.items():
+        assert value is None if key == "error_bound" else np.array_equal(fields[key], value), key
+
+
+def test_off_surface_point_in_the_second_block_is_named(torus):
+    points = geo._random_surface_points(torus, geo.BLOCK + 5, seed=2)
+    points[:, 3] *= 1.01  # off the surface too, in the first block, but less so
+    points[:, geo.BLOCK + 3] *= 1.2
+    assert int(np.argmax(np.abs(torus.f(points)))) == geo.BLOCK + 3
+    named = re.escape(str(points[:, geo.BLOCK + 3].tolist()))
+    with pytest.raises(geo.OffSurfaceError, match=named):
+        geo.curvature_fields(torus, points, SD)
 
 
 def test_tube_angle_grid_matches_closed_forms(torus):

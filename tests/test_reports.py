@@ -1,0 +1,125 @@
+"""The table writers against the generic path: per-cell format(c, ".17g")
+for the CSVs and canonical_json of records for the fields JSON."""
+
+import numpy as np
+import pytest
+
+from geomforce import geometry as geo
+from geomforce.dynamics import Trajectory
+from geomforce.oplab.evolve import EhrenfestTrace
+from geomforce.reports import ROW_BLOCK, canonical_json, json_records
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
+           1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
+
+PAYLOAD = {"surface": "torus", "params": {"R": 2.0, "r": 1.0}, "policy": "sd",
+           "sampling": "random", "seed": 3}
+
+
+def _values(rows, width, seed):
+    """A (rows, width) float table: random magnitudes, then the special values
+    spread over it, so that some rows are finite and some are not."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    if table.size:
+        spots = np.linspace(0, table.size - 1, 3 * len(SPECIAL)).astype(int)
+        table.flat[spots] = SPECIAL * 3
+    return table
+
+
+def _columns(count, seed=0):
+    """sample_field-shaped columns holding count samples."""
+    widths = {"x": 3, "n": 3, "kappa": 2}
+    table = _values(count, 14, seed)
+    columns, start = {}, 0
+    for key in geo.SAMPLE_KEYS:
+        width = widths.get(key, 0)
+        block = table[:, start:start + max(width, 1)].T
+        columns[key] = block if width else block[0]
+        start += max(width, 1)
+    return columns
+
+
+def _records(columns):
+    count = len(columns["M"])
+    return [{key: columns[key][:, b].tolist() if columns[key].ndim == 2
+             else float(columns[key][b]) for key in geo.SAMPLE_KEYS} for b in range(count)]
+
+
+def _assert_same(text, expected):
+    # names the first differing line: pytest's own diff of megabytes takes minutes
+    if text != expected:
+        pairs = enumerate(zip(text.splitlines(), expected.splitlines()))
+        first = next(((i, a, b) for i, (a, b) in pairs if a != b), None)
+        pytest.fail(f"texts differ (lengths {len(text)} and {len(expected)}); "
+                    f"first differing line (index, got, expected): {first}")
+
+
+def _csv(header, rows):
+    lines = [",".join(header)] + [",".join(format(float(c), ".17g") for c in row)
+                                  for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 40, ROW_BLOCK + 3])
+def test_fields_json_is_canonical_json_of_the_records(count):
+    columns = _columns(count, seed=count)
+    layout, table = geo.sample_table(columns)
+    chunks = list(json_records(PAYLOAD, "samples", layout, table))
+    expected = canonical_json(dict(PAYLOAD, samples=_records(columns))) + "\n"
+    _assert_same("".join(chunks), expected)
+    if count:  # the head, a chunk per ROW_BLOCK rows and the tail
+        assert len(chunks) == 2 + -(-count // ROW_BLOCK)
+    if count >= 40:  # the special values made it into the table
+        assert '"nan"' in expected and '"-inf"' in expected
+
+
+def test_fields_json_without_samples():
+    expected = canonical_json(dict(PAYLOAD, samples=[])) + "\n"
+    _assert_same("".join(json_records(PAYLOAD, "samples", [], ())), expected)
+
+
+def test_fields_json_keeps_the_key_where_the_payload_has_it():
+    columns = _columns(5, seed=9)
+    layout, table = geo.sample_table(columns)
+    payload = {"surface": "torus", "samples": None, "seed": 3}
+    expected = canonical_json(dict(payload, samples=_records(columns))) + "\n"
+    _assert_same("".join(json_records(payload, "samples", layout, table)), expected)
+
+
+@pytest.mark.parametrize("count", [0, 1, 40, ROW_BLOCK + 3])
+def test_samples_csv_is_per_cell_format(count):
+    columns = _columns(count, seed=count + 1)
+    header = ["x0", "x1", "x2", "n0", "n1", "n2", "M", "S2", "kappa0", "kappa1",
+              "lapM", "lapLB_M", "vg_geom", "chi_geom"]
+    rows = np.vstack([columns[key] for key in geo.SAMPLE_KEYS]).T
+    _assert_same(geo.samples_to_csv(columns), _csv(header, rows))
+    assert geo.samples_to_csv({}) == ""
+
+
+@pytest.mark.parametrize("count", [1, 2, 40, ROW_BLOCK + 3])
+def test_trajectory_csv_is_per_cell_format(count):
+    table = _values(count, 9, seed=count)
+    traj = Trajectory(ts=table[:, 0], xs=table[:, 1:4], ps=table[:, 4:7],
+                      energy=table[:, 7], f_residual=table[:, 8],
+                      tangency_residual=np.abs(table[:, 8]), mass=1.0, dt=1e-3)
+    header = ["t", "x0", "x1", "x2", "p0", "p1", "p2",
+              "energy", "f_residual", "tangency_residual"]
+    rows = np.column_stack([table, np.abs(table[:, 8])])
+    _assert_same(traj.to_csv(), _csv(header, rows))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40])
+def test_ehrenfest_csv_is_per_cell_format(count):
+    table = _values(count, 9, seed=count)
+    dp = _values(max(count - 2, 0), 2, seed=count + 5)
+    trace = EhrenfestTrace(t=table[:, 0], mean_p=table[:, 1:3], dmean_p_dt=dp,
+                           centripetal=table[:, 3:5], quantum=table[:, 5:7],
+                           f_term=table[:, 7:9], norm_drift=0.0)
+    header = ["t", "mean_p0", "mean_p1", "dmean_p_dt0", "dmean_p_dt1",
+              "centripetal_term0", "centripetal_term1", "quantum_term0",
+              "quantum_term1", "f_term0", "f_term1"]
+    padded = np.full((count, 2), np.nan)
+    padded[1:-1] = dp
+    rows = np.column_stack([table[:, :3], padded, table[:, 3:]])
+    _assert_same(trace.to_csv(), _csv(header, rows))
