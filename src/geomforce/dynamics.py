@@ -10,10 +10,13 @@ drift bounded at O(dt^2) with no secular loss.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from . import geometry as geo
 from .geometry import ExtensionPolicy
 from .reports import csv_text
@@ -89,76 +92,90 @@ def integrate(spec, initial, config):
     The initial state must satisfy the constraint and tangency
     invariants.  Raises ProjectionFailureError when the multiplier solve
     stalls and StepTooLargeError when the constraint correction exceeds
-    half the free drift (dt too large for the local curvature).
+    half the free drift (dt too large for the local curvature); both
+    name the step, its start time and its start point.
+
+    The step loop carries x, p and grad f as Python floats, one float
+    run of the tape per Newton iterate; the arrays and the per-state
+    residuals are made once from the stored states.
     """
-    x = np.asarray(initial.x, dtype=float).copy()
-    p = np.asarray(initial.p, dtype=float).copy()
-    mu, dt = config.mass, config.dt
-    fx, g = spec.f_and_grad(x)
-    if abs(float(fx)) > max(config.constraint_tol, 1e-9):
+    mu, dt, tol = config.mass, config.dt, config.constraint_tol
+    x = [float(v) for v in initial.x]
+    p = [float(v) for v in initial.p]
+    f, g = _f_and_grad(spec.tape, x)
+    if not abs(f) <= max(tol, 1e-9):
         raise IntegratorInputError("initial position violates the constraint")
-    nhat = g / np.linalg.norm(g)
-    if abs(float(nhat @ p)) > 1e-9 * max(1.0, float(np.linalg.norm(p))):
+    if not abs(_dot(g, p)) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
         raise IntegratorInputError("initial momentum is not tangent")
 
-    count = config.steps + 1
-    ts = np.empty(count)
-    xs = np.empty((count, len(x)))
-    ps = np.empty((count, len(x)))
-    energy = np.empty(count)
-    f_res = np.empty(count)
-    tan_res = np.empty(count)
-
-    def record(k, t):
-        ts[k] = t
-        xs[k] = x
-        ps[k] = p
-        energy[k] = float(p @ p) / (2.0 * mu)
-        f_res[k] = abs(float(fx))
-        tan_res[k] = abs(float((g / np.linalg.norm(g)) @ p))
-
-    record(0, initial.t)
-    t = initial.t
-    for k in range(1, count):
-        x, p, fx, g = _rattle_step(spec, x, p, g, dt, mu, config.constraint_tol)
+    t = float(initial.t)
+    states = [(t, x, p, f, g)]
+    for k in range(1, config.steps + 1):
+        try:
+            x, p, f, g = _rattle_step(spec.tape, x, p, g, dt, mu, tol)
+        except (ProjectionFailureError, StepTooLargeError) as error:
+            raise type(error)(f"step {k} from t = {t!r}, x = {x}: {error}") from None
         t += dt
-        record(k, t)
-    return Trajectory(ts, xs, ps, energy, f_res, tan_res, mass=mu, dt=dt)
+        states.append((t, x, p, f, g))
+    ts, xs, ps, fs, gs = (np.array(column) for column in zip(*states))
+    return Trajectory(ts, xs, ps, energy=np.sum(ps * ps, axis=1) / (2.0 * mu),
+                      f_residual=np.abs(fs),
+                      tangency_residual=(np.abs(np.sum(gs * ps, axis=1))
+                                         / np.sqrt(np.sum(gs * gs, axis=1))),
+                      mass=mu, dt=dt)
 
 
-def _rattle_step(spec, x, p, g0, dt, mu, tol):
-    """One step from x, p with g0 = grad f(x).
+def _f_and_grad(tape, x):
+    """f and grad f at the float point x: one float run of the tape and its
+    adjoint sweep.  Where Python float arithmetic raises (a division by zero,
+    an overflowing power) and an array run gives inf or NaN, both are NaN."""
+    try:
+        values = tape.run(x, ex.float_call)
+        return values[tape.out], tape.gradient(values, ex.float_call)
+    except ArithmeticError:
+        return math.nan, [math.nan] * tape.nvars
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _rattle_step(tape, x, p, g0, dt, mu, tol):
+    """One step from x, p with g0 = grad f(x), all float lists.
 
     Returns x_new, p_new and f, grad f at x_new, all from the Newton
-    iterate that meets the constraint, so the caller records them and
+    iterate that meets the constraint, so the caller stores them and
     hands the gradient to the next step.
     """
     lam = 0.0
-    x_new = x + dt * p / mu
+    drift = [xi + dt * pi / mu for xi, pi in zip(x, p)]
+    x_new = drift
     for _ in range(MAX_NEWTON):
-        fv, g1 = spec.f_and_grad(x_new)
-        if abs(fv) < tol:
+        f, g1 = _f_and_grad(tape, x_new)
+        if abs(f) < tol:
             break
-        slope = float(g1 @ g0) * (-dt / mu)
+        slope = _dot(g1, g0) * (-dt / mu)
         if slope == 0.0:
             raise ProjectionFailureError("degenerate constraint direction")
-        lam -= fv / slope
-        x_new = x + dt * (p - lam * g0) / mu
+        lam -= f / slope
+        x_new = [xi + dt * (pi - lam * gi) / mu for xi, pi, gi in zip(x, p, g0)]
     else:
-        raise ProjectionFailureError(
-            f"constraint solve stalled at |f| = {abs(float(spec.f(x_new))):.3e}"
-        )
-    free = dt * np.linalg.norm(p) / mu
-    correction = np.linalg.norm(x_new - (x + dt * p / mu))
+        raise ProjectionFailureError(f"constraint solve stalled after {MAX_NEWTON} "
+                                     f"iterations at |f| = {abs(f):.3e}")
+    free = dt * math.hypot(*p) / mu
+    correction = math.dist(x_new, drift)
     if free > 0 and correction > 0.5 * free:
         raise StepTooLargeError(
             f"projection moved the point {correction:.3e}, more than half "
             f"the free drift {free:.3e}"
         )
-    p_half = p - lam * g0
-    n1 = g1 / np.linalg.norm(g1)
-    p_new = p_half - n1 * float(n1 @ p_half)
-    return x_new, p_new, fv, g1
+    norm = math.hypot(*g1)
+    if not norm > 0.0:
+        raise ProjectionFailureError(f"grad f = {g1} at the new point has no direction")
+    p_half = [pi - lam * gi for pi, gi in zip(p, g0)]
+    n1 = [gi / norm for gi in g1]
+    along = _dot(n1, p_half)
+    return x_new, [pi - ni * along for pi, ni in zip(p_half, n1)], f, g1
 
 
 @dataclass(frozen=True)

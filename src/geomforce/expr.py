@@ -14,10 +14,10 @@ derivative propagation stays closed-form.
 
 `compile_tape` turns a tree into a `Tape`, a flat tuple of (op, a, b)
 instructions over numbered slots, which is the one evaluator of an
-expression: `Tape.run` executes it over float arrays (f) or over Taylor
-jets (exact derivatives), and `Tape.gradient` sweeps a float run
-backwards for grad f (reverse-mode differentiation; Griewank & Walther,
-Evaluating Derivatives, 2nd ed., ch. 3 and 13).
+expression: `Tape.run` executes it over float arrays or Python floats (f)
+or over Taylor jets (exact derivatives), and `Tape.gradient` sweeps a
+float run backwards for grad f (reverse-mode differentiation; Griewank &
+Walther, Evaluating Derivatives, 2nd ed., ch. 3 and 13).
 """
 
 from __future__ import annotations
@@ -383,24 +383,32 @@ _NUMPY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 # splits an (N,) point into scalars over twice as fast as iterating it
 _COORDINATES = {n: operator.itemgetter(*range(n)) for n in VARIABLE_NAMES}
 
-# One rule per op: (d op/d a, d op/d b) from the operand values and result y.
+# One rule per op: (d op/d a, d op/d b) from the operand values, the result y
+# and the run's `call`.
 _LOCAL_DERIVATIVES = {
-    operator.add: lambda a, b, y: (1.0, 1.0),
-    operator.sub: lambda a, b, y: (1.0, -1.0),
-    operator.mul: lambda a, b, y: (b, a),
-    operator.truediv: lambda a, b, y: (1.0 / b, -y / b),
-    operator.pow: lambda a, n, y: (n * a ** (n - 1) if n else 0.0, None),
-    "sqrt": lambda a, b, y: (0.5 / y, None),
-    "sin": lambda a, b, y: (np.cos(a), None),
-    "cos": lambda a, b, y: (-np.sin(a), None),
-    "exp": lambda a, b, y: (y, None),
-    "log": lambda a, b, y: (1.0 / a, None),
+    operator.add: lambda a, b, y, call: (1.0, 1.0),
+    operator.sub: lambda a, b, y, call: (1.0, -1.0),
+    operator.mul: lambda a, b, y, call: (b, a),
+    operator.truediv: lambda a, b, y, call: (1.0 / b, -y / b),
+    operator.pow: lambda a, n, y, call: (n * a ** (n - 1) if n else 0.0, None),
+    "sqrt": lambda a, b, y, call: (0.5 / y, None),
+    "sin": lambda a, b, y, call: (call("cos", a), None),
+    "cos": lambda a, b, y, call: (-call("sin", a), None),
+    "exp": lambda a, b, y, call: (y, None),
+    "log": lambda a, b, y, call: (1.0 / a, None),
 }
 
 
 def numpy_call(name, value):
-    """The `call` of a float run: the numpy function of that name."""
+    """The `call` of an array run: the numpy function of that name."""
     return _NUMPY_FUNCTIONS[name](value)
+
+
+def float_call(name, value):
+    """The `call` of a run on Python floats: the numpy function of that name,
+    returned as a float, so that it gives the bits, NaN and inf of an array
+    run (numpy's exp and log differ from `math` in the last bit)."""
+    return float(_NUMPY_FUNCTIONS[name](value))
 
 
 @dataclass(frozen=True)
@@ -425,11 +433,12 @@ class Tape:
         """Every slot's value in slot order, from one input per coordinate.
 
         Operators dispatch through the Python arithmetic of the values, so
-        one tape runs over float arrays and over jets; functions go through
-        call(name, value).  release=True leaves None in each slot after its
-        last reader, so dead jets are freed (inputs may then be an iterator,
-        which leaves the interpreter the only reference to each coordinate
-        jet); float runs keep every slot for the adjoint sweep.
+        one tape runs over float arrays, over Python floats and over jets;
+        functions go through call(name, value).  release=True leaves None
+        in each slot after its last reader, so dead jets are freed (inputs
+        may then be an iterator, which leaves the interpreter the only
+        reference to each coordinate jet); float runs keep every slot for
+        the adjoint sweep.
         """
         if not release:  # skips the bookkeeping below, about 1/6 of a B=1 f
             values = [*_COORDINATES[self.nvars](inputs), *self.constants]
@@ -445,9 +454,9 @@ class Tape:
                 values[slot] = None
         return values
 
-    def gradient(self, values):
+    def gradient(self, values, call):
         """[d out / d x_i] over the coordinates: one adjoint sweep back over
-        the slot values of a float run."""
+        the slot values of a float run made with `call`."""
         adjoint = [0.0] * len(values)
         adjoint[self.out] = 1.0
         first = len(values) - len(self.code)
@@ -455,7 +464,7 @@ class Tape:
             op, a, b = self.code[k]
             g = adjoint[first + k]
             operand = None if b is None else values[b]
-            da, db = _LOCAL_DERIVATIVES[op](values[a], operand, values[first + k])
+            da, db = _LOCAL_DERIVATIVES[op](values[a], operand, values[first + k], call)
             adjoint[a] = adjoint[a] + g * da
             if db is not None:
                 adjoint[b] = adjoint[b] + g * db

@@ -320,25 +320,31 @@ def curvature_fields(spec, points, policy):
     lapM, lapLB_M, gradS2, vg_geom, chi_geom (trailing batch axis), plus
     error_bound, always None since both extensions are exact.  This is
     the bulk interface used by grid builders.
+
+    Each contraction is elementwise products summed over the small axes in
+    one fixed order, from zero, so a column's values do not depend on the
+    batch it is in (einsum sums in an order that depends on the batch
+    length); over a long batch einsum takes the same order.
     """
     points = np.asarray(points, dtype=float)
     _require_on_surface(spec, points)
     n, dn, d2n, d3n = _tables_batch(spec, points, policy, order=3)
-    m = -np.einsum("ii...->...", dn)
-    s2 = np.einsum("ij...,ij...->...", dn, dn)
-    grad_m = -np.einsum("iik...->k...", d2n)
-    hess_m = -np.einsum("iijk...->jk...", d3n)
-    lap_m = np.einsum("jj...->...", hess_m)
-    grad_s2 = 2.0 * np.einsum("il...,ilk...->k...", dn, d2n)
+    r = range(spec.dimension)
+    m = -sum(dn[i, i] for i in r)
+    s2 = sum(dn[i, j] * dn[i, j] for i in r for j in r)
+    grad_m = -sum(d2n[i, i] for i in r)
+    hess_m = -sum(d3n[i, i] for i in r)
+    lap_m = sum(hess_m[j, j] for j in r)
+    grad_s2 = 2.0 * sum(dn[i, l] * d2n[i, l] for i in r for l in r)
     eye = np.eye(spec.dimension)[..., None]
     proj = eye - n[:, None, :] * n[None, :, :]
-    ndg = np.einsum("i...,i...->...", n, grad_m)
-    dG = (
-        -np.einsum("ik...,...->ki...", dn, ndg)
-        - np.einsum("lk...,l...,i...->ki...", dn, grad_m, n)
-        + np.einsum("il...,lk...->ki...", proj, hess_m)
+    ndg = sum(n[i] * grad_m[i] for i in r)
+    dG = (  # dG[k, i] = d_k G_i with G = P grad M
+        -np.swapaxes(dn, 0, 1) * ndg
+        - sum((dn[l] * grad_m[l])[:, None] * n[None] for l in r)
+        + sum(hess_m[l][:, None] * proj[None, :, l] for l in r)
     )
-    lap_lb = np.einsum("ik...,ki...->...", proj, dG)
+    lap_lb = sum(proj[i, k] * dG[k, i] for i in r for k in r)
     return {
         "n": n, "dn": dn, "d2n": d2n, "d3n": d3n,
         "M": m, "S2": s2, "gradM": grad_m, "hessM": hess_m,

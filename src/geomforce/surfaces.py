@@ -5,7 +5,9 @@ bindings, and a signed-distance flag (true when |grad f| = 1 holds
 identically near the surface, which makes jets of f directly usable as
 jets of the distance function).  The expression is compiled once into an
 `expr.Tape`; f runs it over float arrays, f_and_grad adds the tape's
-adjoint sweep over that run, and jets run it over Taylor jets.
+adjoint sweep over that run, and jets run it over Taylor jets.  The
+classical integrator runs the same tape over Python floats
+(`expr.float_call`), one point at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class SurfaceSpec:
         zero = 0.0 * points[0]
         values = self.tape.run(points, ex.numpy_call)
         return (values[self.tape.out] + zero,
-                np.array([g + zero for g in self.tape.gradient(values)]))
+                np.array([g + zero for g in self.tape.gradient(values, ex.numpy_call)]))
 
     def grad_f(self, points):
         """grad f, same shape as points."""

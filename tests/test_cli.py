@@ -289,6 +289,9 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
       "--p0", "0,1,0", "--mass", "-1"], "IntegratorInputError"),
     (["classical", "--surface", "sphere", "--a", "1", "--x0", "1,0,0",
       "--p0", "0,1,0", "--mass", "0"], "IntegratorInputError"),
+    # f is NaN at the start (0*y/z at z = 0), which is not on the surface
+    (["classical", "--expr", "x - 1 + 0*y/z", "--x0", "1,0,0", "--p0", "0,1,0",
+      "--steps", "5"], "IntegratorInputError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

@@ -1,9 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from geomforce import dynamics as dyn
 from geomforce import expr as ex
-from geomforce.surfaces import builtin_surface
+from geomforce.cli import main
+from geomforce.surfaces import builtin_surface, from_expression
 
 
 def _circle_run(dt, steps):
@@ -135,6 +139,15 @@ def test_step_too_large_detected():
         dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1.9, steps=3))
 
 
+def test_vanishing_gradient_at_the_new_point_is_a_projection_failure():
+    # f = x^2 + y^2 is zero only at the origin, where grad f = 0: a resting
+    # particle meets the constraint at once but the normal has no direction
+    spec = from_expression("x^2 + y^2", 2)
+    init = dyn.TrajectoryState(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.0)
+    with pytest.raises(dyn.ProjectionFailureError, match=r"^step 1 .* has no direction"):
+        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=3))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         dyn.IntegratorConfig(dt=-1.0, steps=5)
@@ -195,4 +208,77 @@ def test_stored_residuals_belong_to_the_stored_state():
                                     traj.tangency_residual):
         f, g = spec.f_and_grad(x)
         assert f_res == abs(float(f))
-        assert tan_res == abs(float((g / np.linalg.norm(g)) @ p))
+        assert tan_res == abs(np.sum(g * p)) / np.sqrt(np.sum(g * g))
+
+
+def _array_rattle(spec, x, p, dt, steps, mu=1.0, tol=1e-12):
+    # The RATTLE step of earlier versions on numpy 3-vectors, kept as the
+    # reference of the float step loop: same formulas, numpy dots and norms.
+    _, g0 = spec.f_and_grad(x)
+    xs, ps = [x], [p]
+    for _ in range(steps):
+        lam = 0.0
+        x_new = x + dt * p / mu
+        for _ in range(dyn.MAX_NEWTON):
+            fv, g1 = spec.f_and_grad(x_new)
+            if abs(fv) < tol:
+                break
+            lam -= fv / (float(g1 @ g0) * (-dt / mu))
+            x_new = x + dt * (p - lam * g0) / mu
+        else:
+            raise AssertionError("reference step stalled")
+        p_half = p - lam * g0
+        n1 = g1 / np.linalg.norm(g1)
+        x, p, g0 = x_new, p_half - n1 * float(n1 @ p_half), g1
+        xs.append(x)
+        ps.append(p)
+    return np.array(xs), np.array(ps)
+
+
+@pytest.mark.parametrize("name,params,x0,p0", [
+    ("torus", {"R": 2.0, "r": 1.0}, [3.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+    ("spheroid", {"a": 1.0, "b": 2.0}, [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+])
+def test_float_steps_follow_the_array_steps(name, params, x0, p0):
+    # the float loop sums dots in order where numpy calls BLAS, so the two
+    # trajectories part at roundoff only
+    spec = builtin_surface(name, params)
+    dt, steps = 1e-3, 2000
+    xs, ps = _array_rattle(spec, np.array(x0), np.array(p0), dt, steps)
+    traj = dyn.integrate(spec, dyn.TrajectoryState(np.array(x0), np.array(p0), 0.0),
+                         dyn.IntegratorConfig(dt=dt, steps=steps))
+    assert np.abs(traj.xs - xs).max() < 1e-12
+    assert np.abs(traj.ps - ps).max() < 1e-12
+    assert np.abs(traj.energy - traj.energy[0]).max() <= dt ** 2
+    assert traj.f_residual.max() < 1e-12
+    assert traj.tangency_residual.max() <= 1e-12
+
+
+def test_integrator_failures_name_the_step_time_and_point(capsys):
+    spec = builtin_surface("circle", {"a": 1.0})
+    init = dyn.TrajectoryState(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(dyn.ProjectionFailureError) as stalled:
+        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1.9, steps=3))
+    assert re.fullmatch(r"step 1 from t = 0\.0, x = \[1\.0, 0\.0\]: constraint solve "
+                        r"stalled after 50 iterations at \|f\| = \d\.\d{3}e[+-]\d\d",
+                        str(stalled.value))
+    with pytest.raises(dyn.StepTooLargeError, match=re.escape("step 1 from t = 0.0, x = [1.0, 0.0]: "
+                                                              "projection moved the point")):
+        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=0.9, steps=3))
+    # near the rim of a flat oblate spheroid (curvature 400) a step fails
+    # late; the message names the stored state that step started from
+    spec = builtin_surface("spheroid", {"a": 1.0, "b": 0.05})
+    init = dyn.TrajectoryState(np.array([0.0, 0.0, 0.05]), np.array([1.0, 0.0, 0.0]), 0.0)
+    with pytest.raises(dyn.ProjectionFailureError) as late:
+        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=0.01, steps=300))
+    k = int(re.match(r"step (\d+) ", str(late.value)).group(1))
+    assert k > 1
+    before = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=0.01, steps=k - 1))
+    assert str(late.value).startswith(f"step {k} from t = {float(before.ts[-1])!r}, "
+                                      f"x = {before.xs[-1].tolist()}: ")
+    code = main(["classical", "--surface", "circle", "--a", "1", "--x0", "1,0",
+                 "--p0", "0,1", "--dt", "1.9", "--steps", "3"])
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert diagnostic["error"] == "ProjectionFailureError"
+    assert diagnostic["message"].startswith("step 1 from t = 0.0, x = [1.0, 0.0]: ")

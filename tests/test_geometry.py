@@ -288,18 +288,22 @@ def test_sample_field_points_on_surface(torus):
 def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkeypatch):
     # B = BLOCK + 1 leaves the last column alone in a second block.  The
     # normal tables are made per block, and each column's tables are the
-    # ones it gets on its own.  The einsums run on the whole batch, because
-    # einsum sums a two-operand contraction in an order that depends on the
-    # batch length (S2 and lapLB_M differ in the last bit at B = 1), so the
-    # fields must equal those of one unblocked pass, bit for bit.
+    # ones it gets on its own.  The contractions after the tables sum in a
+    # fixed order, not einsum's batch-length-dependent one (which gave S2
+    # and lapLB_M other last bits at B = 1), so every field of a column is
+    # the one it gets alone, and the fields equal one unblocked pass.
     spec = builtin_surface(name, params)
     points = geo._random_surface_points(spec, geo.BLOCK + 1, seed=6)
     tables = geo._tables_batch(spec, points, policy, 3)
+    fields = geo.curvature_fields(spec, points, policy)
     for b in (0, 1, geo.BLOCK // 2, geo.BLOCK - 2, geo.BLOCK - 1, geo.BLOCK):
         column = geo._tables_batch(spec, points[:, b:b + 1], policy, 3)
         for table, alone in zip(tables, column):
             assert np.array_equal(table[..., b:b + 1], alone), b
-    fields = geo.curvature_fields(spec, points, policy)
+        alone = geo.curvature_fields(spec, points[:, b:b + 1], policy)
+        for key, value in alone.items():
+            assert value is None if key == "error_bound" else np.array_equal(
+                fields[key][..., b:b + 1], value), (key, b)
     monkeypatch.setattr(geo, "BLOCK", points.shape[1])
     whole = geo.curvature_fields(spec, points, policy)
     assert fields.keys() == whole.keys()

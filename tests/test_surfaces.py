@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from geomforce import dynamics as dyn
 from geomforce import expr as ex
+from geomforce import geometry as geo
 from geomforce.surfaces import (
     InvalidParametersError,
     UnknownSurfaceError,
@@ -124,6 +126,35 @@ def test_adjoint_gradient_is_the_degree_1_jet_on_sample_expressions():
         _assert_gradient_is_degree_1_jet(spec, point)
         batch = point[:, None] + rng.uniform(-0.2, 0.2, (2, 5))
         _assert_gradient_is_degree_1_jet(spec, batch)
+
+
+def _assert_float_run_equals_array_run(spec, point):
+    # the array run at one (N,) point works on numpy scalars, whose integer
+    # powers are libm's pow like Python's; exp and log go through numpy in
+    # both runs.  Values compare equal, so they are bitwise equal up to the
+    # sign of a zero.
+    f, g = dyn._f_and_grad(spec.tape, point.tolist())
+    want_f, want_g = spec.f_and_grad(point)
+    assert type(f) is float and all(type(v) is float for v in g), spec.name
+    assert f == want_f, (spec.name, point)
+    assert g == want_g.tolist(), (spec.name, point)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_float_run_equals_the_array_run_on_the_catalog(name):
+    spec = builtin_surface(name, CATALOG_PARAMS[name])
+    on = geo._random_surface_points(spec, 100, seed=8)
+    off = np.random.default_rng(8).uniform(-3.0, 3.0, (spec.dimension, 100))
+    for point in np.concatenate([on, off], axis=1).T:
+        _assert_float_run_equals_array_run(spec, point)
+
+
+def test_float_run_equals_the_array_run_on_random_expressions():
+    rng = np.random.default_rng(9)
+    for text, point in random_expressions():
+        spec = from_expression(text, 2)
+        for shift in rng.uniform(-0.2, 0.2, (3, 2)):
+            _assert_float_run_equals_array_run(spec, point + shift)
 
 
 def test_coordinate_spellings_compile_alike():
