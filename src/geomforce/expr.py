@@ -16,8 +16,9 @@ derivative propagation stays closed-form.
 instructions over numbered slots, which is the one evaluator of an
 expression: `Tape.run` executes it over float arrays or Python floats (f)
 or over Taylor jets (exact derivatives), and `Tape.gradient` sweeps a
-float run backwards for grad f (reverse-mode differentiation; Griewank &
-Walther, Evaluating Derivatives, 2nd ed., ch. 3 and 13).
+run backwards for grad f, over floats, arrays or jets alike (reverse-mode
+differentiation; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+ch. 3 and 13).
 """
 
 from __future__ import annotations
@@ -437,8 +438,8 @@ class Tape:
         functions go through call(name, value).  release=True leaves None
         in each slot after its last reader, so dead jets are freed (inputs
         may then be an iterator, which leaves the interpreter the only
-        reference to each coordinate jet); float runs keep every slot for
-        the adjoint sweep.
+        reference to each coordinate jet); a run for the adjoint sweep
+        keeps every slot.
         """
         if not release:  # skips the bookkeeping below, about 1/6 of a B=1 f
             values = [*_COORDINATES[self.nvars](inputs), *self.constants]
@@ -456,7 +457,10 @@ class Tape:
 
     def gradient(self, values, call):
         """[d out / d x_i] over the coordinates: one adjoint sweep back over
-        the slot values of a float run made with `call`."""
+        the slot values of a run made with `call` (release=False).  The rules
+        are arithmetic on those values, so a float, array or jet run gives
+        grad f of its kind; a coordinate that f reads linearly or not at all
+        keeps a float adjoint."""
         adjoint = [0.0] * len(values)
         adjoint[self.out] = 1.0
         first = len(values) - len(self.code)

@@ -149,10 +149,20 @@ def _tables_from_component_jets(njets, order):
     return n, dn, d2n, d3n
 
 
+def _f_and_grad_jets(spec, coordinate_jets):
+    """Jets of f and grad f at the coordinate jets: one tape run over them and
+    its adjoint sweep.  A float (the adjoint of a coordinate that f reads
+    linearly or not at all) is lifted to a constant jet."""
+    tape, space, like = spec.tape, coordinate_jets[0].space, coordinate_jets[0].coeffs
+    values = tape.run(coordinate_jets, jets.apply_function)
+    lift = lambda v: v if isinstance(v, jets.Jet) else jets.constant(space, v, like=like)
+    return lift(values[tape.out]), list(map(lift, tape.gradient(values, jets.apply_function)))
+
+
 def _normalized_gradient_jets(spec, points, degree):
     """Jets of grad f / |grad f| components to the given degree."""
-    fjet = spec.jet(points, degree + 1)
-    g = [fjet.derivative(i) for i in range(spec.dimension)]
+    space = jets.jet_space(spec.dimension, degree)
+    _, g = _f_and_grad_jets(spec, [jets.variable(space, i, x) for i, x in enumerate(points)])
     norm = _norm(g)
     return [gi / norm for gi in g]
 
@@ -169,33 +179,33 @@ def distance_jet(spec, points, degree):
     foot point y(x) and multiplier t(x) solve y + t grad f(y) = x,
     f(y) = 0 with x = x0 + xi as the jet variable, by chord Newton from
     y = x0, t = 0 with the float Jacobian [[I, g], [g^T, 0]],
-    g = grad f(x0).  Each step gains one order, so `degree` steps make
-    d = t |grad f(y)| exact to that degree (truncated Taylor arithmetic
-    through implicit functions: Griewank & Walther, Evaluating
-    Derivatives, ch. 13).
+    g = grad f(x0).  Each step runs the tape on the foot-point jets y and
+    takes grad f(y) from its adjoint sweep (g is the first sweep's value),
+    and gains one order, so `degree` steps make d = t |grad f(y)| exact to
+    that degree (truncated Taylor arithmetic through implicit functions:
+    Griewank & Walther, Evaluating Derivatives, ch. 13).
     """
     if spec.is_signed_distance:
         return spec.jet(points, degree)
-    fjet = spec.jet(points, degree + 1)
-    grads = [fjet.derivative(i) for i in range(spec.dimension)]
-    space = grads[0].space
-    g = np.stack([gi.value for gi in grads])
-    g2 = np.sum(g * g, axis=0)
-    if np.any(g2 == 0.0):
-        where = np.reshape(points, (spec.dimension, -1))[:, np.argmin(np.ravel(g2))]
-        raise jets.DomainError(f"grad f vanishes at {where.tolist()} on "
-                               f"'{spec.name}'; the signed distance has no jet there")
-    xi = np.stack([jets.variable(space, i, np.zeros_like(g2)).coeffs
-                   for i in range(spec.dimension)])
-    u = np.zeros_like(xi)  # y - x0
-    t = jets.Jet(space, np.zeros_like(xi[0]))
-    for _ in range(degree):
-        fy, *gy = jets.substitute([fjet] + grads, [jets.Jet(space, c) for c in u])
-        r1 = u + np.stack([(t * gi).coeffs for gi in gy]) - xi
-        r2 = fy.coeffs
-        r2[0] = 0.0  # x0 is on the surface; f(x0) is roundoff
-        dt = (np.einsum("i...,it...->t...", g, r1) - r2) / g2
-        u = u - (r1 - g[:, None] * dt)
+    points = np.asarray(points, dtype=float)
+    space = jets.jet_space(spec.dimension, degree)
+    x = np.stack([jets.variable(space, i, xi).coeffs for i, xi in enumerate(points)])
+    y = np.zeros_like(x)
+    y[:, 0] = points  # y - x0 has zero value at every step
+    t = jets.Jet(space, np.zeros_like(x[0]))
+    for step in range(degree):
+        fy, gy = _f_and_grad_jets(spec, [jets.Jet(space, c) for c in y])
+        if not step:
+            g = np.stack([gi.value for gi in gy])
+            g2 = np.sum(g * g, axis=0)
+            if np.any(g2 == 0.0):
+                where = np.reshape(points, (spec.dimension, -1))[:, np.argmin(np.ravel(g2))]
+                raise jets.DomainError(f"grad f vanishes at {where.tolist()} on "
+                                       f"'{spec.name}'; the signed distance has no jet there")
+        r1 = y + np.stack([(t * gi).coeffs for gi in gy]) - x
+        dt = (np.einsum("i...,it...->t...", g, r1) - fy.coeffs) / g2
+        dt[0] = 0.0  # x0 is on the surface; f(x0) is roundoff
+        y = y - (r1 - g[:, None] * dt)
         t = jets.Jet(space, t.coeffs - dt)
     return t * _norm(gy)
 

@@ -20,7 +20,8 @@ one sum over the inner pairs, whose two factors both have grade >= 1.
 All operations broadcast over a trailing batch axis, so jets can be
 evaluated for many points at once.  The jet of a surface expression comes
 from running its compiled tape with `variable` inputs and `apply_function`
-as the function call (`SurfaceSpec.jet`).
+as the function call (`SurfaceSpec.jet`); the jets of grad f come from the
+tape's adjoint sweep over such a run (`geometry._f_and_grad_jets`).
 """
 
 from __future__ import annotations
@@ -320,33 +321,6 @@ def apply_function(name, g):
     else:
         raise ValueError(f"unsupported function {name}")
     return Jet(space, out)
-
-
-def substitute(outer, shifts):
-    """Jets of g(x0 + u) for each jet g in `outer`, all taken at x0.
-
-    shifts holds one zero-valued jet u_k per variable of the outer jets,
-    all of one space of degree D; every outer jet has degree >= D.  Since
-    u^alpha vanishes beyond degree D for |alpha| > D, the truncated sum
-    sum_{|alpha| <= D} g_alpha u^alpha over the Taylor coefficients g_alpha
-    is exact.  The monomials u^alpha are built once and shared by all
-    outer jets.
-    """
-    space = shifts[0].space
-    if any(np.any(u.value != 0.0) for u in shifts):
-        raise ValueError("substituted shifts must have zero value")
-    grades = jet_space(len(shifts), space.degree)
-    monomials = [constant(space, 1.0, like=shifts[0].coeffs)]
-    for alpha in grades.indices[1:]:
-        k = next(i for i, a in enumerate(alpha) if a)
-        lower = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-        monomials.append(monomials[grades.index_of[lower]] * shifts[k])
-    stack = np.stack([m.coeffs for m in monomials])
-    out = []
-    for g in outer:
-        taylor = g.coeffs[[g.space.index_of[alpha] for alpha in grades.indices]]
-        out.append(Jet(space, np.einsum("a...,at...->t...", taylor, stack)))
-    return out
 
 
 def jet_partial(jet, alpha):

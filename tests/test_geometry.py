@@ -433,6 +433,58 @@ def test_distance_jet_refuses_a_vanishing_gradient():
         geo.normal_jet(cone, np.zeros(3), SD)
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0)], ids=["prolate", "oblate"])
+def test_degree_7_distance_jet_inverts_the_normal_offset_map(a, b):
+    # Phi(t, phi, s) = P(t, phi) + s n(t, phi) moves s along the unit normal,
+    # so d(Phi) = s near the surface; x, y, z stand for t, phi, s
+    spec = builtin_surface("spheroid", {"a": a, "b": b})
+    params = {"a": a, "b": b}
+    norm = "sqrt(cos(x)^2/a^2 + sin(x)^2/b^2)"
+    phi_text = [f"a*cos(x)*cos(y) + z*cos(x)*cos(y)/(a*{norm})",
+                f"a*cos(x)*sin(y) + z*cos(x)*sin(y)/(a*{norm})",
+                f"b*sin(x) + z*sin(x)/(b*{norm})"]
+    base = np.array([0.37, 1.1, 0.0])
+    offsets = [from_expression(text, 3, params).jet(base, 7) for text in phi_text]
+    point = np.array([u.value for u in offsets])
+    for u in offsets:
+        u.coeffs[0] = 0.0  # Phi - P(t0, phi0)
+    djet = geo.distance_jet(spec, point, 7)
+    assert djet.degree == 7
+    # d(Phi) = sum over alpha of d_alpha u^alpha, by plain jet products
+    space = offsets[0].space
+    monomials = {(0, 0, 0): jets.constant(space, 1.0)}
+    composed = jets.constant(space, 0.0)
+    for alpha, coeff in zip(space.indices, djet.coeffs):
+        if alpha not in monomials:
+            k = next(i for i, ak in enumerate(alpha) if ak)
+            lower = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+            monomials[alpha] = monomials[lower] * offsets[k]
+        composed = composed + monomials[alpha] * float(coeff)
+    want = jets.variable(space, 2, 0.0)
+    residual = np.max(np.abs(composed.coeffs - want.coeffs))
+    assert residual <= 1e-13 * np.max(np.abs(djet.coeffs))
+
+
+def test_linear_f_gives_an_exact_distance_jet():
+    # every adjoint of x + 2y - z is a float constant; the SD path lifts it
+    plane = from_expression("x + 2*y - z", 3)
+    djet = geo.distance_jet(plane, np.array([1.0, 0.5, 2.0]), 4)
+    linear = djet.space.grades[1]  # the x, y, z coefficients
+    assert djet.value == 0.0
+    assert np.allclose(djet.coeffs[linear], np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0),
+                       rtol=0.0, atol=1e-15)
+    assert np.all(djet.coeffs[linear.stop:] == 0.0)
+
+
+def test_a_coordinate_f_does_not_read_gets_a_zero_gradient_jet():
+    # grad_z f is the float 0.0 on this elliptic cylinder; at the end of its
+    # major axis the curvature is 2 / 1^2, so M = -2
+    cylinder = from_expression("x^2/4 + y^2 - 1", 3)
+    for policy in (SD, GN):
+        sample = geo.curvature_sample(cylinder, np.array([2.0, 0.0, 0.3]), policy)
+        assert sample.M == pytest.approx(-2.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("order", [1, 3])
 @pytest.mark.parametrize("name,params", [
     ("torus", {"R": 2.0, "r": 1.0}),

@@ -247,32 +247,3 @@ def test_jet_derivative_extraction():
     assert dx.partial((0, 0)) == pytest.approx(12.0)  # 2xy at (2,3)
     assert dx.partial((1, 0)) == pytest.approx(6.0)   # 2y
     assert dx.partial((0, 1)) == pytest.approx(4.0)   # 2x
-
-
-def test_substitute_equals_jet_of_the_composed_expression():
-    # g(x0 + u(w)) at a point w where both shifts u vanish exactly
-    x0 = {"x": 0.3, "y": -0.7}
-    shifts = {"x": "sin(x - 0.2) + (y - 0.3)^2",
-              "y": "(x - 0.2)*(y + 1) + exp(y - 0.3) - 1"}
-    outer = ("x^2*y + sin(x*y)", "2*x*y + y*cos(x*y)")  # g and dg/dx
-
-    def composed(text):
-        return re.sub(r"\b[xy]\b", lambda m: f"({x0[m[0]]} + {shifts[m[0]]})", text)
-
-    single = (np.array([0.3, -0.7]), np.array([0.2, 0.3]))
-    batch = tuple(np.repeat(v[:, None], 3, axis=1) for v in single)
-    for base, w in (single, batch):
-        g = _jet(outer[0], base, 5)
-        u = [_jet(shifts[k], w, 4) for k in "xy"]
-        got = jets.substitute([g, g.derivative(0)], u)
-        for jet, text in zip(got, outer):
-            want = _jet(composed(text), w, 4)
-            assert jet.space is want.space
-            assert np.allclose(jet.coeffs, want.coeffs, rtol=1e-12, atol=1e-12)
-
-
-def test_substitute_needs_zero_valued_shifts():
-    g = _jet("x*y", [1.0, 2.0], 2)
-    u = [_jet("x", [0.5, 0.0], 2), _jet("y", [0.5, 0.0], 2)]
-    with pytest.raises(ValueError, match="zero value"):
-        jets.substitute([g], u)

@@ -61,6 +61,28 @@ def test_oblate_spheroid_equator_orbit():
     assert rec.orbit == "circle z=0, rho=2"
 
 
+def test_prolate_sd_search_records():
+    # the records as a multiset: which hit represents an orbit, and the order
+    # of the two z = +-1.657 circles, follow roundoff
+    spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
+    points = optim.find_critical_points(
+        spec, "lapM", SD, optim.SearchConfig(starts=24, seed=0))
+    ref = cf.SPHEROID_LAP[(1.0, 2.0)]
+    want = {("max", "pole", 5): ref["pole"]["sd"],
+            ("max", "pole", 1): ref["pole"]["sd"],
+            ("degenerate-orbit", "circle z=0, rho=1", 18): ref["equator"]["sd"],
+            ("degenerate-orbit", "circle z=1.65733, rho=0.559748", 14): -3.02060581221850,
+            ("degenerate-orbit", "circle z=-1.65733, rho=0.559748", 10): -3.02060581221850}
+    got = {}
+    for p in points:
+        at_pole = abs(abs(p.location[2]) - 2.0) < 1e-6
+        got[(p.classification, "pole" if at_pole else p.orbit, p.multiplicity)] = p.value
+    assert len(points) == len(got)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
 def test_walks_ending_on_a_degenerate_orbit_converge():
     # the tangent Hessian is flat along the equator orbit; Newton must not
     # let that roundoff eigenvalue stall the walk, so every climb and every
