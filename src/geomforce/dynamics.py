@@ -127,8 +127,8 @@ def integrate(spec, initial, config):
 
 def _f_and_grad(tape, x):
     """f and grad f at the float point x: one float run of the tape and its
-    adjoint sweep.  Where Python float arithmetic raises (a division by zero,
-    an overflowing power) and an array run gives inf or NaN, both are NaN."""
+    adjoint sweep.  Where Python float arithmetic raises (a division by zero)
+    and an array run gives inf or NaN, both are NaN."""
     try:
         values = tape.run(x, ex.float_call)
         return values[tape.out], tape.gradient(values, ex.float_call)

@@ -5,20 +5,22 @@ Grammar (EBNF):
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := base ('^' int)*          # integer exponents only, right assoc
-    base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
+    base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' factor
 
 Identifiers are either coordinate variables (``x, y, z`` or ``x1..x4``),
 bound parameters, or one of the supported function names
-(sqrt, sin, cos, exp, log).  Exponents must be integer literals so that
-derivative propagation stays closed-form.
+(sqrt, sin, cos, exp, log).  Exponents are integer literals, and a folded
+exponent tower stays below 2^63 in magnitude.
 
 `compile_tape` turns a tree into a `Tape`, a flat tuple of (op, a, b)
 instructions over numbered slots, which is the one evaluator of an
-expression: `Tape.run` executes it over float arrays or Python floats (f)
-or over Taylor jets (exact derivatives), and `Tape.gradient` sweeps a
-run backwards for grad f, over floats, arrays or jets alike (reverse-mode
-differentiation; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-ch. 3 and 13).
+expression.  Its ops are + - * / and the five functions: an integer power
+is multiplied out by repeated squaring, so float arrays, numpy scalars,
+Python floats and jets all do the same correctly rounded arithmetic.
+`Tape.run` executes it over any of those (f, or exact derivatives over
+Taylor jets), and `Tape.gradient` sweeps a run backwards for grad f of
+the same kind (reverse-mode differentiation; Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 3 and 13).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
+MAX_EXPONENT = 2 ** 63  # |n| below it: x^n compiles to at most 125 instructions
 
 #: coordinate aliases accepted per dimension
 VARIABLE_NAMES = {
@@ -219,15 +222,19 @@ class _Parser:
                 break
         if exponents:
             # right associativity: x^2^3 == x^(2^3); the folded tower must
-            # stay an integer (2^-1 in exponent position is rejected)
+            # stay an integer (2^-1 in exponent position is rejected) of
+            # magnitude below MAX_EXPONENT (|e|^acc is not built past it)
             acc = exponents[-1][0]
             for e, position in reversed(exponents[:-1]):
-                acc = e ** acc
-                if acc != int(acc):
+                if acc < 0 and abs(e) != 1:
                     raise NonIntegerExponentError(
-                        f"exponent tower evaluates to {acc}", position,
+                        f"exponent tower {e}^{acc} is not an integer", position,
                         expected="integer exponent")
-            node = Pow(node, int(acc))
+                acc = int(e ** acc) if abs(e) < 2 or acc < 63 else MAX_EXPONENT
+                if abs(acc) >= MAX_EXPONENT:
+                    raise ParseError("exponent tower out of range", position,
+                                     expected="|exponent| < 2^63")
+            node = Pow(node, acc)
         return node
 
     def exponent_literal(self):
@@ -241,6 +248,9 @@ class _Parser:
             raise NonIntegerExponentError(
                 f"found '{value or 'end of input'}'", position, expected="integer literal"
             )
+        if not abs(value) < MAX_EXPONENT:
+            raise ParseError(f"exponent {value} out of range", position,
+                             expected="|exponent| < 2^63")
         if value != int(value):
             raise NonIntegerExponentError(
                 f"non-integer exponent {value}", position, expected="integer literal"
@@ -253,8 +263,8 @@ class _Parser:
         kind, value, position = self.advance()
         if kind == "num":
             return Num(value)
-        if kind == "op" and value == "-":
-            return Neg(self.base_or_power())
+        if kind == "op" and value == "-":  # binds looser than '^': -x^2^3 is -(x^8)
+            return Neg(self.factor())
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
@@ -274,15 +284,6 @@ class _Parser:
             return Name(value)
         raise ParseError(f"found '{value or 'end of input'}'", position,
                          expected="number, identifier or '('")
-
-    def base_or_power(self):
-        # '-' binds looser than '^': -x^2 is -(x^2)
-        node = self.base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            node = Pow(node, self.exponent_literal())
-        return node
 
 
 def parse_expression(text):
@@ -384,19 +385,14 @@ _NUMPY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 # splits an (N,) point into scalars over twice as fast as iterating it
 _COORDINATES = {n: operator.itemgetter(*range(n)) for n in VARIABLE_NAMES}
 
-# One rule per op: (d op/d a, d op/d b) from the operand values, the result y
-# and the run's `call`.
-_LOCAL_DERIVATIVES = {
-    operator.add: lambda a, b, y, call: (1.0, 1.0),
-    operator.sub: lambda a, b, y, call: (1.0, -1.0),
-    operator.mul: lambda a, b, y, call: (b, a),
-    operator.truediv: lambda a, b, y, call: (1.0 / b, -y / b),
-    operator.pow: lambda a, n, y, call: (n * a ** (n - 1) if n else 0.0, None),
-    "sqrt": lambda a, b, y, call: (0.5 / y, None),
-    "sin": lambda a, b, y, call: (call("cos", a), None),
-    "cos": lambda a, b, y, call: (-call("sin", a), None),
-    "exp": lambda a, b, y, call: (y, None),
-    "log": lambda a, b, y, call: (1.0 / a, None),
+# d f(a) / d a of each function from its argument a, its value y and the
+# run's `call`
+_FUNCTION_DERIVATIVES = {
+    "sqrt": lambda a, y, call: 0.5 / y,
+    "sin": lambda a, y, call: call("cos", a),
+    "cos": lambda a, y, call: -call("sin", a),
+    "exp": lambda a, y, call: y,
+    "log": lambda a, y, call: 1.0 / a,
 }
 
 
@@ -418,60 +414,53 @@ class Tape:
 
     Slots 0..nvars-1 hold the coordinates, the next ones `constants`, and
     instruction k of `code` writes the slot after those.  An instruction
-    (op, a, b) applies an operator function (add, sub, mul, truediv, pow)
-    to slots a and b, or, with b None, the FUNCTIONS name op to slot a.
-    `out` is the expression's slot; dead[k] lists the slots that
-    instruction k reads for the last time.
+    (op, a, b) applies an operator function (add, sub, mul, truediv) to
+    slots a and b, or, with b None, the FUNCTIONS name op to slot a.
+    `out` is the expression's slot.
     """
 
     nvars: int
     constants: tuple
     code: tuple
     out: int
-    dead: tuple
 
-    def run(self, inputs, call, release=False):
-        """Every slot's value in slot order, from one input per coordinate.
-
-        Operators dispatch through the Python arithmetic of the values, so
-        one tape runs over float arrays, over Python floats and over jets;
-        functions go through call(name, value).  release=True leaves None
-        in each slot after its last reader, so dead jets are freed (inputs
-        may then be an iterator, which leaves the interpreter the only
-        reference to each coordinate jet); a run for the adjoint sweep
-        keeps every slot.
-        """
-        if not release:  # skips the bookkeeping below, about 1/6 of a B=1 f
-            values = [*_COORDINATES[self.nvars](inputs), *self.constants]
-            append = values.append
-            for op, a, b in self.code:
-                append(call(op, values[a]) if b is None else op(values[a], values[b]))
-            return values
-        values = [*inputs, *self.constants]
+    def run(self, inputs, call):
+        """Every slot's value in slot order, from a sequence of one input per
+        coordinate.  Operators dispatch through the Python arithmetic of the
+        values, so one tape runs over float arrays, over Python floats and
+        over jets; functions go through call(name, value)."""
+        values = [*_COORDINATES[self.nvars](inputs), *self.constants]
         append = values.append
-        for (op, a, b), dead in zip(self.code, self.dead):
+        for op, a, b in self.code:
             append(call(op, values[a]) if b is None else op(values[a], values[b]))
-            for slot in dead:
-                values[slot] = None
         return values
 
     def gradient(self, values, call):
         """[d out / d x_i] over the coordinates: one adjoint sweep back over
-        the slot values of a run made with `call` (release=False).  The rules
-        are arithmetic on those values, so a float, array or jet run gives
-        grad f of its kind; a coordinate that f reads linearly or not at all
-        keeps a float adjoint."""
+        the slot values of a run made with `call`.  The rules are arithmetic
+        on those values, so a float, array or jet run gives grad f of its
+        kind; a coordinate that f reads linearly or not at all keeps a float
+        adjoint."""
         adjoint = [0.0] * len(values)
         adjoint[self.out] = 1.0
-        first = len(values) - len(self.code)
-        for k in range(len(self.code) - 1, -1, -1):
-            op, a, b = self.code[k]
-            g = adjoint[first + k]
-            operand = None if b is None else values[b]
-            da, db = _LOCAL_DERIVATIVES[op](values[a], operand, values[first + k], call)
-            adjoint[a] = adjoint[a] + g * da
-            if db is not None:
-                adjoint[b] = adjoint[b] + g * db
+        k = len(values)
+        for op, a, b in reversed(self.code):
+            k -= 1
+            g = adjoint[k]
+            if op is operator.mul:
+                adjoint[a] = adjoint[a] + g * values[b]
+                adjoint[b] = adjoint[b] + g * values[a]
+            elif op is operator.add:
+                adjoint[a] = adjoint[a] + g
+                adjoint[b] = adjoint[b] + g
+            elif op is operator.sub:
+                adjoint[a] = adjoint[a] + g
+                adjoint[b] = adjoint[b] + -g  # not jet - float, which keeps -0.0 terms
+            elif op is operator.truediv:
+                adjoint[a] = adjoint[a] + g * (1.0 / values[b])
+                adjoint[b] = adjoint[b] + g * (-values[k] / values[b])
+            else:
+                adjoint[a] = adjoint[a] + g * _FUNCTION_DERIVATIVES[op](values[a], values[k], call)
         return adjoint[:self.nvars]
 
 
@@ -495,10 +484,11 @@ def compile_tape(node, dimension, params=None):
 
     Coordinate aliases resolve to axis slots and bound parameters to float
     constants; constant subtrees are folded, and repeated subexpressions
-    share one slot.  -x runs as x * -1.0, exact for floats and jets.
-    Raises UnknownIdentifierError naming every other identifier, and
-    InvalidParametersError naming a constant subtree whose fold leaves the
-    float range.
+    share one slot.  -x runs as x * -1.0, exact for floats and jets.  x^n
+    runs as products by repeated squaring (x^5 = (x*x)*(x*x)*x), x^0 as
+    1.0 and x^-n as 1.0 / x^n.  Raises UnknownIdentifierError naming every
+    other identifier, and InvalidParametersError naming a constant subtree
+    whose fold leaves the float range.
     """
     params = {key: float(value) for key, value in (params or {}).items()}
     axes = {name: axis for names in VARIABLE_NAMES[dimension]
@@ -513,7 +503,7 @@ def compile_tape(node, dimension, params=None):
     def slot(operand):
         if not isinstance(operand, tuple):
             return operand
-        key = (type(operand[0]), repr(operand[0]))  # 2 vs 2.0, 0.0 vs -0.0
+        key = repr(operand[0])  # 0.0 vs -0.0
         if key not in slot_of:
             slot_of[key] = ~len(constants)
             constants.append(operand[0])
@@ -528,6 +518,15 @@ def compile_tape(node, dimension, params=None):
             code.append(key)
         return slot_of[key]
 
+    def power(n, base, exponent):  # exponent != 0
+        if exponent < 0:
+            return emit(n, operator.truediv, (1.0,), power(n, base, -exponent))
+        if exponent == 1:
+            return base
+        half = power(n, base, exponent // 2)
+        square = emit(n, operator.mul, half, half)
+        return emit(n, operator.mul, square, base) if exponent & 1 else square
+
     def rec(n):
         if isinstance(n, Num):
             return (float(n.value),)
@@ -538,7 +537,7 @@ def compile_tape(node, dimension, params=None):
         if isinstance(n, Neg):
             return emit(n, operator.mul, rec(n.arg), (-1.0,))
         if isinstance(n, Pow):
-            return emit(n, operator.pow, rec(n.base), (n.exponent,))
+            return power(n, rec(n.base), n.exponent) if n.exponent else (1.0,)
         return emit(n, n.func, rec(n.arg))
 
     out = slot(rec(node))
@@ -549,10 +548,4 @@ def compile_tape(node, dimension, params=None):
         return dimension + ~s if s < 0 else s + len(constants)
 
     code = tuple((op, final(a), final(b)) for op, a, b in code)
-    out = final(out)
-    dead = [[] for _ in code]
-    last_read = {s: k for k, (_, a, b) in enumerate(code) for s in (a, b)}
-    for s, k in last_read.items():
-        if s is not None and s != out:
-            dead[k].append(s)
-    return Tape(dimension, tuple(constants), code, out, tuple(map(tuple, dead)))
+    return Tape(dimension, tuple(constants), code, final(out))

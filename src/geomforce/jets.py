@@ -8,12 +8,13 @@ degree k (the grade-k homogeneous part) are contiguous.  The storage is
 this module's business: `partial`, `jet_partial` and `Jet.tensor` return
 raw partials d^a f.
 
-Products are truncated convolutions of the coefficients.  Quotients,
-negative powers and sqrt/exp/log/sin/cos fill the result one grade at a
-time from the grades below it, by the Taylor recurrences of Griewank &
-Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 13, Table 13.2.  They
-hold for multivariate jets because the Euler operator x . grad multiplies
-the grade-k part by k (Neidinger 2005, "Directions for computing truncated
+Products are truncated convolutions of the coefficients; an integer
+power reaches a jet as products (`expr.compile_tape`).  Quotients and
+sqrt/exp/log/sin/cos fill the result one grade at a time from the grades
+below it, by the Taylor recurrences of Griewank & Walther, Evaluating
+Derivatives, 2nd ed. 2008, ch. 13, Table 13.2.  They hold for
+multivariate jets because the Euler operator x . grad multiplies the
+grade-k part by k (Neidinger 2005, "Directions for computing truncated
 multivariate Taylor series", Math. Comp. 74:321-340).  Each grade takes
 one sum over the inner pairs, whose two factors both have grade >= 1.
 
@@ -41,7 +42,7 @@ class DomainError(ValueError):
 
 
 class DivisionByZeroLeadingTerm(ZeroDivisionError):
-    """Division (or negative power) by a jet whose value is zero."""
+    """Division by a jet whose value is zero."""
 
 
 class OrderExceededError(ValueError):
@@ -231,16 +232,6 @@ class Jet:
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, np.integer)):
-            raise TypeError("jet exponent must be an integer")
-        if exponent < 0:
-            return 1.0 / self ** -exponent
-        if exponent < 2:
-            return self if exponent else constant(self.space, 1.0, like=self.coeffs)
-        half = self ** (exponent // 2)
-        return half * half * self if exponent & 1 else half * half
 
     def _coerce(self, other):
         if isinstance(other, Jet):

@@ -7,7 +7,9 @@ jets of the distance function).  The expression is compiled once into an
 `expr.Tape`; f runs it over float arrays, f_and_grad adds the tape's
 adjoint sweep over that run, and jets run it over Taylor jets.  The
 classical integrator runs the same tape over Python floats
-(`expr.float_call`), one point at a time.
+(`expr.float_call`), one point at a time.  The tape's only arithmetic is
++ - * / and numpy's functions, so a point gets the same f and grad f bits
+alone, in a batch and in a float run.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class SurfaceSpec:
         """Exact jet of f at the point(s)."""
         points = np.asarray(points, dtype=float)
         space = jets.jet_space(self.dimension, degree)
-        inputs = (jets.variable(space, axis, x) for axis, x in enumerate(points))
-        out = self.tape.run(inputs, jets.apply_function, release=True)[self.tape.out]
+        inputs = [jets.variable(space, axis, x) for axis, x in enumerate(points)]
+        out = self.tape.run(inputs, jets.apply_function)[self.tape.out]
         return out if isinstance(out, jets.Jet) else jets.constant(space, out, like=points)
 
     def feature_scale(self):

@@ -292,6 +292,13 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
     # f is NaN at the start (0*y/z at z = 0), which is not on the surface
     (["classical", "--expr", "x - 1 + 0*y/z", "--x0", "1,0,0", "--p0", "0,1,0",
       "--steps", "5"], "IntegratorInputError"),
+    # exponent towers of 2^63 and beyond are rejected before they are built
+    (["force", "--expr", "x^2^2^2^2^2 + y^2 + z^2 - 1", "--at", "0,0,1",
+      "--mass", "1e-30"], "ParseError"),
+    (["force", "--expr", "x^2^70 + y^2 + z^2 - 1", "--at", "0,0,1",
+      "--mass", "1e-30"], "ParseError"),
+    (["force", "--expr", "x^0^-1 + z - 1", "--at", "0,0,1", "--mass", "1e-30"],
+     "NonIntegerExponentError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

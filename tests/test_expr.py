@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -50,10 +51,11 @@ def test_unknown_function_rejected():
 
 
 def test_precedence_caret_over_unary_minus():
-    # -x^2 must parse as -(x^2)
+    # -x^2 must parse as -(x^2), and -x^2^3 as -(x^(2^3))
     tree = ex.parse_expression("-x^2")
     assert isinstance(tree, ex.Neg)
     assert isinstance(tree.arg, ex.Pow)
+    assert ex.parse_expression("-x^2^3") == ex.Neg(ex.Pow(ex.Name("x"), 8))
 
 
 def test_left_associative_subtraction():
@@ -156,6 +158,37 @@ def test_differentiate_matches_finite_differences():
             h = 1e-6
             fd = (fn(p + [h, 0]) - fn(p - [h, 0])) / (2 * h)
             assert math.isclose(float(spec.grad_f(p)[0]), float(fd), rel_tol=1e-7, abs_tol=1e-9)
+
+
+def test_exponents_out_of_range_are_rejected_with_their_offset():
+    # the tower is checked before it is built: 2^65536 would have 19,729 digits
+    for text, position in [("x^2^2^2^2^2 + y^2", 1), ("y + x^2^70", 5),
+                           ("x^3^40", 1), ("x^-2^63", 1), ("x^1e400", 2),
+                           ("x^9223372036854775808", 2)]:
+        with pytest.raises(ex.ParseError, match="out of range") as err:
+            ex.parse_expression(text)
+        assert err.value.position == position, text
+    assert ex.parse_expression("x^3^39").exponent == 3 ** 39
+    assert ex.parse_expression("x^1^-5").exponent == 1
+    with pytest.raises(ex.NonIntegerExponentError):
+        ex.parse_expression("x^0^-1")  # 1/0
+
+
+def test_integer_powers_compile_to_products():
+    mul, truediv = operator.mul, operator.truediv
+    tape = ex.compile_tape(ex.parse_expression("x^5 - y^-3 + x^2 * y^0"), 2)
+    # slots: x, y, the constant 1.0, then code from slot 3
+    assert tape.constants == (1.0,)
+    assert tape.code == (
+        (mul, 0, 0), (mul, 3, 3), (mul, 4, 0),  # x^5 = (x*x)*(x*x)*x
+        (mul, 1, 1), (mul, 6, 1), (truediv, 2, 7),  # y^-3 = 1.0 / ((y*y)*y)
+        (operator.sub, 5, 8), (mul, 3, 2),  # x^2 * y^0 = (x*x) * 1.0
+        (operator.add, 9, 10))
+    assert tape.out == 11
+    # a 62-bit exponent: 61 squarings and at most 61 more products
+    assert len(ex.compile_tape(ex.parse_expression("x^3^39"), 2).code) <= 122
+    with pytest.raises(ex.InvalidParametersError, match=re.escape("'a^-3' with a=0.0")):
+        from_expression("x - a^-3", 2, {"a": 0.0})
 
 
 def test_exponent_chain_is_right_associative():

@@ -128,16 +128,22 @@ def test_adjoint_gradient_is_the_degree_1_jet_on_sample_expressions():
         _assert_gradient_is_degree_1_jet(spec, batch)
 
 
-def _assert_float_run_equals_array_run(spec, point):
-    # the array run at one (N,) point works on numpy scalars, whose integer
-    # powers are libm's pow like Python's; exp and log go through numpy in
-    # both runs.  Values compare equal, so they are bitwise equal up to the
-    # sign of a zero.
-    f, g = dyn._f_and_grad(spec.tape, point.tolist())
-    want_f, want_g = spec.f_and_grad(point)
-    assert type(f) is float and all(type(v) is float for v in g), spec.name
-    assert f == want_f, (spec.name, point)
-    assert g == want_g.tolist(), (spec.name, point)
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_float_run_equals_array_run(spec, points):
+    # every run adds, multiplies and divides correctly rounded (powers are
+    # products) and calls numpy's functions, so f and grad f of a point have
+    # the same bits alone (numpy scalars), in the (N, B) batch and in a run
+    # on Python floats
+    batch_f, batch_g = spec.f_and_grad(points)
+    for b, point in enumerate(points.T):
+        f, g = dyn._f_and_grad(spec.tape, point.tolist())
+        assert type(f) is float and all(type(v) is float for v in g), spec.name
+        for got_f, got_g in ((f, g), spec.f_and_grad(point)):
+            assert _bits(got_f) == _bits(batch_f[b]), (spec.name, point)
+            assert _bits(got_g) == _bits(batch_g[:, b]), (spec.name, point)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
@@ -145,16 +151,20 @@ def test_float_run_equals_the_array_run_on_the_catalog(name):
     spec = builtin_surface(name, CATALOG_PARAMS[name])
     on = geo._random_surface_points(spec, 100, seed=8)
     off = np.random.default_rng(8).uniform(-3.0, 3.0, (spec.dimension, 100))
-    for point in np.concatenate([on, off], axis=1).T:
-        _assert_float_run_equals_array_run(spec, point)
+    _assert_float_run_equals_array_run(spec, np.concatenate([on, off], axis=1))
+
+
+POWER_EXPRESSIONS = ["x^3 + y^5 - x*y^-2 + z^4 - 1", "x^4 + y^4 + z^4 - 1"]
 
 
 def test_float_run_equals_the_array_run_on_random_expressions():
     rng = np.random.default_rng(9)
     for text, point in random_expressions():
         spec = from_expression(text, 2)
-        for shift in rng.uniform(-0.2, 0.2, (3, 2)):
-            _assert_float_run_equals_array_run(spec, point + shift)
+        _assert_float_run_equals_array_run(spec, point[:, None] + rng.uniform(-0.2, 0.2, (2, 3)))
+    for text in POWER_EXPRESSIONS:
+        spec = from_expression(text, 3)
+        _assert_float_run_equals_array_run(spec, rng.uniform(-2.0, 2.0, (3, 200)))
 
 
 def test_coordinate_spellings_compile_alike():
