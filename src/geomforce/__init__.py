@@ -31,10 +31,8 @@ from .geometry import (
     CurvatureSample,
     ExtensionPolicy,
     NoConvergenceError,
-    NormalJet,
     PhysicalScale,
     curvature_sample,
-    normal_jet,
     project_to_surface,
     sample_field,
     si_force_magnitude,
@@ -51,8 +49,8 @@ __all__ = [
     "DomainError", "DivisionByZeroLeadingTerm", "OrderExceededError",
     "SurfaceSpec", "builtin_surface", "from_expression",
     "UnknownSurfaceError", "InvalidParametersError",
-    "ExtensionPolicy", "PhysicalScale", "NormalJet", "CurvatureSample",
-    "normal_jet", "curvature_sample", "si_force_magnitude",
+    "ExtensionPolicy", "PhysicalScale", "CurvatureSample",
+    "curvature_sample", "si_force_magnitude",
     "project_to_surface", "sample_field",
     "NoConvergenceError",
     "CriticalPoint", "SearchConfig", "find_critical_points", "classify_critical_point",

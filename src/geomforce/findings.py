@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import ExtensionPolicy
-from .surfaces import builtin_surface
+from .surfaces import builtin_surface, chart_points
 
 
 def torus_reference_laplacian(R, r, theta):
@@ -47,10 +47,8 @@ def torus_laplacian_comparison(R=2.0, r=1.0, n_angles=64, rel_tol=1e-9):
     full Laplacian).
     """
     spec = builtin_surface("torus", {"R": R, "r": r})
-    theta = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    rho = R + r * np.sin(theta)
-    pts = np.stack([rho, np.zeros_like(theta), r * np.cos(theta)])
-    fields = geo.curvature_fields(spec, pts, ExtensionPolicy.SIGNED_DISTANCE)
+    (theta, _), pts = chart_points(spec, (n_angles, 1))  # at phi = 0
+    fields = geo.curvature_fields(spec, pts[..., 0], ExtensionPolicy.SIGNED_DISTANCE)
     lap = fields["lapM"]
     lap_lb = fields["lapLB_M"]
     reference = torus_reference_laplacian(R, r, theta)
@@ -129,14 +127,13 @@ def split_identity_report(rel_tol=1e-9):
     the sign-flipped variant; a surface confirms the printed split only
     when the residual vanishes.
     """
+    torus = builtin_surface("torus", {"R": 2.0, "r": 1.0})
     cases = [
         ("sphere", builtin_surface("sphere", {"a": 1.0}),
          [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])]),
         ("circle", builtin_surface("circle", {"a": 1.0}),
          [np.array([1.0, 0.0]), np.array([np.cos(1.1), np.sin(1.1)])]),
-        ("torus", builtin_surface("torus", {"R": 2.0, "r": 1.0}),
-         [np.array([2.0 + np.sin(t), 0.0, np.cos(t)])
-          for t in np.linspace(0, 2 * np.pi, 16, endpoint=False)]),
+        ("torus", torus, list(chart_points(torus, (16, 1))[1][..., 0].T)),  # at phi = 0
     ]
     out = {"surfaces": []}
     for name, spec, points in cases:

@@ -16,7 +16,9 @@ normal has M = -2/a.  The quantum force density along n is
 chi_geom = -lap M in units hbar^2 / (4 mu).
 
 Internally all table computations carry a trailing batch axis so that
-grids of thousands of points evaluate in vectorized numpy.
+grids of thousands of points evaluate in vectorized numpy.  Field samples
+take their points from the catalog charts (surfaces.chart_points) and
+project each of them to f = 0 once (sample_points).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, reports
-from .surfaces import UnknownSurfaceError
+from .surfaces import chart_points
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -210,32 +212,7 @@ def distance_jet(spec, points, degree):
     return t * _norm(gy)
 
 
-@dataclass(frozen=True)
-class NormalJet:
-    """Derivative tables of the unit normal extension at a point.
-
-    Arrays: n (N,), dn (N, N) with dn[i, j] = d n_i / d x_j, and when the
-    order allows, d2n (N, N, N) and d3n (N, N, N, N) with trailing axes
-    the derivative directions.  Both extensions give exact jets.
-    """
-
-    point: np.ndarray
-    policy: ExtensionPolicy
-    order: int
-    n: np.ndarray
-    dn: np.ndarray
-    d2n: np.ndarray | None
-    d3n: np.ndarray | None
-
-    def unit_norm_defect(self):
-        return abs(float(np.sum(self.n * self.n)) - 1.0)
-
-    def tangency_defect(self):
-        """max_j |sum_i n_i n_{i,j}|, zero when |n| = 1 exactly."""
-        return float(np.max(np.abs(self.n @ self.dn)))
-
-
-def _normal_jets(spec, points, policy, degree):
+def _normal_components(spec, points, policy, degree):
     """The N normal component jets to `degree`: d_i d (SD) or grad f / |grad f| (GN)."""
     if policy is ExtensionPolicy.SIGNED_DISTANCE:
         djet = distance_jet(spec, points, degree + 1)
@@ -245,9 +222,9 @@ def _normal_jets(spec, points, policy, degree):
 
 def _tables_batch(spec, points, policy, order):
     """(n, dn, d2n, d3n) with trailing batch axis, per BLOCK columns (bitwise as if whole)."""
-    blocks = [_tables_from_component_jets(_normal_jets(spec, points[:, start:start + BLOCK],
-                                                       policy, order), order)
-              for start in range(0, points.shape[1], BLOCK)]
+    blocks = [_tables_from_component_jets(
+        _normal_components(spec, points[:, start:start + BLOCK], policy, order), order)
+        for start in range(0, points.shape[1], BLOCK)]
     return tuple(None if parts[0] is None else np.concatenate(parts, axis=-1)
                  for parts in zip(*blocks))
 
@@ -263,23 +240,6 @@ def _require_on_surface(spec, points):
     if not residual[worst] <= 1e-9:
         raise OffSurfaceError(f"point {points[:, worst].tolist()} is not on the "
                               f"surface: |f| = {residual[worst]:.2e}")
-
-
-def normal_jet(spec, point, policy, order=3):
-    """Unit normal derivative tables at a surface point (|f| < 1e-9).
-
-    order <= 3: tables hold n and its derivatives up to that order
-    (dn always; d2n for order >= 2; d3n for order 3).
-    """
-    if order > 3:
-        raise ValueError("normal jet order is capped at 3")
-    point = np.asarray(point, dtype=float)
-    _require_on_surface(spec, point[:, None])
-    n, dn, d2n, d3n = _tables_batch(spec, point[:, None], policy, order)
-    squeeze = lambda a: None if a is None else a[..., 0]
-    return NormalJet(point=point, policy=policy, order=order,
-                     n=squeeze(n), dn=squeeze(dn), d2n=squeeze(d2n),
-                     d3n=squeeze(d3n))
 
 
 # Curvature samples ------------------------------------------------------------
@@ -442,101 +402,32 @@ def curvature_force_scale(mass_kg, length_m, hbar=HBAR_SI):
 # Field sampling ----------------------------------------------------------------
 
 
-def _parametric_points(spec, resolution):
-    name = spec.name
-    p = spec.params
-    if isinstance(resolution, int):
-        resolution = (resolution,) if name == "circle" else (resolution, resolution)
-    if name == "circle":
-        (n,) = resolution
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.stack([p["a"] * np.cos(th), p["a"] * np.sin(th)])
-    if name in ("sphere", "spheroid"):
-        nt, nph = resolution
-        a = p["a"]
-        b = p.get("b", a)
-        t = np.linspace(-np.pi / 2, np.pi / 2, nt + 2)[1:-1]  # open: skip poles
-        ph = np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False)
-        T, PH = np.meshgrid(t, ph, indexing="ij")
-        rho = a * np.cos(T)
-        return np.stack([rho * np.cos(PH), rho * np.sin(PH),
-                         b * np.sin(T)]).reshape(3, -1)
-    if name == "torus":
-        nth, nph = resolution
-        th = np.linspace(0.0, 2.0 * np.pi, nth, endpoint=False)
-        ph = np.linspace(0.0, 2.0 * np.pi, nph, endpoint=False)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        rho = p["R"] + p["r"] * np.sin(TH)
-        return np.stack([rho * np.cos(PH), rho * np.sin(PH),
-                         p["r"] * np.cos(TH)]).reshape(3, -1)
-    if name == "cylinder":
-        nth, nz = resolution
-        th = np.linspace(0.0, 2.0 * np.pi, nth, endpoint=False)
-        z = np.linspace(-p["a"], p["a"], nz)
-        TH, Z = np.meshgrid(th, z, indexing="ij")
-        return np.stack([p["a"] * np.cos(TH), p["a"] * np.sin(TH), Z]).reshape(3, -1)
-    if name == "plane":
-        nx, ny = resolution
-        u = np.linspace(-1.0, 1.0, nx)
-        v = np.linspace(-1.0, 1.0, ny)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        return np.stack([U, V, np.zeros_like(U)]).reshape(3, -1)
-    raise UnknownSurfaceError(f"no parametric grid for surface '{spec.name}'")
-
-
-def _random_surface_points(spec, count, seed):
+def sample_points(spec, sampling="grid", resolution=None, count=None, seed=0):
+    """On-surface points (N, B) of sample_field, each projected once: the chart
+    grid of the resolution, or `count` seeded chart draws that a seeded offset
+    of up to 5% of the feature scale along grad f moves off f = 0, so that the
+    projection is exercised.  An empty resolution or count gives no points."""
+    if sampling not in ("grid", "random"):
+        raise ValueError(f"unknown sampling mode '{sampling}'")
+    if not (resolution if sampling == "grid" else count):
+        return np.empty((spec.dimension, 0))
+    if sampling == "grid":
+        points = chart_points(spec, resolution)[1].reshape(spec.dimension, -1)
+        return project_to_surface(spec, points)
     rng = np.random.default_rng(seed)
-    p = spec.params
-    if spec.name == "circle":
-        th = rng.uniform(0, 2 * np.pi, count)
-        pts = np.stack([np.cos(th), np.sin(th)]) * p["a"]
-    elif spec.name in ("sphere", "spheroid"):
-        a = p["a"]
-        b = p.get("b", a)
-        t = np.arcsin(rng.uniform(-1, 1, count))
-        ph = rng.uniform(0, 2 * np.pi, count)
-        pts = np.stack([a * np.cos(t) * np.cos(ph), a * np.cos(t) * np.sin(ph),
-                        b * np.sin(t)])
-    elif spec.name == "torus":
-        th = rng.uniform(0, 2 * np.pi, count)
-        ph = rng.uniform(0, 2 * np.pi, count)
-        rho = p["R"] + p["r"] * np.sin(th)
-        pts = np.stack([rho * np.cos(ph), rho * np.sin(ph), p["r"] * np.cos(th)])
-    elif spec.name == "cylinder":
-        th = rng.uniform(0, 2 * np.pi, count)
-        z = rng.uniform(-p["a"], p["a"], count)
-        pts = np.stack([p["a"] * np.cos(th), p["a"] * np.sin(th), z])
-    elif spec.name == "plane":
-        u = rng.uniform(-1, 1, (2, count))
-        pts = np.stack([u[0], u[1], np.zeros(count)])
-    else:
-        raise UnknownSurfaceError(f"random sampling needs a catalog surface, got '{spec.name}'")
-    # small normal offset, then projected back: exercises the projection
+    points = chart_points(spec, count=count, rng=rng)[1]
     offset = rng.uniform(-0.05, 0.05, count) * spec.feature_scale()
-    pts = pts + spec.grad_f(pts) * offset
-    return project_to_surface(spec, pts)
+    return project_to_surface(spec, points + spec.grad_f(points) * offset)
 
 
 def sample_field(spec, policy, sampling="grid", resolution=None, count=None, seed=0):
-    """Curvature field columns over the surface; deterministic given the seed.
+    """Curvature field columns at sample_points; deterministic given the seed.
 
-    sampling='grid' places points on the catalog parametric grid at the
-    given resolution; sampling='random' draws `count` seeded random
-    points and projects them to the surface.  Returns the curvature_fields
-    arrays plus x (N, B) and kappa (N-1, B), one column per sample, or {}
-    when the resolution or count is empty.
+    Returns the curvature_fields arrays plus x (N, B) and kappa (N-1, B),
+    one column per sample, or {} when there are no points.
     """
-    if sampling == "grid":
-        if not resolution:
-            return {}
-        pts = _parametric_points(spec, resolution)
-    elif sampling == "random":
-        if not count:
-            return {}
-        pts = _random_surface_points(spec, count, seed)
-    else:
-        raise ValueError(f"unknown sampling mode '{sampling}'")
-    return _sample_columns(spec, project_to_surface(spec, pts), policy)
+    points = sample_points(spec, sampling, resolution, count, seed)
+    return _sample_columns(spec, points, policy) if points.shape[1] else {}
 
 
 def sample_table(columns):
@@ -562,7 +453,7 @@ def samples_to_csv(columns):
 def _field_jet(spec, points, policy, field, degree):
     """Jet of the chosen curvature field to `degree`, and the normal component jets."""
     n_degree = {"M": 1, "vg_geom": 1, "lapM": 3}[field] + degree
-    njets = _normal_jets(spec, points, policy, n_degree)
+    njets = _normal_components(spec, points, policy, n_degree)
     m_jet = -sum(nj.derivative(i) for i, nj in enumerate(njets))
     if field == "M":
         return m_jet, njets

@@ -2,6 +2,8 @@
 
 Supported surfaces: circle(a) with angle theta, and torus(R, r) with
 tube angle theta and azimuth phi (node (i, j) sits at theta_i, phi_j).
+The nodes come from the catalog charts (surfaces.chart_points); the
+tangents and metric are written out here.
 Geometric coefficient fields (n, shape tensor and its derivatives, M,
 S2, lap M, ...) are pulled from the geometry module under the
 SignedDistance extension, where the catalog expressions are exact.
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import geometry as geo
-from ..surfaces import builtin_surface
+from ..surfaces import builtin_surface, chart_points
 
 
 class UnsupportedSurfaceError(ValueError):
@@ -88,8 +90,7 @@ def build_grid(kind, params, size):
         _check_size(size)
         a = params["a"]
         spec = builtin_surface("circle", {"a": a})
-        th = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
-        points = np.stack([a * np.cos(th), a * np.sin(th)])
+        (th,), points = chart_points(spec, size)
         # (grad_S)_i = g^{tt} (x_t)_i d_t with x_t = a(-sin, cos)
         tangent = np.stack([-np.sin(th), np.cos(th)])
         grad_coefs = (tangent / a)[:, None, :]
@@ -110,11 +111,9 @@ def build_grid(kind, params, size):
         _check_size(nph)
         R, r = params["R"], params["r"]
         spec = builtin_surface("torus", {"R": R, "r": r})
-        th = np.linspace(0.0, 2 * np.pi, nth, endpoint=False)
-        ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
+        (th, ph), points = chart_points(spec, size)
         TH, PH = np.meshgrid(th, ph, indexing="ij")
         rho = R + r * np.sin(TH)
-        points = np.stack([rho * np.cos(PH), rho * np.sin(PH), r * np.cos(TH)])
         x_th = np.stack([r * np.cos(TH) * np.cos(PH), r * np.cos(TH) * np.sin(PH),
                          -r * np.sin(TH)])
         x_ph = np.stack([-rho * np.sin(PH), rho * np.cos(PH), np.zeros_like(PH)])

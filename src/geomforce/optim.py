@@ -156,7 +156,7 @@ def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED
         raise ValueError(f"field must be one of {geo.FIELD_NAMES}")
     cfg = config or SearchConfig()
     scale = spec.feature_scale()
-    starts = geo._random_surface_points(spec, cfg.starts, cfg.seed)
+    starts = geo.sample_points(spec, "random", count=cfg.starts, seed=cfg.seed)
     values, g_tan, _, _ = geo.field_derivatives(spec, starts, policy, field)
     span = float(values.max() - values.min())
     if (span < 1e-10 * (1.0 + float(np.abs(values).max()))

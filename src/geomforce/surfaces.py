@@ -1,4 +1,4 @@
-"""Implicit surface specifications and the builtin catalog.
+"""Implicit surface specifications, the builtin catalog and its charts.
 
 A SurfaceSpec bundles an expression f with its dimension, parameter
 bindings, and a signed-distance flag (true when |grad f| = 1 holds
@@ -10,6 +10,10 @@ classical integrator runs the same tape over Python floats
 (`expr.float_call`), one point at a time.  The tape's only arithmetic is
 + - * / and numpy's functions, so a point gets the same f and grad f bits
 alone, in a batch and in a float run.
+
+Each catalog surface also has a chart in CHARTS, the one place that writes
+its parametrization x(u): chart_points gives the chart's points on a
+coordinate grid or as seeded random draws.
 """
 
 from __future__ import annotations
@@ -133,3 +137,72 @@ def builtin_surface(name, params=None):
             f"torus tube radius r={params['r']} must be smaller than ring radius R={params['R']}"
         )
     return from_expression(text, dimension, params, is_signed_distance=signed, name=name)
+
+
+# Charts ---------------------------------------------------------------------------
+
+# A coordinate kind: ANGLE is periodic on [0, 2 pi); LATITUDE is open at the
+# poles on (-pi/2, pi/2) and drawn area-uniformly (arcsin of a uniform draw);
+# any other kind maps the parameters to a closed span (lo, hi).
+ANGLE, LATITUDE = "angle", "latitude"
+
+
+def _spheroid_chart(p, t, ph):
+    rho = p["a"] * np.cos(t)
+    return rho * np.cos(ph), rho * np.sin(ph), p.get("b", p["a"]) * np.sin(t)
+
+
+def _torus_chart(p, th, ph):
+    rho = p["R"] + p["r"] * np.sin(th)
+    return rho * np.cos(ph), rho * np.sin(ph), p["r"] * np.cos(th)
+
+
+# catalog name -> (embedding x(params, *coordinates), coordinate kinds)
+CHARTS = {
+    "circle": (lambda p, th: (p["a"] * np.cos(th), p["a"] * np.sin(th)), (ANGLE,)),
+    "sphere": (_spheroid_chart, (LATITUDE, ANGLE)),
+    "cylinder": (lambda p, th, z: (p["a"] * np.cos(th), p["a"] * np.sin(th), z),
+                 (ANGLE, lambda p: (-p["a"], p["a"]))),
+    "spheroid": (_spheroid_chart, (LATITUDE, ANGLE)),
+    "torus": (_torus_chart, (ANGLE, ANGLE)),
+    "plane": (lambda p, u, v: (u, v, np.zeros_like(u)),
+              (lambda p: (-1.0, 1.0), lambda p: (-1.0, 1.0))),
+}
+
+
+def _axis(kind, params, n):
+    if kind == ANGLE:
+        return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    if kind == LATITUDE:
+        return np.linspace(-np.pi / 2, np.pi / 2, n + 2)[1:-1]
+    return np.linspace(*kind(params), n)
+
+
+def _draw(kind, params, rng, count):
+    if kind == ANGLE:
+        return rng.uniform(0, 2 * np.pi, count)
+    if kind == LATITUDE:
+        return np.arcsin(rng.uniform(-1, 1, count))
+    return rng.uniform(*kind(params), count)
+
+
+def chart_points(spec, resolution=None, count=0, rng=None):
+    """Chart coordinates and embedded points of a catalog surface.
+
+    Without a generator `rng`: the 1D axes of a grid of `resolution` nodes
+    (an int for every coordinate, or one per coordinate) and points of
+    shape (N,) + resolution.  With it: `count` draws from rng, one
+    coordinate after another, and points of shape (N, count).
+    """
+    if spec.name not in CHARTS:
+        raise UnknownSurfaceError(
+            f"surface '{spec.name}' has no chart; fields and extrema take catalog "
+            f"surfaces only ({', '.join(sorted(CHARTS))})")
+    embed, kinds = CHARTS[spec.name]
+    if rng is not None:
+        coords = [_draw(kind, spec.params, rng, count) for kind in kinds]
+        return coords, np.stack(embed(spec.params, *coords))
+    if isinstance(resolution, int):
+        resolution = (resolution,) * len(kinds)
+    coords = [_axis(kind, spec.params, n) for kind, n in zip(kinds, resolution, strict=True)]
+    return coords, np.stack(embed(spec.params, *np.meshgrid(*coords, indexing="ij")))

@@ -299,11 +299,30 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
       "--mass", "1e-30"], "ParseError"),
     (["force", "--expr", "x^0^-1 + z - 1", "--at", "0,0,1", "--mass", "1e-30"],
      "NonIntegerExponentError"),
+    (["fields", "--expr", "x^2 + y^2 + z^2 - 1", "--sampling", "random", "--count", "5"],
+     "UnknownSurfaceError"),
+    (["extrema", "--expr", "x^2 + y^2 + z^2 - 1"], "UnknownSurfaceError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert json.loads(err)["error"] == error
+
+
+def test_a_surface_without_a_chart_gets_one_message(capsys):
+    # fields on a grid or random sample and extrema all need a catalog chart;
+    # none of them names a sampling mode the user did not ask for
+    messages = set()
+    for args in (["fields", "--resolution", "4"],
+                 ["fields", "--sampling", "random", "--count", "5"],
+                 ["extrema"]):
+        code, _, err = run_cli(args + ["--expr", "x^2+y^2+z^2-1"], capsys)
+        assert code == 1
+        messages.add(json.loads(err)["message"])
+    (message,) = messages
+    assert "'x^2+y^2+z^2-1'" in message
+    assert "fields and extrema take catalog surfaces only" in message
+    assert "sampling" not in message
 
 
 def test_expr_parameter_that_leaves_the_float_range_is_named(capsys):

@@ -74,40 +74,40 @@ def test_projection_failure_reports_iterations():
     assert "1 of 3 point(s), worst from [0.0, 0.0, 0.0]" in str(err.value)
 
 
-# normal jets ------------------------------------------------------------------
+# normal tables ----------------------------------------------------------------
 
 
-def test_sphere_normal_jet_by_hand(sphere):
-    nj = geo.normal_jet(sphere, np.array([1.0, 0.0, 0.0]), SD)
-    assert np.allclose(nj.n, [1.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(nj.dn, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+def test_sphere_normal_tables_by_hand(sphere):
+    s = geo.curvature_sample(sphere, np.array([1.0, 0.0, 0.0]), SD)
+    assert np.allclose(s.n, [1.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(s.shape, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
 
 
 def test_circle_normal_trace(circle):
     for theta in (0.0, 0.7, 2.0):
         p = np.array([np.cos(theta), np.sin(theta)])
-        nj = geo.normal_jet(circle, p, SD)
-        assert np.allclose(nj.n, p, atol=1e-13)
-        assert np.trace(nj.dn) == pytest.approx(1.0, abs=1e-12)
+        s = geo.curvature_sample(circle, p, SD)
+        assert np.allclose(s.n, p, atol=1e-13)
+        assert np.trace(s.shape) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("policy", [GN, SD])
 def test_unit_norm_and_tangency_invariants(torus, policy):
     for theta in np.linspace(0, 2 * np.pi, 7):
-        nj = geo.normal_jet(torus, torus_point(theta), policy)
-        assert nj.unit_norm_defect() < 1e-10
-        assert nj.tangency_defect() < 1e-8
+        s = geo.curvature_sample(torus, torus_point(theta), policy)
+        assert abs(float(np.sum(s.n * s.n)) - 1.0) < 1e-10
+        assert np.max(np.abs(s.n @ s.shape)) < 1e-8  # n_i n_{i,j} = 0 when |n| = 1
 
 
 def test_signed_distance_normals_are_straight(torus):
     # d_n n = n_j n_{i,j} = 0 under the signed-distance extension
-    nj = geo.normal_jet(torus, torus_point(1.3), SD)
-    assert np.max(np.abs(nj.dn @ nj.n)) < 1e-12
+    s = geo.curvature_sample(torus, torus_point(1.3), SD)
+    assert np.max(np.abs(s.shape @ s.n)) < 1e-12
 
 
-def test_normal_jet_requires_surface_point(sphere):
-    with pytest.raises(ValueError, match="not on the surface"):
-        geo.normal_jet(sphere, np.array([1.5, 0.0, 0.0]), SD)
+def test_normal_tables_require_a_surface_point(sphere):
+    with pytest.raises(geo.OffSurfaceError, match="not on the surface"):
+        geo.curvature_sample(sphere, np.array([1.5, 0.0, 0.0]), SD)
 
 
 @pytest.mark.parametrize("name,params,point", [
@@ -121,12 +121,11 @@ def test_numeric_distance_jets_match_exact_for_sdf_surface(name, params, point):
     exact = builtin_surface(name, params)
     raw = from_expression(unparse(exact.expression), exact.dimension, params)
     assert exact.is_signed_distance and not raw.is_signed_distance
-    p = np.array(point)
-    want = geo.normal_jet(exact, p, SD)
-    got = geo.normal_jet(raw, p, SD)
-    for table in ("n", "dn", "d2n", "d3n"):
-        assert np.allclose(getattr(got, table), getattr(want, table),
-                           rtol=0.0, atol=1e-12), table
+    p = np.array(point)[:, None]
+    want = geo._tables_batch(exact, p, SD, 3)
+    got = geo._tables_batch(raw, p, SD, 3)
+    for table, g, w in zip(("n", "dn", "d2n", "d3n"), got, want):
+        assert np.allclose(g, w, rtol=0.0, atol=1e-12), table
 
 
 # curvature samples --------------------------------------------------------------
@@ -270,6 +269,7 @@ def test_sample_field_deterministic(torus):
 def test_sample_field_empty(torus):
     assert geo.sample_field(torus, SD, sampling="random", count=0) == {}
     assert geo.sample_field(torus, SD, sampling="grid", resolution=0) == {}
+    assert geo.sample_field(torus, SD, sampling="grid", resolution=(0, 5)) == {}
 
 
 def test_sample_field_points_on_surface(torus):
@@ -293,7 +293,7 @@ def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkey
     # and lapLB_M other last bits at B = 1), so every field of a column is
     # the one it gets alone, and the fields equal one unblocked pass.
     spec = builtin_surface(name, params)
-    points = geo._random_surface_points(spec, geo.BLOCK + 1, seed=6)
+    points = geo.sample_points(spec, "random", count=geo.BLOCK + 1, seed=6)
     tables = geo._tables_batch(spec, points, policy, 3)
     fields = geo.curvature_fields(spec, points, policy)
     for b in (0, 1, geo.BLOCK // 2, geo.BLOCK - 2, geo.BLOCK - 1, geo.BLOCK):
@@ -312,7 +312,7 @@ def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkey
 
 
 def test_off_surface_point_in_the_second_block_is_named(torus):
-    points = geo._random_surface_points(torus, geo.BLOCK + 5, seed=2)
+    points = geo.sample_points(torus, "random", count=geo.BLOCK + 5, seed=2)
     points[:, 3] *= 1.01  # off the surface too, in the first block, but less so
     points[:, geo.BLOCK + 3] *= 1.2
     assert int(np.argmax(np.abs(torus.f(points)))) == geo.BLOCK + 3
@@ -430,7 +430,7 @@ def test_distance_jet_is_eikonal_on_random_ellipsoids(a, b, c, z, phi):
 def test_distance_jet_refuses_a_vanishing_gradient():
     cone = from_expression("x^2 + y^2 - z^2", 3)
     with pytest.raises(jets.DomainError, match="vanishes"):
-        geo.normal_jet(cone, np.zeros(3), SD)
+        geo.curvature_sample(cone, np.zeros(3), SD)
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0)], ids=["prolate", "oblate"])
@@ -495,7 +495,7 @@ def test_sd_tables_are_the_raw_partials_of_the_distance_jet(name, params, order)
     # n_i = d_i d, so each table is a plain gather of the distance jet:
     # n[i] = d_i d, dn[i, j] = d_i d_j d, and so on
     spec = builtin_surface(name, params)
-    points = geo._random_surface_points(spec, 16, seed=4)
+    points = geo.sample_points(spec, "random", count=16, seed=4)
     djet = geo.distance_jet(spec, points, order + 1)
 
     def partials(depth):

@@ -228,7 +228,7 @@ def test_exact_riemannian_hessian_matches_second_differences(spec, policy):
         rng = np.random.default_rng(3)
         points = geo.project_to_surface(spec, rng.uniform(0.3, 1.5, (3, 2)))
     else:
-        points = geo._random_surface_points(spec, 2, seed=11)
+        points = geo.sample_points(spec, "random", count=2, seed=11)
     h = 1e-4 * spec.feature_scale()
     for field in geo.FIELD_NAMES:
         _, _, n, hs = geo.field_derivatives(spec, points, policy, field, degree=2)
@@ -257,7 +257,7 @@ def test_exact_hessian_is_flat_along_an_orbit(name, params, policy, point):
 def test_batched_walk_matches_single_column_walks():
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
     scale, tol = spec.feature_scale(), 1e-8
-    starts = geo._random_surface_points(spec, 24, 0)
+    starts = geo.sample_points(spec, "random", count=24, seed=0)
     values, g_tan, _, _ = geo.field_derivatives(spec, starts, GN, "lapM")
     x, value, g = (np.repeat(a, 2, axis=-1) for a in (starts, values, g_tan))
     direction = np.tile([1.0, -1.0], 24)

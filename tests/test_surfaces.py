@@ -98,6 +98,52 @@ CATALOG_PARAMS = {"circle": {"a": 1.3}, "sphere": {"a": 1.2}, "cylinder": {"a": 
                   "plane": {}}
 
 
+# charts: the grid in closed form, seeded random samples ---------------------
+
+def _closed_form_grid(name, p, n, m):
+    """Coordinate-major grid points of each catalog parametrization, by hand."""
+    i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    angle = lambda k, size: 2.0 * np.pi * k / size
+    if name == "circle":
+        th = angle(np.arange(n), n)
+        return np.stack([p["a"] * np.cos(th), p["a"] * np.sin(th)])
+    if name in ("sphere", "spheroid"):
+        t, ph = -np.pi / 2 + np.pi * (i + 1) / (n + 1), angle(j, m)
+        x = [p["a"] * np.cos(t) * np.cos(ph), p["a"] * np.cos(t) * np.sin(ph),
+             p.get("b", p["a"]) * np.sin(t)]
+    elif name == "torus":
+        th, ph = angle(i, n), angle(j, m)
+        rho = p["R"] + p["r"] * np.sin(th)
+        x = [rho * np.cos(ph), rho * np.sin(ph), p["r"] * np.cos(th)]
+    elif name == "cylinder":
+        th, z = angle(i, n), p["a"] * (2.0 * j / (m - 1) - 1.0)
+        x = [p["a"] * np.cos(th), p["a"] * np.sin(th), z]
+    else:
+        x = [2.0 * i / (n - 1) - 1.0, 2.0 * j / (m - 1) - 1.0, np.zeros(i.shape)]
+    return np.stack(x).reshape(3, -1)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_chart_samples_cover_the_catalog(name):
+    spec = builtin_surface(name, CATALOG_PARAMS[name])
+    policy = geo.ExtensionPolicy.GRADIENT_NORMALIZED
+    n, m = 6, 5
+    resolution = n if spec.dimension == 2 else (n, m)
+    grid = geo.sample_field(spec, policy, sampling="grid", resolution=resolution)
+    want = _closed_form_grid(name, spec.params, n, m)
+    assert grid["x"].shape == want.shape == (spec.dimension, n if spec.dimension == 2 else n * m)
+    assert np.allclose(grid["x"], want, rtol=0.0, atol=1e-13 * spec.feature_scale())
+    random = geo.sample_field(spec, policy, sampling="random", count=17, seed=5)
+    assert random["x"].shape == (spec.dimension, 17)
+    for samples in (grid, random):
+        assert np.all(np.abs(spec.f(samples["x"])) <= geo.PROJECTION_TOL)
+    again = geo.sample_field(spec, policy, sampling="random", count=17, seed=5)
+    assert again.keys() == random.keys()
+    assert all(np.array_equal(again[key], random[key]) for key in random)
+    other = geo.sample_field(spec, policy, sampling="random", count=17, seed=6)
+    assert not np.allclose(other["x"], random["x"])
+
+
 def _assert_gradient_is_degree_1_jet(spec, points):
     jet = spec.jet(points, 1)
     want = np.array([jet.derivative(i).value for i in range(spec.dimension)])
@@ -149,7 +195,7 @@ def _assert_float_run_equals_array_run(spec, points):
 @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
 def test_float_run_equals_the_array_run_on_the_catalog(name):
     spec = builtin_surface(name, CATALOG_PARAMS[name])
-    on = geo._random_surface_points(spec, 100, seed=8)
+    on = geo.sample_points(spec, "random", count=100, seed=8)
     off = np.random.default_rng(8).uniform(-3.0, 3.0, (spec.dimension, 100))
     _assert_float_run_equals_array_run(spec, np.concatenate([on, off], axis=1))
 
