@@ -8,6 +8,19 @@ assertion: confirmed needs a small residual at the finest grid plus a
 non-increasing residual series, refuted needs residuals stably far above
 tolerance, and anything else is inconclusive.
 
+The suite is state-major: each grid gets one pass over its test states,
+and every requested identity reads the same StateActions of a state,
+
+    p psi, p_l p_k psi, p^2 psi = sum_l p_l p_l psi, p^2 p_k psi,
+    H_lb psi, H_mom psi (from p^2 psi), Q psi and Q(n psi),
+
+each computed once per state, the first time an identity reads it.  The
+pass takes the states in pairs, so HERMITICITY judges its pairs from the
+same actions.  run_identity_suite runs the pass once per grid for all
+its identities and caches the results (residual tables, hermiticity
+defect) on the grid, where check_identity reads them; check_identity
+called alone runs the pass for its one identity.
+
 Identity ids:
 
 * EQ3_MAIN      [p_j, H]/(i hbar) vs the symmetrized centripetal force
@@ -25,6 +38,7 @@ Identity ids:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +49,8 @@ from .operators import (
     centripetal,
     divergence,
     hamiltonian,
-    hermiticity_defect,
     momentum,
+    pair_defect,
     quartics,
     random_band_states,
     residual_on_testspace,
@@ -53,6 +67,10 @@ IDENTITY_IDS = (
     "H_FORMS",
     "HERMITICITY",
 )
+
+# HERMITICITY judges test-state pairs (0, 1), (2, 3), ... up to this many
+# (hermiticity_defect's default).
+_HERMITICITY_PAIRS = 6
 
 
 @dataclass
@@ -77,6 +95,54 @@ class IdentityVerdict:
         }
 
 
+class StateActions:
+    """The operator actions the identities share on one test state.
+
+    Each is computed the first time it is read and kept for the state.
+    """
+
+    def __init__(self, grid, psi, hbar, mu):
+        self.grid, self.psi, self.hbar, self.mu = grid, psi, hbar, mu
+
+    @cached_property
+    def p(self):
+        """p psi, an (N,)+shape stack."""
+        return momentum(self.grid, self.psi, self.hbar)
+
+    @cached_property
+    def pp(self):
+        """pp[l, k] = p_l p_k psi."""
+        return momentum(self.grid, self.p, self.hbar)
+
+    @cached_property
+    def p2(self):
+        """p^2 psi = sum_l p_l p_l psi."""
+        return divergence(self.grid, self.p, self.hbar)
+
+    @cached_property
+    def p2_p(self):
+        """p^2 p_k psi, an (N,)+shape stack."""
+        return divergence(self.grid, self.pp, self.hbar)
+
+    @cached_property
+    def h_lb(self):
+        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "lb")
+
+    @cached_property
+    def h_mom(self):
+        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "momentum", self.p2)
+
+    @cached_property
+    def q(self):
+        """Q psi, the centripetal quadratic."""
+        return centripetal(self.grid, self.psi, self.hbar, self.p)
+
+    @cached_property
+    def q_n(self):
+        """Q (n_j psi) for every component j."""
+        return centripetal(self.grid, self.grid.geo["n"] * self.psi, self.hbar)
+
+
 def _coefficients(grid):
     g = grid.geo
     n, dn, d3n = g["n"], g["dn"], g["d3n"]
@@ -88,21 +154,18 @@ def _coefficients(grid):
             "S2": g["S2"]}
 
 
-# Each builder returns sides(psi): the two actions on one test state, as
-# component stacks with one entry per operator pair of the identity.
+# Each builder returns sides(actions): the arrays one identity compares on
+# one test state, as component stacks with one entry per operator pair.
 
 
 def _sides_eq3(grid, hbar, mu):
     n = grid.geo["n"]
     quantum = -(hbar ** 2 / (4.0 * mu)) * grid.geo["lapM"] * n
 
-    def sides(psi):
-        p_psi = momentum(grid, psi, hbar)
-        h_psi = hamiltonian(grid, psi, hbar, mu, "momentum", p_psi)
-        lhs = (1.0 / (1j * hbar)) * (momentum(grid, h_psi, hbar)
-                                     - hamiltonian(grid, p_psi, hbar, mu, "momentum"))
-        rhs = (-0.5 / mu) * (n * centripetal(grid, psi, hbar, p_psi)
-                             + centripetal(grid, n * psi, hbar)) + quantum * psi
+    def sides(a):
+        lhs = (1.0 / (1j * hbar)) * (momentum(grid, a.h_mom, hbar)
+                                     - hamiltonian(grid, a.p, hbar, mu, "momentum", a.p2_p))
+        rhs = (-0.5 / mu) * (n * a.q + a.q_n) + quantum * a.psi
         return lhs, rhs
 
     return sides
@@ -113,12 +176,10 @@ def _sides_eq8(grid, hbar, mu):
     first, second = np.triu_indices(grid.ndim_embed, 1)
     coefs = np.stack([n[j] * dn[i] - n[i] * dn[j] for i, j in zip(first, second)])
 
-    def sides(psi):
-        p_psi = momentum(grid, psi, hbar)
-        pp_psi = momentum(grid, p_psi, hbar)  # pp_psi[l, k] = p_l p_k psi
-        lhs = pp_psi[first, second] - pp_psi[second, first]
-        rhs = (1j * hbar / 2.0) * (np.einsum("pl...,l...->p...", coefs, p_psi)
-                                   + divergence(grid, np.swapaxes(coefs, 0, 1) * psi, hbar))
+    def sides(a):
+        lhs = a.pp[first, second] - a.pp[second, first]
+        rhs = (1j * hbar / 2.0) * (np.einsum("pl...,l...->p...", coefs, a.p)
+                                   + divergence(grid, np.swapaxes(coefs, 0, 1) * a.psi, hbar))
         return lhs, rhs
 
     return sides
@@ -131,59 +192,111 @@ def _sides_eq10(grid, hbar, mu):
     tangential_w = c["W"] - c["n"] * c["n_dot_W"]
     printed = 2j * hbar * (hbar ** 2 / (4.0 * mu)) * tangential_w
 
-    def sides(psi):
-        lhs = momentum(grid, scalar * psi, hbar) - scalar * momentum(grid, psi, hbar)
-        return lhs, printed * psi, -printed * psi
+    def sides(a):
+        lhs = momentum(grid, scalar * a.psi, hbar) - scalar * a.p
+        return lhs, printed * a.psi, -printed * a.psi
 
     return sides
 
 
 def _sides_hforms(grid, hbar, mu):
-    def sides(psi):
-        return (hamiltonian(grid, psi, hbar, mu, "lb"),
-                hamiltonian(grid, psi, hbar, mu, "momentum"))
+    return lambda a: (a.h_lb, a.h_mom)
+
+
+def _sides_quartics(grid, hbar, mu):
+    """F_j and G_j against their printed simplifications, and [p_j, p^2]
+    against F_j + G_j; EQ11 and EQ13 read the same tables."""
+    c = _coefficients(grid)
+    n = c["n"]
+    printed11 = -1j * hbar ** 3 * c["W"]
+    cubic = c["W"] - 2.0 * n * c["C4"] - n * c["n_iill"]
+
+    def sides(a):
+        f_psi, g_psi = quartics(grid, a.psi, a.p, a.pp, hbar)
+        printed13 = (-2j * hbar) * (n * a.q + a.q_n) - 1j * hbar ** 3 * cubic * a.psi
+        return (f_psi, printed11 * a.psi, g_psi, printed13,
+                momentum(grid, a.p2, hbar) - a.p2_p, f_psi + g_psi)
 
     return sides
 
 
-def _quartic_tables(grid, hbar, count, seed):
-    """Residual tables of F_j and G_j against their printed simplifications
-    and of [p_j, p^2] against F_j + G_j.
-
-    One pass per test state computes P = p psi, PP = p p psi and both
-    quartics; the tables are cached on the grid, so EQ11 and EQ13 share it.
-    """
-    key = ("quartics", hbar, count, seed)
-    if key not in grid.cache:
-        c = _coefficients(grid)
-        n = c["n"]
-        printed11 = -1j * hbar ** 3 * c["W"]
-        cubic = c["W"] - 2.0 * n * c["C4"] - n * c["n_iill"]
-
-        def sides(psi):
-            p_psi = momentum(grid, psi, hbar)
-            pp_psi = momentum(grid, p_psi, hbar)
-            f_psi, g_psi = quartics(grid, psi, p_psi, pp_psi, hbar)
-            printed13 = (-2j * hbar) * (n * centripetal(grid, psi, hbar, p_psi)
-                                        + centripetal(grid, n * psi, hbar)) \
-                - 1j * hbar ** 3 * cubic * psi
-            p_p2 = momentum(grid, divergence(grid, p_psi, hbar), hbar)
-            p2_p = divergence(grid, pp_psi, hbar)
-            return (f_psi, printed11 * psi, g_psi, printed13,
-                    p_p2 - p2_p, f_psi + g_psi)
-
-        tables = residual_tables(sides, grid, count, seed,
-                                 pairs=((0, 1), (2, 3), (4, 5)))
-        grid.cache[key] = dict(zip(("EQ11_F_SIMPL", "EQ13_G_SIMPL", "construction"),
-                                   tables))
-    return grid.cache[key]
-
-
-_SIDES = {
-    "EQ3_MAIN": _sides_eq3,
-    "EQ8_PP": _sides_eq8,
-    "H_FORMS": _sides_hforms,
+# table group -> (builder, the residual pairs over its sides), in the
+# order a state's sides are built: the quartics' temporaries are the
+# largest, so they come before any other side is held.
+_BUILDERS = {
+    "QUARTICS": (_sides_quartics, ((0, 1), (2, 3), (4, 5))),
+    "EQ3_MAIN": (_sides_eq3, ((0, 1),)),
+    "EQ8_PP": (_sides_eq8, ((0, 1),)),
+    "EQ10_SCALAR": (_sides_eq10, ((0, 1), (0, 2), (1, 2))),
+    "H_FORMS": (_sides_hforms, ((0, 1),)),
 }
+_QUARTIC_TABLES = ("EQ11_F_SIMPL", "EQ13_G_SIMPL", "construction")
+
+
+def _group(identity_id):
+    return "QUARTICS" if identity_id in _QUARTIC_TABLES else identity_id
+
+
+def _grid_pass(grid, groups, hbar, mu, count, seed):
+    """One pass over the test states of one grid for the given groups.
+
+    Returns {group: residual tables} for the table groups, the largest
+    HERMITICITY pair defect, and whether EQ10's sides on state 0 are
+    nonzero ("EQ10_probe").  States go by in pairs: HERMITICITY judges
+    the pair, then each state's sides are built, fed to residual_tables
+    and dropped.
+    """
+    built = [(group, build(grid, hbar, mu))
+             for group, (build, _) in _BUILDERS.items() if group in groups]
+    # the groups' sides are concatenated; offset each group's pairs
+    pairs, spans, width = [], {}, 0
+    for group, _ in built:
+        group_pairs = _BUILDERS[group][1]
+        spans[group] = (len(pairs), len(pairs) + len(group_pairs))
+        pairs += [(i + width, j + width) for i, j in group_pairs]
+        width += 1 + max(max(pair) for pair in group_pairs)
+    sided = count if built else 0
+    paired = 2 * _HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
+    states = random_band_states(grid, max(sided, paired), seed)
+    out = {}
+
+    def hermiticity_stack(a):
+        return np.concatenate([a.p, [a.h_lb, a.h_mom]])
+
+    def combined(a, index):
+        per_group = {group: build(a) for group, build in built}
+        if index == 0 and "EQ10_SCALAR" in per_group:
+            lhs, printed, _ = per_group["EQ10_SCALAR"]
+            out["EQ10_probe"] = bool((norm_w(grid.weights, lhs) > 1e-10).any()
+                                     or (norm_w(grid.weights, printed) > 1e-10).any())
+        return tuple(x for group_sides in per_group.values() for x in group_sides)
+
+    def sides():
+        for k in range(0, len(states), 2):
+            pair = [StateActions(grid, psi, hbar, mu) for psi in states[k:k + 2]]
+            if k < paired:
+                phi, psi = pair
+                out["HERMITICITY"] = max(out.get("HERMITICITY", 0.0), pair_defect(
+                    grid.weights, phi.psi, psi.psi,
+                    hermiticity_stack(phi), hermiticity_stack(psi)))
+            # popped, so a state's actions go once its sides are built
+            for index in range(k, min(k + 2, sided)):
+                yield combined(pair.pop(0), index)
+
+    tables = residual_tables(grid.weights, sides(), pairs)
+    for group, (lo, hi) in spans.items():
+        out[group] = tables[lo:hi]
+    return out
+
+
+def _grid_results(grid, groups, hbar, mu, count, seed):
+    """The pass results of one grid, cached on it: run the pass for the
+    groups not yet there."""
+    done = grid.cache.setdefault(("verdict pass", hbar, mu, count, seed), {})
+    missing = [group for group in groups if group not in done]
+    if missing:
+        done.update(_grid_pass(grid, missing, hbar, mu, count, seed))
+    return done
 
 
 def _fit_slope(sizes, residuals):
@@ -213,49 +326,37 @@ def _judge(residuals, tol):
 
 def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10,
                    count=8, seed=0):
-    """Adjudicate one identity over a family of at least 3 grids."""
+    """Adjudicate one identity over a family of at least 3 grids.
+
+    Reads the grids' pass results (run_identity_suite runs the pass for
+    all its identities first) and runs the pass for this identity where
+    they are missing.
+    """
     if len(grids) < 3:
         raise ValueError("need a grid family of at least 3 sizes")
     sizes = [g.shape[0] for g in grids]
     grid_labels = ["x".join(str(s) for s in g.shape) for g in grids]
     notes = []
+    group = _group(identity_id)
+    results = [_grid_results(g, [group], hbar, mu, count, seed) for g in grids]
 
     if identity_id == "HERMITICITY":
-        residuals = []
-        for g in grids:
-            def actions(psi, g=g):
-                p_psi = momentum(g, psi, hbar)
-                return np.concatenate([
-                    p_psi, [hamiltonian(g, psi, hbar, mu, "lb"),
-                            hamiltonian(g, psi, hbar, mu, "momentum", p_psi)]])
-
-            residuals.append(hermiticity_defect(actions, g, seed=seed))
+        residuals = [r["HERMITICITY"] for r in results]
         return IdentityVerdict("HERMITICITY", grid_labels, residuals,
                                _fit_slope(sizes, residuals), _judge(residuals, tol),
                                {"seed": seed}, notes)
 
-    if identity_id in ("EQ11_F_SIMPL", "EQ13_G_SIMPL"):
-        tables = [_quartic_tables(g, hbar, count, seed) for g in grids]
-        worst = [worst_entry(t[identity_id]) for t in tables]
+    tables = [r[group] for r in results]
+    if group == "QUARTICS":
+        worst = [worst_entry(t[_QUARTIC_TABLES.index(identity_id)]) for t in tables]
         notes.append("construction check: [p_j, p^2] vs F_j + G_j (defined forms) "
-                     f"residual {tables[-1]['construction'].max():.3e} at finest grid")
+                     f"residual {tables[-1][2].max():.3e} at finest grid")
     elif identity_id == "EQ10_SCALAR":
         names = ("lhs_vs_printed", "lhs_vs_reference", "printed_vs_reference")
-        pair_residuals = {k: [] for k in names}
-        degenerate = True
-        worst = []
-        for g in grids:
-            sides = _sides_eq10(g, hbar, mu)
-            tables = residual_tables(sides, g, count, seed,
-                                     pairs=((0, 1), (0, 2), (1, 2)))
-            worst.append(worst_entry(tables[0]))
-            for k, table in zip(names, tables):
-                pair_residuals[k].append(float(table.max()))
-            lhs, printed, _ = sides(random_band_states(g, 1, seed)[0])
-            if (norm_w(g.weights, lhs) > 1e-10).any() or \
-                    (norm_w(g.weights, printed) > 1e-10).any():
-                degenerate = False
-        if degenerate:
+        pair_residuals = {k: [float(t[i].max()) for t in tables]
+                          for i, k in enumerate(names)}
+        worst = [worst_entry(t[0]) for t in tables]
+        if not any(r["EQ10_probe"] for r in results):
             notes.append(
                 "degenerate on this surface: both sides vanish identically "
                 "(scalar field is constant), so the sign question is not "
@@ -273,9 +374,7 @@ def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10,
             "printed form has the opposite sign of the reference"
         )
     else:
-        worst = [worst_entry(residual_tables(_SIDES[identity_id](g, hbar, mu), g,
-                                             count, seed)[0])
-                 for g in grids]
+        worst = [worst_entry(t[0]) for t in tables]
 
     residuals = [value for value, _ in worst]
     witness = {"grid": grid_labels[-1], "state_index": worst[-1][1], "seed": seed}
@@ -355,6 +454,8 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
         tol = 1e-10 if kind == "circle" else 1e-8
     identities = list(identities or IDENTITY_IDS)
     grids = [build_grid(kind, params, s) for s in sizes]
+    for g in grids:
+        _grid_results(g, [_group(i) for i in identities], hbar, mu, count, seed)
     verdicts = [check_identity(grids, ident, hbar, mu, tol, count, seed)
                 for ident in identities]
     report = {

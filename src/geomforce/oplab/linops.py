@@ -2,10 +2,13 @@
 
 Grid functions are arrays whose trailing axes are the periodic grid
 axes; any leading axes (components, states) ride along, so one FFT pass
-differentiates a whole stack.  LinOp wraps an array function of one
-grid function so it can be materialized as a dense matrix, which is
-allowed up to 4096 grid dimensions (eigen-decompositions stay on the
-circle and on the torus tube angle).
+differentiates a whole stack.  That pass is an in-place pair: the
+spectrum np.fft.fft returns is multiplied by i k and inverted by
+np.fft.ifft into its own memory, so a derivative allocates one array,
+not three.  LinOp wraps an array function of one grid function so it
+can be materialized as a dense matrix, which is allowed up to 4096 grid
+dimensions (eigen-decompositions stay on the circle and on the torus
+tube angle).
 """
 
 from __future__ import annotations
@@ -42,11 +45,15 @@ class LinOp:
 def fourier_derivative(psi, axis, ndim):
     """d/du^axis (period 2*pi) of a stack whose last ndim axes are the grid.
 
-    One fft/ifft pair differentiates every leading-axis component.
+    One fft/ifft pair differentiates every leading-axis component; the
+    product with i k and the inverse transform write into the spectrum.
     """
-    n = psi.shape[axis - ndim]
-    ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * (ndim - 1 - axis))
-    return np.fft.ifft(ik * np.fft.fft(psi, axis=axis - ndim), axis=axis - ndim)
+    axis -= ndim
+    n = psi.shape[axis]
+    ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * (-1 - axis))
+    spectrum = np.fft.fft(psi, axis=axis)
+    np.multiply(ik, spectrum, out=spectrum)
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
 def inner(weights, phi, psi):

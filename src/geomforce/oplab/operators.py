@@ -42,20 +42,31 @@ def _tangential(grid, x, nlead):
     """sum_a c[i, a] d_a x for every component i.
 
     x is one field broadcast to every i (nlead leading axes) or an
-    (N,)+lead+shape stack whose entry i gets component i.
+    (N,)+lead+shape stack whose entry i gets component i.  A stack's
+    terms are formed in their derivatives' memory and summed into the
+    first.  The coefficient stays the left operand: complex products are
+    not commutative bit for bit.
     """
     naxes = len(grid.shape)
-    coefs = _momentum_coefficients(grid)
-    out = _lift(coefs[0], nlead) * fourier_derivative(x, 0, naxes)
-    for a in range(1, naxes):
-        out += _lift(coefs[a], nlead) * fourier_derivative(x, a, naxes)
+    coefs = [_lift(c, nlead) for c in _momentum_coefficients(grid)[:naxes]]
+    in_place = x.shape == np.broadcast_shapes(coefs[0].shape, x.shape)
+    out = None
+    for a, c in enumerate(coefs):
+        term = fourier_derivative(x, a, naxes)
+        term = np.multiply(c, term, out=term) if in_place else c * term
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
 def _apply(grid, x, nlead, hbar):
     """-i hbar (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
     half_mn = _lift(_momentum_coefficients(grid)[-1], nlead)
-    return -1j * hbar * (_tangential(grid, x, nlead) + half_mn * x)
+    out = _tangential(grid, x, nlead)
+    out += half_mn * x
+    return np.multiply(-1j * hbar, out, out=out)
 
 
 def gradient(grid, psi):
@@ -86,22 +97,24 @@ def laplace_beltrami(grid, psi):
     return (1.0 / grid.sqrtg) * out
 
 
-def hamiltonian(grid, psi, hbar=1.0, mu=1.0, form="lb", p_psi=None):
+def hamiltonian(grid, psi, hbar=1.0, mu=1.0, form="lb", p2_psi=None):
     """Surface Hamiltonian applied to psi (leading axes allowed).
 
     lb:       -(hbar^2 / 2 mu) lap_LB + V_G
-    momentum: sum_j p_j p_j / (2 mu) - (hbar^2 / 4 mu) S2; p_psi, when
-              given, is momentum(grid, psi, hbar) already computed.
+    momentum: sum_j p_j p_j / (2 mu) - (hbar^2 / 4 mu) S2; p2_psi, when
+              given, is sum_j p_j p_j psi =
+              divergence(grid, momentum(grid, psi, hbar), hbar) already
+              computed.
     """
     psi = np.asarray(psi, dtype=complex)
     if form == "lb":
         vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
         return (-(hbar ** 2) / (2.0 * mu)) * laplace_beltrami(grid, psi) + vg * psi
     if form == "momentum":
-        if p_psi is None:
-            p_psi = momentum(grid, psi, hbar)
+        if p2_psi is None:
+            p2_psi = divergence(grid, momentum(grid, psi, hbar), hbar)
         s2 = (hbar ** 2 / (4.0 * mu)) * grid.geo["S2"]
-        return (1.0 / (2.0 * mu)) * divergence(grid, p_psi, hbar) - s2 * psi
+        return (1.0 / (2.0 * mu)) * p2_psi - s2 * psi
     raise ValueError(f"unknown Hamiltonian form '{form}'")
 
 
@@ -209,19 +222,19 @@ def worst_entry(table):
     return worst, int(np.argmax(np.isnan(per_state) | (per_state >= worst - tie)))
 
 
-def residual_tables(sides, grid, count=8, seed=0, band_fraction=1.0 / 3.0,
-                    pairs=((0, 1),)):
-    """Relative-residual tables over the band-limited test states.
+def residual_tables(weights, actions, pairs=((0, 1),)):
+    """Relative-residual tables over test states.
 
-    sides maps one state to a tuple of equally shaped arrays (single grid
-    functions or component stacks); each (a, b) in pairs gives one
-    (components, states) table of ||(A - B) psi|| / ||B psi||.
+    actions yields, for each test state in turn, a tuple of equally
+    shaped arrays (single grid functions or component stacks); each
+    (a, b) in pairs gives one (components, states) table of
+    ||(A - B) psi|| / ||B psi||.
     """
     rows = [[] for _ in pairs]
-    for psi in random_band_states(grid, count, seed, band_fraction):
-        actions = sides(psi)
+    for sides in actions:
         for row, (a, b) in zip(rows, pairs):
-            row.append(np.ravel(relative_residuals(grid.weights, actions[a], actions[b])))
+            row.append(np.ravel(relative_residuals(weights, sides[a], sides[b])))
+        del sides  # before the next state's arrays are built
     return [np.stack(row, axis=1) for row in rows]
 
 
@@ -231,22 +244,27 @@ def residual_on_testspace(a, b, grid, count=8, seed=0, band_fraction=1.0 / 3.0):
     a and b map one state to an array; each component of a stack counts
     as one operator pair.  Returns (residual, witness_index).
     """
-    table, = residual_tables(lambda psi: (a(psi), b(psi)), grid, count, seed,
-                             band_fraction)
+    states = random_band_states(grid, count, seed, band_fraction)
+    table, = residual_tables(grid.weights, ((a(psi), b(psi)) for psi in states))
     return worst_entry(table)
 
 
 def hermiticity_defect(op, grid, count=6, seed=0, band_fraction=1.0 / 3.0):
     """max |<phi, A psi> - <A phi, psi>| over unit test pairs, normalized.
 
-    op may return a component stack; the worst component counts.
+    op may return a component stack; the worst component counts.  The
+    pairs are test states (0, 1), (2, 3), ... of random_band_states.
     """
     states = random_band_states(grid, 2 * count, seed, band_fraction)
-    w = grid.weights
     worst = 0.0
     for phi, psi in zip(states[0::2], states[1::2]):
-        a_psi, a_phi = op(psi), op(phi)
-        defect = np.abs(inner(w, phi, a_psi) - inner(w, a_phi, psi))
-        scale = np.maximum(np.maximum(norm_w(w, a_psi), norm_w(w, a_phi)), 1.0)
-        worst = max(worst, float(np.max(defect / scale)))
+        worst = max(worst, pair_defect(grid.weights, phi, psi, op(phi), op(psi)))
     return worst
+
+
+def pair_defect(weights, phi, psi, a_phi, a_psi):
+    """|<phi, A psi> - <A phi, psi>| / max(||A psi||, ||A phi||, 1) of one
+    test pair, worst component; hermiticity_defect is its max over pairs."""
+    defect = np.abs(inner(weights, phi, a_psi) - inner(weights, a_phi, psi))
+    scale = np.maximum(np.maximum(norm_w(weights, a_psi), norm_w(weights, a_phi)), 1.0)
+    return float(np.max(defect / scale))
