@@ -1,25 +1,28 @@
 """Unitary wave-packet evolution and Ehrenfest force bookkeeping.
 
-On the circle the Hamiltonian is diagonal in the Fourier basis, so the
-propagation is exact (eigen-decomposition propagation).  On the torus a
-Strang splitting alternates the tube-angle part (dense weighted-unitary
-exponential, same matrix for every azimuthal column) with the azimuthal
-plus potential part (diagonal per row in the azimuthal Fourier basis).
+evolve_wavepacket runs one recording loop over the states a per-kind
+generator yields.  On the circle the Hamiltonian is diagonal in the
+Fourier basis, so the states are exact (Fourier phases at the recorded
+steps).  On the torus a Strang splitting alternates the tube-angle part
+(dense weighted-unitary exponential, same matrix for every azimuthal
+column) with the azimuthal plus potential part (diagonal per row in the
+azimuthal Fourier basis).
 
 The recorded trace checks the momentum force law in expectation:
 d<p_j>/dt against the symmetrized centripetal term plus the
-curvature-gradient quantum term.
+curvature-gradient quantum term, read from operators.StateActions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..reports import csv_text
 from .linops import LinOp, fourier_derivative, inner, norm_w
-from .operators import centripetal, momentum, quartics
+from .operators import StateActions, quartics
 
 
 class NormDriftError(RuntimeError):
@@ -61,16 +64,24 @@ class EhrenfestTrace:
                                                self.quantum, self.f_term]))
 
 
-def _circle_packet(grid, packet, hbar):
-    """Band-limited wrapped Gaussian with integer mean angular mode."""
-    n = grid.shape[0]
-    a = grid.params["a"]
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    m0 = int(round(packet.mean_momentum * a / hbar))
-    envelope = np.exp(-0.5 * packet.sigma ** 2 * (modes - m0) ** 2)
-    coeffs = envelope * np.exp(-1j * (modes - m0) * packet.center)
-    psi = np.fft.ifft(coeffs) * n
-    return psi / norm_w(grid.weights, psi), m0
+def _packet(grid, packet, hbar):
+    """Band-limited wrapped Gaussian over the grid's axes, unit norm.
+
+    Each axis has integer mean mode round(momentum * radius / hbar), with
+    radius a on the circle and r (tube angle), R (azimuth) on the torus.
+    """
+    radii = ((grid.params["a"],) if grid.kind == "circle"
+             else (grid.params["r"], grid.params["R"]))
+    momenta = (packet.mean_momentum, packet.azimuthal_momentum)
+    centers = packet.center if isinstance(packet.center, tuple) else (packet.center, 0.0)
+    envelopes = []
+    for n, radius, momentum, center in zip(grid.shape, radii, momenta, centers):
+        modes = np.fft.fftfreq(n, d=1.0 / n) - int(round(momentum * radius / hbar))
+        # a product of two exponentials: exp of the sum moves the circle's bits
+        envelopes.append(np.exp(-0.5 * packet.sigma ** 2 * modes ** 2)
+                         * np.exp(-1j * modes * center))
+    psi = np.fft.ifftn(reduce(np.multiply.outer, envelopes)) * grid.size
+    return psi / norm_w(grid.weights, psi)
 
 
 def _observables(grid, hbar, mu):
@@ -78,12 +89,11 @@ def _observables(grid, hbar, mu):
     quantum = -(hbar ** 2 / (4.0 * mu)) * grid.geo["lapM"] * n
 
     def measure(psi):
-        p_psi = momentum(grid, psi, hbar)
-        cent = (-0.5 / mu) * (n * centripetal(grid, psi, hbar, p_psi)
-                              + centripetal(grid, n * psi, hbar))
-        f_psi, _ = quartics(grid, psi, p_psi, momentum(grid, p_psi, hbar), hbar)
+        a = StateActions(grid, psi, hbar, mu)
+        cent = (-0.5 / mu) * (n * a.q + a.q_n)
+        f_psi, _ = quartics(grid, psi, a.p, a.pp, hbar)
         w = grid.weights
-        return (np.real(inner(w, psi, p_psi)), np.real(inner(w, psi, cent)),
+        return (np.real(inner(w, psi, a.p)), np.real(inner(w, psi, cent)),
                 np.real(inner(w, psi, quantum * psi)),
                 np.real(inner(w, psi, f_psi / (2.0 * mu * 1j * hbar))))
 
@@ -96,78 +106,47 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
 
     Circle grids propagate exactly in the Fourier eigenbasis; torus
     grids use Strang splitting (unitary factors, norm drift checked).
-    The packet width must cover at least 4 grid spacings.
+    The packet width must cover at least 4 grid spacings, and the run
+    must record at least 3 states (steps >= 2 * record_every >= 2).
     """
+    if record_every < 1 or steps < 2 * record_every:
+        raise ValueError(
+            f"steps={steps} with record_every={record_every} records fewer "
+            "than 3 states; need record_every >= 1 and steps >= 2 * record_every"
+        )
     spacing = max(2 * np.pi / n for n in grid.shape)
     if packet.sigma < 4 * spacing:
         raise ValueError(
             f"packet sigma {packet.sigma} is below 4 grid spacings "
             f"({4 * spacing:.4f}); refine the grid or widen the packet"
         )
-    if grid.kind == "circle":
-        return _evolve_circle(grid, packet, dt, steps, hbar, mu,
-                              record_every, norm_tol)
-    if grid.kind == "torus":
-        return _evolve_torus(grid, packet, dt, steps, hbar, mu,
-                             record_every, norm_tol)
-    raise ValueError(f"no evolution scheme for grid kind '{grid.kind}'")
-
-
-def _evolve_circle(grid, packet, dt, steps, hbar, mu, record_every, norm_tol):
-    n = grid.shape[0]
-    a = grid.params["a"]
-    psi0, _ = _circle_packet(grid, packet, hbar)
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    vg = (hbar ** 2 / (4.0 * mu)) * float(grid.geo["vg_geom"][0])
-    energies = hbar ** 2 * modes ** 2 / (2.0 * mu * a ** 2) + vg
-    coeffs0 = np.fft.fft(psi0)
+    states = {"circle": _circle_states, "torus": _torus_states}.get(grid.kind)
+    if states is None:
+        raise ValueError(f"no evolution scheme for grid kind '{grid.kind}'")
     measure = _observables(grid, hbar, mu)
-
-    times, mean_ps, cents, quants, fterms = [], [], [], [], []
-    drift = 0.0
-    for k in range(0, steps + 1, record_every):
-        t = k * dt
-        psi = np.fft.ifft(coeffs0 * np.exp(-1j * energies * t / hbar))
+    rows, drift = [], 0.0
+    for psi in states(grid, _packet(grid, packet, hbar), dt, steps, record_every, hbar, mu):
         drift = max(drift, abs(norm_w(grid.weights, psi) - 1.0))
         if drift > norm_tol:
             raise NormDriftError(f"norm drifted by {drift:.3e}")
-        mp, ce, qu, ft = measure(psi)
-        times.append(t)
-        mean_ps.append(mp)
-        cents.append(ce)
-        quants.append(qu)
-        fterms.append(ft)
-    return _finish_trace(times, mean_ps, cents, quants, fterms, drift)
+        rows.append(measure(psi))
+    t = np.arange(0, steps + 1, record_every) * dt
+    mean_p, cent, quantum, f_term = (np.asarray(column) for column in zip(*rows))
+    return EhrenfestTrace(t=t, mean_p=mean_p,
+                          dmean_p_dt=(mean_p[2:] - mean_p[:-2]) / (2.0 * (t[1] - t[0])),
+                          centripetal=cent, quantum=quantum, f_term=f_term,
+                          norm_drift=drift)
 
 
-def _finish_trace(times, mean_ps, cents, quants, fterms, drift):
-    t = np.asarray(times)
-    mean_p = np.asarray(mean_ps)
-    step = t[1] - t[0]
-    dmean = (mean_p[2:] - mean_p[:-2]) / (2.0 * step)
-    return EhrenfestTrace(t=t, mean_p=mean_p, dmean_p_dt=dmean,
-                          centripetal=np.asarray(cents),
-                          quantum=np.asarray(quants),
-                          f_term=np.asarray(fterms), norm_drift=drift)
-
-
-def _torus_packet(grid, packet, hbar):
-    nth, nph = grid.shape
-    r = grid.params["r"]
-    R = grid.params["R"]
-    m_th = np.fft.fftfreq(nth, d=1.0 / nth)
-    m_ph = np.fft.fftfreq(nph, d=1.0 / nph)
-    c_th, c_ph = (packet.center if isinstance(packet.center, tuple)
-                  else (packet.center, 0.0))
-    m0_th = int(round(packet.mean_momentum * r / hbar))
-    m0_ph = int(round(packet.azimuthal_momentum * R / hbar))
-    env_th = np.exp(-0.5 * packet.sigma ** 2 * (m_th - m0_th) ** 2
-                    - 1j * (m_th - m0_th) * c_th)
-    env_ph = np.exp(-0.5 * packet.sigma ** 2 * (m_ph - m0_ph) ** 2
-                    - 1j * (m_ph - m0_ph) * c_ph)
-    coeffs = np.outer(env_th, env_ph)
-    psi = np.fft.ifft2(coeffs) * (nth * nph)
-    return psi / norm_w(grid.weights, psi)
+def _circle_states(grid, psi, dt, steps, record_every, hbar, mu):
+    """psi at every recorded step, from exact phases in the Fourier basis."""
+    n = grid.shape[0]
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    vg = (hbar ** 2 / (4.0 * mu)) * float(grid.geo["vg_geom"][0])
+    energies = hbar ** 2 * modes ** 2 / (2.0 * mu * grid.params["a"] ** 2) + vg
+    coeffs0 = np.fft.fft(psi)
+    for k in range(0, steps + 1, record_every):
+        yield np.fft.ifft(coeffs0 * np.exp(-1j * energies * (k * dt) / hbar))
 
 
 def _theta_propagator(grid, dt, hbar, mu):
@@ -191,8 +170,9 @@ def _theta_propagator(grid, dt, hbar, mu):
     return (prop_sym / w_half[:, None]) * w_half[None, :]
 
 
-def _evolve_torus(grid, packet, dt, steps, hbar, mu, record_every, norm_tol):
-    nth, nph = grid.shape
+def _torus_states(grid, psi, dt, steps, record_every, hbar, mu):
+    """psi at every recorded step of a Strang splitting with time step dt."""
+    nph = grid.shape[1]
     rho = grid.params["R"] + grid.params["r"] * np.sin(grid.coords[0])
     m_ph = np.fft.fftfreq(nph, d=1.0 / nph)
     vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
@@ -201,30 +181,15 @@ def _evolve_torus(grid, packet, dt, steps, hbar, mu, record_every, norm_tol):
         + vg[:, 0][:, None]
     half_c = np.exp(-1j * 0.5 * dt * e_row / hbar)
     prop_a = _theta_propagator(grid, dt, hbar, mu)
-    psi = _torus_packet(grid, packet, hbar)
-    measure = _observables(grid, hbar, mu)
 
     def apply_c_half(state):
         return np.fft.ifft(half_c * np.fft.fft(state, axis=1), axis=1)
 
-    times, mean_ps, cents, quants, fterms = [], [], [], [], []
-    drift = 0.0
     for k in range(steps + 1):
         if k % record_every == 0:
-            drift = max(drift, abs(norm_w(grid.weights, psi) - 1.0))
-            if drift > norm_tol:
-                raise NormDriftError(f"norm drifted by {drift:.3e}")
-            mp, ce, qu, ft = measure(psi)
-            times.append(k * dt)
-            mean_ps.append(mp)
-            cents.append(ce)
-            quants.append(qu)
-            fterms.append(ft)
+            yield psi
         if k < steps:
-            psi = apply_c_half(psi)
-            psi = prop_a @ psi
-            psi = apply_c_half(psi)
-    return _finish_trace(times, mean_ps, cents, quants, fterms, drift)
+            psi = apply_c_half(prop_a @ apply_c_half(psi))
 
 
 def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2,
@@ -239,12 +204,11 @@ def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2,
     """
     from .grid import build_grid
 
+    grid = build_grid("circle", params, size)
+    packet = WavePacket(center=0.0, sigma=sigma, mean_momentum=mean_momentum)
     quantum_rms, cent_rms = [], []
     for hb in hbars:
-        grid = build_grid("circle", params, size)
-        packet = WavePacket(center=0.0, sigma=sigma, mean_momentum=mean_momentum)
-        dt = t_final / steps
-        trace = evolve_wavepacket(grid, packet, dt, steps, hbar=hb, mu=mu)
+        trace = evolve_wavepacket(grid, packet, t_final / steps, steps, hbar=hb, mu=mu)
         quantum_rms.append(float(np.sqrt(np.mean(
             np.linalg.norm(trace.quantum, axis=1) ** 2))))
         cent_rms.append(float(np.sqrt(np.mean(

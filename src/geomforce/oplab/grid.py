@@ -70,12 +70,8 @@ class ParamSurfaceGrid:
 
 def _geo_fields(spec, points_flat, shape):
     fields = geo.curvature_fields(spec, points_flat, geo.ExtensionPolicy.SIGNED_DISTANCE)
-    out = {}
-    for key, value in fields.items():
-        if key == "error_bound":
-            continue
-        out[key] = value.reshape(value.shape[:-1] + shape)
-    return out
+    return {key: value.reshape(value.shape[:-1] + shape)
+            for key, value in fields.items() if value is not None}  # error_bound is None
 
 
 def build_grid(kind, params, size):
@@ -91,29 +87,21 @@ def build_grid(kind, params, size):
         _check_size(size)
         a = params["a"]
         spec = builtin_surface("circle", {"a": a})
-        (th,), points = chart_points(spec, size)
+        coords, points = chart_points(spec, size)
+        th, = coords
         # (grad_S)_i = g^{tt} (x_t)_i d_t with x_t = a(-sin, cos)
-        tangent = np.stack([-np.sin(th), np.cos(th)])
-        grad_coefs = (tangent / a)[:, None, :]
+        grad_coefs = (np.stack([-np.sin(th), np.cos(th)]) / a)[:, None, :]
         ginv = np.full((1, size), 1.0 / a ** 2)
         sqrtg = np.full(size, a)
-        weights = sqrtg * (2 * np.pi / size)
-        grid = ParamSurfaceGrid(
-            kind=kind, params=dict(params), shape=(size,), coords=(th,),
-            points=points, grad_coefs=grad_coefs, ginv_diag=ginv,
-            sqrtg=sqrtg, weights=weights, spec=spec,
-        )
         exact_area = 2 * np.pi * a
     elif kind == "torus":
-        if isinstance(size, int):
-            size = (size, size)
-        nth, nph = size
-        _check_size(nth)
-        _check_size(nph)
+        size = (size, size) if isinstance(size, int) else tuple(size)
+        for n in size:
+            _check_size(n)
         R, r = params["R"], params["r"]
         spec = builtin_surface("torus", {"R": R, "r": r})
-        (th, ph), points = chart_points(spec, size)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
+        coords, points = chart_points(spec, size)
+        TH, PH = np.meshgrid(*coords, indexing="ij")
         rho = R + r * np.sin(TH)
         x_th = np.stack([r * np.cos(TH) * np.cos(PH), r * np.cos(TH) * np.sin(PH),
                          -r * np.sin(TH)])
@@ -121,21 +109,23 @@ def build_grid(kind, params, size):
         grad_coefs = np.stack([x_th / r ** 2, x_ph / rho ** 2], axis=1)
         ginv = np.stack([np.full_like(rho, 1.0 / r ** 2), 1.0 / rho ** 2])
         sqrtg = r * rho
-        weights = sqrtg * (2 * np.pi / nth) * (2 * np.pi / nph)
-        grid = ParamSurfaceGrid(
-            kind=kind, params=dict(params), shape=(nth, nph), coords=(th, ph),
-            points=points, grad_coefs=grad_coefs, ginv_diag=ginv,
-            sqrtg=sqrtg, weights=weights, spec=spec,
-        )
         exact_area = 4 * np.pi ** 2 * R * r
     else:
         raise UnsupportedSurfaceError(f"no operator-lab grid for '{kind}'")
 
+    weights = sqrtg
+    for n in sqrtg.shape:
+        weights = weights * (2 * np.pi / n)
+    grid = ParamSurfaceGrid(
+        kind=kind, params=dict(params), shape=sqrtg.shape, coords=tuple(coords),
+        points=points, grad_coefs=grad_coefs, ginv_diag=ginv,
+        sqrtg=sqrtg, weights=weights, spec=spec,
+    )
     if np.any(grid.weights <= 0):
         raise ValueError("quadrature weights must be positive")
     if abs(grid.area - exact_area) > 1e-10 * exact_area:
         raise ValueError(
             f"quadrature area {grid.area!r} deviates from {exact_area!r}"
         )
-    grid.geo = _geo_fields(grid.spec, grid.flat_points(), grid.shape)
+    grid.geo = _geo_fields(spec, grid.flat_points(), grid.shape)
     return grid

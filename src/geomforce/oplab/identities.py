@@ -9,17 +9,16 @@ non-increasing residual series, refuted needs residuals stably far above
 tolerance, and anything else is inconclusive.
 
 The suite is state-major: each grid gets one pass over its test states,
-and every requested identity reads the same StateActions of a state,
-
-    p psi, p_l p_k psi, p^2 psi = sum_l p_l p_l psi, p^2 p_k psi,
-    H_lb psi, H_mom psi (from p^2 psi), Q psi and Q(n psi),
-
-each computed once per state, the first time an identity reads it.  The
-pass takes the states in pairs, so HERMITICITY judges its pairs from the
-same actions.  run_identity_suite runs the pass once per grid for all
-its identities and caches the results (residual tables, hermiticity
-defect) on the grid, where check_identity reads them; check_identity
-called alone runs the pass for its one identity.
+and every requested identity reads the same operators.StateActions of
+a state (p psi, p_l p_k psi, p^2 psi, p^2 p_k psi, both H psi, Q psi and
+Q(n psi)), each computed once per state.  Each group's sides become
+residual rows as they are built and are dropped.  The pass takes the
+states in pairs, so HERMITICITY judges its pairs from the same actions.
+The circle anchors read the same actions.  run_identity_suite runs the
+pass once per grid for all its identities and caches the results
+(residual tables, hermiticity defect) on the grid, where check_identity
+reads them; check_identity called alone runs the pass for its one
+identity.
 
 Identity ids:
 
@@ -38,7 +37,6 @@ Identity ids:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +44,14 @@ from .grid import build_grid
 from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
     ROUNDOFF_FLOOR,
-    centripetal,
+    StateActions,
     divergence,
     hamiltonian,
     momentum,
     pair_defect,
     quartics,
     random_band_states,
-    residual_on_testspace,
-    residual_tables,
+    relative_residuals,
     worst_entry,
 )
 
@@ -93,54 +90,6 @@ class IdentityVerdict:
             "witness": self.witness,
             "notes": self.notes,
         }
-
-
-class StateActions:
-    """The operator actions the identities share on one test state.
-
-    Each is computed the first time it is read and kept for the state.
-    """
-
-    def __init__(self, grid, psi, hbar, mu):
-        self.grid, self.psi, self.hbar, self.mu = grid, psi, hbar, mu
-
-    @cached_property
-    def p(self):
-        """p psi, an (N,)+shape stack."""
-        return momentum(self.grid, self.psi, self.hbar)
-
-    @cached_property
-    def pp(self):
-        """pp[l, k] = p_l p_k psi."""
-        return momentum(self.grid, self.p, self.hbar)
-
-    @cached_property
-    def p2(self):
-        """p^2 psi = sum_l p_l p_l psi."""
-        return divergence(self.grid, self.p, self.hbar)
-
-    @cached_property
-    def p2_p(self):
-        """p^2 p_k psi, an (N,)+shape stack."""
-        return divergence(self.grid, self.pp, self.hbar)
-
-    @cached_property
-    def h_lb(self):
-        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "lb")
-
-    @cached_property
-    def h_mom(self):
-        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "momentum", self.p2)
-
-    @cached_property
-    def q(self):
-        """Q psi, the centripetal quadratic."""
-        return centripetal(self.grid, self.psi, self.hbar, self.p)
-
-    @cached_property
-    def q_n(self):
-        """Q (n_j psi) for every component j."""
-        return centripetal(self.grid, self.grid.geo["n"] * self.psi, self.hbar)
 
 
 def _coefficients(grid):
@@ -243,18 +192,12 @@ def _grid_pass(grid, groups, hbar, mu, count, seed):
     Returns {group: residual tables} for the table groups, the largest
     HERMITICITY pair defect, and whether EQ10's sides on state 0 are
     nonzero ("EQ10_probe").  States go by in pairs: HERMITICITY judges
-    the pair, then each state's sides are built, fed to residual_tables
-    and dropped.
+    the pair, then each group's sides on each state are built, turned
+    into residual rows and dropped.
     """
-    built = [(group, build(grid, hbar, mu))
-             for group, (build, _) in _BUILDERS.items() if group in groups]
-    # the groups' sides are concatenated; offset each group's pairs
-    pairs, spans, width = [], {}, 0
-    for group, _ in built:
-        group_pairs = _BUILDERS[group][1]
-        spans[group] = (len(pairs), len(pairs) + len(group_pairs))
-        pairs += [(i + width, j + width) for i, j in group_pairs]
-        width += 1 + max(max(pair) for pair in group_pairs)
+    built = [(group, build(grid, hbar, mu), pairs)
+             for group, (build, pairs) in _BUILDERS.items() if group in groups]
+    rows = {group: [[] for _ in pairs] for group, _, pairs in built}
     sided = count if built else 0
     paired = 2 * _HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
     states = random_band_states(grid, max(sided, paired), seed)
@@ -263,29 +206,27 @@ def _grid_pass(grid, groups, hbar, mu, count, seed):
     def hermiticity_stack(a):
         return np.concatenate([a.p, [a.h_lb, a.h_mom]])
 
-    def combined(a, index):
-        per_group = {group: build(a) for group, build in built}
-        if index == 0 and "EQ10_SCALAR" in per_group:
-            lhs, printed, _ = per_group["EQ10_SCALAR"]
-            out["EQ10_probe"] = bool((norm_w(grid.weights, lhs) > 1e-10).any()
-                                     or (norm_w(grid.weights, printed) > 1e-10).any())
-        return tuple(x for group_sides in per_group.values() for x in group_sides)
+    def record(a, index):
+        for group, sides_of, pairs in built:
+            sides = sides_of(a)
+            if index == 0 and group == "EQ10_SCALAR":  # lhs or printed side nonzero
+                out["EQ10_probe"] = bool((norm_w(grid.weights, sides[0]) > 1e-10).any()
+                                         or (norm_w(grid.weights, sides[1]) > 1e-10).any())
+            for row, (i, j) in zip(rows[group], pairs):
+                row.append(np.ravel(relative_residuals(grid.weights, sides[i], sides[j])))
+            del sides  # before the next group's sides are built
 
-    def sides():
-        for k in range(0, len(states), 2):
-            pair = [StateActions(grid, psi, hbar, mu) for psi in states[k:k + 2]]
-            if k < paired:
-                phi, psi = pair
-                out["HERMITICITY"] = max(out.get("HERMITICITY", 0.0), pair_defect(
-                    grid.weights, phi.psi, psi.psi,
-                    hermiticity_stack(phi), hermiticity_stack(psi)))
-            # popped, so a state's actions go once its sides are built
-            for index in range(k, min(k + 2, sided)):
-                yield combined(pair.pop(0), index)
-
-    tables = residual_tables(grid.weights, sides(), pairs)
-    for group, (lo, hi) in spans.items():
-        out[group] = tables[lo:hi]
+    for k in range(0, len(states), 2):
+        pair = [StateActions(grid, psi, hbar, mu) for psi in states[k:k + 2]]
+        if k < paired:
+            out["HERMITICITY"] = max(out.get("HERMITICITY", 0.0), pair_defect(
+                grid.weights, pair[0].psi, pair[1].psi,
+                hermiticity_stack(pair[0]), hermiticity_stack(pair[1])))
+        # popped, so a state's actions go once its rows are recorded
+        for index in range(k, min(k + 2, sided)):
+            record(pair.pop(0), index)
+    for group, group_rows in rows.items():
+        out[group] = [np.stack(row, axis=1) for row in group_rows]
     return out
 
 
@@ -411,27 +352,21 @@ def circle_anchor_report(grid, hbar=1.0, mu=1.0, n_eigs=10, seed=0):
     expected_gaps = expected - expected[0]
     gap_defect = float(np.max(np.abs(gaps - expected_gaps)))
 
-    p2_defect = 0.0
-    ndotp_defect = 0.0
-    m_field = grid.geo["M"]
-    n_field = grid.geo["n"]
+    w = grid.weights
+    p2_defects, ndotp_defects, hform_residuals = [], [], []
     for psi in random_band_states(grid, 6, seed):
-        p_psi = momentum(grid, psi, hbar)
-        p2_psi = divergence(grid, p_psi, hbar)
+        acts = StateActions(grid, psi, hbar, mu)
         d2_psi = fourier_derivative(fourier_derivative(psi, 0, 1), 0, 1)
         closed = (hbar ** 2 / a ** 2) * (-d2_psi + 0.25 * psi)
-        p2_defect = max(p2_defect,
-                        norm_w(grid.weights, p2_psi - closed)
-                        / norm_w(grid.weights, closed))
-        np_psi = np.sum(n_field * p_psi, axis=0)
-        closed_np = -1j * hbar * 0.5 * m_field * psi
-        ndotp_defect = max(ndotp_defect,
-                           norm_w(grid.weights, np_psi - closed_np)
-                           / max(norm_w(grid.weights, closed_np), 1e-300))
-    hform_res, _ = residual_on_testspace(
-        lambda psi: hamiltonian(grid, psi, hbar, mu, "lb"),
-        lambda psi: hamiltonian(grid, psi, hbar, mu, "momentum"), grid, 6, seed,
-    )
+        p2_defects.append(norm_w(w, acts.p2 - closed) / norm_w(w, closed))
+        np_psi = np.sum(grid.geo["n"] * acts.p, axis=0)
+        closed_np = -1j * hbar * 0.5 * grid.geo["M"] * psi
+        ndotp_defects.append(norm_w(w, np_psi - closed_np)
+                             / max(norm_w(w, closed_np), 1e-300))
+        hform_residuals.append(relative_residuals(w, acts.h_lb, acts.h_mom))
+    # np.max, unlike max, keeps a NaN defect
+    p2_defect, ndotp_defect, hform_res = (
+        float(np.max(d)) for d in (p2_defects, ndotp_defects, hform_residuals))
     return {
         "eigenvalue_defect": eig_defect,
         "eigenvalue_gap_defect": gap_defect,
@@ -472,10 +407,9 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     if kind == "circle":
         anchors = circle_anchor_report(grids[min(1, len(grids) - 1)], hbar, mu)
         report["anchors"] = anchors
-        if (anchors["eigenvalue_defect"] > 1e-10
-                or anchors["p_squared_defect"] > 1e-12
-                or anchors["h_forms_residual"] > 1e-12
-                or anchors["n_dot_p_defect"] > 1e-12):
+        bounds = {"eigenvalue_defect": 1e-10, "p_squared_defect": 1e-12,
+                  "h_forms_residual": 1e-12, "n_dot_p_defect": 1e-12}
+        if not all(anchors[key] <= bound for key, bound in bounds.items()):  # NaN fails
             hard.append("CIRCLE_ANCHORS")
     report["hard_failures"] = hard
     flags = []

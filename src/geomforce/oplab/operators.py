@@ -10,9 +10,16 @@ pair per parametric axis however many components they carry.  The
 Hamiltonian (Laplace-Beltrami or momentum form), the centripetal
 quadratic and the quartics F_j, G_j are built from them.  A commutator
 is a pair of such functions applied in both orders.
+
+StateActions is the lab's one source of operator actions on a state
+(p psi, p_l p_k psi, p^2 psi, both H psi, Q psi, ...): the identity
+verdicts, the circle anchors and the Ehrenfest observables all read
+them from it, each computed once per state.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +160,54 @@ def quartics(grid, psi, p_psi, pp_psi, hbar=1.0):
     return (1j * hbar / 2.0) * f_psi, (-1j * hbar / 2.0) * g_psi
 
 
+class StateActions:
+    """The operator actions shared on one state.
+
+    Each is computed the first time it is read and kept for the state.
+    """
+
+    def __init__(self, grid, psi, hbar, mu):
+        self.grid, self.psi, self.hbar, self.mu = grid, psi, hbar, mu
+
+    @cached_property
+    def p(self):
+        """p psi, an (N,)+shape stack."""
+        return momentum(self.grid, self.psi, self.hbar)
+
+    @cached_property
+    def pp(self):
+        """pp[l, k] = p_l p_k psi."""
+        return momentum(self.grid, self.p, self.hbar)
+
+    @cached_property
+    def p2(self):
+        """p^2 psi = sum_l p_l p_l psi."""
+        return divergence(self.grid, self.p, self.hbar)
+
+    @cached_property
+    def p2_p(self):
+        """p^2 p_k psi, an (N,)+shape stack."""
+        return divergence(self.grid, self.pp, self.hbar)
+
+    @cached_property
+    def h_lb(self):
+        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "lb")
+
+    @cached_property
+    def h_mom(self):
+        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "momentum", self.p2)
+
+    @cached_property
+    def q(self):
+        """Q psi, the centripetal quadratic."""
+        return centripetal(self.grid, self.psi, self.hbar, self.p)
+
+    @cached_property
+    def q_n(self):
+        """Q (n_j psi) for every component j."""
+        return centripetal(self.grid, self.grid.geo["n"] * self.psi, self.hbar)
+
+
 # test space ---------------------------------------------------------------------
 
 
@@ -222,31 +277,15 @@ def worst_entry(table):
     return worst, int(np.argmax(np.isnan(per_state) | (per_state >= worst - tie)))
 
 
-def residual_tables(weights, actions, pairs=((0, 1),)):
-    """Relative-residual tables over test states.
-
-    actions yields, for each test state in turn, a tuple of equally
-    shaped arrays (single grid functions or component stacks); each
-    (a, b) in pairs gives one (components, states) table of
-    ||(A - B) psi|| / ||B psi||.
-    """
-    rows = [[] for _ in pairs]
-    for sides in actions:
-        for row, (a, b) in zip(rows, pairs):
-            row.append(np.ravel(relative_residuals(weights, sides[a], sides[b])))
-        del sides  # before the next state's arrays are built
-    return [np.stack(row, axis=1) for row in rows]
-
-
 def residual_on_testspace(a, b, grid, count=8, seed=0, band_fraction=1.0 / 3.0):
     """max over band-limited test states of ||(A - B) psi|| / ||B psi||.
 
     a and b map one state to an array; each component of a stack counts
     as one operator pair.  Returns (residual, witness_index).
     """
-    states = random_band_states(grid, count, seed, band_fraction)
-    table, = residual_tables(grid.weights, ((a(psi), b(psi)) for psi in states))
-    return worst_entry(table)
+    table = [np.ravel(relative_residuals(grid.weights, a(psi), b(psi)))
+             for psi in random_band_states(grid, count, seed, band_fraction)]
+    return worst_entry(np.stack(table, axis=1))
 
 
 def hermiticity_defect(op, grid, count=6, seed=0, band_fraction=1.0 / 3.0):

@@ -60,24 +60,30 @@ def test_torus_splitting_is_unitary():
 def test_torus_splitting_tracks_energy():
     # a correct unitary splitting keeps <H> nearly constant over the run
     from geomforce.oplab import hamiltonian
-    from geomforce.oplab.evolve import _theta_propagator, _torus_packet
+    from geomforce.oplab.evolve import _packet, _torus_states
     from geomforce.oplab.linops import inner
 
     grid = build_grid("torus", {"R": 2.0, "r": 1.0}, 64)
     packet = WavePacket(center=(np.pi / 2, 0.0), sigma=0.45,
                         mean_momentum=4.0, azimuthal_momentum=6.0)
-    psi = _torus_packet(grid, packet, 1.0)
+    psi = _packet(grid, packet, 1.0)
     e0 = inner(grid.weights, psi, hamiltonian(grid, psi)).real
-    dt = 5e-4
-    rho = 2.0 + np.sin(grid.coords[0])
-    m_ph = np.fft.fftfreq(64, d=1.0 / 64)
-    vg = 0.25 * grid.geo["vg_geom"]
-    e_row = 0.5 * (m_ph[None, :] ** 2 / rho[:, None] ** 2) + vg[:, 0][:, None]
-    half_c = np.exp(-1j * 0.5 * dt * e_row)
-    prop_a = _theta_propagator(grid, dt, 1.0, 1.0)
-    for _ in range(400):
-        psi = np.fft.ifft(half_c * np.fft.fft(psi, axis=1), axis=1)
-        psi = prop_a @ psi
-        psi = np.fft.ifft(half_c * np.fft.fft(psi, axis=1), axis=1)
+    *_, psi = _torus_states(grid, psi, 5e-4, 400, 400, 1.0, 1.0)
     e1 = inner(grid.weights, psi, hamiltonian(grid, psi)).real
     assert e1 == pytest.approx(e0, rel=1e-4)
+
+
+@pytest.mark.parametrize("steps, record_every", [(0, 1), (1, 1), (5, 10), (3, 0)])
+def test_runs_recording_fewer_than_three_states_are_refused(steps, record_every):
+    grid = build_grid("circle", {"a": 1.0}, 64)
+    packet = WavePacket(center=0.0, sigma=0.45, mean_momentum=6.0)
+    with pytest.raises(ValueError, match=f"steps={steps} with record_every={record_every}"):
+        evolve_wavepacket(grid, packet, dt=1e-3, steps=steps, record_every=record_every)
+
+
+def test_shortest_run_records_three_states():
+    grid = build_grid("circle", {"a": 1.0}, 64)
+    packet = WavePacket(center=0.0, sigma=0.45, mean_momentum=6.0)
+    trace = evolve_wavepacket(grid, packet, dt=1e-3, steps=2, record_every=1)
+    assert trace.mean_p.shape == (3, 2)
+    assert np.isfinite(trace.closure_error())

@@ -14,6 +14,7 @@ from geomforce.oplab import (
     random_band_states,
     residual_on_testspace,
 )
+from geomforce.oplab import identities
 from geomforce.oplab.grid import UnsupportedSurfaceError
 from geomforce.oplab.identities import (
     IDENTITY_IDS,
@@ -151,6 +152,18 @@ def test_circle_hamiltonian_spectrum_closed_form(circle64):
     assert report["p_squared_defect"] < 1e-12
     assert report["n_dot_p_defect"] < 1e-12
     assert report["h_forms_residual"] < 1e-12
+
+
+def test_nan_anchor_defects_reach_the_report(monkeypatch):
+    grid = build_grid("circle", {"a": 1.0}, 32)
+    grid.geo["M"] = np.where(np.arange(32) == 3, np.nan, grid.geo["M"])
+    report = circle_anchor_report(grid)
+    assert report["eigenvalue_defect"] < 1e-10
+    for key in ("p_squared_defect", "n_dot_p_defect", "h_forms_residual"):
+        assert np.isnan(report[key])
+    monkeypatch.setattr(identities, "circle_anchor_report", lambda *args: report)
+    suite = run_identity_suite("circle", {"a": 1.0}, [16, 32, 64], identities=["H_FORMS"])
+    assert suite["hard_failures"] == ["CIRCLE_ANCHORS"]
 
 
 def test_h_forms_spectral_convergence_on_torus(torus_family):
