@@ -4,7 +4,10 @@
 Evolves a wave packet, writes the force-decomposition trace CSV
 (t, mean momentum, its time derivative, centripetal term, quantum term,
 quartic F-term), and fits the hbar-scaling slopes of the two force
-terms at fixed classical action.
+terms at fixed classical action.  Exits 3 (a refuted invariant, as in
+the geomforce CLI) when the closure error reaches 1 % or a slope misses
+its expected value (2 for the quantum term, 0 for the centripetal term)
+by more than 0.1.
 
     python scripts/ehrenfest_experiment.py [--out trace.csv]
 """
@@ -40,7 +43,10 @@ def main(argv=None):
                                   sigma=args.sigma)
     print(f"quantum-term slope      : {scaling['slope_quantum']:+.3f} (expect +2)")
     print(f"centripetal-term slope  : {scaling['slope_centripetal']:+.3f} (expect 0)")
-    return 0
+    refuted = (trace.closure_error() >= 0.01
+               or abs(scaling["slope_quantum"] - 2.0) > 0.1
+               or abs(scaling["slope_centripetal"]) > 0.1)
+    return 3 if refuted else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,11 @@
 """Unitary wave-packet evolution and Ehrenfest force bookkeeping.
 
-evolve_wavepacket runs one recording loop over the states a per-kind
-generator yields.  On the circle the Hamiltonian is diagonal in the
-Fourier basis, so the states are exact (Fourier phases at the recorded
-steps).  On the torus a Strang splitting alternates the tube-angle part
-(dense weighted-unitary exponential, same matrix for every azimuthal
-column) with the azimuthal plus potential part (diagonal per row in the
-azimuthal Fourier basis).
+evolve_wavepacket runs one recording loop over exact states on both
+grid kinds.  operators.hamiltonian is block-diagonal in the Fourier
+modes of the last grid axis (the circle angle, the torus azimuth); each
+block is diagonalized once, and the state at a recorded step is the
+phase exp(-i E t / hbar) on every eigenvector.  No time stepping: the
+states do not depend on dt.
 
 The recorded trace checks the momentum force law in expectation:
 d<p_j>/dt against the symmetrized centripetal term plus the
@@ -21,8 +20,8 @@ from functools import reduce
 import numpy as np
 
 from ..reports import csv_text
-from .linops import LinOp, fourier_derivative, inner, norm_w
-from .operators import StateActions, quartics
+from .linops import inner, norm_w
+from .operators import StateActions, hamiltonian, quartics
 
 
 class NormDriftError(RuntimeError):
@@ -104,8 +103,9 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
                       record_every=1, norm_tol=1e-6):
     """Evolve a packet under the surface Hamiltonian; return the trace.
 
-    Circle grids propagate exactly in the Fourier eigenbasis; torus
-    grids use Strang splitting (unitary factors, norm drift checked).
+    States are exact in the eigenbasis of each last-axis Fourier mode
+    (see _states), so dt only sets the recording times; norm drift is
+    checked.
     The packet width must cover at least 4 grid spacings, and the run
     must record at least 3 states (steps >= 2 * record_every >= 2).
     """
@@ -120,12 +120,11 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
             f"packet sigma {packet.sigma} is below 4 grid spacings "
             f"({4 * spacing:.4f}); refine the grid or widen the packet"
         )
-    states = {"circle": _circle_states, "torus": _torus_states}.get(grid.kind)
-    if states is None:
+    if grid.kind not in ("circle", "torus"):
         raise ValueError(f"no evolution scheme for grid kind '{grid.kind}'")
     measure = _observables(grid, hbar, mu)
     rows, drift = [], 0.0
-    for psi in states(grid, _packet(grid, packet, hbar), dt, steps, record_every, hbar, mu):
+    for psi in _states(grid, _packet(grid, packet, hbar), dt, steps, record_every, hbar, mu):
         drift = max(drift, abs(norm_w(grid.weights, psi) - 1.0))
         if drift > norm_tol:
             raise NormDriftError(f"norm drifted by {drift:.3e}")
@@ -138,58 +137,37 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
                           norm_drift=drift)
 
 
-def _circle_states(grid, psi, dt, steps, record_every, hbar, mu):
-    """psi at every recorded step, from exact phases in the Fourier basis."""
-    n = grid.shape[0]
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    vg = (hbar ** 2 / (4.0 * mu)) * float(grid.geo["vg_geom"][0])
-    energies = hbar ** 2 * modes ** 2 / (2.0 * mu * grid.params["a"] ** 2) + vg
-    coeffs0 = np.fft.fft(psi)
+def _states(grid, psi, dt, steps, record_every, hbar, mu):
+    """psi at every recorded step, exact in each Fourier mode of the last axis.
+
+    H's coefficients do not depend on the last grid axis, so H maps
+    u(rest) exp(i m u_last) to (H_m u)(rest) exp(i m u_last): one block
+    H_m per mode (1x1 on the circle, n_theta x n_theta on the torus).
+    H applied to a delta at rest-node j and last-node 0, transformed
+    along the last axis, is column j of every H_m.  The weight depends
+    on the rest axes only, so sqrt(w) H_m / sqrt(w) is hermitian; one
+    batched eigh diagonalizes all modes.
+    """
+    *rest, nlast = grid.shape
+    dim = int(np.prod(rest))
+    blocks = np.empty((nlast, dim, dim), dtype=complex)
+    delta = np.zeros((dim, nlast), dtype=complex)
+    for j in range(dim):
+        delta[j, 0] = 1.0
+        h_col = hamiltonian(grid, delta.reshape(grid.shape), hbar, mu).reshape(dim, nlast)
+        blocks[:, :, j] = np.fft.fft(h_col, axis=1).T
+        delta[j, 0] = 0.0
+    sqrt_w = np.sqrt(grid.weights.reshape(dim, nlast)[:, 0])
+    blocks *= sqrt_w[:, None]
+    blocks /= sqrt_w
+    energies, vecs = np.linalg.eigh(blocks)
+    del blocks
+    # eigen-coefficients of the packet, mode by mode: (nlast, dim)
+    coeffs0 = np.einsum("mij,mi->mj", vecs.conj(),
+                        (np.fft.fft(psi.reshape(dim, nlast), axis=1) * sqrt_w[:, None]).T)
     for k in range(0, steps + 1, record_every):
-        yield np.fft.ifft(coeffs0 * np.exp(-1j * energies * (k * dt) / hbar))
-
-
-def _theta_propagator(grid, dt, hbar, mu):
-    """Weighted-unitary exp(-i dt A / hbar) for the tube-angle kinetic part."""
-    nth = grid.shape[0]
-    r = grid.params["r"]
-    rho = grid.params["R"] + r * np.sin(grid.coords[0])
-    coef = rho / r
-
-    def a_theta(v):
-        d_v = fourier_derivative(v, 0, 1)
-        return -(hbar ** 2 / (2.0 * mu)) * (fourier_derivative(coef * d_v, 0, 1) / (r * rho))
-
-    a_dense = LinOp(a_theta, (nth,)).dense()
-    w_half = np.sqrt(rho)
-    sym = (a_dense * w_half[:, None]) / w_half[None, :]
-    sym = 0.5 * (sym + sym.conj().T)
-    vals, vecs = np.linalg.eigh(sym)
-    phase = np.exp(-1j * dt * vals / hbar)
-    prop_sym = (vecs * phase) @ vecs.conj().T
-    return (prop_sym / w_half[:, None]) * w_half[None, :]
-
-
-def _torus_states(grid, psi, dt, steps, record_every, hbar, mu):
-    """psi at every recorded step of a Strang splitting with time step dt."""
-    nph = grid.shape[1]
-    rho = grid.params["R"] + grid.params["r"] * np.sin(grid.coords[0])
-    m_ph = np.fft.fftfreq(nph, d=1.0 / nph)
-    vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
-    # azimuthal + potential phases, diagonal per row in the phi Fourier basis
-    e_row = (hbar ** 2 / (2.0 * mu)) * (m_ph[None, :] ** 2 / rho[:, None] ** 2) \
-        + vg[:, 0][:, None]
-    half_c = np.exp(-1j * 0.5 * dt * e_row / hbar)
-    prop_a = _theta_propagator(grid, dt, hbar, mu)
-
-    def apply_c_half(state):
-        return np.fft.ifft(half_c * np.fft.fft(state, axis=1), axis=1)
-
-    for k in range(steps + 1):
-        if k % record_every == 0:
-            yield psi
-        if k < steps:
-            psi = apply_c_half(prop_a @ apply_c_half(psi))
+        spectrum = np.einsum("mij,mj->im", vecs, coeffs0 * np.exp(-1j * energies * (k * dt) / hbar))
+        yield np.fft.ifft(spectrum / sqrt_w[:, None], axis=1).reshape(grid.shape)
 
 
 def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2,
