@@ -9,7 +9,9 @@ Derives, independently of the package machinery:
 * the spheroid lap M values at the poles and equator under both the
   signed-distance and the gradient-normalized extension.
 
-Run it to reproduce the constants frozen in tests/closed_forms.py:
+Run it to reproduce the constants frozen in tests/closed_forms.py
+(``spheroid_section`` also returns its exact values, which
+tests/test_closed_forms.py compares with ``SPHEROID_LAP``):
 
     python scripts/derive_reference_values.py
 """
@@ -78,17 +80,23 @@ def spheroid_section():
                                         z: bv * sp.sin(tv)}))
 
     print("\n== spheroid lap M at the poles and equator ==")
+    values = {}
     for av, bv, label in ((1, 2, "prolate a=1 b=2"), (2, 1, "oblate a=2 b=1")):
-        pole_ref = -(bv ** 2 - av ** 2) * bv / av ** 6
-        eq_ref = sp.Rational(bv ** 2 - av ** 2) * (bv ** 2 + 3 * av ** 2) / (2 * av * bv ** 6)
         subs = {a: av, b: bv}
+        values[(av, bv)] = {
+            site: {"lb": lap_lb.subs(subs).subs(t, tv),
+                   "sd": lap_sd.subs(subs).subs(t, tv),
+                   "gn": gn_value(av, bv, tv)}
+            for site, tv in (("pole", sp.pi / 2), ("equator", 0))}
+        published = {
+            "pole": -(bv ** 2 - av ** 2) * bv / av ** 6,
+            "equator": sp.Rational(bv ** 2 - av ** 2) * (bv ** 2 + 3 * av ** 2)
+            / (2 * av * bv ** 6)}
         print(f"{label}:")
-        print(f"  pole:    lb={lap_lb.subs(subs).subs(t, sp.pi/2)}, "
-              f"sd={lap_sd.subs(subs).subs(t, sp.pi/2)}, "
-              f"gn={gn_value(av, bv, sp.pi/2)}, published={pole_ref}")
-        print(f"  equator: lb={lap_lb.subs(subs).subs(t, 0)}, "
-              f"sd={lap_sd.subs(subs).subs(t, 0)}, "
-              f"gn={gn_value(av, bv, 0)}, published={eq_ref}")
+        for site, v in values[(av, bv)].items():
+            print(f"  {site + ':':<9}lb={v['lb']}, sd={v['sd']}, gn={v['gn']}, "
+                  f"published={published[site]}")
+    return values
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Every start climbs and descends as two columns of one batch of projected
 gradient walks on exact jet gradients.  Stalled walks get Newton steps on
-the exact Riemannian Hessian, whose eigenvalues also classify each hit.
-Axisymmetric catalog surfaces collapse hits on one orbit into one record.
+the exact Riemannian Hessian.  One pass then groups the hits, by orbit
+(rho, z) on axisymmetric catalog surfaces and by location elsewhere, and
+puts each record at its group's best hit turned to azimuth 0, where one
+Hessian evaluation gives its value and class.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .geometry import ExtensionPolicy
 AXISYMMETRIC = ("sphere", "cylinder", "spheroid", "torus")
 
 MAX_ITER = 200       # accepted moves per walk
-MERGE_TOL = 1e-5     # times feature scale
+MERGE_TOL = 1e-4     # times feature scale
 STEP0 = 0.1          # times feature scale
 STEP_FLOOR = 1e-12
 NEWTON_ITERATIONS = 12
@@ -121,9 +123,10 @@ def _newton(spec, x, field, policy, tol, scale):
     return x, value, gnorm
 
 
-def _classify(spec, points, field, policy):
-    """max/min/saddle/degenerate-orbit per column of points (N, B)."""
-    _, _, n, hs = geo.field_derivatives(spec, points, policy, field, degree=2)
+def _labels(n, hs):
+    """max/min/saddle/degenerate-orbit per column from the signs of the
+    tangent eigenvalues of the exact Riemannian Hessian (|eig| <= EIG_TOL:
+    flat, so an orbit)."""
     eigs = geo.principal_curvatures_batch(n, hs)  # drops the n eigenvector
     flat = np.any(np.abs(eigs) <= EIG_TOL, axis=0)
     return np.select([flat, np.all(eigs < 0, axis=0), np.all(eigs > 0, axis=0)],
@@ -131,17 +134,10 @@ def _classify(spec, points, field, policy):
 
 
 def classify_critical_point(spec, point, field, policy):
-    """max/min/saddle/degenerate-orbit from the signs of the tangent
-    eigenvalues of the exact Riemannian Hessian (|eig| <= EIG_TOL: orbit)."""
+    """max/min/saddle/degenerate-orbit of the field at point (projected)."""
     point = geo.project_to_surface(spec, np.asarray(point, dtype=float))
-    return _classify(spec, point[:, None], field, policy)[0]
-
-
-def _orbit_signature(spec, location):
-    """Rotational invariant for axisymmetric surfaces (rho, z)."""
-    rho = float(np.linalg.norm(location[:2]))
-    z = float(location[2]) if len(location) > 2 else 0.0
-    return rho, z
+    _, _, n, hs = geo.field_derivatives(spec, point[:, None], policy, field, degree=2)
+    return _labels(n, hs)[0]
 
 
 def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED,
@@ -187,65 +183,52 @@ def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED
             f"no critical point of {field} found on '{spec.name}'", diagnostics
         )
 
-    merged = []
-    for k in np.flatnonzero(ok):  # hits in start order, climb before descent
-        loc, val, gn = x[:, k].copy(), float(value[k]), float(gnorm[k])
-        for rec in merged:
-            if np.linalg.norm(rec.location - loc) < MERGE_TOL * scale:
-                rec.multiplicity += 1
-                if gn < rec.grad_norm:
-                    rec.location, rec.value, rec.grad_norm = loc, val, gn
-                break
-        else:
-            merged.append(CriticalPoint(location=loc, value=val,
-                                        classification="", grad_norm=gn))
-
-    labels = _classify(spec, np.stack([rec.location for rec in merged], axis=1),
-                       field, policy)
-    for rec, label in zip(merged, labels):
-        rec.classification = label
-
-    if spec.name in AXISYMMETRIC:
-        merged = _collapse_orbits(spec, merged, MERGE_TOL * scale)
-
-    merged.sort(key=lambda r: (round(r.value, 10),
-                               tuple(np.round(r.location, 8))))
-    return merged
-
-
-def _collapse_orbits(spec, records, tol):
+    # one pass over the hits in key order, (rho, z) on an axisymmetric
+    # surface and x otherwise: a hit joins the first group whose first key
+    # is within tol, so the groups do not depend on the start order
+    tol = MERGE_TOL * scale
+    hits = x[:, ok]
+    axisymmetric = spec.name in AXISYMMETRIC
+    key = np.stack([np.hypot(hits[0], hits[1]), hits[2]]) if axisymmetric else hits
     groups = []
-    for rec in records:
-        sig = _orbit_signature(spec, rec.location)
+    for k in np.lexsort(key[::-1]):
         for group in groups:
-            gsig = _orbit_signature(spec, group[0].location)
-            if (abs(sig[0] - gsig[0]) < 10 * tol and abs(sig[1] - gsig[1]) < 10 * tol
-                    and abs(rec.value - group[0].value) < 1e-6 * (1 + abs(rec.value))):
-                group.append(rec)
+            if np.linalg.norm(key[:, k] - key[:, group[0]]) < tol:
+                group.append(k)
                 break
         else:
-            groups.append([rec])
-    out = []
-    for group in groups:
-        best = min(group, key=lambda r: r.grad_norm)
-        best.multiplicity = sum(r.multiplicity for r in group)
-        rho, z = _orbit_signature(spec, best.location)
-        # an orbit is real when several distinct hits share the signature
-        # or the classifier saw a flat direction
-        if len(group) > 1 and rho > 10 * tol:
-            spread = max(np.linalg.norm(r.location - best.location) for r in group)
-            if spread > 10 * tol:
-                best.classification = "degenerate-orbit"
-        if best.classification == "degenerate-orbit" and rho > 10 * tol:
-            z = 0.0 if abs(z) < 10 * tol else z  # roundoff off the z = 0 plane
-            best.orbit = f"circle z={z:.6g}, rho={rho:.6g}"
-        out.append(best)
-    return out
+            groups.append([k])
+
+    # each record sits at its group's best hit, turned to azimuth 0
+    hit_gnorm = gnorm[ok]
+    reps = key[:, [min(group, key=lambda k: hit_gnorm[k]) for group in groups]]
+    points = (np.stack([reps[0], np.zeros(len(groups)), reps[1]])
+              if axisymmetric else reps)
+    values, g_tan, n, hs = geo.field_derivatives(spec, points, policy, field, degree=2)
+    records = []
+    for j, (group, label) in enumerate(zip(groups, _labels(n, hs))):
+        rec = CriticalPoint(location=points[:, j], value=float(values[j]),
+                            classification=label,
+                            grad_norm=float(np.linalg.norm(g_tan[:, j])),
+                            multiplicity=len(group))
+        spread = np.linalg.norm(hits[:, group] - hits[:, group[:1]], axis=0).max()
+        # an orbit when the classifier saw a flat direction or the hits spread
+        if axisymmetric and reps[0, j] > tol and (label == "degenerate-orbit"
+                                                    or spread > tol):
+            rho, z = reps[:, j]
+            z = 0.0 if abs(z) < tol else z  # roundoff off the z = 0 plane
+            rec.classification = "degenerate-orbit"
+            rec.orbit = f"circle z={z:.6g}, rho={rho:.6g}"
+        records.append(rec)
+    # location (rho, 0, z) sorts as (rho, z)
+    records.sort(key=lambda r: (round(r.value, 10), tuple(np.round(r.location, 8))))
+    return records
 
 
 def to_report(points):
-    """JSON-ready report: signed ordering plus magnitude ranking."""
-    signed = [p.to_dict() for p in sorted(points, key=lambda p: p.value)]
+    """JSON-ready report: signed ordering plus magnitude ranking.  Values
+    equal to 1e-10 keep the order of points, so roundoff cannot swap them."""
+    signed = [p.to_dict() for p in sorted(points, key=lambda p: round(p.value, 10))]
     by_magnitude = [p.to_dict() for p in
-                    sorted(points, key=lambda p: -abs(p.value))]
+                    sorted(points, key=lambda p: -abs(round(p.value, 10)))]
     return {"critical_points": signed, "by_magnitude": by_magnitude}

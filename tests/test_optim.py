@@ -62,25 +62,52 @@ def test_oblate_spheroid_equator_orbit():
 
 
 def test_prolate_sd_search_records():
-    # the records as a multiset: which hit represents an orbit, and the order
-    # of the two z = +-1.657 circles, follow roundoff
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
     points = optim.find_critical_points(
         spec, "lapM", SD, optim.SearchConfig(starts=24, seed=0))
     ref = cf.SPHEROID_LAP[(1.0, 2.0)]
-    want = {("max", "pole", 5): ref["pole"]["sd"],
-            ("max", "pole", 1): ref["pole"]["sd"],
-            ("degenerate-orbit", "circle z=0, rho=1", 18): ref["equator"]["sd"],
-            ("degenerate-orbit", "circle z=1.65733, rho=0.559748", 14): -3.02060581221850,
-            ("degenerate-orbit", "circle z=-1.65733, rho=0.559748", 10): -3.02060581221850}
-    got = {}
-    for p in points:
-        at_pole = abs(abs(p.location[2]) - 2.0) < 1e-6
-        got[(p.classification, "pole" if at_pole else p.orbit, p.multiplicity)] = p.value
-    assert len(points) == len(got)
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=1e-12), key
+    want = [("degenerate-orbit", "circle z=-1.65733, rho=0.559748", 10, -3.02060581221850),
+            ("degenerate-orbit", "circle z=1.65733, rho=0.559748", 14, -3.02060581221850),
+            ("degenerate-orbit", "circle z=0, rho=1", 18, ref["equator"]["sd"]),
+            ("max", None, 5, ref["pole"]["sd"]),
+            ("max", None, 1, ref["pole"]["sd"])]
+    got = [(p.classification, p.orbit, p.multiplicity, p.value) for p in points]
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    for g, w in zip(got, want):
+        assert g[3] == pytest.approx(w[3], rel=1e-12), w
+    assert [np.sign(p.location[2]) for p in points[3:]] == [-1.0, 1.0]
+    for rec in points[3:]:
+        assert abs(abs(rec.location[2]) - 2.0) < 1e-6
+
+
+def _prolate_gn_search(seed):
+    spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
+    return optim.find_critical_points(spec, "lapM", GN,
+                                      optim.SearchConfig(starts=24, seed=seed))
+
+
+def test_records_depend_on_the_critical_sets_not_on_the_hits():
+    # seeds 0 and 41 land on the same five sets through different hits; each
+    # record sits at its set's azimuth-0 point, so the locations agree
+    a, b = _prolate_gn_search(0), _prolate_gn_search(41)
+    assert len(a) == len(b) == 5
+    assert [p.orbit for p in a] == [p.orbit for p in b]
+    assert np.abs(_locations(a) - _locations(b)).max() <= 1e-9
+    for rec in a + b:
+        if rec.orbit is not None:
+            assert rec.location[1] == 0.0
+
+
+def test_records_do_not_depend_on_the_start_order(monkeypatch):
+    want = [p.to_dict() for p in _prolate_gn_search(0)]
+    sample_points = geo.sample_points
+    perm = np.random.default_rng(1).permutation(24)
+    monkeypatch.setattr(geo, "sample_points",
+                        lambda *args, **kw: sample_points(*args, **kw)[:, perm])
+    assert [p.to_dict() for p in _prolate_gn_search(0)] == want
+    monkeypatch.setattr(geo, "sample_points",
+                        lambda *args, **kw: sample_points(*args, **kw)[:, ::-1])
+    assert [p.to_dict() for p in _prolate_gn_search(0)] == want
 
 
 def test_walks_ending_on_a_degenerate_orbit_converge():
@@ -187,6 +214,20 @@ def test_report_has_signed_and_magnitude_orderings():
     for row in report["critical_points"]:
         assert set(row) == {"location", "value", "class", "grad_norm",
                             "multiplicity", "orbit"}
+
+
+def test_report_keeps_the_record_order_of_equal_values():
+    # the z = -1.1547 and z = +1.1547 circles of vg_geom share one value up
+    # to 2e-16; the report lists them in record order, not by that roundoff
+    spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
+    points = optim.find_critical_points(spec, "vg_geom", SD,
+                                        optim.SearchConfig(starts=8, seed=5))
+    report = optim.to_report(points)
+    assert report["critical_points"] == [p.to_dict() for p in points]
+    assert [p["orbit"] for p in report["critical_points"][:2]] == [
+        "circle z=-1.1547, rho=0.816497", "circle z=1.1547, rho=0.816497"]
+    assert [p["orbit"] for p in report["by_magnitude"][:2]] == [
+        "circle z=-1.1547, rho=0.816497", "circle z=1.1547, rho=0.816497"]
 
 
 def _second_difference_hessian(spec, x, field, policy, frame, h):
