@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class Trajectory:
     tangency_residual: np.ndarray  # (K,)
     mass: float
     dt: float
+    _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def to_csv(self):
         nvars = self.xs.shape[1]
@@ -187,9 +188,10 @@ class ResidualSeries:
 
 
 def _interior_tables(spec, traj, policy):
-    pts = traj.xs[1:-1].T
-    n, dn, _, _ = geo._tables_batch(spec, pts, policy, order=1)
-    return n, dn
+    """n and dn at the interior states, kept on traj for both residuals."""
+    if traj._tables[:2] != (spec, policy):
+        traj._tables = (spec, policy, *geo._tables_batch(spec, traj.xs[1:-1].T, policy, 1)[:2])
+    return traj._tables[2:]
 
 
 def force_residual(spec, traj, mu=None, policy=ExtensionPolicy.SIGNED_DISTANCE):

@@ -423,11 +423,14 @@ def sample_points(spec, sampling="grid", resolution=None, count=None, seed=0):
 def sample_field(spec, policy, sampling="grid", resolution=None, count=None, seed=0):
     """Curvature field columns at sample_points; deterministic given the seed.
 
-    Returns the curvature_fields arrays plus x (N, B) and kappa (N-1, B),
-    one column per sample, or {} when there are no points.
+    Returns the SAMPLE_KEYS columns, one per sample, or {} for no points,
+    made BLOCK columns at a time, bitwise as one curvature_fields pass.
     """
     points = sample_points(spec, sampling, resolution, count, seed)
-    return _sample_columns(spec, points, policy) if points.shape[1] else {}
+    blocks = (_sample_columns(spec, points[:, s:s + BLOCK], policy)
+              for s in range(0, points.shape[1], BLOCK))
+    kept = [[columns[key] for key in SAMPLE_KEYS] for columns in blocks]  # one block at a time
+    return {key: np.concatenate(parts, axis=-1) for key, parts in zip(SAMPLE_KEYS, zip(*kept))}
 
 
 def sample_table(columns):

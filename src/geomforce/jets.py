@@ -18,6 +18,11 @@ grade-k part by k (Neidinger 2005, "Directions for computing truncated
 multivariate Taylor series", Math. Comp. 74:321-340).  Each grade takes
 one sum over the inner pairs, whose two factors both have grade >= 1.
 
+Every such sum has one order, c_k = ((0.0 + t_1) + t_2) + ... over the
+pairs (i, j) of output k in ascending i, t = a_i b_j, whatever the batch:
+up to WIDE batch columns one gather of the pairs padded to (slots,
+outputs, B) summed along the slots, wider a loop adding slot by slot.
+
 All operations broadcast over a trailing batch axis, so jets can be
 evaluated for many points at once.  The jet of a surface expression comes
 from running its compiled tape with `variable` inputs and `apply_function`
@@ -35,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_DEGREE = 7
+WIDE = 64  # batch columns above which a product sums slot by slot
 
 
 class DomainError(ValueError):
@@ -95,34 +101,19 @@ class JetSpace:
         self._build_product_table()
 
     def _build_product_table(self):
-        pairs = []
-        for i, a in enumerate(self.indices):
-            ta = sum(a)
-            for j, b in enumerate(self.indices):
-                if ta + sum(b) > self.degree:
-                    continue
-                k = self.index_of[tuple(x + y for x, y in zip(a, b))]
-                pairs.append((k, i, j))
-        pairs.sort()
-        arr = np.array(pairs, dtype=np.intp)
-        self._prod_k = arr[:, 0]
-        self._prod_i = arr[:, 1]
-        self._prod_j = arr[:, 2]
-        # reduceat segment starts, one per distinct k (k values are 0..size-1)
-        starts = np.searchsorted(self._prod_k, np.arange(self.size))
-        self._prod_starts = starts
+        pairs = np.array(sorted(  # j over grades <= degree - grade(i), a prefix of indices
+            (self.index_of[tuple(x + y for x, y in zip(a, b))], i, j)
+            for i, a in enumerate(self.indices)
+            for j, b in enumerate(self.indices[:self.grades[self.degree - sum(a)].stop])))
+        self._product = _slot_table(pairs, self.size)
         # inner pairs by output grade; every entry of grade >= 2 has one
-        inner = arr[(self.grade[arr[:, 1]] > 0) & (self.grade[arr[:, 2]] > 0)]
-        self._inner = {}
-        for k in range(2, self.degree + 1):
-            block = inner[self.grade[inner[:, 0]] == k]
-            at = np.arange(self.grades[k].start, self.grades[k].stop)
-            self._inner[k] = (block[:, 1], block[:, 2], np.searchsorted(block[:, 0], at))
+        gk, gi, gj = self.grade[pairs.T]
+        self._inner = {k: _slot_table(pairs[(gk == k) & (gi > 0) & (gj > 0)], self.size)
+                       for k in range(2, self.degree + 1)}
 
     def multiply_normalized(self, a, b):
         """Truncated convolution of Taylor-normalized coefficient arrays."""
-        terms = a[self._prod_i] * b[self._prod_j]
-        return np.add.reduceat(terms, self._prod_starts, axis=0)
+        return _sum_slots(self._product, a, b)
 
     def inner_sum(self, k, a, b):
         """Grade-k part of the product of a and b over the inner pairs only.
@@ -132,8 +123,7 @@ class JetSpace:
         """
         if k < 2:
             return 0.0
-        i, j, starts = self._inner[k]
-        return np.add.reduceat(a[i] * b[j], starts, axis=0)
+        return _sum_slots(self._inner[k], a, b)
 
     @lru_cache(maxsize=None)
     def derivative_map(self, axis):
@@ -159,6 +149,36 @@ class JetSpace:
         for axes in itertools.product(range(self.nvars), repeat=order):
             index[axes] = self.index_of[tuple(axes.count(i) for i in range(self.nvars))]
         return index, self.factorials[index]
+
+
+def _slot_table(pairs, size):
+    """Slots of the (k, i, j) rows of pairs, sorted by k then i, of consecutive k:
+    index (2, P, outputs) holds each output's pairs in slots 0..P-1 as rows of
+    [a; b; 0], padded with its zero row.  Slot p of `rows` adds into the first
+    `count` outputs by descending pair count; `inverse` restores k."""
+    k, i, j = pairs.T
+    k = k - k[0]
+    slot = np.arange(len(k)) - np.searchsorted(k, k)  # place in k's run
+    index = np.full((2, slot.max() + 1, k[-1] + 1), 2 * size, dtype=np.intp)
+    index[:, slot, k] = i, j + size
+    order = np.argsort(-np.bincount(k), kind="stable")
+    rows = [(count, *index[:, p, order[:count]] - [[0], [size]])
+            for p, count in enumerate(np.count_nonzero(index[0] < 2 * size, axis=1))]
+    return index, rows, np.argsort(order)
+
+
+def _sum_slots(table, a, b):
+    """Each output's sum of a_i b_j over its slots, in the module doc's order."""
+    index, rows, inverse = table
+    if a.ndim == 1 or a.shape[1] <= WIDE:
+        ab = np.concatenate([a, b, np.zeros((1,) + a.shape[1:])])
+        terms = ab[index]  # one (2, P, outputs, B) gather
+        terms[0] *= terms[1]
+        return np.add.reduce(terms[0], axis=0, initial=0.0)  # C order: slot rows in turn
+    c = np.zeros((len(inverse),) + a.shape[1:])
+    for count, i, j in rows:
+        c[:count] += a[i] * b[j]
+    return c[inverse]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from geomforce import dynamics as dyn
 from geomforce import expr as ex
+from geomforce import geometry as geo
 from geomforce.cli import main
 from geomforce.surfaces import builtin_surface, from_expression
 
@@ -104,6 +105,21 @@ def test_both_force_forms_agree_along_trajectories():
     eq2 = dyn.geodesic_form_residual(spec, traj)
     # same statement in two dressings (unit mass): residuals must agree
     assert eq1.max == pytest.approx(eq2.max, rel=1e-9)
+
+
+def test_classical_makes_one_normal_table_pass(monkeypatch):
+    # force_residual and geodesic_form_residual share the interior tables
+    calls = []
+    tables = geo._tables_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tables(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_tables_batch", counted)
+    assert main(["classical", "--surface", "torus", "--R", "2", "--r", "1", "--x0", "3,0,0",
+                 "--p0", "0,0.6,0.8", "--steps", "300"]) == 0
+    assert len(calls) == 1
 
 
 def test_zero_velocity_rejected_by_geodesic_form():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,35 @@ def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkey
     assert fields.keys() == whole.keys()
     for key, value in whole.items():
         assert value is None if key == "error_bound" else np.array_equal(fields[key], value), key
+
+
+@pytest.mark.parametrize("name,params,policy", [("torus", {"R": 2.0, "r": 1.0}, SD),
+                                                ("spheroid", {"a": 1.0, "b": 2.0}, GN)],
+                         ids=["torus-sd", "spheroid-gn"])
+def test_streamed_samples_equal_one_unblocked_pass(name, params, policy, monkeypatch):
+    # two full blocks and a partial third, against one pass over all columns
+    spec = builtin_surface(name, params)
+    count = 2 * geo.BLOCK + 37
+    samples = geo.sample_field(spec, policy, sampling="random", count=count, seed=4)
+    assert set(samples) == set(geo.SAMPLE_KEYS)
+    points = geo.sample_points(spec, "random", count=count, seed=4)
+    monkeypatch.setattr(geo, "BLOCK", count)
+    whole = geo.curvature_fields(spec, points, policy)
+    whole.update(x=points, kappa=geo.principal_curvatures_batch(whole["n"], whole["dn"]))
+    for key in geo.SAMPLE_KEYS:
+        assert np.array_equal(samples[key], whole[key]), key
+
+
+def test_sample_field_holds_one_block_of_tables(torus):
+    # holding every block's n..d3n tables and the full curvature_fields
+    # output until the end, as one unblocked pass does, peaks at 15.2 MiB here
+    tracemalloc.start()
+    try:
+        geo.sample_field(torus, SD, sampling="random", count=8 * geo.BLOCK, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_off_surface_point_in_the_second_block_is_named(torus):

@@ -250,3 +250,38 @@ def test_jet_derivative_extraction():
     assert dx.partial((0, 0)) == pytest.approx(12.0)  # 2xy at (2,3)
     assert dx.partial((1, 0)) == pytest.approx(6.0)   # 2y
     assert dx.partial((0, 1)) == pytest.approx(4.0)   # 2x
+
+
+def _sequential(space, a, b, inner_grade=None):
+    """Sums in the documented order: c_k = ((0.0 + t_1) + t_2) + ... over
+    output k's pairs (i, j) in ascending i, t = a_i b_j, one add at a time
+    (elementwise over the batch columns).  inner_grade k keeps the pairs of
+    grade-k outputs with both factors of grade >= 1."""
+    out = [0.0 * a[0] for _ in space.indices]
+    for i, alpha in enumerate(space.indices):
+        for j, beta in enumerate(space.indices):
+            if sum(alpha) + sum(beta) > space.degree:
+                continue
+            if inner_grade is not None and not (sum(alpha) and sum(beta)
+                                                and sum(alpha) + sum(beta) == inner_grade):
+                continue
+            k = space.index_of[tuple(x + y for x, y in zip(alpha, beta))]
+            out[k] = out[k] + a[i] * b[j]
+    if inner_grade is not None:
+        out = out[space.grades[inner_grade]]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("nvars,degree", [(2, 4), (3, 4), (3, 5), (3, 7)])
+@pytest.mark.parametrize("width", [None, 1, 7, 64, 65, 1024])
+def test_products_sum_in_the_documented_order(nvars, degree, width):
+    # terms over forty orders of magnitude, so that another summation order
+    # (np.add.reduceat's) gives other last bits
+    space = jets.jet_space(nvars, degree)
+    rng = np.random.default_rng(width or 0)
+    shape = (space.size,) if width is None else (space.size, width)
+    a = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    b = rng.standard_normal(shape)
+    assert np.array_equal(space.multiply_normalized(a, b), _sequential(space, a, b))
+    for k in range(2, degree + 1):
+        assert np.array_equal(space.inner_sum(k, a, b), _sequential(space, a, b, k)), k
