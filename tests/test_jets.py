@@ -257,7 +257,7 @@ def _sequential(space, a, b, inner_grade=None):
     output k's pairs (i, j) in ascending i, t = a_i b_j, one add at a time
     (elementwise over the batch columns).  inner_grade k keeps the pairs of
     grade-k outputs with both factors of grade >= 1."""
-    out = [0.0 * a[0] for _ in space.indices]
+    out = [np.zeros_like(a[0]) for _ in space.indices]
     for i, alpha in enumerate(space.indices):
         for j, beta in enumerate(space.indices):
             if sum(alpha) + sum(beta) > space.degree:
@@ -276,12 +276,15 @@ def _sequential(space, a, b, inner_grade=None):
 @pytest.mark.parametrize("width", [None, 1, 7, 64, 65, 1024])
 def test_products_sum_in_the_documented_order(nvars, degree, width):
     # terms over forty orders of magnitude, so that another summation order
-    # (np.add.reduceat's) gives other last bits
+    # (np.add.reduceat's) gives other last bits; then all terms -0.0, whose
+    # sums are +0.0 only when started from 0.0
     space = jets.jet_space(nvars, degree)
     rng = np.random.default_rng(width or 0)
     shape = (space.size,) if width is None else (space.size, width)
-    a = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
-    b = rng.standard_normal(shape)
-    assert np.array_equal(space.multiply_normalized(a, b), _sequential(space, a, b))
-    for k in range(2, degree + 1):
-        assert np.array_equal(space.inner_sum(k, a, b), _sequential(space, a, b, k)), k
+    spread = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    bits = lambda x: np.asarray(x).view(np.uint64)
+    for a, b in ((spread, rng.standard_normal(shape)), (np.full(shape, -0.0), np.ones(shape))):
+        assert np.array_equal(bits(space.multiply_normalized(a, b)), bits(_sequential(space, a, b)))
+        for k in range(2, degree + 1):
+            assert np.array_equal(bits(space.inner_sum(k, a, b)),
+                                  bits(_sequential(space, a, b, k))), k
