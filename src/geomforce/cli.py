@@ -89,6 +89,11 @@ def parse_tolerance(text):
     return tol
 
 
+def _require_positive_finite(flag, value):
+    if not 0 < value < np.inf:
+        raise CliInputError(f"{flag} must be positive and finite, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError(message)
@@ -268,8 +273,16 @@ def _cmd_verify(args):
                   "r": args.r if args.r is not None else 1.0}
     else:
         raise CliInputError("verify runs on --surface circle or torus")
-    if not (args.hbar > 0 and args.mass > 0):
-        raise CliInputError("--hbar and --mass must be positive")
+    hbar, mu = args.hbar, args.mass
+    for flag, value in (("--hbar", hbar), ("--mass", mu)):
+        _require_positive_finite(flag, value)
+    # the operators scale by these; like a catalog parameter's square, each
+    # must be a nonzero float (a product, since ** on a float can raise)
+    for name, value in (("hbar^2", hbar * hbar), ("hbar^3", hbar * hbar * hbar),
+                        ("hbar^2 / (4 mu)", hbar * hbar / (4.0 * mu))):
+        if not 0 < value < np.inf:
+            raise CliInputError(f"--hbar {hbar} with --mass {mu} puts {name} "
+                                f"outside the float range")
     sizes = _numbers(args.grids, "--grids", int)
     if len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes):
         raise CliInputError(f"--grids needs at least 3 powers of two >= 16, "
@@ -279,8 +292,8 @@ def _cmd_verify(args):
     if unknown:
         raise CliInputError(f"unknown identities {unknown}; known: "
                             f"{', '.join(IDENTITY_IDS)}")
-    report = run_identity_suite(args.surface, params, sizes, hbar=args.hbar,
-                                mu=args.mass, tol=args.tol,
+    report = run_identity_suite(args.surface, params, sizes, hbar=hbar,
+                                mu=mu, tol=args.tol,
                                 identities=identities, seed=args.seed)
     _emit(args, report)
     return 3 if report["hard_failures"] else 0
@@ -288,12 +301,12 @@ def _cmd_verify(args):
 
 def _cmd_force(args):
     mass = args.mass
-    if not mass > 0:
-        raise CliInputError(f"--mass must be positive, got {mass}")
+    _require_positive_finite("--mass", mass)
     if args.surface == "generic":
         if args.curvature_scale is None:
             raise CliInputError("--surface generic needs --curvature-scale")
         length = args.curvature_scale
+        _require_positive_finite("--curvature-scale", length)
         payload = {
             "surface": "generic",
             "mass_kg": mass,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,11 +37,11 @@ class IntegratorInputError(ValueError):
     """Initial state or integrator settings out of range."""
 
 
-class TooFewStepsError(ValueError):
+class TooFewStepsError(IntegratorInputError):
     """Residual series need at least 3 stored states."""
 
 
-class ZeroVelocityError(ValueError):
+class ZeroVelocityError(IntegratorInputError):
     """Geodesic curvature is undefined for a resting particle."""
 
 
@@ -55,16 +56,16 @@ class TrajectoryState:
 class IntegratorConfig:
     dt: float
     steps: int
-    constraint_tol: float = 1e-12
     mass: float = 1.0
+    constraint_tol: ClassVar[float] = 1e-12  # |f| a projected step must reach
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise IntegratorInputError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise IntegratorInputError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise IntegratorInputError("steps must be >= 1")
-        if not self.mass > 0:
-            raise IntegratorInputError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise IntegratorInputError(f"mass must be positive and finite, got {self.mass}")
 
 
 @dataclass
@@ -187,25 +188,26 @@ class ResidualSeries:
     extra: np.ndarray | None = None  # per-step curvature for the geodesic form
 
 
-def _interior_tables(spec, traj, policy):
-    """n and dn at the interior states, kept on traj for both residuals."""
-    if traj._tables[:2] != (spec, policy):
-        traj._tables = (spec, policy, *geo._tables_batch(spec, traj.xs[1:-1].T, policy, 1)[:2])
-    return traj._tables[2:]
+def _interior_tables(spec, traj):
+    """Signed-distance n and dn at the interior states, kept on traj for
+    both residuals."""
+    if traj._tables[0] is not spec:
+        traj._tables = (spec, *geo._tables_batch(
+            spec, traj.xs[1:-1].T, ExtensionPolicy.SIGNED_DISTANCE, 1)[:2])
+    return traj._tables[1:]
 
 
-def force_residual(spec, traj, mu=None, policy=ExtensionPolicy.SIGNED_DISTANCE):
-    """dp/dt + n (p . grad n . p) / mu along the trajectory.
+def force_residual(spec, traj):
+    """dp/dt + n (p . grad n . p) / mu along the trajectory, mu = traj.mass.
 
     Central-difference dp/dt at interior steps against the constrained
     force law; returns max and RMS norms of the vector residuals.
     """
     if len(traj.ts) < 3:
         raise TooFewStepsError("need at least 3 states for central differences")
-    mu = traj.mass if mu is None else mu
-    dt = traj.dt
+    mu, dt = traj.mass, traj.dt
     dpdt = (traj.ps[2:] - traj.ps[:-2]) / (2.0 * dt)
-    n, dn = _interior_tables(spec, traj, policy)
+    n, dn = _interior_tables(spec, traj)
     p_mid = traj.ps[1:-1]
     quad = np.einsum("ki,ijk,kj->k", p_mid, dn, p_mid)  # p . grad n . p per step
     residual = dpdt + (n * quad).T / mu
@@ -214,22 +216,22 @@ def force_residual(spec, traj, mu=None, policy=ExtensionPolicy.SIGNED_DISTANCE):
                           rms=float(np.sqrt(np.mean(norms ** 2))))
 
 
-def geodesic_form_residual(spec, traj, mu=None, policy=ExtensionPolicy.SIGNED_DISTANCE):
-    """|dv/dt + n v^2 kappa_n| with kappa_n the normal curvature along v.
+def geodesic_form_residual(spec, traj):
+    """|dv/dt + n v^2 kappa_n| with kappa_n the normal curvature along v
+    and v = p / traj.mass.
 
     The local curvature 1/R is computed as vhat . grad n . vhat; its
     sign is recorded in `extra` rather than assumed.
     """
     if len(traj.ts) < 3:
         raise TooFewStepsError("need at least 3 states for central differences")
-    mu = traj.mass if mu is None else mu
     dt = traj.dt
-    vs = traj.ps / mu
+    vs = traj.ps / traj.mass
     speed = np.linalg.norm(vs[1:-1], axis=1)
     if np.any(speed < 1e-300):
         raise ZeroVelocityError("zero velocity along trajectory")
     dvdt = (vs[2:] - vs[:-2]) / (2.0 * dt)
-    n, dn = _interior_tables(spec, traj, policy)
+    n, dn = _interior_tables(spec, traj)
     vhat = vs[1:-1] / speed[:, None]
     kappa_n = np.einsum("ki,ijk,kj->k", vhat, dn, vhat)
     residual = dvdt + (n * (speed ** 2 * kappa_n)).T

@@ -139,7 +139,7 @@ def split_identity_report(rel_tol=1e-9):
     for name, spec, points in cases:
         rows = []
         for point in points:
-            rep = geo.split_report(spec, point, ExtensionPolicy.SIGNED_DISTANCE)
+            rep = geo.split_report(spec, point)
             rows.append({
                 "point": [float(v) for v in point],
                 "lapM": rep.lapM,

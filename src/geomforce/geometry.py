@@ -92,8 +92,8 @@ class PhysicalScale:
 
     def __post_init__(self):
         for name in ("mass_kg", "hbar", "length_unit_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # Closest-point projection ----------------------------------------------------
@@ -355,9 +355,10 @@ class SplitReport:
     residual_flipped: float  # lapM - lapLB_M + normal_term
 
 
-def split_report(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
+def split_report(spec, point):
+    """The split of signed-distance lap M at one surface point."""
     point = np.asarray(point, dtype=float)
-    fields = curvature_fields(spec, point[:, None], policy)
+    fields = curvature_fields(spec, point[:, None], ExtensionPolicy.SIGNED_DISTANCE)
     lap_m = float(fields["lapM"][0])
     lap_lb = float(fields["lapLB_M"][0])
     m = float(fields["M"][0])

@@ -24,8 +24,13 @@ from .linops import inner, norm_w
 from .operators import StateActions, hamiltonian, quartics
 
 
+NORM_TOL = 1e-6  # the largest |norm - 1| evolve_wavepacket accepts
+SCALING_HBARS = (1.0, 0.5, 0.25)
+SCALING_SIZE, SCALING_STEPS, SCALING_T_FINAL = 256, 100, 0.05
+
+
 class NormDriftError(RuntimeError):
-    """State norm drifted more than the tolerance during evolution."""
+    """State norm drifted by more than NORM_TOL during evolution."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,12 @@ def _observables(grid, hbar, mu):
     return measure
 
 
-def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
-                      record_every=1, norm_tol=1e-6):
+def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0, record_every=1):
     """Evolve a packet under the surface Hamiltonian; return the trace.
 
     States are exact in the eigenbasis of each last-axis Fourier mode
     (see _states), so dt only sets the recording times; norm drift is
-    checked.
+    checked against NORM_TOL.
     The packet width must cover at least 4 grid spacings, and the run
     must record at least 3 states (steps >= 2 * record_every >= 2).
     """
@@ -126,7 +130,7 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0,
     rows, drift = [], 0.0
     for psi in _states(grid, _packet(grid, packet, hbar), dt, steps, record_every, hbar, mu):
         drift = max(drift, abs(norm_w(grid.weights, psi) - 1.0))
-        if drift > norm_tol:
+        if drift > NORM_TOL:
             raise NormDriftError(f"norm drifted by {drift:.3e}")
         rows.append(measure(psi))
     t = np.arange(0, steps + 1, record_every) * dt
@@ -170,11 +174,11 @@ def _states(grid, psi, dt, steps, record_every, hbar, mu):
         yield np.fft.ifft(spectrum / sqrt_w[:, None], axis=1).reshape(grid.shape)
 
 
-def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2,
-                        hbars=(1.0, 0.5, 0.25), size=256, t_final=0.05,
-                        steps=100, mu=1.0):
+def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2, mu=1.0):
     """Log-log slopes of the quantum and centripetal term magnitudes vs hbar.
 
+    The packet is evolved once per hbar in SCALING_HBARS on one circle
+    grid (SCALING_SIZE nodes, SCALING_STEPS steps to SCALING_T_FINAL).
     The classical action is held fixed: the packet keeps the same mean
     momentum while the mode number scales like 1/hbar.  The quantum term
     should scale like hbar^2 (slope 2), the centripetal term like hbar^0
@@ -182,20 +186,21 @@ def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2,
     """
     from .grid import build_grid
 
-    grid = build_grid("circle", params, size)
+    grid = build_grid("circle", params, SCALING_SIZE)
     packet = WavePacket(center=0.0, sigma=sigma, mean_momentum=mean_momentum)
     quantum_rms, cent_rms = [], []
-    for hb in hbars:
-        trace = evolve_wavepacket(grid, packet, t_final / steps, steps, hbar=hb, mu=mu)
+    for hb in SCALING_HBARS:
+        trace = evolve_wavepacket(grid, packet, SCALING_T_FINAL / SCALING_STEPS,
+                                  SCALING_STEPS, hbar=hb, mu=mu)
         quantum_rms.append(float(np.sqrt(np.mean(
             np.linalg.norm(trace.quantum, axis=1) ** 2))))
         cent_rms.append(float(np.sqrt(np.mean(
             np.linalg.norm(trace.centripetal, axis=1) ** 2))))
-    logh = np.log(np.asarray(hbars))
+    logh = np.log(np.asarray(SCALING_HBARS))
     slope_q = float(np.polyfit(logh, np.log(quantum_rms), 1)[0])
     slope_c = float(np.polyfit(logh, np.log(np.maximum(cent_rms, 1e-300)), 1)[0])
     return {
-        "hbars": list(hbars),
+        "hbars": list(SCALING_HBARS),
         "quantum_rms": quantum_rms,
         "centripetal_rms": cent_rms,
         "slope_quantum": slope_q,

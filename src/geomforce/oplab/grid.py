@@ -35,8 +35,8 @@ class ParamSurfaceGrid:
     Grid-function arrays have shape `shape`; embedded quantities carry
     leading component axes.  weights are the quadrature weights
     sqrt(g) * du (positive; they sum to the surface area).  cache holds
-    per-grid work shared between checks (test states, the verdict pass
-    results).
+    per-grid constants shared between checks (test states, momentum
+    coefficients).
     """
 
     kind: str

@@ -15,10 +15,9 @@ Q(n psi)), each computed once per state.  Each group's sides become
 residual rows as they are built and are dropped.  The pass takes the
 states in pairs, so HERMITICITY judges its pairs from the same actions.
 The circle anchors read the same actions.  run_identity_suite runs the
-pass once per grid for all its identities and caches the results
-(residual tables, hermiticity defect) on the grid, where check_identity
-reads them; check_identity called alone runs the pass for its one
-identity.
+pass once per grid for all its identities and judges each identity from
+those results; check_identity runs the pass for its one identity.  The
+test space (TEST_STATES states, HERMITICITY_PAIRS pairs) is operators'.
 
 Identity ids:
 
@@ -43,7 +42,9 @@ import numpy as np
 from .grid import build_grid
 from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
+    HERMITICITY_PAIRS,
     ROUNDOFF_FLOOR,
+    TEST_STATES,
     StateActions,
     divergence,
     hamiltonian,
@@ -64,10 +65,6 @@ IDENTITY_IDS = (
     "H_FORMS",
     "HERMITICITY",
 )
-
-# HERMITICITY judges test-state pairs (0, 1), (2, 3), ... up to this many
-# (hermiticity_defect's default).
-_HERMITICITY_PAIRS = 6
 
 
 @dataclass
@@ -186,7 +183,7 @@ def _group(identity_id):
     return "QUARTICS" if identity_id in _QUARTIC_TABLES else identity_id
 
 
-def _grid_pass(grid, groups, hbar, mu, count, seed):
+def _grid_pass(grid, groups, hbar, mu, seed):
     """One pass over the test states of one grid for the given groups.
 
     Returns {group: residual tables} for the table groups, the largest
@@ -198,8 +195,8 @@ def _grid_pass(grid, groups, hbar, mu, count, seed):
     built = [(group, build(grid, hbar, mu), pairs)
              for group, (build, pairs) in _BUILDERS.items() if group in groups]
     rows = {group: [[] for _ in pairs] for group, _, pairs in built}
-    sided = count if built else 0
-    paired = 2 * _HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
+    sided = TEST_STATES if built else 0
+    paired = 2 * HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
     states = random_band_states(grid, max(sided, paired), seed)
     out = {}
 
@@ -230,16 +227,6 @@ def _grid_pass(grid, groups, hbar, mu, count, seed):
     return out
 
 
-def _grid_results(grid, groups, hbar, mu, count, seed):
-    """The pass results of one grid, cached on it: run the pass for the
-    groups not yet there."""
-    done = grid.cache.setdefault(("verdict pass", hbar, mu, count, seed), {})
-    missing = [group for group in groups if group not in done]
-    if missing:
-        done.update(_grid_pass(grid, missing, hbar, mu, count, seed))
-    return done
-
-
 def _fit_slope(sizes, residuals):
     """d log(residual) / d log(n); meaningless at the roundoff floor."""
     r = np.asarray(residuals, dtype=float)
@@ -265,21 +252,21 @@ def _judge(residuals, tol):
     return "inconclusive"
 
 
-def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10,
-                   count=8, seed=0):
-    """Adjudicate one identity over a family of at least 3 grids.
+def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10, seed=0):
+    """Adjudicate one identity over a family of at least 3 grids, each
+    grid's pass run for this identity alone."""
+    results = [_grid_pass(g, [_group(identity_id)], hbar, mu, seed) for g in grids]
+    return _verdict(grids, identity_id, results, tol, seed)
 
-    Reads the grids' pass results (run_identity_suite runs the pass for
-    all its identities first) and runs the pass for this identity where
-    they are missing.
-    """
+
+def _verdict(grids, identity_id, results, tol, seed):
+    """The verdict on one identity from the grids' _grid_pass results."""
     if len(grids) < 3:
         raise ValueError("need a grid family of at least 3 sizes")
     sizes = [g.shape[0] for g in grids]
     grid_labels = ["x".join(str(s) for s in g.shape) for g in grids]
     notes = []
     group = _group(identity_id)
-    results = [_grid_results(g, [group], hbar, mu, count, seed) for g in grids]
 
     if identity_id == "HERMITICITY":
         residuals = [r["HERMITICITY"] for r in results]
@@ -327,7 +314,10 @@ def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10,
 # Circle anchors -----------------------------------------------------------------
 
 
-def circle_anchor_report(grid, hbar=1.0, mu=1.0, n_eigs=10, seed=0):
+ANCHOR_MODES = 10  # circle levels checked: m = -ANCHOR_MODES .. ANCHOR_MODES
+
+
+def circle_anchor_report(grid, hbar=1.0, mu=1.0, seed=0):
     """Hard closed-form checks on the circle.
 
     Eigenvalues of H are compared against the closed-form spectrum
@@ -344,7 +334,7 @@ def circle_anchor_report(grid, hbar=1.0, mu=1.0, n_eigs=10, seed=0):
     dense = LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu, "lb"), grid.shape).dense()
     dense = 0.5 * (dense + dense.conj().T)
     eigs = np.sort(np.linalg.eigvalsh(dense))
-    ms = range(-n_eigs, n_eigs + 1)
+    ms = range(-ANCHOR_MODES, ANCHOR_MODES + 1)
     expected = np.sort([hbar ** 2 * m ** 2 / (2.0 * mu * a ** 2) + vg for m in ms])
     count = len(expected)
     eig_defect = float(np.max(np.abs(eigs[:count] - expected)))
@@ -378,7 +368,7 @@ def circle_anchor_report(grid, hbar=1.0, mu=1.0, n_eigs=10, seed=0):
 
 
 def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
-                       identities=None, count=8, seed=0):
+                       identities=None, seed=0):
     """Run the full verdict suite on one surface across a grid family.
 
     Returns a JSON-ready report with one verdict per identity id, circle
@@ -389,10 +379,9 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
         tol = 1e-10 if kind == "circle" else 1e-8
     identities = list(identities or IDENTITY_IDS)
     grids = [build_grid(kind, params, s) for s in sizes]
-    for g in grids:
-        _grid_results(g, [_group(i) for i in identities], hbar, mu, count, seed)
-    verdicts = [check_identity(grids, ident, hbar, mu, tol, count, seed)
-                for ident in identities]
+    groups = [_group(i) for i in identities]
+    results = [_grid_pass(g, groups, hbar, mu, seed) for g in grids]
+    verdicts = [_verdict(grids, ident, results, tol, seed) for ident in identities]
     report = {
         "surface": kind,
         "params": {k: float(v) for k, v in params.items()},

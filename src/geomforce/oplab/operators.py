@@ -210,26 +210,28 @@ class StateActions:
 
 # test space ---------------------------------------------------------------------
 
+TEST_STATES = 8  # states a residual is taken over
+HERMITICITY_PAIRS = 6  # pairs (0, 1), (2, 3), ... a hermiticity defect is taken over
+BAND_FRACTION = 1.0 / 3.0  # of the modes: products with smooth fields do not alias
 
-def random_band_states(grid, count=8, seed=0, band_fraction=1.0 / 3.0):
-    """Unit-norm states with Fourier support on the lowest band of modes.
 
-    Band fraction 1/3 keeps products with smooth coefficient fields free
-    of aliasing at the tested grid sizes.  The states are generated once
-    per grid, seed and band (a longer request extends the same sequence)
-    and returned read-only.
+def random_band_states(grid, count=TEST_STATES, seed=0):
+    """Unit-norm states with Fourier support on the lowest BAND_FRACTION of modes.
+
+    The states are generated once per grid and seed (a longer request
+    extends the same sequence) and returned read-only.
     """
-    key = ("states", seed, band_fraction)
+    key = ("states", seed)
     states = grid.cache.get(key, [])
     if len(states) < count:
-        states = _band_states(grid, count, seed, band_fraction)
+        states = _band_states(grid, count, seed)
         grid.cache[key] = states
     return states[:count]
 
 
-def _band_states(grid, count, seed, band_fraction):
+def _band_states(grid, count, seed):
     rng = np.random.default_rng(seed)
-    cut = [max(1, int((n // 2) * band_fraction)) for n in grid.shape]
+    cut = [max(1, int((n // 2) * BAND_FRACTION)) for n in grid.shape]
     mesh = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape],
                        indexing="ij")
     mask = np.ones(grid.shape, dtype=bool)
@@ -277,24 +279,23 @@ def worst_entry(table):
     return worst, int(np.argmax(np.isnan(per_state) | (per_state >= worst - tie)))
 
 
-def residual_on_testspace(a, b, grid, count=8, seed=0, band_fraction=1.0 / 3.0):
-    """max over band-limited test states of ||(A - B) psi|| / ||B psi||.
+def residual_on_testspace(a, b, grid, seed=0):
+    """max over the TEST_STATES test states of ||(A - B) psi|| / ||B psi||.
 
     a and b map one state to an array; each component of a stack counts
     as one operator pair.  Returns (residual, witness_index).
     """
     table = [np.ravel(relative_residuals(grid.weights, a(psi), b(psi)))
-             for psi in random_band_states(grid, count, seed, band_fraction)]
+             for psi in random_band_states(grid, TEST_STATES, seed)]
     return worst_entry(np.stack(table, axis=1))
 
 
-def hermiticity_defect(op, grid, count=6, seed=0, band_fraction=1.0 / 3.0):
-    """max |<phi, A psi> - <A phi, psi>| over unit test pairs, normalized.
-
-    op may return a component stack; the worst component counts.  The
-    pairs are test states (0, 1), (2, 3), ... of random_band_states.
+def hermiticity_defect(op, grid, seed=0):
+    """max |<phi, A psi> - <A phi, psi>| over the HERMITICITY_PAIRS test
+    pairs, normalized; op may return a component stack, whose worst
+    component counts.
     """
-    states = random_band_states(grid, 2 * count, seed, band_fraction)
+    states = random_band_states(grid, 2 * HERMITICITY_PAIRS, seed)
     worst = 0.0
     for phi, psi in zip(states[0::2], states[1::2]):
         worst = max(worst, pair_defect(grid.weights, phi, psi, op(phi), op(psi)))

@@ -182,7 +182,7 @@ def test_criterion_7_circle_operator_anchors():
         from geomforce.oplab import hamiltonian, hermiticity_defect, momentum
 
         grid = build_grid("circle", {"a": 1.0}, 64)
-        report = circle_anchor_report(grid, n_eigs=10)
+        report = circle_anchor_report(grid)
         # Closed-form spectrum of the surface Hamiltonian (both forms pinned
         # below): hbar^2 m^2/(2 mu a^2) + V_G, so the eigenvalue GAPS are
         # exactly m^2/2 at unit scales and the absolute levels carry the
@@ -256,6 +256,6 @@ def test_criterion_10_ehrenfest_trace():
         packet = WavePacket(center=0.0, sigma=0.2, mean_momentum=10.0)
         trace = evolve_wavepacket(grid, packet, dt=5e-4, steps=200)
         assert trace.closure_error() < 0.01
-        scaling = hbar_scaling_slopes({"a": 1.0}, size=256)
+        scaling = hbar_scaling_slopes({"a": 1.0})
         assert scaling["slope_quantum"] == pytest.approx(2.0, abs=0.1)
         assert scaling["slope_centripetal"] == pytest.approx(0.0, abs=0.1)

@@ -302,11 +302,50 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
     (["fields", "--expr", "x^2 + y^2 + z^2 - 1", "--sampling", "random", "--count", "5"],
      "UnknownSurfaceError"),
     (["extrema", "--expr", "x^2 + y^2 + z^2 - 1"], "UnknownSurfaceError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,0"],
+     "ZeroVelocityError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
+      "--steps", "1"], "TooFewStepsError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
+      "--mass", "inf"], "IntegratorInputError"),
+    (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
+      "--dt", "inf"], "IntegratorInputError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert json.loads(err)["error"] == error
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["verify", "--surface", "circle", "--hbar", "1e-200"], "--hbar"),  # hbar^2 is 0
+    (["verify", "--surface", "circle", "--hbar", "1e150"], "--hbar"),   # hbar^3 is inf
+    (["verify", "--surface", "circle", "--hbar", "inf"], "--hbar"),
+    (["verify", "--surface", "circle", "--mass", "inf"], "--mass"),
+    (["force", "--surface", "generic", "--curvature-scale", "0", "--mass", "1e-30"],
+     "--curvature-scale"),
+    (["force", "--surface", "generic", "--curvature-scale", "nan", "--mass", "1e-30"],
+     "--curvature-scale"),
+    (["force", "--surface", "generic", "--curvature-scale", "10nm", "--mass", "inf"],
+     "--mass"),
+    (["force", "--surface", "sphere", "--a", "1e-8m", "--mass", "inf"], "--mass"),
+])
+def test_out_of_range_physical_flag_is_named(args, flag, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "CliInputError"
+    assert flag in diagnostic["message"]
+
+
+def test_physical_scale_rejects_a_non_finite_mass():
+    from geomforce import geometry as geo
+
+    for mass in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="mass_kg"):
+            geo.PhysicalScale(mass_kg=mass)
 
 
 def test_a_surface_without_a_chart_gets_one_message(capsys):

@@ -44,7 +44,7 @@ def test_mean_momentum_magnitude_matches_packet(circle128):
 
 
 def test_hbar_scaling_slopes_match_expected_orders():
-    result = hbar_scaling_slopes({"a": 1.0}, size=256)
+    result = hbar_scaling_slopes({"a": 1.0})
     assert result["slope_quantum"] == pytest.approx(2.0, abs=0.1)
     assert result["slope_centripetal"] == pytest.approx(0.0, abs=0.1)
 
