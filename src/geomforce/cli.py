@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import traceback
@@ -25,7 +26,7 @@ from . import geometry as geo
 from . import jets
 from . import optim
 from .oplab import IDENTITY_IDS, run_identity_suite
-from .reports import atomic_write, canonical_json, json_records
+from .reports import atomic_write, canonical_json, csv_rows, json_records, json_rows
 from .surfaces import (
     CATALOG,
     InvalidParametersError,
@@ -160,11 +161,11 @@ def _emit(args, payload):
     _write(getattr(args, "out", None), [canonical_json(payload) + "\n"])
 
 
-def _write(out, chunks):  # text chunks to the file out, or to stdout
+def _write(out, chunks):  # text chunks to the file out, or, once all are made, to stdout
     if out:
         atomic_write(out, chunks)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(list(chunks))  # a command that fails prints no part of it
 
 
 def _cmd_parse(args):
@@ -202,11 +203,15 @@ def _cmd_fields(args):
         resolution = parts[0] if len(parts) == 1 else tuple(parts)
     if args.count is not None and args.count < 0:
         raise CliInputError("--count must be >= 0")
-    columns = geo.sample_field(spec, policy, sampling=args.sampling,
-                               resolution=resolution, count=args.count,
-                               seed=args.seed)
+    points = geo.sample_points(spec, args.sampling, resolution, args.count, args.seed)
+    layout = geo.sample_layout(spec.dimension)
+    rows = csv_rows if args.format == "csv" else json_rows(layout)
+    # each worker computes and formats whole blocks; this process joins the texts
+    texts = geo.sample_blocks(spec, points, policy,
+                              lambda columns: rows(geo.sample_table(columns)))
     if args.format == "csv":
-        _write(args.out, [geo.samples_to_csv(columns)])
+        header = [",".join(geo.sample_header(spec.dimension)) + "\n"] if points.shape[1] else []
+        _write(args.out, itertools.chain(header, texts))
         return 0
     payload = {
         "surface": spec.name,
@@ -215,8 +220,7 @@ def _cmd_fields(args):
         "sampling": args.sampling,
         "seed": args.seed,
     }
-    layout, table = geo.sample_table(columns) if columns else ([], ())
-    _write(args.out, json_records(payload, "samples", layout, table))
+    _write(args.out, json_records(payload, "samples", layout, texts))
     return 0
 
 
@@ -276,17 +280,21 @@ def _cmd_verify(args):
     hbar, mu = args.hbar, args.mass
     for flag, value in (("--hbar", hbar), ("--mass", mu)):
         _require_positive_finite(flag, value)
-    # the operators scale by these; like a catalog parameter's square, each
-    # must be a nonzero float (a product, since ** on a float can raise)
-    for name, value in (("hbar^2", hbar * hbar), ("hbar^3", hbar * hbar * hbar),
-                        ("hbar^2 / (4 mu)", hbar * hbar / (4.0 * mu))):
-        if not 0 < value < np.inf:
-            raise CliInputError(f"--hbar {hbar} with --mass {mu} puts {name} "
-                                f"outside the float range")
     sizes = _numbers(args.grids, "--grids", int)
     if len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes):
         raise CliInputError(f"--grids needs at least 3 powers of two >= 16, "
                             f"got {args.grids}")
+    # The operators scale by hbar, hbar^2 / (4 mu) and their powers, and the
+    # verdicts' weighted norms square each action, up to p^2 p_k psi, which is
+    # of order (hbar k)^3 for the grid modes k below the largest size.  Each
+    # square must be a normal float (a product, since ** on a float can raise).
+    cube, potential, top = hbar * hbar * hbar, hbar * hbar / (4.0 * mu), hbar * max(sizes)
+    for name, value in (("hbar^6", cube * cube),
+                        ("(hbar * grid size)^6", (top * top * top) * (top * top * top)),
+                        ("(hbar^2 / (4 mu))^2", potential * potential)):
+        if not sys.float_info.min <= value < np.inf:
+            raise CliInputError(f"--hbar {hbar} with --mass {mu} puts {name} "
+                                f"outside the float range")
     identities = args.identities.split(",") if args.identities else None
     unknown = sorted(set(identities or ()) - set(IDENTITY_IDS))
     if unknown:
@@ -307,6 +315,11 @@ def _cmd_force(args):
             raise CliInputError("--surface generic needs --curvature-scale")
         length = args.curvature_scale
         _require_positive_finite("--curvature-scale", length)
+        # the scale divides by this; a normal float, so that the ** in
+        # curvature_force_scale cannot round it to 0
+        if not sys.float_info.min <= mass * (length * length * length) < np.inf:
+            raise CliInputError(f"--mass {mass} with --curvature-scale {length} puts "
+                                f"mass * length^3 outside the float range")
         payload = {
             "surface": "generic",
             "mass_kg": mass,

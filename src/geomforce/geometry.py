@@ -51,6 +51,7 @@ class NoConvergenceError(RuntimeError):
     """
 
     def __init__(self, message, iterations, residual, point, failed, total):
+        self.message = message
         self.iterations = iterations
         self.residual = residual
         self.point = point
@@ -58,6 +59,10 @@ class NoConvergenceError(RuntimeError):
         self.total = total
         super().__init__(f"{message} for {failed} of {total} point(s), worst from {point} "
                          f"({iterations} iterations, residual {residual:.3e})")
+
+    def __reduce__(self):  # the default passes only self.args, the one composed text
+        return type(self), (self.message, self.iterations, self.residual, self.point,
+                            self.failed, self.total)
 
 
 class OffSurfaceError(ValueError):
@@ -421,34 +426,45 @@ def sample_points(spec, sampling="grid", resolution=None, count=None, seed=0):
     return project_to_surface(spec, points + spec.grad_f(points) * offset)
 
 
+def sample_layout(dimension):
+    """(key, width) of each of SAMPLE_KEYS in a fields report: N for x and n,
+    N - 1 for kappa, 0 for a scalar."""
+    widths = {"x": dimension, "n": dimension, "kappa": dimension - 1}
+    return [(key, widths.get(key, 0)) for key in SAMPLE_KEYS]
+
+
+def sample_header(dimension):
+    """CSV header of a fields report: sample_layout with a vector key spread
+    over numbered columns (x0, x1, ...)."""
+    return [f"{key}{i}" if width else key
+            for key, width in sample_layout(dimension) for i in range(width or 1)]
+
+
+def sample_table(columns):
+    """The (B, width sum) rows of sample columns, SAMPLE_KEYS in sample_layout order."""
+    return np.vstack([columns[key] for key in SAMPLE_KEYS]).T
+
+
+def sample_blocks(spec, points, policy, finish):
+    """finish(columns) for each BLOCK columns of the on-surface points (N, B),
+    yielded in order, where columns are the block's curvature_fields plus its
+    x and kappa.  Blocks are made on every CPU (reports.ordered_map); a
+    column's values do not depend on its block, so neither do the results."""
+    return reports.ordered_map(
+        lambda start: finish(_sample_columns(spec, points[:, start:start + BLOCK], policy)),
+        range(0, points.shape[1], BLOCK))
+
+
 def sample_field(spec, policy, sampling="grid", resolution=None, count=None, seed=0):
     """Curvature field columns at sample_points; deterministic given the seed.
 
     Returns the SAMPLE_KEYS columns, one per sample, or {} for no points,
-    made BLOCK columns at a time, bitwise as one curvature_fields pass.
+    made in sample_blocks, bitwise as one curvature_fields pass.
     """
     points = sample_points(spec, sampling, resolution, count, seed)
-    blocks = (_sample_columns(spec, points[:, s:s + BLOCK], policy)
-              for s in range(0, points.shape[1], BLOCK))
-    kept = [[columns[key] for key in SAMPLE_KEYS] for columns in blocks]  # one block at a time
+    kept = sample_blocks(spec, points, policy,
+                         lambda columns: [columns[key] for key in SAMPLE_KEYS])
     return {key: np.concatenate(parts, axis=-1) for key, parts in zip(SAMPLE_KEYS, zip(*kept))}
-
-
-def sample_table(columns):
-    """Non-empty sample_field columns as (layout, table): the (key, width) of
-    each of SAMPLE_KEYS, width 0 for a scalar, and the (B, width sum) rows."""
-    layout = [(key, len(columns[key]) if columns[key].ndim == 2 else 0) for key in SAMPLE_KEYS]
-    return layout, np.vstack([columns[key] for key in SAMPLE_KEYS]).T
-
-
-def samples_to_csv(columns):
-    """CSV text of sample_field columns: a header row, then one row per
-    sample, with a vector key spread over numbered columns (x0, x1, ...)."""
-    if not columns:
-        return ""
-    layout, table = sample_table(columns)
-    return reports.csv_text([f"{key}{i}" if width else key
-                             for key, width in layout for i in range(width or 1)], table)
 
 
 # Scalar fields for optimization -------------------------------------------------

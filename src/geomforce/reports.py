@@ -4,20 +4,35 @@ Reports must be byte-identical across runs with the same configuration
 and seed: dict insertion order is preserved, floats are printed with 17
 significant digits, and files are written atomically (temp file plus
 rename).
+
+The two bulk outputs are made on every CPU the process may run on, through
+ordered_map: the fields report (JSON or CSV), whose workers each compute and
+format whole blocks of sample columns (geometry.sample_blocks), and csv_text
+(the trajectory and Ehrenfest CSVs), whose workers format blocks of rows.
+The parent joins the texts in block order and writes them.  A block's text
+does not depend on the process that made it, so the bytes do not depend on
+the CPU count.  The parent flushes its standard streams before it forks, so
+the flush a worker gives them as it leaves finds nothing of the parent's,
+and workers leave through os._exit, which runs no finaliser: they never
+flush another output handle they inherited, such as a report's temp file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 
 import numpy as np
 
 FLOAT_FORMAT = ".17g"  # "%.17g" % x is format(x, ".17g"), nan, inf and -0 too
-ROW_BLOCK = 4096       # rows per chunk of format_rows
+ROW_BLOCK = 4096       # rows per block of csv_text
+RECORD_SEPARATOR = ",\n    "  # between the records of a json_records list
 _MARKER = -1.2345678901234567e-289  # stands in for each float when a row template is cut
 
 
@@ -80,37 +95,125 @@ def canonical_json(obj, indent=0):
 
 def format_rows(table, template, separator="", fallback=None):
     """Text of the rows of a 2-D float table, one `template % row` call per
-    row, joined by separator and yielded in blocks of ROW_BLOCK rows.  With
-    a fallback, a row holding a non-finite value is fallback(row) instead."""
-    for start in range(0, len(table), ROW_BLOCK):
-        block = table[start:start + ROW_BLOCK]
-        finite = np.isfinite(block).all(axis=1).tolist() if fallback else [True] * len(block)
-        yield (separator if start else "") + separator.join(
-            [template % row if ok else fallback(row)
-             for row, ok in zip(zip(*block.T.tolist()), finite)])  # rows as float tuples
+    row, joined by separator.  With a fallback, a row holding a non-finite
+    value is fallback(row) instead."""
+    finite = np.isfinite(table).all(axis=1).tolist() if fallback else [True] * len(table)
+    rows = zip(*table.T.tolist())  # float tuples
+    return separator.join([template % row if ok else fallback(row)
+                           for row, ok in zip(rows, finite)])
+
+
+def csv_rows(table):
+    """CSV lines of a 2-D float table, one per row."""
+    return format_rows(table, ",".join(["%" + FLOAT_FORMAT] * table.shape[1]) + "\n")
 
 
 def csv_text(header, table):
-    """CSV text of a 2-D float table under a header row."""
-    template = ",".join(["%" + FLOAT_FORMAT] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(format_rows(table, template))
+    """CSV text of a 2-D float table under a header row; blocks of ROW_BLOCK
+    rows are formatted on every CPU (ordered_map)."""
+    blocks = ordered_map(lambda start: csv_rows(table[start:start + ROW_BLOCK]),
+                         range(0, len(table), ROW_BLOCK))
+    return ",".join(header) + "\n" + "".join(blocks)
 
 
-def json_records(payload, key, layout, table):
-    """canonical_json(payload with key: one record per table row) + "\n", in chunks.
-    A record maps each (name, width) of layout to the row's next float, or next width floats.
-    Rows fill a template cut from canonical_json; canonical_json writes non-finite rows."""
-    if not len(table):
+def _marker_record(layout):
+    return {name: [_MARKER] * w if w else _MARKER for name, w in layout}
+
+
+def json_rows(layout):
+    """rows(table): the records of the rows of a 2-D float table as json_records
+    writes them, joined by RECORD_SEPARATOR.  A record maps each (name, width)
+    of layout to the row's next float, or next width floats.  Rows fill a
+    template cut from canonical_json; canonical_json writes non-finite rows."""
+    text = canonical_json(_marker_record(layout), 2).replace("%", "%%")
+    spot = format(_MARKER, FLOAT_FORMAT)
+    template, fallback = text.replace(spot, "%" + FLOAT_FORMAT), text.replace(spot, "%s")
+    return lambda table: format_rows(table, template, RECORD_SEPARATOR,
+                                     lambda row: fallback % tuple(map(canonical_json, row)))
+
+
+def json_records(payload, key, layout, texts):
+    """canonical_json(payload with key: a list of records) + "\n", in chunks,
+    where texts are the json_rows(layout) texts of the records' consecutive,
+    non-empty row blocks."""
+    texts = iter(texts)
+    first = next(texts, None)
+    if first is None:
         yield canonical_json(dict(payload, **{key: []})) + "\n"
         return
-    marker = {name: [_MARKER] * w if w else _MARKER for name, w in layout}
-    text = canonical_json(marker, 2)
-    head, tail = canonical_json(dict(payload, **{key: [marker]})).split(text)
-    text, spot = text.replace("%", "%%"), format(_MARKER, FLOAT_FORMAT)
+    marker = _marker_record(layout)
+    head, tail = canonical_json(dict(payload, **{key: [marker]})).split(canonical_json(marker, 2))
     yield head
-    yield from format_rows(table, text.replace(spot, "%" + FLOAT_FORMAT), ",\n    ",
-                           lambda row: text.replace(spot, "%s") % tuple(map(canonical_json, row)))
+    yield first
+    for text in texts:
+        yield RECORD_SEPARATOR
+        yield text
     yield tail + "\n"
+
+
+_job = None  # (fn, items) of the ordered_map that forked this worker
+
+
+def _start_worker(fn, items):
+    global _job
+    _job = fn, items
+
+
+def _call(index):
+    fn, items = _job
+    return fn(items[index])
+
+
+def _pool_size(count):
+    """Worker processes ordered_map forks for count items; below 2, none."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(cpus or 1, count)
+    if size < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # here, so that importing geomforce does not load it
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    return size
+
+
+def ordered_map(fn, items):
+    """fn(item) for each item, yielded in item order.
+
+    The calls are spread over a pool of forked processes, one per CPU this
+    process may run on and at most one per item.  The workers inherit fn and
+    items, so neither is pickled (fn may be a closure); the item indices and
+    the results are.  An exception fn raises reaches the caller at its item,
+    with its type and arguments (one that cannot be pickled arrives as
+    BrokenProcessPool instead); the items not yet started are cancelled, and
+    the pool is shut down and its workers joined before the exception leaves
+    the generator, as they are when it ends or is closed.
+
+    It is the built-in map, with the same results, when the pool would hold
+    fewer than two processes, when the platform cannot fork, when this
+    process is itself a multiprocessing worker (a daemon may not have
+    children, and its CPUs are already shared out), or when other threads
+    run (fork copies only the calling thread, so a lock another thread holds
+    would stay held in the child).
+    """
+    items = list(items)
+    size = _pool_size(len(items))
+    if size < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    for stream in (sys.stdout, sys.stderr):  # a worker flushes them as it leaves
+        with contextlib.suppress(AttributeError, ValueError):
+            stream.flush()
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(fn, items))
+    try:
+        yield from pool.map(_call, range(len(items)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def atomic_write(path, text):

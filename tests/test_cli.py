@@ -245,7 +245,7 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(geo, "sample_field", broken)
+    monkeypatch.setattr(geo, "sample_points", broken)
     code, _, err = run_cli(["fields", "--surface", "circle", "--a", "1",
                             "--resolution", "4"], capsys)
     assert code == 70  # EX_SOFTWARE, never the input-error code 1
@@ -310,6 +310,9 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
       "--mass", "inf"], "IntegratorInputError"),
     (["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
       "--dt", "inf"], "IntegratorInputError"),
+    # each flag is in range, but mass * length^3 underflows to 0
+    (["force", "--surface", "generic", "--curvature-scale", "1e-100", "--mass", "1e-300"],
+     "CliInputError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)
@@ -330,6 +333,9 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     (["force", "--surface", "generic", "--curvature-scale", "10nm", "--mass", "inf"],
      "--mass"),
     (["force", "--surface", "sphere", "--a", "1e-8m", "--mass", "inf"], "--mass"),
+    # the weighted norms square the actions: hbar^4 underflows, hbar^6 overflows
+    (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "1e-100"], "--hbar"),
+    (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "1e100"], "--hbar"),
 ])
 def test_out_of_range_physical_flag_is_named(args, flag, capsys):
     code, out, err = run_cli(args, capsys)
@@ -387,3 +393,126 @@ def test_numpy_warnings_stay_off_stderr():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "OffSurfaceError"
+
+
+# fields blocks and CSV row blocks made on every CPU ------------------------------
+
+TORUS_FIELDS = ["fields", "--surface", "torus", "--R", "2", "--r", "1",
+                "--sampling", "random", "--seed", "7"]
+
+
+def _children_cpu_s():
+    import resource
+
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _with_a_nan_in_the_last_block(monkeypatch):
+    # a non-finite row, so that a worker writes it through canonical_json
+    from geomforce import geometry as geo
+
+    original = geo._sample_columns
+
+    def sample_columns(spec, points, policy):
+        columns = original(spec, points, policy)
+        if points.shape[1] < geo.BLOCK:
+            columns["lapM"][-2] = float("nan")
+        return columns
+
+    monkeypatch.setattr(geo, "_sample_columns", sample_columns)
+
+
+def _report_bytes(tmp_path, name):
+    out = {kind: tmp_path / f"{name}.{kind}" for kind in ("json", "csv", "trajectory.csv")}
+    for fmt in ("json", "csv"):
+        argv = TORUS_FIELDS + ["--count", "2085", "--format", fmt, "--out", str(out[fmt])]
+        assert main(argv) == 0
+    # 10,001 rows: three CSV row blocks
+    assert main(["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
+                 "--steps", "10000", "--trajectory", str(out["trajectory.csv"]),
+                 "--out", str(tmp_path / f"{name}.classical.json")]) == 0
+    return {kind: path.read_bytes() for kind, path in out.items()}
+
+
+def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    # 2085 samples are two full BLOCKs and one of 37 columns
+    _with_a_nan_in_the_last_block(monkeypatch)
+    before = _children_cpu_s()
+    default = _report_bytes(tmp_path, "default")
+    if len(os.sched_getaffinity(0)) >= 2:  # the blocks were made in worker processes
+        assert _children_cpu_s() > before
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    before = _children_cpu_s()
+    serial = _report_bytes(tmp_path, "serial")
+    assert _children_cpu_s() == before
+    assert default == serial
+    assert b'"lapM": "nan"' in default["json"] and b",nan," in default["csv"]
+    assert default["csv"].count(b"\n") == 2086
+    assert default["trajectory.csv"].count(b"\n") == 10002
+
+
+def test_fields_without_samples_print_an_empty_csv(capsys):
+    code, out, _ = run_cli(TORUS_FIELDS + ["--count", "0", "--format", "csv"], capsys)
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("failure,code", [(None, 0), ("NoConvergenceError", 2),
+                                          ("ValueError", 70)])
+def test_no_child_outlives_a_command(failure, code, monkeypatch, capsys):
+    import multiprocessing
+
+    from geomforce import geometry as geo
+
+    original = geo._sample_columns
+
+    def sample_columns(spec, points, policy):
+        if failure == "NoConvergenceError" and points.shape[1] < geo.BLOCK:
+            raise geo.NoConvergenceError("projection did not converge", 100, 0.5,
+                                         [3.0, 0.0, 0.0], 1, 952)
+        if failure == "ValueError" and points.shape[1] < geo.BLOCK:
+            raise ValueError("internal bug in a worker")
+        return original(spec, points, policy)
+
+    monkeypatch.setattr(geo, "_sample_columns", sample_columns)
+    got, out, err = run_cli(TORUS_FIELDS + ["--count", "3000"], capsys)
+    assert got == code
+    assert multiprocessing.active_children() == []
+    if failure:
+        assert out == "" and f'"error": "{failure}"' in err
+        assert ("Traceback" in err) == (code == 70)
+    else:
+        assert len(json.loads(out)["samples"]) == 3000
+
+
+# run in a fresh interpreter under a timeout: an exception that the pool cannot
+# hand back would leave the command waiting for its block
+_LAST_BLOCK_DOES_NOT_CONVERGE = """
+import os, sys
+from geomforce import cli, geometry as geo
+if sys.argv[1] == "serial":
+    os.sched_getaffinity = lambda pid: {0}
+original = geo._sample_columns
+def sample_columns(spec, points, policy):
+    if points.shape[1] < geo.BLOCK:
+        raise geo.NoConvergenceError("projection to 'torus' did not converge", 100,
+                                     0.25, points[:, 0].tolist(), 1, points.shape[1])
+    return original(spec, points, policy)
+geo._sample_columns = sample_columns
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_non_convergence_in_a_worker_exits_2_with_the_serial_message():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-c", _LAST_BLOCK_DOES_NOT_CONVERGE, mode,
+                            *TORUS_FIELDS, "--count", "3000"],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for mode in ("parallel", "serial")]
+    for proc in runs:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"] == "NoConvergenceError"
+    assert runs[0].stderr == runs[1].stderr
+    assert "for 1 of 952 point(s)" in runs[0].stderr

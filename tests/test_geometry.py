@@ -13,6 +13,7 @@ from geomforce import jets
 from geomforce.cli import main as cli_main
 from geomforce.expr import unparse
 from geomforce.geometry import ExtensionPolicy
+from geomforce.reports import csv_rows
 from geomforce.surfaces import builtin_surface, from_expression
 
 import closed_forms as cf
@@ -363,7 +364,8 @@ def test_tube_angle_grid_matches_closed_forms(torus):
 
 def test_csv_serialization_schema(circle):
     samples = geo.sample_field(circle, SD, sampling="grid", resolution=4)
-    text = geo.samples_to_csv(samples)
+    text = ",".join(geo.sample_header(circle.dimension)) + "\n"
+    text += csv_rows(geo.sample_table(samples))
     header = text.splitlines()[0].split(",")
     assert header == ["x0", "x1", "n0", "n1", "M", "S2", "kappa0",
                       "lapM", "lapLB_M", "vg_geom", "chi_geom"]
@@ -565,3 +567,14 @@ def test_exact_sd_field_gradient_on_the_spheroid():
         plus = lap_m(geo.project_to_surface(spec, x + h * t))
         minus = lap_m(geo.project_to_surface(spec, x - h * t))
         assert (plus - minus) / (2 * h) == pytest.approx(grad @ t, abs=1e-5)
+
+
+def test_no_convergence_error_survives_pickling():
+    import pickle
+
+    error = geo.NoConvergenceError("projection to 'torus' did not converge", 100, 0.25,
+                                   [3.0, 0.0, 0.5], 2, 952)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is geo.NoConvergenceError and str(copy) == str(error)
+    assert (copy.iterations, copy.residual, copy.point, copy.failed, copy.total) == \
+        (100, 0.25, [3.0, 0.0, 0.5], 2, 952)

@@ -7,7 +7,7 @@ import pytest
 from geomforce import geometry as geo
 from geomforce.dynamics import Trajectory
 from geomforce.oplab.evolve import EhrenfestTrace
-from geomforce.reports import ROW_BLOCK, canonical_json, json_records
+from geomforce.reports import ROW_BLOCK, canonical_json, csv_rows, json_records, json_rows
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
            1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
@@ -64,12 +64,14 @@ def _csv(header, rows):
 @pytest.mark.parametrize("count", [0, 1, 2, 40, ROW_BLOCK + 3])
 def test_fields_json_is_canonical_json_of_the_records(count):
     columns = _columns(count, seed=count)
-    layout, table = geo.sample_table(columns)
-    chunks = list(json_records(PAYLOAD, "samples", layout, table))
+    layout, table = geo.sample_layout(3), geo.sample_table(columns)
+    rows = json_rows(layout)
+    texts = [rows(table[s:s + ROW_BLOCK]) for s in range(0, count, ROW_BLOCK)]
+    chunks = list(json_records(PAYLOAD, "samples", layout, texts))
     expected = canonical_json(dict(PAYLOAD, samples=_records(columns))) + "\n"
     _assert_same("".join(chunks), expected)
-    if count:  # the head, a chunk per ROW_BLOCK rows and the tail
-        assert len(chunks) == 2 + -(-count // ROW_BLOCK)
+    if count:  # the head, each block's text after a separator but the first, the tail
+        assert len(chunks) == 1 + 2 * len(texts)
     if count >= 40:  # the special values made it into the table
         assert '"nan"' in expected and '"-inf"' in expected
 
@@ -81,10 +83,11 @@ def test_fields_json_without_samples():
 
 def test_fields_json_keeps_the_key_where_the_payload_has_it():
     columns = _columns(5, seed=9)
-    layout, table = geo.sample_table(columns)
+    layout = geo.sample_layout(3)
     payload = {"surface": "torus", "samples": None, "seed": 3}
     expected = canonical_json(dict(payload, samples=_records(columns))) + "\n"
-    _assert_same("".join(json_records(payload, "samples", layout, table)), expected)
+    texts = [json_rows(layout)(geo.sample_table(columns))]
+    _assert_same("".join(json_records(payload, "samples", layout, texts)), expected)
 
 
 @pytest.mark.parametrize("count", [0, 1, 40, ROW_BLOCK + 3])
@@ -93,8 +96,9 @@ def test_samples_csv_is_per_cell_format(count):
     header = ["x0", "x1", "x2", "n0", "n1", "n2", "M", "S2", "kappa0", "kappa1",
               "lapM", "lapLB_M", "vg_geom", "chi_geom"]
     rows = np.vstack([columns[key] for key in geo.SAMPLE_KEYS]).T
-    _assert_same(geo.samples_to_csv(columns), _csv(header, rows))
-    assert geo.samples_to_csv({}) == ""
+    assert geo.sample_header(3) == header
+    text = ",".join(header) + "\n" + csv_rows(geo.sample_table(columns))
+    _assert_same(text, _csv(header, rows))
 
 
 @pytest.mark.parametrize("count", [1, 2, 40, ROW_BLOCK + 3])
