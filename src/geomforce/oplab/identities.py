@@ -14,10 +14,15 @@ a state (p psi, p_l p_k psi, p^2 psi, p^2 p_k psi, both H psi, Q psi and
 Q(n psi)), each computed once per state.  Each group's sides become
 residual rows as they are built and are dropped.  The pass takes the
 states in pairs, so HERMITICITY judges its pairs from the same actions.
+Each pair is one job: the pair jobs of every grid of the family run on
+every CPU through one reports.ordered_map, and the parent merges each
+grid's results in pair order, so they do not depend on the CPU count.
 The circle anchors read the same actions.  run_identity_suite runs the
 pass once per grid for all its identities and judges each identity from
-those results; check_identity runs the pass for its one identity.  The
-test space (TEST_STATES states, HERMITICITY_PAIRS pairs) is operators'.
+those results; check_identity runs the pass for its one identity.  Both
+refuse a family of fewer than 3 grids or an unknown identity id before
+any work.  The test space (TEST_STATES states, HERMITICITY_PAIRS pairs)
+is operators'.
 
 Identity ids:
 
@@ -35,10 +40,14 @@ Identity ids:
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..reports import ordered_map
 from .grid import build_grid
 from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
@@ -183,48 +192,92 @@ def _group(identity_id):
     return "QUARTICS" if identity_id in _QUARTIC_TABLES else identity_id
 
 
-def _grid_pass(grid, groups, hbar, mu, seed):
-    """One pass over the test states of one grid for the given groups.
+def _pair_jobs(grid, groups, hbar, mu, seed):
+    """The jobs of one grid's pass over its test states for the given groups,
+    one per pair of states, in pair order.
 
-    Returns {group: residual tables} for the table groups, the largest
-    HERMITICITY pair defect, and whether EQ10's sides on state 0 are
-    nonzero ("EQ10_probe").  States go by in pairs: HERMITICITY judges
-    the pair, then each group's sides on each state are built, turned
-    into residual rows and dropped.
+    A job returns the pair's HERMITICITY defect, {group: one list of
+    residual rows per state} and, on state 0, whether EQ10's sides are
+    nonzero ("EQ10_probe").  It judges the pair, then builds each group's
+    sides on each state, turns them into residual rows and drops them.
+    The side builders and the states are made here, before any job runs.
     """
     built = [(group, build(grid, hbar, mu), pairs)
              for group, (build, pairs) in _BUILDERS.items() if group in groups]
-    rows = {group: [[] for _ in pairs] for group, _, pairs in built}
     sided = TEST_STATES if built else 0
     paired = 2 * HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
     states = random_band_states(grid, max(sided, paired), seed)
-    out = {}
 
     def hermiticity_stack(a):
         return np.concatenate([a.p, [a.h_lb, a.h_mom]])
 
-    def record(a, index):
+    def record(a, index, out):
         for group, sides_of, pairs in built:
             sides = sides_of(a)
             if index == 0 and group == "EQ10_SCALAR":  # lhs or printed side nonzero
                 out["EQ10_probe"] = bool((norm_w(grid.weights, sides[0]) > 1e-10).any()
                                          or (norm_w(grid.weights, sides[1]) > 1e-10).any())
-            for row, (i, j) in zip(rows[group], pairs):
-                row.append(np.ravel(relative_residuals(grid.weights, sides[i], sides[j])))
+            out[group].append([np.ravel(relative_residuals(grid.weights, sides[i], sides[j]))
+                               for i, j in pairs])
             del sides  # before the next group's sides are built
 
-    for k in range(0, len(states), 2):
+    def pair_job(k):
+        out = {group: [] for group, _, _ in built}
         pair = [StateActions(grid, psi, hbar, mu) for psi in states[k:k + 2]]
         if k < paired:
-            out["HERMITICITY"] = max(out.get("HERMITICITY", 0.0), pair_defect(
+            out["HERMITICITY"] = pair_defect(
                 grid.weights, pair[0].psi, pair[1].psi,
-                hermiticity_stack(pair[0]), hermiticity_stack(pair[1])))
+                hermiticity_stack(pair[0]), hermiticity_stack(pair[1]))
         # popped, so a state's actions go once its rows are recorded
         for index in range(k, min(k + 2, sided)):
-            record(pair.pop(0), index)
-    for group, group_rows in rows.items():
-        out[group] = [np.stack(row, axis=1) for row in group_rows]
+            record(pair.pop(0), index, out)
+        return out
+
+    return [functools.partial(pair_job, k) for k in range(0, len(states), 2)]
+
+
+def _merge_pairs(jobs):
+    """One grid's pass from its pair jobs' results, taken in pair order:
+    {group: residual tables} for the table groups, the largest HERMITICITY
+    pair defect and "EQ10_probe"."""
+    out, rows = {}, {}
+    for job in jobs:
+        for key, value in job.items():
+            if key == "HERMITICITY":
+                out[key] = max(out.get(key, 0.0), value)
+            elif key == "EQ10_probe":
+                out[key] = value
+            else:
+                rows.setdefault(key, []).extend(value)
+    for group, state_rows in rows.items():  # [state][residual pair] -> [pair] tables
+        out[group] = [np.stack(row, axis=1) for row in zip(*state_rows)]
     return out
+
+
+def _grid_passes(grids, groups, hbar, mu, seed):
+    """One pass over the test states of each grid for the given groups.
+
+    The pair jobs of all the grids run on every CPU through one
+    reports.ordered_map, so the pool is forked once.  Workers inherit the
+    grids, side builders and states, and only the residual rows come back;
+    each grid's results are merged in pair order, so they do not depend on
+    the CPU count.
+    """
+    jobs = [_pair_jobs(grid, groups, hbar, mu, seed) for grid in grids]
+    # closed on the way out, which shuts the pool down
+    with contextlib.closing(ordered_map(lambda job: job(),
+                                        [job for grid_jobs in jobs for job in grid_jobs])) as done:
+        return [_merge_pairs(itertools.islice(done, len(grid_jobs))) for grid_jobs in jobs]
+
+
+def _check_request(grid_count, identities):
+    """Refuse a family of fewer than 3 grids or an unknown identity id, before
+    any grid is built or pass run."""
+    if grid_count < 3:
+        raise ValueError("need a grid family of at least 3 sizes")
+    unknown = sorted(set(identities) - set(IDENTITY_IDS))
+    if unknown:
+        raise ValueError(f"unknown identities {unknown}; known: {', '.join(IDENTITY_IDS)}")
 
 
 def _fit_slope(sizes, residuals):
@@ -255,14 +308,13 @@ def _judge(residuals, tol):
 def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10, seed=0):
     """Adjudicate one identity over a family of at least 3 grids, each
     grid's pass run for this identity alone."""
-    results = [_grid_pass(g, [_group(identity_id)], hbar, mu, seed) for g in grids]
+    _check_request(len(grids), [identity_id])
+    results = _grid_passes(grids, [_group(identity_id)], hbar, mu, seed)
     return _verdict(grids, identity_id, results, tol, seed)
 
 
 def _verdict(grids, identity_id, results, tol, seed):
-    """The verdict on one identity from the grids' _grid_pass results."""
-    if len(grids) < 3:
-        raise ValueError("need a grid family of at least 3 sizes")
+    """The verdict on one identity from the grids' _grid_passes results."""
     sizes = [g.shape[0] for g in grids]
     grid_labels = ["x".join(str(s) for s in g.shape) for g in grids]
     notes = []
@@ -378,9 +430,10 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     if tol is None:
         tol = 1e-10 if kind == "circle" else 1e-8
     identities = list(identities or IDENTITY_IDS)
+    _check_request(len(sizes), identities)
     grids = [build_grid(kind, params, s) for s in sizes]
     groups = [_group(i) for i in identities]
-    results = [_grid_pass(g, groups, hbar, mu, seed) for g in grids]
+    results = _grid_passes(grids, groups, hbar, mu, seed)
     verdicts = [_verdict(grids, ident, results, tol, seed) for ident in identities]
     report = {
         "surface": kind,

@@ -485,6 +485,67 @@ def test_no_child_outlives_a_command(failure, code, monkeypatch, capsys):
         assert len(json.loads(out)["samples"]) == 3000
 
 
+VERIFY_SURFACES = {"torus": ["--R", "2", "--r", "1"], "circle": ["--a", "1"]}
+
+
+def _verify_bytes(tmp_path, name):
+    out = {}
+    for surface, params in VERIFY_SURFACES.items():
+        for seed in ("0", "41"):
+            path = tmp_path / f"{name}-{surface}-{seed}.json"
+            assert main(["verify", "--surface", surface, *params, "--grids", "16,32,64",
+                         "--seed", seed, "--out", str(path)]) == 0
+            out[surface, seed] = path.read_bytes()
+    return out
+
+
+def test_verify_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    before = _children_cpu_s()
+    default = _verify_bytes(tmp_path, "default")
+    if len(os.sched_getaffinity(0)) >= 2:  # the state pairs were judged in workers
+        assert _children_cpu_s() > before
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    before = _children_cpu_s()
+    serial = _verify_bytes(tmp_path, "serial")
+    assert _children_cpu_s() == before
+    assert default == serial
+
+
+@pytest.mark.parametrize("cpus", ["default", "one"])
+def test_no_child_outlives_a_failed_verify(cpus, monkeypatch, capsys):
+    import multiprocessing
+
+    import numpy as np
+
+    from geomforce.oplab import identities
+
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    bad = []  # the fifth state of the last grid whose states were drawn
+    original_states, original_actions = identities.random_band_states, identities.StateActions
+
+    def band_states(grid, count, seed):
+        states = original_states(grid, count, seed)
+        bad[:] = [states[4]]
+        return states
+
+    def actions(grid, psi, hbar, mu):
+        if np.array_equal(psi, bad[0]):
+            raise ValueError("internal bug in a pair job")
+        return original_actions(grid, psi, hbar, mu)
+
+    monkeypatch.setattr(identities, "random_band_states", band_states)
+    monkeypatch.setattr(identities, "StateActions", actions)
+    got, out, err = run_cli(["verify", "--surface", "torus", "--R", "2", "--r", "1",
+                             "--grids", "16,32,64"], capsys)
+    assert got == 70
+    assert multiprocessing.active_children() == []
+    assert out == "" and '"error": "ValueError"' in err
+    assert "Traceback" in err and "internal bug in a pair job" in err
+    # on two or more CPUs the job failed in a worker
+    assert ("_RemoteTraceback" in err) == (len(os.sched_getaffinity(0)) >= 2)
+
+
 # run in a fresh interpreter under a timeout: an exception that the pool cannot
 # hand back would leave the command waiting for its block
 _LAST_BLOCK_DOES_NOT_CONVERGE = """

@@ -1,4 +1,5 @@
 import importlib
+import os
 
 import numpy as np
 import pytest
@@ -306,6 +307,30 @@ def test_verdict_requires_three_grids(circle64):
         check_identity([circle64, circle64], "EQ3_MAIN")
 
 
+def _no_work(monkeypatch):
+    # a bad request is refused before a grid is built or a pass is run
+    def fail(*args, **kwargs):
+        raise AssertionError("work done before the request was checked")
+
+    monkeypatch.setattr(identities, "build_grid", fail)
+    monkeypatch.setattr(identities, "ordered_map", fail)
+
+
+def test_suite_refuses_fewer_than_three_grids_before_any_work(monkeypatch):
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match="at least 3"):
+        run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32])
+
+
+def test_unknown_identity_is_named_before_any_work(circle64, monkeypatch):
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"unknown identities \['EQ3'\]"):
+        run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32, 64],
+                           identities=["EQ3", "HERMITICITY"])
+    with pytest.raises(ValueError, match=r"unknown identities \['EQ3'\]"):
+        check_identity([circle64] * 3, "EQ3")
+
+
 def test_suite_report_schema():
     report = run_identity_suite("circle", {"a": 1.0}, [16, 32, 64])
     assert {v["identity"] for v in report["identities"]} == set(IDENTITY_IDS)
@@ -461,11 +486,20 @@ def test_torus_suite_pins_refuted_residuals(torus_suite):
     assert torus_suite["hard_failures"] == []
 
 
+def _children_cpu_s():
+    import resource
+
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def test_torus_suite_fft_budget(monkeypatch):
     # one pass per test state: p psi, p p psi, p^2 psi, H psi and Q psi are
     # computed once and read by every identity.  Identity by identity the
     # suite made 3,288 calls over 23,955,456 points at these sizes; the
-    # bound is the shared pass's measured count.
+    # bound is the shared pass's measured count.  On one CPU the pass runs
+    # in this process, so the patched transforms see every call.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls, points = [0], [0]
     fft, ifft = np.fft.fft, np.fft.ifft
 
@@ -478,7 +512,9 @@ def test_torus_suite_fft_budget(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", counted(fft))
     monkeypatch.setattr(np.fft, "ifft", counted(ifft))
+    before = _children_cpu_s()
     run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32, 64])
+    assert _children_cpu_s() == before  # no transform was made in a worker
     assert calls[0] <= 1728, calls[0]
     assert points[0] <= 15998976, points[0]
 

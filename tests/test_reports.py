@@ -1,13 +1,17 @@
 """The table writers against the generic path: per-cell format(c, ".17g")
 for the CSVs and canonical_json of records for the fields JSON."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from geomforce import geometry as geo
 from geomforce.dynamics import Trajectory
 from geomforce.oplab.evolve import EhrenfestTrace
-from geomforce.reports import ROW_BLOCK, canonical_json, csv_rows, json_records, json_rows
+from geomforce.reports import (ROW_BLOCK, canonical_json, csv_rows, json_records, json_rows,
+                               ordered_map)
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
            1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
@@ -127,3 +131,25 @@ def test_ehrenfest_csv_is_per_cell_format(count):
     padded[1:-1] = dp
     rows = np.column_stack([table[:, :3], padded, table[:, 3:]])
     _assert_same(trace.to_csv(), _csv(header, rows))
+
+
+def test_each_worker_holds_a_cpu_of_its_own():
+    def held(_):
+        time.sleep(0.01)  # so that every worker takes items
+        return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+    cpus = os.sched_getaffinity(0)
+    seen = dict(ordered_map(held, range(4 * len(cpus))))
+    if len(cpus) >= 2:  # each worker that ran held one CPU, and no two the same
+        assert all(len(one) == 1 for one in seen.values())
+        assert len(set(seen.values())) == len(seen)
+        assert frozenset.union(*seen.values()) <= cpus
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_worker_that_cannot_be_held_to_a_cpu_still_works(monkeypatch):
+    def refuse(pid, cpus):
+        raise PermissionError("sched_setaffinity is not allowed here")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert list(ordered_map(lambda x: x * x, range(6))) == [0, 1, 4, 9, 16, 25]
