@@ -229,6 +229,7 @@ def _cmd_extrema(args):
     policy = geo.ExtensionPolicy.parse(args.policy)
     if args.starts < 1:
         raise CliInputError("--starts must be >= 1")
+    # checked and echoed, but the meridian search reads neither --starts nor --seed
     config = optim.SearchConfig(starts=args.starts, seed=args.seed, tol=args.tol)
     points = optim.find_critical_points(spec, args.field, policy, config)
     payload = {

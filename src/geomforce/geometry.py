@@ -271,21 +271,27 @@ class CurvatureSample:
 
 
 def principal_curvatures_batch(n, dn):
-    """Eigenvalues of the symmetrized shape tensor on the tangent space.
+    """Eigenvalues of the shape operator dn on the tangent space.
 
-    n has shape (N, B), dn (N, N, B).  The eigenvector most parallel to
-    n carries the spurious normal eigenvalue and is discarded; survivors
-    come out sorted descending, shape (N-1, B).
+    n has shape (N, B), dn (N, N, B); out come the N-1 eigenvalues per
+    column, sorted descending, shape (N-1, B).  The first N-1 columns of the
+    reflection I - v v^T / (1 + |n_N|), v = n + sign(n_N) e_N, which maps n
+    to -sign(n_N) e_N, are an orthonormal tangent basis E, and the
+    eigenvalues are those of the symmetric part of E^T dn E: in closed form
+    for N = 3, else by eigvalsh.  The full N x N matrix would not do, since
+    under the GN extension dn n != 0 couples the normal to the tangent plane.
     """
-    nvars, batch = n.shape
-    sym = 0.5 * (dn + dn.transpose(1, 0, 2))
-    vals, vecs = np.linalg.eigh(np.moveaxis(sym, -1, 0))  # (B, N), (B, N, N)
-    alignment = np.abs(np.einsum("bik,ib->bk", vecs, n))
-    drop = np.argmax(alignment, axis=1)
-    mask = np.ones((batch, nvars), dtype=bool)
-    mask[np.arange(batch), drop] = False
-    kept = vals[mask].reshape(batch, nvars - 1)
-    return np.sort(kept, axis=1)[:, ::-1].T
+    r, t = range(n.shape[0]), range(n.shape[0] - 1)
+    v = n.copy()
+    v[-1] += np.where(n[-1] < 0, -1.0, 1.0)
+    e = [[float(i == a) - v[i] * v[a] / (1.0 + np.abs(n[-1])) for a in t] for i in r]
+    w = [[sum(e[i][a] * dn[i, j] * e[j][b] for i in r for j in r) for b in t] for a in t]
+    if len(t) == 2:
+        mean = 0.5 * (w[0][0] + w[1][1])
+        radius = np.hypot(0.5 * (w[0][0] - w[1][1]), 0.5 * (w[0][1] + w[1][0]))
+        return np.stack([mean + radius, mean - radius])
+    w = np.moveaxis(np.array(w), -1, 0)
+    return np.linalg.eigvalsh(0.5 * (w + np.swapaxes(w, 1, 2)))[:, ::-1].T
 
 
 def curvature_fields(spec, points, policy):

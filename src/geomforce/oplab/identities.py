@@ -258,16 +258,19 @@ def _grid_passes(grids, groups, hbar, mu, seed):
     """One pass over the test states of each grid for the given groups.
 
     The pair jobs of all the grids run on every CPU through one
-    reports.ordered_map, so the pool is forked once.  Workers inherit the
-    grids, side builders and states, and only the residual rows come back;
+    reports.ordered_map, so the pool is forked once; the finest grid's
+    longest jobs go first, so they do not form the tail.  Workers inherit
+    the grids, side builders and states, and only residual rows come back;
     each grid's results are merged in pair order, so they do not depend on
     the CPU count.
     """
-    jobs = [_pair_jobs(grid, groups, hbar, mu, seed) for grid in grids]
+    order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[0])
+    jobs = {k: _pair_jobs(grids[k], groups, hbar, mu, seed) for k in order}
     # closed on the way out, which shuts the pool down
     with contextlib.closing(ordered_map(lambda job: job(),
-                                        [job for grid_jobs in jobs for job in grid_jobs])) as done:
-        return [_merge_pairs(itertools.islice(done, len(grid_jobs))) for grid_jobs in jobs]
+                                        [job for k in order for job in jobs[k]])) as done:
+        merged = {k: _merge_pairs(itertools.islice(done, len(jobs[k]))) for k in order}
+    return [merged[k] for k in range(len(grids))]
 
 
 def _check_request(grid_count, identities):

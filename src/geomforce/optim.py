@@ -1,11 +1,20 @@
 """Extrema of curvature fields on the constraint surface f = 0.
 
-Every start climbs and descends as two columns of one batch of projected
-gradient walks on exact jet gradients.  Stalled walks get Newton steps on
-the exact Riemannian Hessian.  One pass then groups the hits, by orbit
-(rho, z) on axisymmetric catalog surfaces and by location elsewhere, and
-puts each record at its group's best hit turned to azimuth 0, where one
-Hessian evaluation gives its value and class.
+Every catalog surface whose curvature fields are not constant, the
+spheroid and the torus, is a surface of revolution about z, where a field
+depends on the meridian coordinate u alone: the first coordinate of the
+surface's chart (latitude, tube angle).  By the principle of symmetric
+criticality (Palais 1979) the critical sets are the poles and the orbits
+over the critical points of v(u).  So the search runs on the meridian at
+azimuth 0.  One batched field_derivatives call on MERIDIAN_SAMPLES chart
+nodes gives v and the meridian slope v' = g_tan . t, t = (n_z, 0, -n_x).
+A node where v' is exactly 0 is a root, and so is a pole; each sign change
+of v' between neighbouring nodes brackets one more, and all brackets are
+refined together by Brent's method (Brent 1973, ch. 4).  One degree-2
+field_derivatives call at the roots gives each record's value and, from
+the exact Riemannian Hessian, a pole's class; a root off the axis is a
+degenerate-orbit circle.  Each record is one critical set, so its
+multiplicity is 1, and no record depends on SearchConfig's starts or seed.
 """
 
 from __future__ import annotations
@@ -16,20 +25,16 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import ExtensionPolicy
+from .surfaces import ANGLE, LATITUDE, chart
 
-AXISYMMETRIC = ("sphere", "cylinder", "spheroid", "torus")
-
-MAX_ITER = 200       # accepted moves per walk
-MERGE_TOL = 1e-4     # times feature scale
-STEP0 = 0.1          # times feature scale
-STEP_FLOOR = 1e-12
-NEWTON_ITERATIONS = 12
+MERIDIAN_SAMPLES = 64  # meridian nodes; a sign change of v' between neighbours brackets a root
+ROOT_TOL = 1e-14       # radians: width of a converged bracket, beyond 4 eps |u|
 EIG_TOL = 1e-6
-PINV_FLOOR = 1e-10   # relative |eigenvalue| below which a Newton direction is dropped
+Z_FLOOR = 1e-9         # times feature scale: an orbit label's |z| below it is z = 0
 
 
 class NoCriticalPointFoundError(RuntimeError):
-    """Every start diverged; carries per-start diagnostics."""
+    """No root of v' reached |g_tan| < tol; carries per-root diagnostics."""
 
     def __init__(self, message, diagnostics):
         self.diagnostics = diagnostics
@@ -42,7 +47,7 @@ class CriticalPoint:
     value: float
     classification: str  # max | min | saddle | degenerate-orbit
     grad_norm: float
-    multiplicity: int = 1
+    multiplicity: int = 1  # a record is one critical set
     orbit: str | None = None
 
     def to_dict(self):
@@ -58,76 +63,82 @@ class CriticalPoint:
 
 @dataclass
 class SearchConfig:
+    """tol bounds |g_tan| at a record; starts and seed are accepted, not read."""
+
     starts: int = 24
     seed: int = 0
     tol: float = 1e-8
 
 
-def _walk(spec, x, value, g_tan, field, policy, direction, tol, scale):
-    """Projected gradient walks on the columns of x, in place.
+def _brent(slope, x0, x1, f0, f1):
+    """The root of slope(u) in each bracket [x0, x1], f0 f1 < 0.
 
-    direction +1 climbs, -1 descends.  A column's step doubles on an
-    accepted move, up to STEP0 * scale, and halves on a rejected one.  It
-    converges at |g_tan| < tol and stalls at a step below STEP_FLOOR or
-    after MAX_ITER moves.  Returns the converged mask.
+    All brackets are refined together by Brent's zeroin: a secant or
+    inverse quadratic step where it is short enough, else bisection, until
+    the bracket is narrower than ROOT_TOL + 4 eps |u| or slope is 0.
+    slope takes and returns arrays.
     """
-    step = np.full(value.shape, STEP0 * scale)
-    moves = np.zeros(value.shape, dtype=int)
-    converged = np.linalg.norm(g_tan, axis=0) < tol
-    live = ~converged
-    while np.any(live):
-        k = np.flatnonzero(live)
-        unit = g_tan[:, k] / np.linalg.norm(g_tan[:, k], axis=0)
-        trial = geo.project_to_surface(spec, x[:, k] + direction[k] * step[k] * unit)
-        v_new, g_new, _, _ = geo.field_derivatives(spec, trial, policy, field)
-        up = direction[k] * (v_new - value[k]) > 0
-        a, r = k[up], k[~up]
-        x[:, a], value[a], g_tan[:, a] = trial[:, up], v_new[up], g_new[:, up]
-        step[a] = np.minimum(step[a] * 2.0, STEP0 * scale)
-        step[r] *= 0.5
-        moves[a] += 1
-        converged[a] = (moves[a] < MAX_ITER) & (np.linalg.norm(g_new[:, up], axis=0) < tol)
-        live[a] = (moves[a] < MAX_ITER) & ~converged[a]
-        live[r] = step[r] >= STEP_FLOOR
-    return converged
+    roots, idx = np.empty(x1.shape), np.arange(x1.size)
+    # cur is the best end, blk the other end of the bracket, pre the last cur
+    cur, pre, blk, f_cur, f_pre, f_blk, s_pre, s_cur = x1, x0, x0, f1, f0, f0, x1 - x0, x1 - x0
+    while True:
+        flip = (f_pre != 0) & (f_cur != 0) & (np.signbit(f_pre) != np.signbit(f_cur))
+        blk, f_blk, s_pre, s_cur = np.where(flip, [pre, f_pre, cur - pre, cur - pre],
+                                            [blk, f_blk, s_pre, s_cur])
+        pre, cur, blk, f_pre, f_cur, f_blk = np.where(
+            np.abs(f_blk) < np.abs(f_cur), [cur, blk, cur, f_cur, f_blk, f_cur],
+            [pre, cur, blk, f_pre, f_cur, f_blk])
+        delta = 0.5 * ROOT_TOL + 2.0 * np.finfo(float).eps * np.abs(cur)
+        s_bis = 0.5 * (blk - cur)
+        done = (f_cur == 0) | (np.abs(s_bis) < delta)
+        roots[idx[done]], idx = cur[done], idx[~done]
+        if not idx.size:
+            return roots
+        cur, pre, blk, f_cur, f_pre, f_blk, s_pre, s_cur, delta, s_bis = np.array(
+            [cur, pre, blk, f_cur, f_pre, f_blk, s_pre, s_cur, delta, s_bis])[:, ~done]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_pre, d_blk = (f_pre - f_cur) / (pre - cur), (f_blk - f_cur) / (blk - cur)
+            s_try = np.where(pre == blk, -f_cur * (cur - pre) / (f_cur - f_pre),
+                             -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+        short = ((np.abs(s_pre) > delta) & (np.abs(f_cur) < np.abs(f_pre))
+                 & (2.0 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - delta)))
+        s_pre, s_cur = np.where(short, [s_cur, s_try], s_bis)
+        pre, f_pre = cur, f_cur
+        cur = cur + np.where(np.abs(s_cur) > delta, s_cur, np.copysign(delta, s_bis))
+        f_cur = slope(cur)
 
 
-def _newton(spec, x, field, policy, tol, scale):
-    """Newton steps (Hs + n n^T) delta = -g_tan, whose delta is tangent.
+def _meridian(spec):
+    """The meridian nodes u and the map from u to points at azimuth 0.
 
-    The solve is a pseudo-inverse: an eigen-direction with |lam| at most
-    PINV_FLOOR times its column's largest |lam| gets no weight, so a flat
-    direction along a degenerate orbit leaves the rest of the step intact
-    (the n n^T term keeps one lam = 1, so the floor is never 0).  A column
-    stops at |g_tan| < 1e-3 tol, on a non-finite step or after
-    NEWTON_ITERATIONS steps.  Returns x, value and |g_tan| per column.
+    A latitude runs from pole to pole, and its ends sit on the axis
+    (rho = 0 exactly); an angle closes, its last node being its first.
     """
-    value, gnorm = np.empty((2, x.shape[1]))
-    live = np.arange(x.shape[1])
-    for it in range(NEWTON_ITERATIONS + 1):
-        value[live], g_tan, n, hs = geo.field_derivatives(
-            spec, x[:, live], policy, field, degree=2)
-        gnorm[live] = np.linalg.norm(g_tan, axis=0)
-        lam, vec = np.linalg.eigh(np.moveaxis(hs + n[:, None] * n[None], -1, 0))
-        flat = np.abs(lam) <= PINV_FLOOR * np.max(np.abs(lam), axis=1, keepdims=True)
-        coef = np.einsum("bji,jb->bi", vec, g_tan) / np.where(flat, np.inf, lam)
-        delta = -np.einsum("bij,bj->bi", vec, coef)
-        keep = (gnorm[live] >= 1e-3 * tol) & np.all(np.isfinite(delta), axis=1)
-        live, delta = live[keep], delta[keep]
-        if it == NEWTON_ITERATIONS or not live.size:
-            break
-        length = np.linalg.norm(delta, axis=1)
-        over = length > 0.2 * scale  # distrust huge Newton steps
-        delta[over] *= (0.2 * scale / length[over])[:, None]
-        x[:, live] = geo.project_to_surface(spec, x[:, live] + delta.T)
-    return x, value, gnorm
+    embed, kinds = chart(spec)
+    span = ((0.0, 2.0 * np.pi) if kinds[0] == ANGLE else (-np.pi / 2, np.pi / 2)
+            if kinds[0] == LATITUDE else kinds[0](spec.params))
+    u = np.linspace(*span, MERIDIAN_SAMPLES + (kinds[0] == ANGLE))
+
+    def points(u):
+        x = np.stack(embed(spec.params, u, *[np.zeros_like(u)] * (len(kinds) - 1)))
+        if kinds[0] == LATITUDE:
+            x[0, np.abs(u) == np.pi / 2] = 0.0
+        return x
+
+    return u, points
+
+
+def _slope(g_tan, n):
+    """v' = g_tan . t along the meridian tangent t = (n_z, 0, -n_x) at azimuth 0."""
+    return g_tan[0] * n[2] - g_tan[2] * n[0]
 
 
 def _labels(n, hs):
     """max/min/saddle/degenerate-orbit per column from the signs of the
     tangent eigenvalues of the exact Riemannian Hessian (|eig| <= EIG_TOL:
     flat, so an orbit)."""
-    eigs = geo.principal_curvatures_batch(n, hs)  # drops the n eigenvector
+    eigs = geo.principal_curvatures_batch(n, hs)
     flat = np.any(np.abs(eigs) <= EIG_TOL, axis=0)
     return np.select([flat, np.all(eigs < 0, axis=0), np.all(eigs > 0, axis=0)],
                      ["degenerate-orbit", "max", "min"], "saddle").tolist()
@@ -142,84 +153,56 @@ def classify_critical_point(spec, point, field, policy):
 
 def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED,
                          config=None):
-    """Locate critical points of a curvature field on the surface.
+    """Critical sets of a curvature field on a catalog surface, one record each.
 
-    field is one of 'lapM', 'vg_geom', 'M'.  Deterministic for a fixed
-    config seed.  Constant fields short-circuit to a single whole-surface
-    degenerate-orbit record.
+    field is one of 'lapM', 'vg_geom', 'M'.  A field constant on the
+    meridian nodes short-circuits to a single whole-surface
+    degenerate-orbit record.  A root whose |g_tan| is not below config.tol
+    gives no record; NoCriticalPointFoundError when none is left.
     """
     if field not in geo.FIELD_NAMES:
         raise ValueError(f"field must be one of {geo.FIELD_NAMES}")
     cfg = config or SearchConfig()
-    scale = spec.feature_scale()
-    starts = geo.sample_points(spec, "random", count=cfg.starts, seed=cfg.seed)
-    values, g_tan, _, _ = geo.field_derivatives(spec, starts, policy, field)
+    u, points = _meridian(spec)
+    x = points(u[:MERIDIAN_SAMPLES])
+    values, g_tan, n, _ = geo.field_derivatives(spec, x, policy, field)
     span = float(values.max() - values.min())
     if (span < 1e-10 * (1.0 + float(np.abs(values).max()))
             and np.all(np.linalg.norm(g_tan, axis=0) < cfg.tol)):
-        return [CriticalPoint(
-            location=starts[:, 0],
-            value=float(values[0]),
-            classification="degenerate-orbit",
-            grad_norm=0.0,
-            multiplicity=starts.shape[1],
-            orbit="entire surface (constant field)",
-        )]
+        return [CriticalPoint(location=x[:, 0], value=float(values[0]),
+                              classification="degenerate-orbit", grad_norm=0.0,
+                              orbit="entire surface (constant field)")]
 
-    # column 2i climbs from start i, column 2i + 1 descends from it
-    x, value, g_tan = (np.repeat(a, 2, axis=-1) for a in (starts, values, g_tan))
-    direction = np.tile([1.0, -1.0], starts.shape[1])
-    converged = _walk(spec, x, value, g_tan, field, policy, direction, cfg.tol, scale)
+    v1 = _slope(g_tan, n)
+    v1[x[0] == 0.0] = 0.0  # on the axis: a pole, where v' vanishes by symmetry
+    roots = u[:MERIDIAN_SAMPLES][v1 == 0.0]
+    v1 = np.append(v1, v1[:u.size - MERIDIAN_SAMPLES])  # a closed meridian's last node
+    k = np.flatnonzero(v1[:-1] * v1[1:] < 0)
+
+    def slope(u):
+        return _slope(*geo.field_derivatives(spec, points(u), policy, field)[1:3])
+
+    roots = np.concatenate([roots, _brent(slope, u[k], u[k + 1], v1[k], v1[k + 1])])
+    x = points(roots)
+    values, g_tan, n, hs = geo.field_derivatives(spec, x, policy, field, degree=2)
     gnorm = np.linalg.norm(g_tan, axis=0)
-    stalled = np.flatnonzero(~converged)
-    x[:, stalled], value[stalled], gnorm[stalled] = _newton(
-        spec, x[:, stalled], field, policy, cfg.tol, scale)
-    ok = gnorm < cfg.tol
-    if not np.any(ok):
-        diagnostics = [{"start": k // 2, "direction": float(direction[k]),
-                        "grad_norm": float(gnorm[k]), "value": float(value[k])}
-                       for k in range(len(value))]
-        raise NoCriticalPointFoundError(
-            f"no critical point of {field} found on '{spec.name}'", diagnostics
-        )
-
-    # one pass over the hits in key order, (rho, z) on an axisymmetric
-    # surface and x otherwise: a hit joins the first group whose first key
-    # is within tol, so the groups do not depend on the start order
-    tol = MERGE_TOL * scale
-    hits = x[:, ok]
-    axisymmetric = spec.name in AXISYMMETRIC
-    key = np.stack([np.hypot(hits[0], hits[1]), hits[2]]) if axisymmetric else hits
-    groups = []
-    for k in np.lexsort(key[::-1]):
-        for group in groups:
-            if np.linalg.norm(key[:, k] - key[:, group[0]]) < tol:
-                group.append(k)
-                break
-        else:
-            groups.append([k])
-
-    # each record sits at its group's best hit, turned to azimuth 0
-    hit_gnorm = gnorm[ok]
-    reps = key[:, [min(group, key=lambda k: hit_gnorm[k]) for group in groups]]
-    points = (np.stack([reps[0], np.zeros(len(groups)), reps[1]])
-              if axisymmetric else reps)
-    values, g_tan, n, hs = geo.field_derivatives(spec, points, policy, field, degree=2)
+    z_floor = Z_FLOOR * spec.feature_scale()
     records = []
-    for j, (group, label) in enumerate(zip(groups, _labels(n, hs))):
-        rec = CriticalPoint(location=points[:, j], value=float(values[j]),
-                            classification=label,
-                            grad_norm=float(np.linalg.norm(g_tan[:, j])),
-                            multiplicity=len(group))
-        spread = np.linalg.norm(hits[:, group] - hits[:, group[:1]], axis=0).max()
-        # an orbit when the classifier saw a flat direction or the hits spread
-        if axisymmetric and reps[0, j] > tol and (label == "degenerate-orbit"
-                                                    or spread > tol):
-            rho, z = reps[:, j]
-            z = 0.0 if abs(z) < tol else z  # roundoff off the z = 0 plane
+    for j, label in enumerate(_labels(n, hs)):
+        if not gnorm[j] < cfg.tol:
+            continue
+        rec = CriticalPoint(location=x[:, j], value=float(values[j]),
+                            classification=label, grad_norm=float(gnorm[j]))
+        if x[0, j] != 0.0:  # off the axis: the orbit of a root of v'
+            z = x[2, j] if abs(x[2, j]) >= z_floor else 0.0
             rec.classification = "degenerate-orbit"
-            rec.orbit = f"circle z={z:.6g}, rho={rho:.6g}"
+            rec.orbit = f"circle z={z:.6g}, rho={x[0, j]:.6g}"
         records.append(rec)
+    if not records:
+        diagnostics = [{"location": x[:, j].tolist(), "grad_norm": float(gnorm[j]),
+                        "value": float(values[j])} for j in range(roots.size)]
+        raise NoCriticalPointFoundError(
+            f"no critical point of {field} found on '{spec.name}'", diagnostics)
     # location (rho, 0, z) sorts as (rho, z)
     records.sort(key=lambda r: (round(r.value, 10), tuple(np.round(r.location, 8))))
     return records

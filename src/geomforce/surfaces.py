@@ -186,6 +186,15 @@ def _draw(kind, params, rng, count):
     return rng.uniform(*kind(params), count)
 
 
+def chart(spec):
+    """The (embedding, coordinate kinds) of a catalog surface's chart."""
+    if spec.name not in CHARTS:
+        raise UnknownSurfaceError(
+            f"surface '{spec.name}' has no chart; fields and extrema take catalog "
+            f"surfaces only ({', '.join(sorted(CHARTS))})")
+    return CHARTS[spec.name]
+
+
 def chart_points(spec, resolution=None, count=0, rng=None):
     """Chart coordinates and embedded points of a catalog surface.
 
@@ -194,11 +203,7 @@ def chart_points(spec, resolution=None, count=0, rng=None):
     shape (N,) + resolution.  With it: `count` draws from rng, one
     coordinate after another, and points of shape (N, count).
     """
-    if spec.name not in CHARTS:
-        raise UnknownSurfaceError(
-            f"surface '{spec.name}' has no chart; fields and extrema take catalog "
-            f"surfaces only ({', '.join(sorted(CHARTS))})")
-    embed, kinds = CHARTS[spec.name]
+    embed, kinds = chart(spec)
     if rng is not None:
         coords = [_draw(kind, spec.params, rng, count) for kind in kinds]
         return coords, np.stack(embed(spec.params, *coords))

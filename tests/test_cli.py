@@ -164,6 +164,23 @@ def test_extrema_subcommand(capsys):
     assert abs(abs(top["location"][2]) - 2.0) < 1e-6
 
 
+def test_extrema_records_do_not_depend_on_seed_or_starts(capsys):
+    # --starts and --seed are accepted and echoed; the meridian search reads
+    # neither, so every record list is the same
+    reports = []
+    for starts, seed in (("24", "0"), ("24", "5"), ("1", "0"), ("8", "41")):
+        code, out, _ = run_cli(["extrema", "--surface", "spheroid", "--a", "2",
+                                "--b", "1", "--field", "vg_geom", "--policy", "sd",
+                                "--starts", starts, "--seed", seed], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] == int(seed)
+        reports.append({key: payload[key] for key in ("critical_points", "by_magnitude")})
+    assert all(report == reports[0] for report in reports)
+    poles = [p for p in reports[0]["critical_points"] if p["location"][:2] == [0.0, 0.0]]
+    assert sorted(p["location"][2] for p in poles) == [-1.0, 1.0]
+
+
 def test_classical_subcommand(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     code, out, _ = run_cli(["classical", "--surface", "circle", "--a", "1",
@@ -313,6 +330,8 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
     # each flag is in range, but mass * length^3 underflows to 0
     (["force", "--surface", "generic", "--curvature-scale", "1e-100", "--mass", "1e-300"],
      "CliInputError"),
+    # the meridian search reads no --starts, but the flag is still checked
+    (["extrema", "--surface", "sphere", "--a", "1", "--starts", "0"], "CliInputError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

@@ -66,10 +66,11 @@ def test_prolate_sd_search_records():
     points = optim.find_critical_points(
         spec, "lapM", SD, optim.SearchConfig(starts=24, seed=0))
     ref = cf.SPHEROID_LAP[(1.0, 2.0)]
-    want = [("degenerate-orbit", "circle z=-1.65733, rho=0.559748", 10, -3.02060581221850),
-            ("degenerate-orbit", "circle z=1.65733, rho=0.559748", 14, -3.02060581221850),
-            ("degenerate-orbit", "circle z=0, rho=1", 18, ref["equator"]["sd"]),
-            ("max", None, 5, ref["pole"]["sd"]),
+    # one record per critical set, so every multiplicity is 1
+    want = [("degenerate-orbit", "circle z=-1.65733, rho=0.559748", 1, -3.02060581221850),
+            ("degenerate-orbit", "circle z=1.65733, rho=0.559748", 1, -3.02060581221850),
+            ("degenerate-orbit", "circle z=0, rho=1", 1, ref["equator"]["sd"]),
+            ("max", None, 1, ref["pole"]["sd"]),
             ("max", None, 1, ref["pole"]["sd"])]
     got = [(p.classification, p.orbit, p.multiplicity, p.value) for p in points]
     assert [row[:3] for row in got] == [row[:3] for row in want]
@@ -78,6 +79,7 @@ def test_prolate_sd_search_records():
     assert [np.sign(p.location[2]) for p in points[3:]] == [-1.0, 1.0]
     for rec in points[3:]:
         assert abs(abs(rec.location[2]) - 2.0) < 1e-6
+        assert list(rec.location[:2]) == [0.0, 0.0]
 
 
 def _prolate_gn_search(seed):
@@ -87,8 +89,8 @@ def _prolate_gn_search(seed):
 
 
 def test_records_depend_on_the_critical_sets_not_on_the_hits():
-    # seeds 0 and 41 land on the same five sets through different hits; each
-    # record sits at its set's azimuth-0 point, so the locations agree
+    # seeds 0 and 41 give the same five sets; each record sits at its set's
+    # azimuth-0 point, so the locations agree
     a, b = _prolate_gn_search(0), _prolate_gn_search(41)
     assert len(a) == len(b) == 5
     assert [p.orbit for p in a] == [p.orbit for p in b]
@@ -98,26 +100,58 @@ def test_records_depend_on_the_critical_sets_not_on_the_hits():
             assert rec.location[1] == 0.0
 
 
-def test_records_do_not_depend_on_the_start_order(monkeypatch):
+def test_records_do_not_depend_on_the_starts_or_the_seed():
     want = [p.to_dict() for p in _prolate_gn_search(0)]
-    sample_points = geo.sample_points
-    perm = np.random.default_rng(1).permutation(24)
-    monkeypatch.setattr(geo, "sample_points",
-                        lambda *args, **kw: sample_points(*args, **kw)[:, perm])
-    assert [p.to_dict() for p in _prolate_gn_search(0)] == want
-    monkeypatch.setattr(geo, "sample_points",
-                        lambda *args, **kw: sample_points(*args, **kw)[:, ::-1])
-    assert [p.to_dict() for p in _prolate_gn_search(0)] == want
+    spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
+    for starts, seed in ((1, 0), (8, 5), (24, 41), (100, 7)):
+        points = optim.find_critical_points(spec, "lapM", GN,
+                                            optim.SearchConfig(starts=starts, seed=seed))
+        assert [p.to_dict() for p in points] == want
 
 
-def test_walks_ending_on_a_degenerate_orbit_converge():
-    # the tangent Hessian is flat along the equator orbit; Newton must not
-    # let that roundoff eigenvalue stall the walk, so every climb and every
-    # descent of every start lands on a hit
+def test_a_degenerate_orbit_is_one_converged_record():
+    # the tangent Hessian is flat along the equator orbit; the search still
+    # gives every critical set one record, each converged: both poles, the
+    # equator and the two z = +-0.457 circles
     spec = builtin_surface("spheroid", {"a": 2.0, "b": 1.0})
-    points = optim.find_critical_points(spec, "lapM", GN,
-                                        optim.SearchConfig(starts=24, seed=3))
-    assert sum(p.multiplicity for p in points) == 2 * 24
+    cfg = optim.SearchConfig(starts=24, seed=3)
+    points = optim.find_critical_points(spec, "lapM", GN, cfg)
+    assert [p.orbit for p in points] == [
+        "circle z=-0.457216, rho=1.77871", "circle z=0.457216, rho=1.77871",
+        None, None, "circle z=0, rho=2"]
+    assert [p.multiplicity for p in points] == [1] * 5
+    assert all(p.grad_norm < cfg.tol for p in points)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 1.0)], ids=["prolate", "oblate"])
+def test_quartic_flat_poles_are_reported_once_on_the_axis(a, b):
+    # vg_geom is flat to fourth order at the umbilic poles, where its
+    # gradient falls as rho^3; each pole is one record at rho = 0 exactly,
+    # with no orbit near it
+    spec = builtin_surface("spheroid", {"a": a, "b": b})
+    points = optim.find_critical_points(spec, "vg_geom", SD)
+    rho = np.array([np.hypot(*p.location[:2]) for p in points])
+    poles = [p for p in points if abs(abs(p.location[2]) - b) < 1e-6]
+    assert [np.sign(p.location[2]) for p in poles] == [-1.0, 1.0]
+    for rec in poles:
+        assert list(rec.location[:2]) == [0.0, 0.0]
+        assert rec.orbit is None
+        assert rec.value == pytest.approx(0.0, abs=1e-12)
+    assert np.count_nonzero(rho < 0.1 * a) == 2
+
+
+def test_a_root_on_a_meridian_node_is_counted_once(monkeypatch):
+    # 65 latitude nodes put node 32 at u = 0.0, on the oblate equator
+    spec = builtin_surface("spheroid", {"a": 2.0, "b": 1.0})
+    want = optim.find_critical_points(spec, "lapM", GN)
+    monkeypatch.setattr(optim, "MERIDIAN_SAMPLES", 65)
+    assert np.linspace(-np.pi / 2, np.pi / 2, optim.MERIDIAN_SAMPLES)[32] == 0.0
+    got = optim.find_critical_points(spec, "lapM", GN)
+    assert [p.orbit for p in got] == [p.orbit for p in want]
+    assert [p.orbit for p in got].count("circle z=0, rho=2") == 1
+    for g, w in zip(got, want):
+        assert g.value == pytest.approx(w.value, rel=1e-12)
+        assert np.abs(g.location - w.location).max() <= 1e-12
 
 
 def test_torus_inner_circle_orbit():
@@ -159,6 +193,16 @@ def test_one_start_finds_a_real_critical_point():
     for rec in points:
         assert "entire surface" not in (rec.orbit or "")
         assert rec.grad_norm < cfg.tol
+
+
+def test_no_root_below_tol_raises_with_diagnostics():
+    # the torus has no poles, and its two orbits' |g_tan| sit at roundoff
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    with pytest.raises(optim.NoCriticalPointFoundError) as info:
+        optim.find_critical_points(spec, "lapM", SD, optim.SearchConfig(tol=1e-30))
+    rows = info.value.diagnostics
+    assert sorted(round(np.hypot(*row["location"][:2]), 9) for row in rows) == [1.0, 3.0]
+    assert all(row["grad_norm"] >= 1e-30 for row in rows)
 
 
 def test_plane_mean_curvature_degenerate():
@@ -295,17 +339,20 @@ def test_exact_hessian_is_flat_along_an_orbit(name, params, policy, point):
     assert eigs.min() <= 1e-10 * eigs.max()
 
 
-def test_batched_walk_matches_single_column_walks():
+def test_batched_brackets_match_single_bracket_refinement():
     spec = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
-    scale, tol = spec.feature_scale(), 1e-8
-    starts = geo.sample_points(spec, "random", count=24, seed=0)
-    values, g_tan, _, _ = geo.field_derivatives(spec, starts, GN, "lapM")
-    x, value, g = (np.repeat(a, 2, axis=-1) for a in (starts, values, g_tan))
-    direction = np.tile([1.0, -1.0], 24)
-    converged = optim._walk(spec, x, value, g, "lapM", GN, direction, tol, scale)
-    for k in range(48):
-        x1 = starts[:, k // 2:k // 2 + 1].copy()
-        v1, g1, _, _ = geo.field_derivatives(spec, x1, GN, "lapM")
-        ok1 = optim._walk(spec, x1, v1, g1, "lapM", GN, direction[k:k + 1], tol, scale)
-        assert ok1[0] == converged[k]
-        assert np.abs(x1[:, 0] - x[:, k]).max() <= 1e-10
+    u, points = optim._meridian(spec)
+
+    def slope(u):
+        return optim._slope(*geo.field_derivatives(spec, points(u), GN, "lapM")[1:3])
+
+    v1 = slope(u)
+    v1[[0, -1]] = 0.0  # the poles
+    k = np.flatnonzero(v1[:-1] * v1[1:] < 0)
+    assert len(k) == 3  # the equator and the z = +-1.534 circles
+    together = optim._brent(slope, u[k], u[k + 1], v1[k], v1[k + 1])
+    for i, j in enumerate(k):
+        alone = optim._brent(slope, u[[j]], u[[j + 1]], v1[[j]], v1[[j + 1]])
+        assert alone[0] == together[i]
+        assert u[j] < alone[0] < u[j + 1]
+    assert np.abs(slope(together)).max() < 1e-12
