@@ -249,7 +249,9 @@ def _cmd_classical(args):
     x0 = np.array(_numbers(args.x0, "--x0", count=spec.dimension))
     p0 = np.array(_numbers(args.p0, "--p0", count=spec.dimension))
     config = dyn.IntegratorConfig(dt=args.dt, steps=args.steps, mass=args.mass)
-    traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config)
+    # with --trajectory, the CSV rows are formatted on the other CPUs as the loop runs
+    traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config,
+                         csv=bool(args.trajectory))
     eq1 = dyn.force_residual(spec, traj)
     eq2 = dyn.geodesic_form_residual(spec, traj)
     payload = {
@@ -487,6 +489,8 @@ def _diagnostic(code, error):
         "message": str(error),
         "exit_code": code,
     }
+    if getattr(error, "diagnostics", None) is not None:  # e.g. each root a search refined
+        payload["diagnostics"] = error.diagnostics
     sys.stderr.write(canonical_json(payload) + "\n")
 
 

@@ -10,8 +10,11 @@ drift bounded at O(dt^2) with no secular loss.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .geometry import ExtensionPolicy
-from .reports import csv_text
+from .reports import ROW_BLOCK, csv_rows, csv_text, ordered_map
 
 MAX_NEWTON = 50  # multiplier iterations per step
 
@@ -78,17 +81,40 @@ class Trajectory:
     tangency_residual: np.ndarray  # (K,)
     mass: float
     dt: float
+    row_texts: list | None = field(default=None, repr=False, compare=False)  # integrate's CSV
     _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def to_csv(self):
-        nvars = self.xs.shape[1]
-        header = (["t"] + [f"{name}{i}" for name in "xp" for i in range(nvars)]
+        """The trajectory CSV: the header, then the text of the row blocks
+        that integrate formatted while it ran, or else of the rows formatted
+        now (reports.csv_text)."""
+        header = (["t"] + [f"{name}{i}" for name in "xp" for i in range(self.xs.shape[1])]
                   + ["energy", "f_residual", "tangency_residual"])
-        return csv_text(header, np.column_stack([self.ts, self.xs, self.ps, self.energy,
-                                                 self.f_residual, self.tangency_residual]))
+        if self.row_texts is None:
+            return csv_text(header, np.column_stack([self.ts, self.xs, self.ps, self.energy,
+                                                     self.f_residual, self.tangency_residual]))
+        return "".join([",".join(header) + "\n", *self.row_texts])
 
 
-def integrate(spec, initial, config):
+def _columns(states, mu):
+    """The Trajectory columns (ts, xs, ps, energy, f_residual,
+    tangency_residual) of a (K, 2 + 3N) table of states, one row
+    (t, x, p, f, grad f) each; each row's values depend on that row only."""
+    n = (states.shape[1] - 2) // 3
+    ts, fs = states[:, 0].copy(), states[:, 1 + 2 * n]
+    xs, ps, gs = (np.ascontiguousarray(states[:, a:a + n]) for a in (1, 1 + n, 2 + 2 * n))
+    return (ts, xs, ps, np.sum(ps * ps, axis=1) / (2.0 * mu), np.abs(fs),
+            np.abs(np.sum(gs * ps, axis=1)) / np.sqrt(np.sum(gs * gs, axis=1)))
+
+
+def _csv_block(mu, width, states):
+    """CSV rows of a block of flat states (an array('d') of whole rows of
+    width floats), as Trajectory.to_csv formats the same rows of the whole
+    trajectory."""
+    return csv_rows(np.column_stack(_columns(np.frombuffer(states).reshape(-1, width), mu)))
+
+
+def integrate(spec, initial, config, csv=False):
     """Integrate free constrained motion; returns the stored trajectory.
 
     The initial state must satisfy the constraint and tangency
@@ -97,9 +123,15 @@ def integrate(spec, initial, config):
     half the free drift (dt too large for the local curvature); both
     name the step, its start time and its start point.
 
-    The step loop carries x, p and grad f as Python floats, one float
-    run of the tape per Newton iterate; the arrays and the per-state
-    residuals are made once from the stored states.
+    The step loop (_state_blocks) carries x, p and grad f as Python floats,
+    one float run of the tape per Newton iterate, and appends each state's
+    floats (t, x, p, f, grad f) to one flat array('d').  It yields each
+    ROW_BLOCK of finished rows, and integrate drains these blocks.  With
+    csv, it drains them through reports.ordered_map: each block's CSV rows
+    (energy and residuals included) are formatted on the other CPUs while
+    the loop goes on, and Trajectory.to_csv joins them.  The columns are
+    made once from the whole table, row by row as for a block, so the
+    bytes do not depend on the CPU count.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
@@ -110,21 +142,37 @@ def integrate(spec, initial, config):
     if not abs(_dot(g, p)) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
         raise IntegratorInputError("initial momentum is not tangent")
 
-    t = float(initial.t)
-    states = [(t, x, p, f, g)]
+    t, width = float(initial.t), 2 + 3 * len(x)
+    states = array("d", [t, *x, *p, f, *g])
+    blocks = _state_blocks(spec.tape, x, p, g, t, config, states)
+    texts = None
+    if csv:
+        texts = list(ordered_map(functools.partial(_csv_block, mu, width), blocks))
+    else:
+        collections.deque(blocks, maxlen=0)
+    return Trajectory(*_columns(np.frombuffer(states).reshape(-1, width), mu),
+                      mass=mu, dt=dt, row_texts=texts)
+
+
+def _state_blocks(tape, x, p, g, t, config, states):
+    """The step loop from the state x, p, grad f = g at time t, whose row
+    states holds: appends each new state's row to states and yields each
+    ROW_BLOCK of rows (array('d') copies) once the last of them is made."""
+    mu, dt, tol = config.mass, config.dt, config.constraint_tol
+    start, rows = 0, 1
     for k in range(1, config.steps + 1):
         try:
-            x, p, f, g = _rattle_step(spec.tape, x, p, g, dt, mu, tol)
+            x, p, f, g = _rattle_step(tape, x, p, g, dt, mu, tol)
         except (ProjectionFailureError, StepTooLargeError) as error:
             raise type(error)(f"step {k} from t = {t!r}, x = {x}: {error}") from None
         t += dt
-        states.append((t, x, p, f, g))
-    ts, xs, ps, fs, gs = (np.array(column) for column in zip(*states))
-    return Trajectory(ts, xs, ps, energy=np.sum(ps * ps, axis=1) / (2.0 * mu),
-                      f_residual=np.abs(fs),
-                      tangency_residual=(np.abs(np.sum(gs * ps, axis=1))
-                                         / np.sqrt(np.sum(gs * gs, axis=1))),
-                      mass=mu, dt=dt)
+        states.fromlist([t, *x, *p, f, *g])
+        rows += 1
+        if rows == ROW_BLOCK:
+            yield states[start:]
+            start, rows = len(states), 0
+    if rows:
+        yield states[start:]
 
 
 def _f_and_grad(tape, x):

@@ -25,6 +25,7 @@ Evaluating Derivatives, 2nd ed., ch. 3 and 13).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -401,10 +402,16 @@ def numpy_call(name, value):
     return _NUMPY_FUNCTIONS[name](value)
 
 
+_INVALID = math.inf - math.inf  # the NaN of an invalid operation, as numpy's sqrt of x < 0
+
+
 def float_call(name, value):
-    """The `call` of a run on Python floats: the numpy function of that name,
-    returned as a float, so that it gives the bits, NaN and inf of an array
-    run (numpy's exp and log differ from `math` in the last bit)."""
+    """The `call` of a run on Python floats, with the bits, NaN and inf of an
+    array run: sqrt is math.sqrt (both are correctly rounded), NaN below 0;
+    the others are the numpy function of that name, returned as a float
+    (numpy's exp, log, sin and cos can differ from `math` in the last bit)."""
+    if name == "sqrt":
+        return _INVALID if value < 0.0 else math.sqrt(value)
     return float(_NUMPY_FUNCTIONS[name](value))
 
 

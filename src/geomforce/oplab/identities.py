@@ -260,15 +260,17 @@ def _grid_passes(grids, groups, hbar, mu, seed):
     The pair jobs of all the grids run on every CPU through one
     reports.ordered_map, so the pool is forked once; the finest grid's
     longest jobs go first, so they do not form the tail.  Workers inherit
-    the grids, side builders and states, and only residual rows come back;
+    the grids, side builders, states and jobs; only job indices go to them
+    and only residual rows come back;
     each grid's results are merged in pair order, so they do not depend on
     the CPU count.
     """
     order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[0])
     jobs = {k: _pair_jobs(grids[k], groups, hbar, mu, seed) for k in order}
-    # closed on the way out, which shuts the pool down
-    with contextlib.closing(ordered_map(lambda job: job(),
-                                        [job for k in order for job in jobs[k]])) as done:
+    queue = [job for k in order for job in jobs[k]]
+    # the items are indices into queue; closed on the way out, which shuts the pool down
+    with contextlib.closing(ordered_map(lambda index: queue[index](),
+                                        range(len(queue)))) as done:
         merged = {k: _merge_pairs(itertools.islice(done, len(jobs[k]))) for k in order}
     return [merged[k] for k in range(len(grids))]
 

@@ -8,8 +8,9 @@ jets of the distance function).  The expression is compiled once into an
 adjoint sweep over that run, and jets run it over Taylor jets.  The
 classical integrator runs the same tape over Python floats
 (`expr.float_call`), one point at a time.  The tape's only arithmetic is
-+ - * / and numpy's functions, so a point gets the same f and grad f bits
-alone, in a batch and in a float run.
++ - * / and numpy's functions (math.sqrt in a float run, with the same
+bits), so a point gets the same f and grad f bits alone, in a batch and in
+a float run.
 
 Each catalog surface also has a chart in CHARTS, the one place that writes
 its parametrization x(u): chart_points gives the chart's points on a

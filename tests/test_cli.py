@@ -181,6 +181,20 @@ def test_extrema_records_do_not_depend_on_seed_or_starts(capsys):
     assert sorted(p["location"][2] for p in poles) == [-1.0, 1.0]
 
 
+def test_a_failed_search_names_each_root_it_refined(capsys):
+    code, out, err = run_cli(["extrema", "--surface", "torus", "--R", "2", "--r", "1",
+                              "--field", "lapM", "--policy", "sd", "--tol", "1e-30"], capsys)
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NoCriticalPointFoundError" and diag["exit_code"] == 2
+    roots = diag["diagnostics"]
+    assert roots and all(set(root) == {"location", "grad_norm", "value"} for root in roots)
+    for root in roots:  # each on the torus meridian at azimuth 0, with |g| above the tol
+        rho, y, z = root["location"]
+        assert y == 0.0 and (rho - 2.0) ** 2 + z ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert 1e-30 <= root["grad_norm"] < 1e-8
+
+
 def test_classical_subcommand(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     code, out, _ = run_cli(["classical", "--surface", "circle", "--a", "1",
@@ -474,6 +488,73 @@ def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
 def test_fields_without_samples_print_an_empty_csv(capsys):
     code, out, _ = run_cli(TORUS_FIELDS + ["--count", "0", "--format", "csv"], capsys)
     assert (code, out) == (0, "")
+
+
+# the trajectory CSV is formatted in row blocks while the RATTLE loop runs
+
+TORUS_CLASSICAL = ["classical", "--surface", "torus", "--R", "2", "--r", "1", "--x0", "3,0,0",
+                   "--p0", "0,0.6,0.8", "--steps", "9000"]  # 9,001 rows: three row blocks
+
+
+def test_trajectory_csv_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path, capsys):
+    import numpy as np
+
+    from geomforce import dynamics as dyn
+    from geomforce.surfaces import builtin_surface
+
+    before = _children_cpu_s()
+    code, default, _ = run_cli(TORUS_CLASSICAL + ["--trajectory", str(tmp_path / "a.csv")],
+                               capsys)
+    assert code == 0
+    if len(os.sched_getaffinity(0)) >= 2:  # the row blocks were formatted in workers
+        assert _children_cpu_s() > before
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    before = _children_cpu_s()
+    code, serial, _ = run_cli(TORUS_CLASSICAL + ["--trajectory", str(tmp_path / "b.csv")],
+                              capsys)
+    assert code == 0 and _children_cpu_s() == before
+    streamed = (tmp_path / "a.csv").read_text()
+    assert streamed == (tmp_path / "b.csv").read_text()
+    assert default.replace("a.csv", "b.csv") == serial
+    # the rows of a trajectory made without the stream, formatted as one table
+    traj = dyn.integrate(builtin_surface("torus", {"R": 2.0, "r": 1.0}),
+                         dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]),
+                                             np.array([0.0, 0.6, 0.8]), 0.0),
+                         dyn.IntegratorConfig(dt=1e-3, steps=9000))
+    assert traj.row_texts is None and traj.to_csv() == streamed
+    assert streamed.count("\n") == 9002
+
+
+@pytest.mark.parametrize("cpus", ["default", "one"])
+def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp_path, capsys):
+    import multiprocessing
+
+    from geomforce import dynamics as dyn
+    from geomforce.reports import ROW_BLOCK
+
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    original, calls = dyn._rattle_step, []
+
+    def rattle_step(*args):
+        calls.append(None)
+        if len(calls) == 2 * ROW_BLOCK + 5:
+            raise dyn.ProjectionFailureError("constraint solve stalled")
+        return original(*args)
+
+    monkeypatch.setattr(dyn, "_rattle_step", rattle_step)
+    before = _children_cpu_s()
+    path = tmp_path / "trajectory.csv"
+    code, out, err = run_cli(TORUS_CLASSICAL + ["--trajectory", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert multiprocessing.active_children() == []
+    assert not path.exists() and os.listdir(tmp_path) == []
+    diag = json.loads(err)
+    assert diag["error"] == "ProjectionFailureError"
+    assert diag["message"].startswith(f"step {2 * ROW_BLOCK + 5} from t = ")
+    # on two or more CPUs, the first blocks had gone to workers
+    assert (_children_cpu_s() > before) == (cpus == "default"
+                                            and len(os.sched_getaffinity(0)) >= 2)
 
 
 @pytest.mark.parametrize("failure,code", [(None, 0), ("NoConvergenceError", 2),

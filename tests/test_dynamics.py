@@ -8,6 +8,7 @@ from geomforce import dynamics as dyn
 from geomforce import expr as ex
 from geomforce import geometry as geo
 from geomforce.cli import main
+from geomforce.reports import ROW_BLOCK
 from geomforce.surfaces import builtin_surface, from_expression
 
 
@@ -197,6 +198,22 @@ def _torus_run(steps):
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]),
                                np.array([0.0, 0.6, 0.8]), 0.0)
     return spec, dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=steps))
+
+
+@pytest.mark.parametrize("steps", [1, ROW_BLOCK - 2, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 7])
+def test_streamed_rows_are_the_rows_of_the_whole_table(steps):
+    # one block of 2 rows, of ROW_BLOCK - 1, one full block, a last block of 1 row, of 8
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
+    config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
+    plain, streamed = (dyn.integrate(spec, init, config, csv=csv) for csv in (False, True))
+    assert plain.row_texts is None
+    assert len(streamed.row_texts) == -(-(steps + 1) // ROW_BLOCK)
+    for name in ("ts", "xs", "ps", "energy", "f_residual", "tangency_residual"):
+        a, b = getattr(plain, name), getattr(streamed, name)
+        assert a.flags.c_contiguous and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+    assert plain.xs.shape == (steps + 1, 3)
+    assert streamed.to_csv() == plain.to_csv()
 
 
 def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):

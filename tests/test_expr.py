@@ -196,3 +196,15 @@ def test_exponent_chain_is_right_associative():
     assert isinstance(tree, ex.Pow) and tree.exponent == 9
     with pytest.raises(ex.NonIntegerExponentError):
         ex.parse_expression("x^2^-1")  # tower folds to 1/2
+
+
+def test_float_sqrt_has_the_bits_of_the_array_run():
+    # math.sqrt and numpy's sqrt are both correctly rounded; below 0 both give NaN
+    rng = np.random.default_rng(11)
+    randoms = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+              -math.nan, -2.5, 1.7976931348623157e308, *randoms.tolist()]
+    with np.errstate(invalid="ignore"):
+        expected = [float(np.sqrt(v)) for v in values]
+    got = [ex.float_call("sqrt", v) for v in values]
+    assert np.array(got).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()

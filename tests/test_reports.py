@@ -153,3 +153,48 @@ def test_a_worker_that_cannot_be_held_to_a_cpu_still_works(monkeypatch):
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
     assert list(ordered_map(lambda x: x * x, range(6))) == [0, 1, 4, 9, 16, 25]
+
+
+# items taken lazily: made in this process while the workers run ----------------
+
+
+def _children():
+    import multiprocessing
+
+    return len(multiprocessing.active_children())
+
+
+def test_items_made_after_the_fork_reach_the_workers_in_order():
+    made = []  # the workers alive as each item was made
+
+    def items():
+        for k in range(12):
+            made.append(_children())
+            yield np.full(3, float(k))  # made here, so a worker can only get it pickled
+
+    results = list(ordered_map(lambda item: (item.tolist(), os.getpid()), items()))
+    assert [values for values, _ in results] == [[float(k)] * 3 for k in range(12)]
+    if len(os.sched_getaffinity(0)) >= 2:  # forked after the second item, before the third
+        assert made[:2] == [0, 0] and min(made[2:]) >= 2
+        assert os.getpid() not in {pid for _, pid in results}
+    assert _children() == 0
+
+
+def test_an_exception_of_the_items_reaches_the_caller_after_the_pool_is_shut_down():
+    made = []
+
+    def items():
+        yield from range(5)
+        made.append(_children())
+        raise LookupError("no sixth item")
+
+    with pytest.raises(LookupError, match="no sixth item"):
+        list(ordered_map(lambda x: x * x, items()))
+    if len(os.sched_getaffinity(0)) >= 2:  # the pool ran when the items raised
+        assert made == [len(os.sched_getaffinity(0))]
+    assert _children() == 0
+
+
+@pytest.mark.parametrize("items", [[3], range(3, 4), iter([3]), (k for k in [3])])
+def test_one_item_forks_nothing(items):
+    assert list(ordered_map(lambda x: (x, os.getpid()), items)) == [(3, os.getpid())]
