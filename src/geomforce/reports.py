@@ -179,33 +179,39 @@ def _call(item):
 
 
 def _pool_size(items):
-    """Worker processes ordered_map forks for items, at most one per item
-    when items is sized; below 2, none."""
+    """Worker processes ordered_map forks for items, 0 for none: one per CPU,
+    at most one per item of a sized items, and one fewer for any other
+    items, whose maker gets a CPU of its own."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(cpus or 1, len(items)) if isinstance(items, Sized) else cpus or 1
-    if size < 2 or threading.active_count() > 1:
-        return 1
+    sized = isinstance(items, Sized)
+    size = min(cpus or 1, len(items)) if sized else (cpus or 1) - 1
+    if size < (2 if sized else 1) or threading.active_count() > 1:
+        return 0
     import multiprocessing  # here, so that importing geomforce does not load it
 
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.parent_process() is not None):
-        return 1
+        return 0
     return size
 
 
 def ordered_map(fn, items):
     """fn(item) for each item, yielded in item order.
 
-    The calls are spread over a pool of forked processes, one per CPU this
-    process may run on (for a sized items, at most one per item), each held
-    to a CPU of its own.  The items are taken lazily, here, and each is
-    handed to a worker as soon as it is made, so fn runs on the earlier
-    items of a generator while this process makes the later ones.  A worker
-    then shares this process's CPU, which did not measurably slow such a
-    producer: on a 2-vCPU VM, the 30,000-step trajectory and its CSV
-    (dynamics.integrate) took a median 0.69 s with two workers and 0.71 s
-    with one, in 30 alternating pairs.  The workers inherit fn, so it is
-    not pickled (it may be a closure); the items and the results are.
+    The calls are spread over a pool of forked processes, each held to a CPU
+    of its own.  The items are taken lazily, here, and each is handed to a
+    worker as soon as it is made.  A sized items (a list, a range) gets one
+    worker per CPU this process may run on, at most one per item.  Any other
+    items are made by this process while the workers run, so fn runs on the
+    earlier items as the later ones are made (dynamics.integrate yields the
+    blocks of its step loop): until the last is made, this process is held
+    to a CPU of its own and the workers take the others.  On a 2-vCPU VM a
+    worker on the maker's CPU slowed it: a 30,000-step `classical
+    --trajectory` run after a fields report, as the benchmark runs them,
+    took a median 0.735 s (quartiles 0.60 and 0.87) with a worker on each
+    CPU and this process free, and 0.655 s (0.63 and 0.70) held, in 15
+    alternating pairs.  The workers inherit fn, so it is not pickled (it may
+    be a closure); the items and the results are.
 
     An exception fn raises reaches the caller at its item, with its type
     and arguments (one that cannot be pickled arrives as BrokenProcessPool
@@ -216,16 +222,18 @@ def ordered_map(fn, items):
 
     It is the built-in map, with the same results and no fork, for fewer
     than two items (the items are taken until a second one exists), when
-    the pool would hold fewer than two processes, when the platform cannot
-    fork, when this process is itself a multiprocessing worker (a daemon
-    may not have children, and its CPUs are already shared out), or when
-    other threads run (fork copies only the calling thread, so a lock
-    another thread holds would stay held in the child).
+    the pool would hold no worker (one CPU, or one item per CPU of a sized
+    items), when the platform cannot fork, when this process is itself a
+    multiprocessing worker (a daemon may not have children, and its CPUs are
+    already shared out), or when other threads run (fork copies only the
+    calling thread, so a lock another thread holds would stay held in the
+    child).
     """
     size = _pool_size(items)
+    made_here = not isinstance(items, Sized)
     items = iter(items)
     head = list(itertools.islice(items, 2))
-    if size < 2 or len(head) < 2:
+    if not size or len(head) < 2:
         yield from map(fn, itertools.chain(head, items))
         return
     import multiprocessing
@@ -241,9 +249,18 @@ def ordered_map(fn, items):
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(size, mp_context=context, initializer=_start_worker,
                                initargs=(fn, cpus, context.Value("i", 0)))
+    held = None  # this process's CPUs while it is held to the one no worker takes
+    if made_here and cpus:
+        with contextlib.suppress(OSError):  # a speed-up only, as for the workers
+            os.sched_setaffinity(0, {cpus[size]})
+            held = set(cpus)
     try:
-        # map submits each item as soon as it is made
-        yield from pool.map(_call, itertools.chain(head, items))
+        try:  # map makes and submits every item before it returns
+            results = pool.map(_call, itertools.chain(head, items))
+        finally:
+            if held:
+                os.sched_setaffinity(0, held)
+        yield from results
     finally:
         pool.shutdown(cancel_futures=True)
 

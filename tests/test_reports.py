@@ -165,22 +165,28 @@ def _children():
 
 
 def test_items_made_after_the_fork_reach_the_workers_in_order():
-    made = []  # the workers alive as each item was made
+    cpus = os.sched_getaffinity(0)
+    made = []  # (workers alive, this process's CPUs) as each item was made
 
     def items():
         for k in range(12):
-            made.append(_children())
+            made.append((_children(), os.sched_getaffinity(0)))
             yield np.full(3, float(k))  # made here, so a worker can only get it pickled
 
-    results = list(ordered_map(lambda item: (item.tolist(), os.getpid()), items()))
+    results = list(ordered_map(lambda item: (item.tolist(), os.sched_getaffinity(0)), items()))
     assert [values for values, _ in results] == [[float(k)] * 3 for k in range(12)]
-    if len(os.sched_getaffinity(0)) >= 2:  # forked after the second item, before the third
-        assert made[:2] == [0, 0] and min(made[2:]) >= 2
-        assert os.getpid() not in {pid for _, pid in results}
-    assert _children() == 0
+    assert _children() == 0 and os.sched_getaffinity(0) == cpus
+    if len(cpus) >= 2:  # forked after the second item; a worker on each CPU but the maker's
+        assert [alive for alive, _ in made[:2]] == [0, 0]
+        assert {alive for alive, _ in made[2:]} == {len(cpus) - 1}
+        maker = {frozenset(held) for _, held in made[2:]}
+        workers = {frozenset(held) for _, held in results}
+        assert len(maker) == 1 and all(len(one) == 1 for one in maker | workers)
+        assert maker.isdisjoint(workers) and frozenset.union(*maker, *workers) <= cpus
 
 
 def test_an_exception_of_the_items_reaches_the_caller_after_the_pool_is_shut_down():
+    cpus = os.sched_getaffinity(0)
     made = []
 
     def items():
@@ -190,9 +196,9 @@ def test_an_exception_of_the_items_reaches_the_caller_after_the_pool_is_shut_dow
 
     with pytest.raises(LookupError, match="no sixth item"):
         list(ordered_map(lambda x: x * x, items()))
-    if len(os.sched_getaffinity(0)) >= 2:  # the pool ran when the items raised
-        assert made == [len(os.sched_getaffinity(0))]
-    assert _children() == 0
+    if len(cpus) >= 2:  # the pool ran when the items raised
+        assert made == [len(cpus) - 1]
+    assert _children() == 0 and os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("items", [[3], range(3, 4), iter([3]), (k for k in [3])])
