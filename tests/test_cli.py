@@ -469,6 +469,11 @@ def _report_bytes(tmp_path, name):
 
 
 def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    import numpy as np
+
+    from geomforce import dynamics as dyn
+    from geomforce.surfaces import builtin_surface
+
     # 2085 samples are two full BLOCKs and one of 37 columns
     _with_a_nan_in_the_last_block(monkeypatch)
     before = _children_cpu_s()
@@ -483,6 +488,11 @@ def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
     assert b'"lapM": "nan"' in default["json"] and b",nan," in default["csv"]
     assert default["csv"].count(b"\n") == 2086
     assert default["trajectory.csv"].count(b"\n") == 10002
+    # the streamed text is the CSV of the same trajectory made without the stream
+    spec = builtin_surface("circle", {"a": 1.0})
+    init = dyn.TrajectoryState(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0)
+    traj = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=10000))
+    assert traj.row_texts is None and traj.to_csv().encode() == default["trajectory.csv"]
 
 
 def test_fields_without_samples_print_an_empty_csv(capsys):
@@ -494,35 +504,6 @@ def test_fields_without_samples_print_an_empty_csv(capsys):
 
 TORUS_CLASSICAL = ["classical", "--surface", "torus", "--R", "2", "--r", "1", "--x0", "3,0,0",
                    "--p0", "0,0.6,0.8", "--steps", "9000"]  # 9,001 rows: three row blocks
-
-
-def test_trajectory_csv_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path, capsys):
-    import numpy as np
-
-    from geomforce import dynamics as dyn
-    from geomforce.surfaces import builtin_surface
-
-    before = _children_cpu_s()
-    code, default, _ = run_cli(TORUS_CLASSICAL + ["--trajectory", str(tmp_path / "a.csv")],
-                               capsys)
-    assert code == 0
-    if len(os.sched_getaffinity(0)) >= 2:  # the row blocks were formatted in workers
-        assert _children_cpu_s() > before
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    before = _children_cpu_s()
-    code, serial, _ = run_cli(TORUS_CLASSICAL + ["--trajectory", str(tmp_path / "b.csv")],
-                              capsys)
-    assert code == 0 and _children_cpu_s() == before
-    streamed = (tmp_path / "a.csv").read_text()
-    assert streamed == (tmp_path / "b.csv").read_text()
-    assert default.replace("a.csv", "b.csv") == serial
-    # the rows of a trajectory made without the stream, formatted as one table
-    traj = dyn.integrate(builtin_surface("torus", {"R": 2.0, "r": 1.0}),
-                         dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]),
-                                             np.array([0.0, 0.6, 0.8]), 0.0),
-                         dyn.IntegratorConfig(dt=1e-3, steps=9000))
-    assert traj.row_texts is None and traj.to_csv() == streamed
-    assert streamed.count("\n") == 9002
 
 
 @pytest.mark.parametrize("cpus", ["default", "one"])
