@@ -25,7 +25,7 @@ from . import expr as ex
 from . import geometry as geo
 from . import jets
 from . import optim
-from .oplab import IDENTITY_IDS, run_identity_suite
+from .oplab import UnknownIdentityError, run_identity_suite
 from .reports import atomic_write, canonical_json, csv_rows, json_records, json_rows
 from .surfaces import (
     CATALOG,
@@ -51,6 +51,7 @@ _INPUT_ERRORS = (
     dyn.IntegratorInputError,
     jets.DomainError,
     jets.DivisionByZeroLeadingTerm,
+    UnknownIdentityError,
     FileNotFoundError,
     json.JSONDecodeError,
 )
@@ -281,28 +282,15 @@ def _cmd_verify(args):
     else:
         raise CliInputError("verify runs on --surface circle or torus")
     hbar, mu = args.hbar, args.mass
-    for flag, value in (("--hbar", hbar), ("--mass", mu)):
-        _require_positive_finite(flag, value)
+    # the verdicts are unit-free: hbar^2 / mu only scales the anchors' energies
+    if not (hbar > 0 and mu > 0 and sys.float_info.min <= hbar * hbar / mu < np.inf):
+        raise CliInputError(f"--hbar {hbar} and --mass {mu} must be positive, "
+                            f"with hbar^2 / mu a normal float")
     sizes = _numbers(args.grids, "--grids", int)
     if len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes):
         raise CliInputError(f"--grids needs at least 3 powers of two >= 16, "
                             f"got {args.grids}")
-    # The operators scale by hbar, hbar^2 / (4 mu) and their powers, and the
-    # verdicts' weighted norms square each action, up to p^2 p_k psi, which is
-    # of order (hbar k)^3 for the grid modes k below the largest size.  Each
-    # square must be a normal float (a product, since ** on a float can raise).
-    cube, potential, top = hbar * hbar * hbar, hbar * hbar / (4.0 * mu), hbar * max(sizes)
-    for name, value in (("hbar^6", cube * cube),
-                        ("(hbar * grid size)^6", (top * top * top) * (top * top * top)),
-                        ("(hbar^2 / (4 mu))^2", potential * potential)):
-        if not sys.float_info.min <= value < np.inf:
-            raise CliInputError(f"--hbar {hbar} with --mass {mu} puts {name} "
-                                f"outside the float range")
     identities = args.identities.split(",") if args.identities else None
-    unknown = sorted(set(identities or ()) - set(IDENTITY_IDS))
-    if unknown:
-        raise CliInputError(f"unknown identities {unknown}; known: "
-                            f"{', '.join(IDENTITY_IDS)}")
     report = run_identity_suite(args.surface, params, sizes, hbar=hbar,
                                 mu=mu, tol=args.tol,
                                 identities=identities, seed=args.seed)

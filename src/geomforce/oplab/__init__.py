@@ -4,7 +4,7 @@ Discretizes the geometric momentum and Hamiltonian on the circle (R^2)
 and torus (R^3) with Fourier-spectral accuracy, and adjudicates operator
 identities numerically across grid refinements.  Operators are array
 functions of a grid and a state (gradient, momentum, divergence,
-hamiltonian); LinOp only materializes one as a dense matrix.
+hamiltonian) in units hbar = mu = 1; LinOp only materializes one densely.
 """
 
 from .grid import ParamSurfaceGrid, build_grid
@@ -18,7 +18,8 @@ from .operators import (
     random_band_states,
     residual_on_testspace,
 )
-from .identities import IDENTITY_IDS, IdentityVerdict, check_identity, run_identity_suite
+from .identities import (IDENTITY_IDS, IdentityVerdict, UnknownIdentityError,
+                         check_identity, run_identity_suite)
 from .evolve import EhrenfestTrace, NormDriftError, evolve_wavepacket, hbar_scaling_slopes
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "gradient", "momentum", "divergence", "hamiltonian",
     "residual_on_testspace", "hermiticity_defect",
     "random_band_states",
-    "IDENTITY_IDS", "IdentityVerdict", "check_identity", "run_identity_suite",
+    "IDENTITY_IDS", "IdentityVerdict", "UnknownIdentityError", "check_identity",
+    "run_identity_suite",
     "EhrenfestTrace", "NormDriftError", "evolve_wavepacket", "hbar_scaling_slopes",
 ]

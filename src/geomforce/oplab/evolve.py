@@ -7,6 +7,9 @@ block is diagonalized once, and the state at a recorded step is the
 phase exp(-i E t / hbar) on every eigenvector.  No time stepping: the
 states do not depend on dt.
 
+The operators are reduced (hbar = mu = 1); the hbar scan is not a change
+of units, so the energies and forces are scaled by hbar^2 / mu here, <p> by hbar.
+
 The recorded trace checks the momentum force law in expectation:
 d<p_j>/dt against the symmetrized centripetal term plus the
 curvature-gradient quantum term, read from operators.StateActions.
@@ -90,16 +93,18 @@ def _packet(grid, packet, hbar):
 
 def _observables(grid, hbar, mu):
     n = grid.geo["n"]
-    quantum = -(hbar ** 2 / (4.0 * mu)) * grid.geo["lapM"] * n
+    quantum = -0.25 * grid.geo["lapM"] * n
+    scale = hbar * hbar / mu
 
     def measure(psi):
-        a = StateActions(grid, psi, hbar, mu)
-        cent = (-0.5 / mu) * (n * a.q + a.q_n)
-        f_psi, _ = quartics(grid, psi, a.p, a.pp, hbar)
+        a = StateActions(grid, psi)
+        cent = -0.5 * (n * a.q + a.q_n)
+        f_psi, _ = quartics(grid, psi, a.p, a.pp)
         w = grid.weights
-        return (np.real(inner(w, psi, a.p)), np.real(inner(w, psi, cent)),
-                np.real(inner(w, psi, quantum * psi)),
-                np.real(inner(w, psi, f_psi / (2.0 * mu * 1j * hbar))))
+        return (hbar * np.real(inner(w, psi, a.p)),
+                scale * np.real(inner(w, psi, cent)),
+                scale * np.real(inner(w, psi, quantum * psi)),
+                scale * np.real(inner(w, psi, f_psi / 2j)))
 
     return measure
 
@@ -158,13 +163,14 @@ def _states(grid, psi, dt, steps, record_every, hbar, mu):
     delta = np.zeros((dim, nlast), dtype=complex)
     for j in range(dim):
         delta[j, 0] = 1.0
-        h_col = hamiltonian(grid, delta.reshape(grid.shape), hbar, mu).reshape(dim, nlast)
+        h_col = hamiltonian(grid, delta.reshape(grid.shape)).reshape(dim, nlast)
         blocks[:, :, j] = np.fft.fft(h_col, axis=1).T
         delta[j, 0] = 0.0
     sqrt_w = np.sqrt(grid.weights.reshape(dim, nlast)[:, 0])
     blocks *= sqrt_w[:, None]
     blocks /= sqrt_w
     energies, vecs = np.linalg.eigh(blocks)
+    energies *= hbar * hbar / mu
     del blocks
     # eigen-coefficients of the packet, mode by mode: (nlast, dim)
     coeffs0 = np.einsum("mij,mi->mj", vecs.conj(),

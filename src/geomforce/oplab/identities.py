@@ -20,11 +20,15 @@ grid's results in pair order, so they do not depend on the CPU count.
 The circle anchors read the same actions.  run_identity_suite runs the
 pass once per grid for all its identities and judges each identity from
 those results; check_identity runs the pass for its one identity.  Both
-refuse a family of fewer than 3 grids or an unknown identity id before
-any work.  The test space (TEST_STATES states, HERMITICITY_PAIRS pairs)
-is operators'.
+refuse a family of fewer than 3 grids or an unknown identity id (an
+UnknownIdentityError) before any work.  The test space (TEST_STATES
+states, HERMITICITY_PAIRS pairs) is operators'.
 
-Identity ids:
+Both sides of every identity carry the same powers of hbar and mu, so
+they are built in reduced units (hbar = mu = 1) and no verdict depends
+on the units; run_identity_suite scales the anchors' energies.
+
+Identity ids (written with hbar, as printed in the paper):
 
 * EQ3_MAIN      [p_j, H]/(i hbar) vs the symmetrized centripetal force
                 plus the curvature-gradient quantum force.
@@ -76,6 +80,10 @@ IDENTITY_IDS = (
 )
 
 
+class UnknownIdentityError(ValueError):
+    """An identity id that is not in IDENTITY_IDS."""
+
+
 @dataclass
 class IdentityVerdict:
     identity: str
@@ -113,64 +121,60 @@ def _coefficients(grid):
 # one test state, as component stacks with one entry per operator pair.
 
 
-def _sides_eq3(grid, hbar, mu):
+def _sides_eq3(grid):
     n = grid.geo["n"]
-    quantum = -(hbar ** 2 / (4.0 * mu)) * grid.geo["lapM"] * n
+    quantum = -0.25 * grid.geo["lapM"] * n
 
     def sides(a):
-        lhs = (1.0 / (1j * hbar)) * (momentum(grid, a.h_mom, hbar)
-                                     - hamiltonian(grid, a.p, hbar, mu, "momentum", a.p2_p))
-        rhs = (-0.5 / mu) * (n * a.q + a.q_n) + quantum * a.psi
+        lhs = (1.0 / 1j) * (momentum(grid, a.h_mom)
+                            - hamiltonian(grid, a.p, "momentum", a.p2_p))
+        rhs = -0.5 * (n * a.q + a.q_n) + quantum * a.psi
         return lhs, rhs
 
     return sides
 
 
-def _sides_eq8(grid, hbar, mu):
+def _sides_eq8(grid):
     n, dn = grid.geo["n"], grid.geo["dn"]
     first, second = np.triu_indices(grid.ndim_embed, 1)
     coefs = np.stack([n[j] * dn[i] - n[i] * dn[j] for i, j in zip(first, second)])
 
     def sides(a):
         lhs = a.pp[first, second] - a.pp[second, first]
-        rhs = (1j * hbar / 2.0) * (np.einsum("pl...,l...->p...", coefs, a.p)
-                                   + divergence(grid, np.swapaxes(coefs, 0, 1) * a.psi, hbar))
+        rhs = 0.5j * (np.einsum("pl...,l...->p...", coefs, a.p)
+                      + divergence(grid, np.swapaxes(coefs, 0, 1) * a.psi))
         return lhs, rhs
 
     return sides
 
 
-def _sides_eq10(grid, hbar, mu):
+def _sides_eq10(grid):
     """Commutator, printed form and reference form per component."""
     c = _coefficients(grid)
-    scalar = (hbar ** 2 / (4.0 * mu)) * c["S2"]
+    scalar = 0.25 * c["S2"]
     tangential_w = c["W"] - c["n"] * c["n_dot_W"]
-    printed = 2j * hbar * (hbar ** 2 / (4.0 * mu)) * tangential_w
+    printed = 0.5j * tangential_w
 
     def sides(a):
-        lhs = momentum(grid, scalar * a.psi, hbar) - scalar * a.p
+        lhs = momentum(grid, scalar * a.psi) - scalar * a.p
         return lhs, printed * a.psi, -printed * a.psi
 
     return sides
 
 
-def _sides_hforms(grid, hbar, mu):
-    return lambda a: (a.h_lb, a.h_mom)
-
-
-def _sides_quartics(grid, hbar, mu):
+def _sides_quartics(grid):
     """F_j and G_j against their printed simplifications, and [p_j, p^2]
     against F_j + G_j; EQ11 and EQ13 read the same tables."""
     c = _coefficients(grid)
     n = c["n"]
-    printed11 = -1j * hbar ** 3 * c["W"]
+    printed11 = -1j * c["W"]
     cubic = c["W"] - 2.0 * n * c["C4"] - n * c["n_iill"]
 
     def sides(a):
-        f_psi, g_psi = quartics(grid, a.psi, a.p, a.pp, hbar)
-        printed13 = (-2j * hbar) * (n * a.q + a.q_n) - 1j * hbar ** 3 * cubic * a.psi
+        f_psi, g_psi = quartics(grid, a.psi, a.p, a.pp)
+        printed13 = -2j * (n * a.q + a.q_n) - 1j * cubic * a.psi
         return (f_psi, printed11 * a.psi, g_psi, printed13,
-                momentum(grid, a.p2, hbar) - a.p2_p, f_psi + g_psi)
+                momentum(grid, a.p2) - a.p2_p, f_psi + g_psi)
 
     return sides
 
@@ -183,7 +187,7 @@ _BUILDERS = {
     "EQ3_MAIN": (_sides_eq3, ((0, 1),)),
     "EQ8_PP": (_sides_eq8, ((0, 1),)),
     "EQ10_SCALAR": (_sides_eq10, ((0, 1), (0, 2), (1, 2))),
-    "H_FORMS": (_sides_hforms, ((0, 1),)),
+    "H_FORMS": (lambda grid: lambda a: (a.h_lb, a.h_mom), ((0, 1),)),
 }
 _QUARTIC_TABLES = ("EQ11_F_SIMPL", "EQ13_G_SIMPL", "construction")
 
@@ -192,7 +196,7 @@ def _group(identity_id):
     return "QUARTICS" if identity_id in _QUARTIC_TABLES else identity_id
 
 
-def _pair_jobs(grid, groups, hbar, mu, seed):
+def _pair_jobs(grid, groups, seed):
     """The jobs of one grid's pass over its test states for the given groups,
     one per pair of states, in pair order.
 
@@ -202,7 +206,7 @@ def _pair_jobs(grid, groups, hbar, mu, seed):
     sides on each state, turns them into residual rows and drops them.
     The side builders and the states are made here, before any job runs.
     """
-    built = [(group, build(grid, hbar, mu), pairs)
+    built = [(group, build(grid), pairs)
              for group, (build, pairs) in _BUILDERS.items() if group in groups]
     sided = TEST_STATES if built else 0
     paired = 2 * HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
@@ -223,7 +227,7 @@ def _pair_jobs(grid, groups, hbar, mu, seed):
 
     def pair_job(k):
         out = {group: [] for group, _, _ in built}
-        pair = [StateActions(grid, psi, hbar, mu) for psi in states[k:k + 2]]
+        pair = [StateActions(grid, psi) for psi in states[k:k + 2]]
         if k < paired:
             out["HERMITICITY"] = pair_defect(
                 grid.weights, pair[0].psi, pair[1].psi,
@@ -254,7 +258,7 @@ def _merge_pairs(jobs):
     return out
 
 
-def _grid_passes(grids, groups, hbar, mu, seed):
+def _grid_passes(grids, groups, seed):
     """One pass over the test states of each grid for the given groups.
 
     The pair jobs of all the grids run on every CPU through one
@@ -266,7 +270,7 @@ def _grid_passes(grids, groups, hbar, mu, seed):
     the CPU count.
     """
     order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[0])
-    jobs = {k: _pair_jobs(grids[k], groups, hbar, mu, seed) for k in order}
+    jobs = {k: _pair_jobs(grids[k], groups, seed) for k in order}
     queue = [job for k in order for job in jobs[k]]
     # the items are indices into queue; closed on the way out, which shuts the pool down
     with contextlib.closing(ordered_map(lambda index: queue[index](),
@@ -282,7 +286,8 @@ def _check_request(grid_count, identities):
         raise ValueError("need a grid family of at least 3 sizes")
     unknown = sorted(set(identities) - set(IDENTITY_IDS))
     if unknown:
-        raise ValueError(f"unknown identities {unknown}; known: {', '.join(IDENTITY_IDS)}")
+        raise UnknownIdentityError(f"unknown identities {unknown}; "
+                                   f"known: {', '.join(IDENTITY_IDS)}")
 
 
 def _fit_slope(sizes, residuals):
@@ -292,8 +297,6 @@ def _fit_slope(sizes, residuals):
         return 0.0
     x = np.log(np.asarray(sizes, dtype=float))
     y = np.log(np.maximum(r, 1e-16))
-    if len(x) < 2:
-        return 0.0
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -310,11 +313,11 @@ def _judge(residuals, tol):
     return "inconclusive"
 
 
-def check_identity(grids, identity_id, hbar=1.0, mu=1.0, tol=1e-10, seed=0):
+def check_identity(grids, identity_id, tol=1e-10, seed=0):
     """Adjudicate one identity over a family of at least 3 grids, each
     grid's pass run for this identity alone."""
     _check_request(len(grids), [identity_id])
-    results = _grid_passes(grids, [_group(identity_id)], hbar, mu, seed)
+    results = _grid_passes(grids, [_group(identity_id)], seed)
     return _verdict(grids, identity_id, results, tol, seed)
 
 
@@ -372,42 +375,41 @@ def _verdict(grids, identity_id, results, tol, seed):
 
 
 ANCHOR_MODES = 10  # circle levels checked: m = -ANCHOR_MODES .. ANCHOR_MODES
+# the anchor numbers that are energies, in units hbar^2 / mu (the rest are ratios)
+DIMENSIONAL_ANCHORS = ("eigenvalue_defect", "eigenvalue_gap_defect", "geometric_potential")
 
 
-def circle_anchor_report(grid, hbar=1.0, mu=1.0, seed=0):
-    """Hard closed-form checks on the circle.
+def circle_anchor_report(grid, seed=0):
+    """Hard closed-form checks on the circle, in reduced units.
 
     Eigenvalues of H are compared against the closed-form spectrum
-    hbar^2 m^2 / (2 mu a^2) + V_G; the excitation gaps against
-    hbar^2 m^2 / (2 mu a^2); the p^2 action against
-    (-d^2_theta + 1/4) * hbar^2 / a^2; and n.p against multiplication by
-    -i hbar M / 2.
+    m^2 / (2 a^2) + V_G; the excitation gaps against m^2 / (2 a^2); the
+    p^2 action against (-d^2_theta + 1/4) / a^2; and n.p against
+    multiplication by -i M / 2.
     """
     if grid.kind != "circle":
         raise ValueError("anchors are defined on the circle grid")
     a = grid.params["a"]
-    vg = (hbar ** 2 / (4.0 * mu)) * float(grid.geo["vg_geom"][0])
+    vg = 0.25 * float(grid.geo["vg_geom"][0])
 
-    dense = LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu, "lb"), grid.shape).dense()
+    dense = LinOp(lambda psi: hamiltonian(grid, psi, "lb"), grid.shape).dense()
     dense = 0.5 * (dense + dense.conj().T)
     eigs = np.sort(np.linalg.eigvalsh(dense))
     ms = range(-ANCHOR_MODES, ANCHOR_MODES + 1)
-    expected = np.sort([hbar ** 2 * m ** 2 / (2.0 * mu * a ** 2) + vg for m in ms])
+    expected = np.sort([m ** 2 / (2.0 * a ** 2) + vg for m in ms])
     count = len(expected)
     eig_defect = float(np.max(np.abs(eigs[:count] - expected)))
-    gaps = eigs[:count] - eigs[0]
-    expected_gaps = expected - expected[0]
-    gap_defect = float(np.max(np.abs(gaps - expected_gaps)))
+    gap_defect = float(np.max(np.abs((eigs[:count] - eigs[0]) - (expected - expected[0]))))
 
     w = grid.weights
     p2_defects, ndotp_defects, hform_residuals = [], [], []
     for psi in random_band_states(grid, 6, seed):
-        acts = StateActions(grid, psi, hbar, mu)
+        acts = StateActions(grid, psi)
         d2_psi = fourier_derivative(fourier_derivative(psi, 0, 1), 0, 1)
-        closed = (hbar ** 2 / a ** 2) * (-d2_psi + 0.25 * psi)
+        closed = (1.0 / a ** 2) * (-d2_psi + 0.25 * psi)
         p2_defects.append(norm_w(w, acts.p2 - closed) / norm_w(w, closed))
         np_psi = np.sum(grid.geo["n"] * acts.p, axis=0)
-        closed_np = -1j * hbar * 0.5 * grid.geo["M"] * psi
+        closed_np = -0.5j * grid.geo["M"] * psi
         ndotp_defects.append(norm_w(w, np_psi - closed_np)
                              / max(norm_w(w, closed_np), 1e-300))
         hform_residuals.append(relative_residuals(w, acts.h_lb, acts.h_mom))
@@ -430,7 +432,8 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
 
     Returns a JSON-ready report with one verdict per identity id, circle
     anchors when applicable, and a list of hard failures (construction
-    -level properties that did not confirm).
+    -level properties that did not confirm).  hbar and mu are echoed and
+    scale the DIMENSIONAL_ANCHORS by hbar^2 / mu once they are gated.
     """
     if tol is None:
         tol = 1e-10 if kind == "circle" else 1e-8
@@ -438,7 +441,7 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     _check_request(len(sizes), identities)
     grids = [build_grid(kind, params, s) for s in sizes]
     groups = [_group(i) for i in identities]
-    results = _grid_passes(grids, groups, hbar, mu, seed)
+    results = _grid_passes(grids, groups, seed)
     verdicts = [_verdict(grids, ident, results, tol, seed) for ident in identities]
     report = {
         "surface": kind,
@@ -452,16 +455,15 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     hard = [v.identity for v in verdicts
             if v.identity in ("H_FORMS", "HERMITICITY") and v.verdict != "confirmed"]
     if kind == "circle":
-        anchors = circle_anchor_report(grids[min(1, len(grids) - 1)], hbar, mu)
-        report["anchors"] = anchors
+        anchors = circle_anchor_report(grids[min(1, len(grids) - 1)])
         bounds = {"eigenvalue_defect": 1e-10, "p_squared_defect": 1e-12,
                   "h_forms_residual": 1e-12, "n_dot_p_defect": 1e-12}
         if not all(anchors[key] <= bound for key, bound in bounds.items()):  # NaN fails
             hard.append("CIRCLE_ANCHORS")
+        scale = hbar * hbar / mu
+        report["anchors"] = {key: scale * value if key in DIMENSIONAL_ANCHORS else value
+                             for key, value in anchors.items()}
     report["hard_failures"] = hard
-    flags = []
-    for v in verdicts:
-        if v.identity == "EQ10_SCALAR":
-            flags.extend(v.notes)
-    report["flags"] = flags
+    report["flags"] = [note for v in verdicts if v.identity == "EQ10_SCALAR"
+                       for note in v.notes]
     return report

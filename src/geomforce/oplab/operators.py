@@ -1,9 +1,12 @@
 """Geometric momentum and Hamiltonian operators on surface grids.
 
+The operators are in reduced units (hbar = mu = 1): the physical p is
+hbar times p here and the physical H is hbar^2 / mu times H here.
+
 Three array functions carry the lab.  On a grid with N embedding
 dimensions, `gradient` returns the Cartesian surface gradient
 (grad_S)_i = sum_a g^{aa} (dx/du^a)_i d_a as an (N,)+shape stack,
-`momentum` the hermitian p_j = -i hbar ((grad_S)_j + M n_j / 2) as an
+`momentum` the hermitian p_j = -i ((grad_S)_j + M n_j / 2) as an
 (N,)+shape stack, and `divergence` contracts an (N, ...) stack A into
 sum_l p_l A_l.  All three accept leading axes and take one fft/ifft
 pair per parametric axis however many components they carry.  The
@@ -68,12 +71,12 @@ def _tangential(grid, x, nlead):
     return out
 
 
-def _apply(grid, x, nlead, hbar):
-    """-i hbar (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
+def _apply(grid, x, nlead):
+    """-i (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
     half_mn = _lift(_momentum_coefficients(grid)[-1], nlead)
     out = _tangential(grid, x, nlead)
     out += half_mn * x
-    return np.multiply(-1j * hbar, out, out=out)
+    return np.multiply(-1j, out, out=out)
 
 
 def gradient(grid, psi):
@@ -82,16 +85,16 @@ def gradient(grid, psi):
     return _tangential(grid, psi, psi.ndim - len(grid.shape))
 
 
-def momentum(grid, psi, hbar=1.0):
-    """p psi = -i hbar (grad_S psi + M n psi / 2) as an (N,)+psi.shape stack."""
+def momentum(grid, psi):
+    """p psi = -i (grad_S psi + M n psi / 2) as an (N,)+psi.shape stack."""
     psi = np.asarray(psi, dtype=complex)
-    return _apply(grid, psi, psi.ndim - len(grid.shape), hbar)
+    return _apply(grid, psi, psi.ndim - len(grid.shape))
 
 
-def divergence(grid, stack, hbar=1.0):
+def divergence(grid, stack):
     """sum_l p_l A_l for an (N,)+lead+shape stack A; returns lead+shape."""
     stack = np.asarray(stack, dtype=complex)
-    return _apply(grid, stack, stack.ndim - 1 - len(grid.shape), hbar).sum(axis=0)
+    return _apply(grid, stack, stack.ndim - 1 - len(grid.shape)).sum(axis=0)
 
 
 def laplace_beltrami(grid, psi):
@@ -104,41 +107,38 @@ def laplace_beltrami(grid, psi):
     return (1.0 / grid.sqrtg) * out
 
 
-def hamiltonian(grid, psi, hbar=1.0, mu=1.0, form="lb", p2_psi=None):
+def hamiltonian(grid, psi, form="lb", p2_psi=None):
     """Surface Hamiltonian applied to psi (leading axes allowed).
 
-    lb:       -(hbar^2 / 2 mu) lap_LB + V_G
-    momentum: sum_j p_j p_j / (2 mu) - (hbar^2 / 4 mu) S2; p2_psi, when
-              given, is sum_j p_j p_j psi =
-              divergence(grid, momentum(grid, psi, hbar), hbar) already
-              computed.
+    lb:       -lap_LB / 2 + vg_geom / 4
+    momentum: sum_j p_j p_j / 2 - S2 / 4; p2_psi, when given, is
+              sum_j p_j p_j psi = divergence(grid, momentum(grid, psi))
+              already computed.
     """
     psi = np.asarray(psi, dtype=complex)
     if form == "lb":
-        vg = (hbar ** 2 / (4.0 * mu)) * grid.geo["vg_geom"]
-        return (-(hbar ** 2) / (2.0 * mu)) * laplace_beltrami(grid, psi) + vg * psi
+        return -0.5 * laplace_beltrami(grid, psi) + (0.25 * grid.geo["vg_geom"]) * psi
     if form == "momentum":
         if p2_psi is None:
-            p2_psi = divergence(grid, momentum(grid, psi, hbar), hbar)
-        s2 = (hbar ** 2 / (4.0 * mu)) * grid.geo["S2"]
-        return (1.0 / (2.0 * mu)) * p2_psi - s2 * psi
+            p2_psi = divergence(grid, momentum(grid, psi))
+        return 0.5 * p2_psi - (0.25 * grid.geo["S2"]) * psi
     raise ValueError(f"unknown Hamiltonian form '{form}'")
 
 
-def centripetal(grid, psi, hbar=1.0, p_psi=None):
+def centripetal(grid, psi, p_psi=None):
     """Q psi = sum_{i,k} p_i n_{i,k} p_k psi (hermitian ordering)."""
     if p_psi is None:
-        p_psi = momentum(grid, psi, hbar)
+        p_psi = momentum(grid, psi)
     dn = grid.geo["dn"]
     dn = dn.reshape(dn.shape[:2] + (1,) * (p_psi.ndim - dn.ndim + 1) + dn.shape[2:])
-    return divergence(grid, np.einsum("ik...,k...->i...", dn, p_psi), hbar)
+    return divergence(grid, np.einsum("ik...,k...->i...", dn, p_psi))
 
 
-def quartics(grid, psi, p_psi, pp_psi, hbar=1.0):
+def quartics(grid, psi, p_psi, pp_psi):
     """F_j psi and G_j psi for one state, as two (N,)+shape stacks.
 
-    F_j = (i hbar / 2) Q[c] with c_{lk} = n_{j,l} n_k and
-    G_j = -(i hbar / 2) Q[c] with c_{lk} = n_j n_{k,l}, where
+    F_j = (i / 2) Q[c] with c_{lk} = n_{j,l} n_k and
+    G_j = -(i / 2) Q[c] with c_{lk} = n_j n_{k,l}, where
     Q[c] = sum_{l,k} {c p_l p_k + p_l c p_k + p_k c p_l + p_k p_l c}.
     p_psi = p psi and pp_psi[l, k] = p_l p_k psi are shared, and so are
     the innermost passes inner[j, k] = sum_l p_l (n_{j,l} n_k psi), which
@@ -147,17 +147,17 @@ def quartics(grid, psi, p_psi, pp_psi, hbar=1.0):
     """
     n, dn = grid.geo["n"], grid.geo["dn"]
     dn_t = np.swapaxes(dn, 0, 1)
-    inner = divergence(grid, dn_t[:, :, None] * n[None, None] * psi, hbar)
+    inner = divergence(grid, dn_t[:, :, None] * n[None, None] * psi)
     n_p = np.einsum("k...,k...->...", n, p_psi)
     f_p = np.einsum("jl...,l...->j...", dn, p_psi)
     f_psi = (np.einsum("jl...,k...,lk...->j...", dn, n, pp_psi)
              + divergence(grid, dn_t * n_p + n[:, None] * f_p[None]
-                          + np.swapaxes(inner, 0, 1), hbar))
+                          + np.swapaxes(inner, 0, 1)))
     dn_p = (np.einsum("km...,k...->m...", dn, p_psi)
             + np.einsum("mk...,k...->m...", dn, p_psi))
     g_psi = (n * np.einsum("kl...,lk...->...", dn, pp_psi)
-             + divergence(grid, dn_p[:, None] * n[None] + inner, hbar))
-    return (1j * hbar / 2.0) * f_psi, (-1j * hbar / 2.0) * g_psi
+             + divergence(grid, dn_p[:, None] * n[None] + inner))
+    return 0.5j * f_psi, -0.5j * g_psi
 
 
 class StateActions:
@@ -166,46 +166,46 @@ class StateActions:
     Each is computed the first time it is read and kept for the state.
     """
 
-    def __init__(self, grid, psi, hbar, mu):
-        self.grid, self.psi, self.hbar, self.mu = grid, psi, hbar, mu
+    def __init__(self, grid, psi):
+        self.grid, self.psi = grid, psi
 
     @cached_property
     def p(self):
         """p psi, an (N,)+shape stack."""
-        return momentum(self.grid, self.psi, self.hbar)
+        return momentum(self.grid, self.psi)
 
     @cached_property
     def pp(self):
         """pp[l, k] = p_l p_k psi."""
-        return momentum(self.grid, self.p, self.hbar)
+        return momentum(self.grid, self.p)
 
     @cached_property
     def p2(self):
         """p^2 psi = sum_l p_l p_l psi."""
-        return divergence(self.grid, self.p, self.hbar)
+        return divergence(self.grid, self.p)
 
     @cached_property
     def p2_p(self):
         """p^2 p_k psi, an (N,)+shape stack."""
-        return divergence(self.grid, self.pp, self.hbar)
+        return divergence(self.grid, self.pp)
 
     @cached_property
     def h_lb(self):
-        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "lb")
+        return hamiltonian(self.grid, self.psi, "lb")
 
     @cached_property
     def h_mom(self):
-        return hamiltonian(self.grid, self.psi, self.hbar, self.mu, "momentum", self.p2)
+        return hamiltonian(self.grid, self.psi, "momentum", self.p2)
 
     @cached_property
     def q(self):
         """Q psi, the centripetal quadratic."""
-        return centripetal(self.grid, self.psi, self.hbar, self.p)
+        return centripetal(self.grid, self.psi, self.p)
 
     @cached_property
     def q_n(self):
         """Q (n_j psi) for every component j."""
-        return centripetal(self.grid, self.grid.geo["n"] * self.psi, self.hbar)
+        return centripetal(self.grid, self.grid.geo["n"] * self.psi)
 
 
 # test space ---------------------------------------------------------------------

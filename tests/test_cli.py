@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from geomforce.cli import build_parser, main, parse_length, parse_mass
+from geomforce.reports import canonical_json
 
 
 def run_cli(args, capsys):
@@ -228,6 +229,46 @@ def test_verify_schema_and_exit_code(tmp_path):
     assert payload["anchors"]["eigenvalue_defect"] < 1e-10
 
 
+# hbar = 2^k and mu = 2^j scale every action by a power of two, so hbar^2 / mu
+# is exactly 2^(2k - j); 1e-100, 1e100 and 1e150 are accepted because only
+# hbar^2 / mu must be a normal float; then SI hbar with the electron mass
+UNIT_CHOICES = ([(2.0 ** k, 2.0 ** j) for k in (-40, -4, 0, 4, 40) for j in (-8, 0, 8)]
+                + [(1e-100, 1.0), (1e100, 1.0), (1e150, 1.0), (100.0, 1.0),
+                   (1.054571817e-34, 9.1093837e-31)])
+DIMENSIONAL_ANCHORS = ("eigenvalue_defect", "eigenvalue_gap_defect", "geometric_potential")
+
+
+def _unitless_report(tmp_path, surface, *flags):
+    """A verify report without the echoed hbar and mu and the anchors'
+    energies, as canonical JSON, and those energies."""
+    path = tmp_path / f"{surface}.json"
+    assert main(["verify", "--surface", surface, *VERIFY_SURFACES[surface],
+                 "--grids", "16,32,64", *flags, "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    del report["hbar"], report["mu"]
+    anchors = report.get("anchors", {})
+    energies = [anchors.pop(key) for key in DIMENSIONAL_ANCHORS if key in anchors]
+    return canonical_json(report), energies
+
+
+@pytest.fixture(scope="module")
+def reduced_reports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reduced")
+    return {surface: _unitless_report(tmp, surface) for surface in VERIFY_SURFACES}
+
+
+@pytest.mark.parametrize("surface", ["circle", "torus"])
+@pytest.mark.parametrize("hbar, mass", UNIT_CHOICES)
+def test_verify_reports_do_not_depend_on_the_units(surface, hbar, mass, reduced_reports,
+                                                   tmp_path):
+    report, energies = _unitless_report(tmp_path, surface,
+                                        "--hbar", repr(hbar), "--mass", repr(mass))
+    want, want_energies = reduced_reports[surface]
+    assert report == want
+    assert len(energies) == (3 if surface == "circle" else 0)
+    assert energies == [value * (hbar * hbar / mass) for value in want_energies]
+
+
 def test_verify_rejects_unsupported_surface(capsys):
     code, _, err = run_cli(["verify", "--surface", "sphere"], capsys)
     assert code == 1
@@ -346,6 +387,7 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
      "CliInputError"),
     # the meridian search reads no --starts, but the flag is still checked
     (["extrema", "--surface", "sphere", "--a", "1", "--starts", "0"], "CliInputError"),
+    (["verify", "--surface", "circle", "--identities", "EQ3"], "UnknownIdentityError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)
@@ -356,7 +398,7 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
 
 @pytest.mark.parametrize("args,flag", [
     (["verify", "--surface", "circle", "--hbar", "1e-200"], "--hbar"),  # hbar^2 is 0
-    (["verify", "--surface", "circle", "--hbar", "1e150"], "--hbar"),   # hbar^3 is inf
+    (["verify", "--surface", "circle", "--hbar", "1e155"], "--hbar"),   # hbar^2 is inf
     (["verify", "--surface", "circle", "--hbar", "inf"], "--hbar"),
     (["verify", "--surface", "circle", "--mass", "inf"], "--mass"),
     (["force", "--surface", "generic", "--curvature-scale", "0", "--mass", "1e-30"],
@@ -366,9 +408,6 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     (["force", "--surface", "generic", "--curvature-scale", "10nm", "--mass", "inf"],
      "--mass"),
     (["force", "--surface", "sphere", "--a", "1e-8m", "--mass", "inf"], "--mass"),
-    # the weighted norms square the actions: hbar^4 underflows, hbar^6 overflows
-    (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "1e-100"], "--hbar"),
-    (["verify", "--surface", "circle", "--grids", "16,32,64", "--hbar", "1e100"], "--hbar"),
 ])
 def test_out_of_range_physical_flag_is_named(args, flag, capsys):
     code, out, err = run_cli(args, capsys)
@@ -610,10 +649,10 @@ def test_no_child_outlives_a_failed_verify(cpus, monkeypatch, capsys):
         bad[:] = [states[4]]
         return states
 
-    def actions(grid, psi, hbar, mu):
+    def actions(grid, psi):
         if np.array_equal(psi, bad[0]):
             raise ValueError("internal bug in a pair job")
-        return original_actions(grid, psi, hbar, mu)
+        return original_actions(grid, psi)
 
     monkeypatch.setattr(identities, "random_band_states", band_states)
     monkeypatch.setattr(identities, "StateActions", actions)

@@ -90,11 +90,12 @@ def test_torus_splitting_tracks_energy():
     ("circle", {"a": 0.7}, 32),
 ])
 def test_states_match_dense_propagator(kind, params, size):
-    # non-square torus grids in both orders catch a mix-up of the axes
+    # non-square torus grids in both orders catch a mix-up of the axes;
+    # _states scales the reduced Hamiltonian by hbar^2 / mu itself
     hbar, mu, dt = 0.7, 1.3, 0.01
     grid = build_grid(kind, params, size)
     sqrt_w = np.sqrt(grid.weights.ravel())
-    h = LinOp(lambda psi: hamiltonian(grid, psi, hbar, mu), grid.shape).dense()
+    h = (hbar ** 2 / mu) * LinOp(lambda psi: hamiltonian(grid, psi), grid.shape).dense()
     sym = sqrt_w[:, None] * h / sqrt_w[None, :]
     energies, vecs = np.linalg.eigh(0.5 * (sym + sym.conj().T))
     rng = np.random.default_rng(3)

@@ -407,7 +407,7 @@ def test_momentum_stack_matches_componentwise_formula(torus32):
     c = torus32.grad_coefs
     half_mn = 0.5 * torus32.geo["M"] * torus32.geo["n"]
     for psi in random_band_states(torus32, 2, seed=8):
-        stack = momentum(torus32, psi, hbar=0.7)
+        stack = 0.7 * momentum(torus32, psi)  # the physical p at hbar = 0.7
         assert stack.shape == (3,) + torus32.shape
         for j in range(3):
             want = -0.7j * (c[j, 0] * fourier_derivative(psi, 0, 2)
@@ -429,8 +429,8 @@ def test_stack_operators_accept_leading_axes(torus32):
 def test_divergence_matches_single_component_momenta(torus32):
     fields = random_band_states(torus32, 3, seed=10)
     stack = np.stack(fields)
-    want = sum(momentum(torus32, fields[l], hbar=1.3)[l] for l in range(3))
-    got = divergence(torus32, stack, hbar=1.3)
+    want = sum(1.3 * momentum(torus32, fields[l])[l] for l in range(3))  # hbar = 1.3
+    got = 1.3 * divergence(torus32, stack)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
