@@ -4,9 +4,10 @@ Supported surfaces: circle(a) with angle theta, and torus(R, r) with
 tube angle theta and azimuth phi (node (i, j) sits at theta_i, phi_j).
 The nodes come from the catalog charts (surfaces.chart_points); the
 tangents and metric are written out here.
-Geometric coefficient fields (n, shape tensor and its derivatives, M,
-S2, lap M, ...) are pulled from the geometry module under the
-SignedDistance extension, where the catalog expressions are exact.
+Geometric coefficient fields come from geometry.curvature_fields under
+the SignedDistance extension (exact on the catalog), a geometry.BLOCK of
+nodes at a time; a grid keeps GEO_KEYS only: n, dn, M, S2, lapM, vg_geom,
+gradS2 and two d3n contractions, C4_j = n_k n_{il} n_{il,jk} and n_iill.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 
 from .. import geometry as geo
 from ..surfaces import builtin_surface, chart_points
+
+
+GEO_KEYS = ("n", "dn", "M", "S2", "lapM", "vg_geom", "gradS2", "C4", "n_iill")
 
 
 class UnsupportedSurfaceError(ValueError):
@@ -34,9 +38,10 @@ class ParamSurfaceGrid:
 
     Grid-function arrays have shape `shape`; embedded quantities carry
     leading component axes.  weights are the quadrature weights
-    sqrt(g) * du (positive; they sum to the surface area).  cache holds
-    per-grid constants shared between checks (test states, momentum
-    coefficients).
+    sqrt(g) * du (positive; they sum to the surface area).  geo maps
+    GEO_KEYS (n, dn, M, S2, lapM, vg_geom, gradS2, C4, n_iill) to their
+    fields.  cache holds per-grid constants shared between checks (test
+    states, momentum and identity coefficients).
     """
 
     kind: str
@@ -69,9 +74,19 @@ class ParamSurfaceGrid:
 
 
 def _geo_fields(spec, points_flat, shape):
-    fields = geo.curvature_fields(spec, points_flat, geo.ExtensionPolicy.SIGNED_DISTANCE)
-    return {key: value.reshape(value.shape[:-1] + shape)
-            for key, value in fields.items() if value is not None}  # error_bound is None
+    """GEO_KEYS at the flat points; no grid-wide d2n or d3n table is made."""
+    count = points_flat.shape[1]
+    for start in range(0, count, geo.BLOCK):
+        block = geo.curvature_fields(spec, points_flat[:, start:start + geo.BLOCK],
+                                     geo.ExtensionPolicy.SIGNED_DISTANCE)
+        block["C4"] = np.einsum("il...,iljk...,k...->j...", block["dn"], block["d3n"], block["n"])
+        block["n_iill"] = np.einsum("iill...->...", block["d3n"])
+        if not start:
+            kept = {key: np.empty(block[key].shape[:-1] + (count,)) for key in GEO_KEYS}
+        for key in GEO_KEYS:
+            kept[key][..., start:start + geo.BLOCK] = block[key]
+        del block  # before the next block's tables are made
+    return {key: value.reshape(value.shape[:-1] + shape) for key, value in kept.items()}
 
 
 def build_grid(kind, params, size):

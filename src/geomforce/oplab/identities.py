@@ -107,14 +107,14 @@ class IdentityVerdict:
 
 
 def _coefficients(grid):
-    g = grid.geo
-    n, dn, d3n = g["n"], g["dn"], g["d3n"]
-    w = 0.5 * g["gradS2"]  # W_j = n_{i,l} n_{i,l,j}
-    n_dot_w = np.einsum("k...,k...->...", n, w)
-    c4 = np.einsum("il...,iljk...,k...->j...", dn, d3n, n)  # n_k n_{il} n_{il,jk}
-    n_iill = np.einsum("iill...->...", d3n)
-    return {"n": n, "W": w, "n_dot_W": n_dot_w, "C4": c4, "n_iill": n_iill,
-            "S2": g["S2"]}
+    """The coefficient fields of EQ10 and the quartics, made once per grid."""
+    if "coefficients" not in grid.cache:
+        g = grid.geo
+        w = 0.5 * g["gradS2"]  # W_j = n_{i,l} n_{i,l,j}
+        grid.cache["coefficients"] = {
+            "n": g["n"], "W": w, "n_dot_W": np.einsum("k...,k...->...", g["n"], w),
+            "C4": g["C4"], "n_iill": g["n_iill"], "S2": g["S2"]}
+    return grid.cache["coefficients"]
 
 
 # Each builder returns sides(actions): the arrays one identity compares on
@@ -455,7 +455,7 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     hard = [v.identity for v in verdicts
             if v.identity in ("H_FORMS", "HERMITICITY") and v.verdict != "confirmed"]
     if kind == "circle":
-        anchors = circle_anchor_report(grids[min(1, len(grids) - 1)])
+        anchors = circle_anchor_report(grids[min(1, len(grids) - 1)], seed)
         bounds = {"eigenvalue_defect": 1e-10, "p_squared_defect": 1e-12,
                   "h_forms_residual": 1e-12, "n_dot_p_defect": 1e-12}
         if not all(anchors[key] <= bound for key, bound in bounds.items()):  # NaN fails

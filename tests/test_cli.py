@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from geomforce.cli import build_parser, main, parse_length, parse_mass
+from geomforce.oplab import build_grid
+from geomforce.oplab.identities import circle_anchor_report
 from geomforce.reports import canonical_json
 
 
@@ -227,6 +229,16 @@ def test_verify_schema_and_exit_code(tmp_path):
                    "EQ13_G_SIMPL", "H_FORMS", "HERMITICITY"}
     assert payload["hard_failures"] == []
     assert payload["anchors"]["eigenvalue_defect"] < 1e-10
+
+
+def test_verify_circle_anchors_read_the_seeded_states(tmp_path):
+    out = tmp_path / "seeded.json"
+    assert main(["verify", "--surface", "circle", "--a", "1", "--grids", "16,32,64",
+                 "--identities", "H_FORMS", "--seed", "41", "--out", str(out)]) == 0
+    anchors = json.loads(out.read_text())["anchors"]
+    grid = build_grid("circle", {"a": 1.0}, 32)  # the anchors' grid, the second
+    assert anchors == circle_anchor_report(grid, seed=41)
+    assert anchors != circle_anchor_report(grid, seed=0)
 
 
 # hbar = 2^k and mu = 2^j scale every action by a power of two, so hbar^2 / mu

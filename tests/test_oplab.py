@@ -1,9 +1,11 @@
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from geomforce import geometry
 from geomforce.oplab import (
     LinOp,
     build_grid,
@@ -16,7 +18,7 @@ from geomforce.oplab import (
     residual_on_testspace,
 )
 from geomforce.oplab import identities
-from geomforce.oplab.grid import UnsupportedSurfaceError
+from geomforce.oplab.grid import GEO_KEYS, UnsupportedSurfaceError
 from geomforce.oplab.identities import (
     IDENTITY_IDS,
     check_identity,
@@ -80,6 +82,37 @@ def test_torus_grid_coefficients_match_parametric_oracle(torus32):
     assert np.allclose(torus32.geo["M"][:, 0], -(h1 + h2), atol=1e-11)
     assert np.allclose(torus32.geo["lapM"][:, 0],
                        cf.torus_lap_sd(2.0, 1.0, th), atol=1e-10)
+
+
+def test_torus_grid_keeps_the_lab_fields_only():
+    """A 128 x 128 torus grid holds its kept fields (3.0e6 bytes) and one
+    block's tables at a time: a tracemalloc peak of 9.9e6 bytes, where
+    keeping the full-grid curvature_fields tables (d3n alone 10.6e6 bytes)
+    peaked at 34.4e6."""
+    tracemalloc.start()
+    try:
+        grid = build_grid("torus", {"R": 2, "r": 1}, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(grid.geo) == set(GEO_KEYS) == {
+        "n", "dn", "M", "S2", "lapM", "vg_geom", "gradS2", "C4", "n_iill"}
+    assert peak < 14e6
+
+
+@pytest.mark.parametrize("kind, params, size", [("circle", {"a": 1.0}, 64),
+                                                ("torus", {"R": 2.0, "r": 1.0}, 64)])
+def test_grid_fields_equal_one_full_batch_pass(kind, params, size):
+    """The fields made a block at a time equal, bit for bit, one
+    curvature_fields pass over all the nodes and its einsums (4 blocks on
+    the torus)."""
+    grid = build_grid(kind, params, size)
+    full = geometry.curvature_fields(grid.spec, grid.flat_points(),
+                                     geometry.ExtensionPolicy.SIGNED_DISTANCE)
+    full["C4"] = np.einsum("il...,iljk...,k...->j...", full["dn"], full["d3n"], full["n"])
+    full["n_iill"] = np.einsum("iill...->...", full["d3n"])
+    for key in GEO_KEYS:
+        assert np.array_equal(grid.geo[key], full[key].reshape(grid.geo[key].shape)), key
 
 
 # surface gradient ------------------------------------------------------------------
