@@ -12,6 +12,7 @@ leading dashes) can seed any flag; explicit flags take precedence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -26,7 +27,7 @@ from . import geometry as geo
 from . import jets
 from . import optim
 from .oplab import UnknownIdentityError, run_identity_suite
-from .reports import atomic_write, canonical_json, csv_rows, json_records, json_rows
+from .reports import atomic_file, atomic_write, canonical_json, csv_rows, json_records, json_rows
 from .surfaces import (
     CATALOG,
     InvalidParametersError,
@@ -250,11 +251,12 @@ def _cmd_classical(args):
     x0 = np.array(_numbers(args.x0, "--x0", count=spec.dimension))
     p0 = np.array(_numbers(args.p0, "--p0", count=spec.dimension))
     config = dyn.IntegratorConfig(dt=args.dt, steps=args.steps, mass=args.mass)
-    # with --trajectory, the CSV rows are formatted on the other CPUs as the loop runs
-    traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config,
-                         csv=bool(args.trajectory))
-    eq1 = dyn.force_residual(spec, traj)
-    eq2 = dyn.geodesic_form_residual(spec, traj)
+    # with --trajectory, the CSV rows are formatted on the other CPUs as the loop
+    # runs and written as they come; a failed step or residual leaves no file
+    with atomic_file(args.trajectory) if args.trajectory else contextlib.nullcontext() as csv:
+        traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config, csv=csv)
+        eq1 = dyn.force_residual(spec, traj)
+        eq2 = dyn.geodesic_form_residual(spec, traj)
     payload = {
         "surface": spec.name,
         "dt": args.dt,
@@ -267,7 +269,6 @@ def _cmd_classical(args):
         "geodesic_form": {"max": eq2.max, "rms": eq2.rms},
     }
     if args.trajectory:
-        atomic_write(args.trajectory, traj.to_csv())
         payload["trajectory_csv"] = args.trajectory
     _emit(args, payload)
     return 0

@@ -71,6 +71,12 @@ class IntegratorConfig:
             raise IntegratorInputError(f"mass must be positive and finite, got {self.mass}")
 
 
+def _csv_header(dimension):
+    """The column names of the trajectory CSV."""
+    return (["t"] + [f"{name}{i}" for name in "xp" for i in range(dimension)]
+            + ["energy", "f_residual", "tangency_residual"])
+
+
 @dataclass
 class Trajectory:
     ts: np.ndarray          # (K,)
@@ -81,19 +87,14 @@ class Trajectory:
     tangency_residual: np.ndarray  # (K,)
     mass: float
     dt: float
-    row_texts: list | None = field(default=None, repr=False, compare=False)  # integrate's CSV
     _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def to_csv(self):
-        """The trajectory CSV: the header, then the text of the row blocks
-        that integrate formatted while it ran, or else of the rows formatted
-        now (reports.csv_text)."""
-        header = (["t"] + [f"{name}{i}" for name in "xp" for i in range(self.xs.shape[1])]
-                  + ["energy", "f_residual", "tangency_residual"])
-        if self.row_texts is None:
-            return csv_text(header, np.column_stack([self.ts, self.xs, self.ps, self.energy,
-                                                     self.f_residual, self.tangency_residual]))
-        return "".join([",".join(header) + "\n", *self.row_texts])
+        """The trajectory CSV (reports.csv_text), as integrate writes it to its
+        csv handle."""
+        return csv_text(_csv_header(self.xs.shape[1]),
+                        np.column_stack([self.ts, self.xs, self.ps, self.energy,
+                                         self.f_residual, self.tangency_residual]))
 
 
 def _columns(states, mu):
@@ -114,7 +115,7 @@ def _csv_block(mu, width, states):
     return csv_rows(np.column_stack(_columns(np.frombuffer(states).reshape(-1, width), mu)))
 
 
-def integrate(spec, initial, config, csv=False):
+def integrate(spec, initial, config, csv=None):
     """Integrate free constrained motion; returns the stored trajectory.
 
     The initial state must satisfy the constraint and tangency
@@ -126,12 +127,14 @@ def integrate(spec, initial, config, csv=False):
     The step loop (_state_blocks) carries x, p and grad f as Python floats,
     one float run of the tape per Newton iterate, and appends each state's
     floats (t, x, p, f, grad f) to one flat array('d').  It yields each
-    ROW_BLOCK of finished rows, and integrate drains these blocks.  With
-    csv, it drains them through reports.ordered_map: each block's CSV rows
-    (energy and residuals included) are formatted on the other CPUs while
-    the loop goes on, and Trajectory.to_csv joins them.  The columns are
-    made once from the whole table, row by row as for a block, so the
-    bytes do not depend on the CPU count.
+    ROW_BLOCK of finished rows, and integrate drains these blocks.  Given
+    csv, an open text handle, it writes the trajectory CSV there, the text
+    Trajectory.to_csv makes: the header, then the CSV rows (energy and
+    residuals included) of each block, formatted through
+    reports.ordered_map on the other CPUs while the loop goes on and
+    written as they come, so that no text of the whole CSV is held.  The
+    columns are made once from the whole table, row by row as for a block,
+    so the bytes do not depend on the CPU count.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
@@ -145,13 +148,12 @@ def integrate(spec, initial, config, csv=False):
     t, width = float(initial.t), 2 + 3 * len(x)
     states = array("d", [t, *x, *p, f, *g])
     blocks = _state_blocks(spec.tape, x, p, g, t, config, states)
-    texts = None
-    if csv:
-        texts = list(ordered_map(functools.partial(_csv_block, mu, width), blocks))
-    else:
+    if csv is None:
         collections.deque(blocks, maxlen=0)
-    return Trajectory(*_columns(np.frombuffer(states).reshape(-1, width), mu),
-                      mass=mu, dt=dt, row_texts=texts)
+    else:
+        csv.write(",".join(_csv_header(len(x))) + "\n")
+        csv.writelines(ordered_map(functools.partial(_csv_block, mu, width), blocks))
+    return Trajectory(*_columns(np.frombuffer(states).reshape(-1, width), mu), mass=mu, dt=dt)
 
 
 def _state_blocks(tape, x, p, g, t, config, states):

@@ -2,8 +2,12 @@
 
 Reports must be byte-identical across runs with the same configuration
 and seed: dict insertion order is preserved, floats are printed with 17
-significant digits, and files are written atomically (temp file plus
-rename).
+significant digits, and files are written atomically: atomic_file opens a
+temp file beside the report, renames it to the report when its with block
+ends and removes it when the block raises, so that a failed command leaves
+neither.  atomic_write writes whole texts or chunks through it, and
+`classical --trajectory` holds it open while dynamics.integrate writes the
+CSV and the residuals run.
 
 Four kinds of work run on every CPU the process may run on, through
 ordered_map: the fields report (JSON or CSV), whose workers each compute and
@@ -15,12 +19,14 @@ the trajectory CSV of dynamics.integrate, whose workers format each block
 of states that the step loop, run by the parent, has finished.  The parent
 takes the items lazily and pickles each to a worker: row or sample starts,
 job indices, or a block of states made after the fork; fn is inherited.
-It joins the results in item order.  A block's text or a pair's rows do
-not depend on the process that made them, so the bytes do not depend on
-the CPU count.  The parent flushes its standard streams before it forks, so
-the flush a worker gives them as it leaves finds nothing of the parent's,
-and workers leave through os._exit, which runs no finaliser: they never
-flush another output handle they inherited, such as a report's temp file.
+It joins the results in item order, or writes them in that order as they
+come (the trajectory CSV, to the open temp file of atomic_file).  A block's
+text or a pair's rows do not depend on the process that made them, so the
+bytes do not depend on the CPU count.  The parent flushes its standard
+streams before it forks, so the flush a worker gives them as it leaves
+finds nothing of the parent's, and workers leave through os._exit, which
+runs no finaliser: they never flush another output handle they inherited,
+such as the trajectory's temp file, whose buffer may hold the CSV header.
 """
 
 from __future__ import annotations
@@ -265,19 +271,28 @@ def ordered_map(fn, items):
         pool.shutdown(cancel_futures=True)
 
 
-def atomic_write(path, text):
-    """Write text, a str (in slices of WRITE_SLICE characters) or str chunks,
-    to path via a temp file in the same directory."""
+@contextlib.contextmanager
+def atomic_file(path):
+    """An open text handle on a temp file in path's directory, renamed to path
+    when the with block ends and removed, leaving path as it was, when the
+    block raises: the one temp-file writer of the reports."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
-        chunks = text
-        if isinstance(text, str):  # in slices, so that no encoded copy of it all is held
-            chunks = (text[k:k + WRITE_SLICE] for k in range(0, len(text), WRITE_SLICE))
         with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path, text):
+    """Write text, a str (in slices of WRITE_SLICE characters) or str chunks,
+    to path through atomic_file."""
+    chunks = text
+    if isinstance(text, str):  # in slices, so that no encoded copy of it all is held
+        chunks = (text[k:k + WRITE_SLICE] for k in range(0, len(text), WRITE_SLICE))
+    with atomic_file(path) as handle:
+        handle.writelines(chunks)

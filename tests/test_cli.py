@@ -542,8 +542,8 @@ def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
     # the streamed text is the CSV of the same trajectory made without the stream
     spec = builtin_surface("circle", {"a": 1.0})
     init = dyn.TrajectoryState(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0)
-    traj = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=10000))
-    assert traj.row_texts is None and traj.to_csv().encode() == default["trajectory.csv"]
+    traj = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=10000), csv=None)
+    assert traj.to_csv().encode() == default["trajectory.csv"]
 
 
 def test_fields_without_samples_print_an_empty_csv(capsys):
@@ -587,6 +587,21 @@ def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp
     # on two or more CPUs, the first blocks had gone to workers
     assert (_children_cpu_s() > before) == (cpus == "default"
                                             and len(os.sched_getaffinity(0)) >= 2)
+
+
+@pytest.mark.parametrize("cpus", ["default", "one"])
+def test_a_failed_residual_leaves_no_trajectory_and_no_temp_file(cpus, monkeypatch, tmp_path,
+                                                                 capsys):
+    # the CSV of both states is written to the temp file before the residuals
+    # find too few states for central differences
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    path = tmp_path / "trajectory.csv"
+    argv = TORUS_CLASSICAL[:-1] + ["1", "--trajectory", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "TooFewStepsError"
+    assert not path.exists() and os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("failure,code", [(None, 0), ("NoConvergenceError", 2),

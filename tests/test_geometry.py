@@ -14,7 +14,7 @@ from geomforce.cli import main as cli_main
 from geomforce.expr import unparse
 from geomforce.geometry import ExtensionPolicy
 from geomforce.reports import csv_rows
-from geomforce.surfaces import builtin_surface, from_expression
+from geomforce.surfaces import builtin_surface, chart_points, from_expression
 
 import closed_forms as cf
 
@@ -74,6 +74,96 @@ def test_projection_failure_reports_iterations():
     assert (err.value.failed, err.value.total) == (1, 3)
     assert np.isnan(err.value.residual)
     assert "1 of 3 point(s), worst from [0.0, 0.0, 0.0]" in str(err.value)
+
+
+QUARTIC = "x^4 + y^4 + z^4 - 1"
+
+
+def _quartic_batch(far_columns, origin_columns=()):
+    """3 * BLOCK + 5 points of x^4 + y^4 + z^4 = 1: columns just outside it,
+    ones near radius 2.5 (where the projection cycles) at far_columns, and
+    the origin (grad f = 0, so NaN) at origin_columns."""
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, 3 * geo.BLOCK + 5))
+    points = 1.02 * u / np.sum(u ** 4, axis=0) ** 0.25
+    points[:, far_columns] = 2.5 * u[:, far_columns] / np.linalg.norm(u[:, far_columns], axis=0)
+    points[:, list(origin_columns)] = 0.0
+    return points
+
+
+def _no_convergence(spec, points, max_iter=100):
+    with pytest.raises(geo.NoConvergenceError) as err:
+        geo.project_to_surface(spec, points, max_iter=max_iter)
+    e = err.value
+    return e.iterations, e.residual, e.point, e.failed, e.total
+
+
+def test_one_error_for_failures_in_two_blocks(monkeypatch):
+    # failures in the first and the third of four blocks; the worst is the
+    # second failure of the third block
+    spec = from_expression(QUARTIC, 3)
+    far = [3, 7, 2 * geo.BLOCK + 6, 2 * geo.BLOCK + 8]
+    points = _quartic_batch(far)
+    got = _no_convergence(spec, points)
+    worst = []  # (|f|, input) of each column that fails on its own, in column order
+    for k in range(points.shape[1]):
+        try:
+            geo.project_to_surface(spec, points[:, k])
+        except geo.NoConvergenceError as alone:
+            worst.append((alone.residual, alone.point))
+    assert [w[1] for w in worst] == points[:, far].T.tolist()
+    residual, point = max(worst, key=lambda w: w[0])  # the first of the largest
+    assert point == points[:, far[3]].tolist()
+    assert got == (100, residual, point, len(far), 3 * geo.BLOCK + 5)
+    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
+    assert _no_convergence(spec, points) == got  # as one batch
+
+
+def test_a_nan_in_a_later_block_is_the_worst(monkeypatch):
+    # after 5 iterations the far columns of the first block still have a finite
+    # |f|; the origin in the third block has NaN, and NaN is the worst
+    spec = from_expression(QUARTIC, 3)
+    points = _quartic_batch([3, 40], origin_columns=[2 * geo.BLOCK + 9])
+    iterations, residual, point, failed, total = got = _no_convergence(spec, points, 5)
+    assert (iterations, point, total) == (5, [0.0, 0.0, 0.0], 3 * geo.BLOCK + 5)
+    assert np.isnan(residual) and failed >= 3
+    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
+    whole = _no_convergence(spec, points, 5)
+    assert np.isnan(whole[1]) and whole[:1] + whole[2:] == got[:1] + got[2:]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
+def test_sampled_points_are_their_columns_projected_alone(torus):
+    # random: three full blocks and one of 5 columns; each column's input is
+    # its chart draw moved along grad f by its offset, drawn whole
+    count = 3 * geo.BLOCK + 5
+    rng = np.random.default_rng(9)
+    draws = chart_points(torus, count=count, rng=rng)[1]
+    offset = rng.uniform(-0.05, 0.05, count) * torus.feature_scale()
+    inputs = draws + torus.grad_f(draws) * offset
+    points = geo.sample_points(torus, "random", count=count, seed=9)
+    alone = np.stack([geo.project_to_surface(torus, x) for x in inputs.T], axis=1)
+    assert _same_bits(points, alone)
+    # grid: 48 x 32 nodes, one full block and one of 512 columns
+    nodes = chart_points(torus, (48, 32))[1].reshape(3, -1)
+    points = geo.sample_points(torus, "grid", resolution=(48, 32))
+    alone = np.stack([geo.project_to_surface(torus, x) for x in nodes.T], axis=1)
+    assert nodes.shape[1] == geo.BLOCK + 512 and _same_bits(points, alone)
+
+
+def test_sample_points_hold_no_batch_wide_temporaries(torus):
+    # grad f and the projection over all 65,536 columns at once peak at
+    # 24.6e6 bytes; the draws, the offsets and the result take 3.7e6
+    tracemalloc.start()
+    try:
+        geo.sample_points(torus, "random", count=65536, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # normal tables ----------------------------------------------------------------
