@@ -37,7 +37,7 @@ from .geometry import (
     sample_field,
     si_force_magnitude,
 )
-from .optim import CriticalPoint, SearchConfig, classify_critical_point, find_critical_points
+from .optim import CriticalPoint, classify_critical_point, find_critical_points
 from .dynamics import IntegratorConfig, TrajectoryState, force_residual, geodesic_form_residual, integrate
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "curvature_sample", "si_force_magnitude",
     "project_to_surface", "sample_field",
     "NoConvergenceError",
-    "CriticalPoint", "SearchConfig", "find_critical_points", "classify_critical_point",
+    "CriticalPoint", "find_critical_points", "classify_critical_point",
     "TrajectoryState", "IntegratorConfig", "integrate",
     "force_residual", "geodesic_form_residual",
     "__version__",

@@ -232,8 +232,7 @@ def _cmd_extrema(args):
     if args.starts < 1:
         raise CliInputError("--starts must be >= 1")
     # checked and echoed, but the meridian search reads neither --starts nor --seed
-    config = optim.SearchConfig(starts=args.starts, seed=args.seed, tol=args.tol)
-    points = optim.find_critical_points(spec, args.field, policy, config)
+    points = optim.find_critical_points(spec, args.field, policy, tol=args.tol)
     payload = {
         "surface": spec.name,
         "params": {k: float(v) for k, v in spec.params.items()},

@@ -123,31 +123,32 @@ def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
 def split_identity_report(rel_tol=1e-9):
     """The normal/surface split of lap M on sphere, circle and torus.
 
-    Reports the as-printed residual lapM - lapLB - d_n(M^2/2 - S2) and
-    the sign-flipped variant; a surface confirms the printed split only
-    when the residual vanishes.
+    Reports the signed-distance as-printed residual lapM - lapLB - d_n(M^2/2
+    - S2) and the sign-flipped variant at each point; a surface confirms
+    the printed split only when the residual vanishes.
     """
     torus = builtin_surface("torus", {"R": 2.0, "r": 1.0})
-    cases = [
+    cases = [  # points as columns
         ("sphere", builtin_surface("sphere", {"a": 1.0}),
-         [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])]),
+         np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]).T),
         ("circle", builtin_surface("circle", {"a": 1.0}),
-         [np.array([1.0, 0.0]), np.array([np.cos(1.1), np.sin(1.1)])]),
-        ("torus", torus, list(chart_points(torus, (16, 1))[1][..., 0].T)),  # at phi = 0
+         np.array([[1.0, 0.0], [np.cos(1.1), np.sin(1.1)]]).T),
+        ("torus", torus, chart_points(torus, (16, 1))[1][..., 0]),  # at phi = 0
     ]
     out = {"surfaces": []}
     for name, spec, points in cases:
-        rows = []
-        for point in points:
-            rep = geo.split_report(spec, point)
-            rows.append({
-                "point": [float(v) for v in point],
-                "lapM": rep.lapM,
-                "lapLB_M": rep.lapLB_M,
-                "normal_term": rep.normal_term,
-                "residual": rep.residual,
-                "residual_flipped": rep.residual_flipped,
-            })
+        fields = geo.curvature_fields(spec, points, ExtensionPolicy.SIGNED_DISTANCE)
+        n, lap_m, lap_lb = fields["n"], fields["lapM"], fields["lapLB_M"]
+        v = fields["M"] * fields["gradM"] - fields["gradS2"]
+        normal = sum(n[i] * v[i] for i in range(spec.dimension))  # d_n(M^2/2 - S2)
+        rows = [{
+            "point": points[:, j].tolist(),
+            "lapM": float(lap_m[j]),
+            "lapLB_M": float(lap_lb[j]),
+            "normal_term": float(normal[j]),
+            "residual": float(lap_m[j] - lap_lb[j] - normal[j]),
+            "residual_flipped": float(lap_m[j] - lap_lb[j] + normal[j]),
+        } for j in range(points.shape[1])]
         worst = max(abs(r["residual"]) for r in rows)
         worst_flipped = max(abs(r["residual_flipped"]) for r in rows)
         scale = max(max(abs(r["lapM"]) for r in rows), 1.0)

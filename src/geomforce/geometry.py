@@ -381,35 +381,6 @@ def curvature_sample(spec, point, policy=ExtensionPolicy.SIGNED_DISTANCE):
         for key in SAMPLE_KEYS})
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """Decomposition lap M = lap_LB M (+/-) d_n (M^2/2 - S2), both signs."""
-
-    lapM: float
-    lapLB_M: float
-    normal_term: float
-    residual: float          # lapM - lapLB_M - normal_term, as printed
-    residual_flipped: float  # lapM - lapLB_M + normal_term
-
-
-def split_report(spec, point):
-    """The split of signed-distance lap M at one surface point."""
-    point = np.asarray(point, dtype=float)
-    fields = curvature_fields(spec, point[:, None], ExtensionPolicy.SIGNED_DISTANCE)
-    lap_m = float(fields["lapM"][0])
-    lap_lb = float(fields["lapLB_M"][0])
-    m = float(fields["M"][0])
-    n = fields["n"][:, 0]
-    normal_term = float(n @ (m * fields["gradM"][:, 0] - fields["gradS2"][:, 0]))
-    return SplitReport(
-        lapM=lap_m,
-        lapLB_M=lap_lb,
-        normal_term=normal_term,
-        residual=lap_m - lap_lb - normal_term,
-        residual_flipped=lap_m - lap_lb + normal_term,
-    )
-
-
 # SI force estimate ------------------------------------------------------------
 
 

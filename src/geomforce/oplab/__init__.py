@@ -4,7 +4,7 @@ Discretizes the geometric momentum and Hamiltonian on the circle (R^2)
 and torus (R^3) with Fourier-spectral accuracy, and adjudicates operator
 identities numerically across grid refinements.  Operators are array
 functions of a grid and a state (gradient, momentum, divergence,
-hamiltonian) in units hbar = mu = 1; LinOp only materializes one densely.
+hamiltonian) in units hbar = mu = 1; LinOp gives a map's per-mode blocks.
 """
 
 from .grid import ParamSurfaceGrid, build_grid

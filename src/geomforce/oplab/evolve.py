@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from ..reports import csv_text
-from .linops import inner, norm_w
+from .linops import LinOp, inner, norm_w
 from .operators import StateActions, hamiltonian, quartics
 
 
@@ -149,23 +149,14 @@ def evolve_wavepacket(grid, packet, dt, steps, hbar=1.0, mu=1.0, record_every=1)
 def _states(grid, psi, dt, steps, record_every, hbar, mu):
     """psi at every recorded step, exact in each Fourier mode of the last axis.
 
-    H's coefficients do not depend on the last grid axis, so H maps
-    u(rest) exp(i m u_last) to (H_m u)(rest) exp(i m u_last): one block
-    H_m per mode (1x1 on the circle, n_theta x n_theta on the torus).
-    H applied to a delta at rest-node j and last-node 0, transformed
-    along the last axis, is column j of every H_m.  The weight depends
-    on the rest axes only, so sqrt(w) H_m / sqrt(w) is hermitian; one
+    H's coefficients do not depend on the last grid axis, so H has one
+    block H_m per Fourier mode of that axis (LinOp.mode_blocks: 1x1 on
+    the circle, n_theta x n_theta on the torus).  The weight depends on
+    the rest axes only, so sqrt(w) H_m / sqrt(w) is hermitian; one
     batched eigh diagonalizes all modes.
     """
-    *rest, nlast = grid.shape
-    dim = int(np.prod(rest))
-    blocks = np.empty((nlast, dim, dim), dtype=complex)
-    delta = np.zeros((dim, nlast), dtype=complex)
-    for j in range(dim):
-        delta[j, 0] = 1.0
-        h_col = hamiltonian(grid, delta.reshape(grid.shape)).reshape(dim, nlast)
-        blocks[:, :, j] = np.fft.fft(h_col, axis=1).T
-        delta[j, 0] = 0.0
+    blocks = LinOp(lambda psi: hamiltonian(grid, psi), grid.shape).mode_blocks()
+    nlast, dim, _ = blocks.shape
     sqrt_w = np.sqrt(grid.weights.reshape(dim, nlast)[:, 0])
     blocks *= sqrt_w[:, None]
     blocks /= sqrt_w

@@ -382,24 +382,25 @@ DIMENSIONAL_ANCHORS = ("eigenvalue_defect", "eigenvalue_gap_defect", "geometric_
 def circle_anchor_report(grid, seed=0):
     """Hard closed-form checks on the circle, in reduced units.
 
-    Eigenvalues of H are compared against the closed-form spectrum
-    m^2 / (2 a^2) + V_G; the excitation gaps against m^2 / (2 a^2); the
-    p^2 action against (-d^2_theta + 1/4) / a^2; and n.p against
+    H is diagonal in the Fourier modes, so its mode-m eigenvalue E_m is
+    the mode's 1x1 block (LinOp.mode_blocks, one application of H); E_m
+    is compared with the closed-form m^2 / (2 a^2) + V_G and the gap
+    E_m - E_0 with m^2 / (2 a^2), for |m| <= ANCHOR_MODES.  The p^2
+    action is compared against (-d^2_theta + 1/4) / a^2, and n.p against
     multiplication by -i M / 2.
     """
     if grid.kind != "circle":
         raise ValueError("anchors are defined on the circle grid")
+    if grid.size <= 2 * ANCHOR_MODES:
+        raise ValueError(f"the anchors need more than {2 * ANCHOR_MODES} circle nodes")
     a = grid.params["a"]
     vg = 0.25 * float(grid.geo["vg_geom"][0])
 
-    dense = LinOp(lambda psi: hamiltonian(grid, psi, "lb"), grid.shape).dense()
-    dense = 0.5 * (dense + dense.conj().T)
-    eigs = np.sort(np.linalg.eigvalsh(dense))
-    ms = range(-ANCHOR_MODES, ANCHOR_MODES + 1)
-    expected = np.sort([m ** 2 / (2.0 * a ** 2) + vg for m in ms])
-    count = len(expected)
-    eig_defect = float(np.max(np.abs(eigs[:count] - expected)))
-    gap_defect = float(np.max(np.abs((eigs[:count] - eigs[0]) - (expected - expected[0]))))
+    ms = np.arange(-ANCHOR_MODES, ANCHOR_MODES + 1)
+    energies = LinOp(lambda psi: hamiltonian(grid, psi, "lb"), grid.shape).mode_blocks()[ms, 0, 0]
+    kinetic = ms ** 2 / (2.0 * a ** 2)
+    eig_defect = float(np.max(np.abs(energies - (kinetic + vg))))
+    gap_defect = float(np.max(np.abs(energies - energies[ANCHOR_MODES] - kinetic)))
 
     w = grid.weights
     p2_defects, ndotp_defects, hform_residuals = [], [], []

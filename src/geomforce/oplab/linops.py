@@ -1,21 +1,18 @@
-"""Fourier differentiation, weighted inner products and dense matrices.
+"""Fourier differentiation, weighted inner products and per-mode blocks.
 
 Grid functions are arrays whose trailing axes are the periodic grid
 axes; any leading axes (components, states) ride along, so one FFT pass
 differentiates a whole stack.  That pass is an in-place pair: the
 spectrum np.fft.fft returns is multiplied by i k and inverted by
 np.fft.ifft into its own memory, so a derivative allocates one array,
-not three.  LinOp wraps an array function of one grid function so it
-can be materialized as a dense matrix, which is allowed up to 4096 grid
-dimensions (eigen-decompositions stay on the circle and on the torus
-tube angle).
+not three.  LinOp wraps an array function of one grid function; for a
+map whose coefficients do not depend on the last grid axis it gives the
+map's block in each Fourier mode of that axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-DENSE_LIMIT = 4096
 
 
 class LinOp:
@@ -28,18 +25,27 @@ class LinOp:
     def __call__(self, psi):
         return self._apply(np.asarray(psi, dtype=complex))
 
-    def dense(self):
-        """Materialize by applying to the coordinate basis."""
-        dim = int(np.prod(self.shape))
-        if dim > DENSE_LIMIT:
-            raise ValueError(f"grid dimension {dim} exceeds dense limit {DENSE_LIMIT}")
-        cols = np.empty((dim, dim), dtype=complex)
-        basis = np.zeros(dim, dtype=complex)
+    def mode_blocks(self):
+        """The (nlast, dim, dim) blocks of the map, one per last-axis mode.
+
+        Valid only for a map whose coefficients do not depend on the last
+        grid axis, as the Hamiltonian's on the circle and the torus (not a
+        Cartesian p_j, whose coefficients turn with the azimuth).  It maps
+        u(rest) exp(i m u_last) to (A_m u)(rest) exp(i m u_last), and
+        blocks[m] = A_m, m in np.fft order.  Its image of a delta at rest
+        node j and last node 0, transformed along the last axis, is column
+        j of every A_m: one application per rest node, one on the circle.
+        """
+        *rest, nlast = self.shape
+        dim = int(np.prod(rest))
+        blocks = np.empty((nlast, dim, dim), dtype=complex)
+        delta = np.zeros((dim, nlast), dtype=complex)
         for j in range(dim):
-            basis[j] = 1.0
-            cols[:, j] = self(basis.reshape(self.shape)).ravel()
-            basis[j] = 0.0
-        return cols
+            delta[j, 0] = 1.0
+            col = self(delta.reshape(self.shape)).reshape(dim, nlast)
+            blocks[:, :, j] = np.fft.fft(col, axis=1).T
+            delta[j, 0] = 0.0
+        return blocks
 
 
 def fourier_derivative(psi, axis, ndim):

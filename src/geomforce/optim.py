@@ -14,7 +14,8 @@ refined together by Brent's method (Brent 1973, ch. 4).  One degree-2
 field_derivatives call at the roots gives each record's value and, from
 the exact Riemannian Hessian, a pole's class; a root off the axis is a
 degenerate-orbit circle.  Each record is one critical set, so its
-multiplicity is 1, and no record depends on SearchConfig's starts or seed.
+multiplicity is 1; the search draws nothing at random, and its one setting
+is tol.
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ class CriticalPoint:
             "multiplicity": self.multiplicity,
             "orbit": self.orbit,
         }
-
-
-@dataclass
-class SearchConfig:
-    """tol bounds |g_tan| at a record; starts and seed are accepted, not read."""
-
-    starts: int = 24
-    seed: int = 0
-    tol: float = 1e-8
 
 
 def _brent(slope, x0, x1, f0, f1):
@@ -152,23 +144,22 @@ def classify_critical_point(spec, point, field, policy):
 
 
 def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED,
-                         config=None):
+                         tol=1e-8):
     """Critical sets of a curvature field on a catalog surface, one record each.
 
     field is one of 'lapM', 'vg_geom', 'M'.  A field constant on the
     meridian nodes short-circuits to a single whole-surface
-    degenerate-orbit record.  A root whose |g_tan| is not below config.tol
-    gives no record; NoCriticalPointFoundError when none is left.
+    degenerate-orbit record.  A root whose |g_tan| is not below tol gives
+    no record; NoCriticalPointFoundError when none is left.
     """
     if field not in geo.FIELD_NAMES:
         raise ValueError(f"field must be one of {geo.FIELD_NAMES}")
-    cfg = config or SearchConfig()
     u, points = _meridian(spec)
     x = points(u[:MERIDIAN_SAMPLES])
     values, g_tan, n, _ = geo.field_derivatives(spec, x, policy, field)
     span = float(values.max() - values.min())
     if (span < 1e-10 * (1.0 + float(np.abs(values).max()))
-            and np.all(np.linalg.norm(g_tan, axis=0) < cfg.tol)):
+            and np.all(np.linalg.norm(g_tan, axis=0) < tol)):
         return [CriticalPoint(location=x[:, 0], value=float(values[0]),
                               classification="degenerate-orbit", grad_norm=0.0,
                               orbit="entire surface (constant field)")]
@@ -189,7 +180,7 @@ def find_critical_points(spec, field, policy=ExtensionPolicy.GRADIENT_NORMALIZED
     z_floor = Z_FLOOR * spec.feature_scale()
     records = []
     for j, label in enumerate(_labels(n, hs)):
-        if not gnorm[j] < cfg.tol:
+        if not gnorm[j] < tol:
             continue
         rec = CriticalPoint(location=x[:, j], value=float(values[j]),
                             classification=label, grad_norm=float(gnorm[j]))

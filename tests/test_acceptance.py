@@ -90,15 +90,13 @@ def test_criterion_4_spheroid_extrema():
     with criterion(4, "spheroid extrema: prolate poles, oblate equator orbit, "
                       "values recorded under both policies", 30.0):
         prolate = builtin_surface("spheroid", {"a": 1.0, "b": 2.0})
-        points = optim.find_critical_points(
-            prolate, "lapM", GN, optim.SearchConfig(starts=24, seed=0))
+        points = optim.find_critical_points(prolate, "lapM", GN)
         locs = np.array([p.location for p in points])
         for pole in ([0.0, 0.0, 2.0], [0.0, 0.0, -2.0]):
             assert np.linalg.norm(locs - pole, axis=1).min() < 1e-6
 
         oblate = builtin_surface("spheroid", {"a": 2.0, "b": 1.0})
-        points = optim.find_critical_points(
-            oblate, "lapM", GN, optim.SearchConfig(starts=24, seed=0))
+        points = optim.find_critical_points(oblate, "lapM", GN)
         equator = [p for p in points
                    if abs(p.location[2]) < 1e-6
                    and abs(np.hypot(*p.location[:2]) - 2.0) < 1e-6]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomforce.oplab import LinOp, build_grid, evolve_wavepacket, hamiltonian, hbar_scaling_slopes
+from geomforce.oplab import build_grid, evolve_wavepacket, hamiltonian, hbar_scaling_slopes
 from geomforce.oplab.evolve import WavePacket, _states
 
 TORUS_PACKET = WavePacket(center=(np.pi / 2, 0.3), sigma=0.45,
@@ -95,7 +95,10 @@ def test_states_match_dense_propagator(kind, params, size):
     hbar, mu, dt = 0.7, 1.3, 0.01
     grid = build_grid(kind, params, size)
     sqrt_w = np.sqrt(grid.weights.ravel())
-    h = (hbar ** 2 / mu) * LinOp(lambda psi: hamiltonian(grid, psi), grid.shape).dense()
+    # the operators batch over a leading axis: H applied to every basis vector
+    dim = grid.size
+    basis = np.eye(dim).reshape((dim,) + grid.shape)
+    h = (hbar ** 2 / mu) * hamiltonian(grid, basis).reshape(dim, dim).T
     sym = sqrt_w[:, None] * h / sqrt_w[None, :]
     energies, vecs = np.linalg.eigh(0.5 * (sym + sym.conj().T))
     rng = np.random.default_rng(3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomforce import findings
+from geomforce.surfaces import builtin_surface, chart_points
 
 import closed_forms as cf
 
@@ -58,3 +59,31 @@ def test_split_identity_report_statuses():
     assert by_name["torus"]["status"] == "finding"
     assert by_name["torus"]["max_abs_residual_flipped"] < 1e-9
     assert "sign" in by_name["torus"]["note"]
+
+
+@pytest.fixture(scope="module")
+def split_rows():
+    return {s["surface"]: s["rows"] for s in findings.split_identity_report()["surfaces"]}
+
+
+def test_split_residual_sphere_vanishes(split_rows):
+    for row in split_rows["sphere"]:
+        assert abs(row["residual"]) < 1e-10
+
+
+def test_split_residual_circle_is_minus_two(split_rows):
+    row = split_rows["circle"][0]
+    assert row["point"] == [1.0, 0.0]
+    assert row["lapM"] == pytest.approx(-1.0, abs=1e-11)
+    assert row["lapLB_M"] == pytest.approx(0.0, abs=1e-11)
+    assert row["normal_term"] == pytest.approx(1.0, abs=1e-11)
+    assert row["residual"] == pytest.approx(-2.0, abs=1e-10)
+    assert row["residual_flipped"] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_split_residual_torus_matches_oracle(split_rows):
+    (theta, _), _ = chart_points(builtin_surface("torus", {"R": 2.0, "r": 1.0}), (16, 1))
+    assert len(split_rows["torus"]) == theta.size == 16
+    for t, row in zip(theta, split_rows["torus"]):
+        assert row["residual"] == pytest.approx(cf.torus_split_residual(2.0, 1.0, t), abs=1e-9)
+        assert row["residual_flipped"] == pytest.approx(0.0, abs=1e-9)

@@ -321,30 +321,6 @@ def test_vg_equals_minus_half_squared_curvature_difference(torus):
                                                  abs=1e-9)
 
 
-# split identity ------------------------------------------------------------------
-
-
-def test_split_residual_sphere_vanishes(sphere):
-    assert abs(geo.split_report(sphere, np.array([0.0, 0.0, 1.0])).residual) < 1e-10
-
-
-def test_split_residual_circle_is_minus_two(circle):
-    rep = geo.split_report(circle, np.array([1.0, 0.0]))
-    assert rep.lapM == pytest.approx(-1.0, abs=1e-11)
-    assert rep.lapLB_M == pytest.approx(0.0, abs=1e-11)
-    assert rep.normal_term == pytest.approx(1.0, abs=1e-11)
-    assert rep.residual == pytest.approx(-2.0, abs=1e-10)
-    assert rep.residual_flipped == pytest.approx(0.0, abs=1e-10)
-
-
-def test_split_residual_torus_matches_oracle(torus):
-    for theta in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-        rep = geo.split_report(torus, torus_point(theta))
-        assert rep.residual == pytest.approx(
-            cf.torus_split_residual(2.0, 1.0, theta), abs=1e-9)
-        assert rep.residual_flipped == pytest.approx(0.0, abs=1e-9)
-
-
 # physical scale / force -----------------------------------------------------------
 
 

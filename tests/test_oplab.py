@@ -188,6 +188,27 @@ def test_circle_hamiltonian_spectrum_closed_form(circle64):
     assert report["h_forms_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("size", [32, 64])
+def test_anchor_eigenvalue_defect_scales_with_the_length_unit(size):
+    # a = 2^k scales every energy by 4^-k exactly, so the defect in units of
+    # eps E_max is the same at every k: E_m is read mode by mode, with no
+    # eigensolver or pairing to add k-dependent roundoff
+    eps = np.finfo(float).eps
+    ratios = set()
+    for k in (-6, 0, 6):
+        a = 2.0 ** k
+        report = circle_anchor_report(build_grid("circle", {"a": a}, size))
+        ratios.add(report["eigenvalue_defect"]
+                   / (eps * identities.ANCHOR_MODES ** 2 / (2.0 * a ** 2)))
+    assert len(ratios) == 1
+    assert ratios.pop() <= 12
+
+
+def test_anchors_refuse_a_grid_that_aliases_their_modes():
+    with pytest.raises(ValueError, match="circle nodes"):
+        circle_anchor_report(build_grid("circle", {"a": 1.0}, 16))
+
+
 def test_nan_anchor_defects_reach_the_report(monkeypatch):
     grid = build_grid("circle", {"a": 1.0}, 32)
     grid.geo["M"] = np.where(np.arange(32) == 3, np.nan, grid.geo["M"])
@@ -253,14 +274,22 @@ def test_operators_are_linear(torus32):
     assert norm_w(torus32.weights, lhs - rhs) < 1e-12
 
 
-def test_dense_materialization_limits(circle64, torus32):
-    p = LinOp(lambda psi: momentum(circle64, psi)[0], circle64.shape)
-    dense = p.dense()
-    psi = random_band_states(circle64, 1, seed=6)[0]
-    assert np.allclose(dense @ psi, p(psi), atol=1e-12)
-    big = build_grid("torus", {"R": 2.0, "r": 1.0}, (128, 128))
-    with pytest.raises(ValueError):
-        LinOp(lambda psi: hamiltonian(big, psi), big.shape).dense()
+@pytest.mark.parametrize("kind, params, size", [
+    ("circle", {"a": 1.0}, 64),
+    ("torus", {"R": 2.0, "r": 1.0}, (16, 32)),
+], ids=["circle64", "torus16x32"])
+def test_mode_blocks_reproduce_the_operator(kind, params, size):
+    # applied mode by mode, the blocks are the operator: its coefficients do
+    # not depend on the last axis
+    grid = build_grid(kind, params, size)
+    h = LinOp(lambda psi: hamiltonian(grid, psi, "momentum"), grid.shape)
+    blocks = h.mode_blocks()
+    nlast, dim, _ = blocks.shape
+    for psi in random_band_states(grid, 3, seed=6):
+        spectrum = np.fft.fft(psi.reshape(dim, nlast), axis=1)
+        applied = np.einsum("mij,jm->im", blocks, spectrum)
+        got = np.fft.ifft(applied, axis=1).reshape(grid.shape)
+        assert np.allclose(got, h(psi), rtol=0.0, atol=1e-12)
 
 
 # test-space residuals ----------------------------------------------------------------
