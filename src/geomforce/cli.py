@@ -287,9 +287,10 @@ def _cmd_verify(args):
         raise CliInputError(f"--hbar {hbar} and --mass {mu} must be positive, "
                             f"with hbar^2 / mu a normal float")
     sizes = _numbers(args.grids, "--grids", int)
-    if len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes):
-        raise CliInputError(f"--grids needs at least 3 powers of two >= 16, "
-                            f"got {args.grids}")
+    if (len(sizes) < 3 or any(s < 16 or s & (s - 1) for s in sizes)
+            or any(a >= b for a, b in zip(sizes, sizes[1:]))):
+        raise CliInputError(f"--grids needs at least 3 powers of two >= 16 in "
+                            f"increasing order, got {args.grids}")
     identities = args.identities.split(",") if args.identities else None
     report = run_identity_suite(args.surface, params, sizes, hbar=hbar,
                                 mu=mu, tol=args.tol,

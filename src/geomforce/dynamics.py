@@ -87,7 +87,7 @@ class Trajectory:
     tangency_residual: np.ndarray  # (K,)
     mass: float
     dt: float
-    _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _norms: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def to_csv(self):
         """The trajectory CSV (reports.csv_text), as integrate writes it to its
@@ -131,10 +131,13 @@ def integrate(spec, initial, config, csv=None):
     csv, an open text handle, it writes the trajectory CSV there, the text
     Trajectory.to_csv makes: the header, then the CSV rows (energy and
     residuals included) of each block, formatted through
-    reports.ordered_map on the other CPUs while the loop goes on and
-    written as they come, so that no text of the whole CSV is held.  The
-    columns are made once from the whole table, row by row as for a block,
-    so the bytes do not depend on the CPU count.
+    reports.ordered_map on the other CPUs while the loop goes on.  After
+    the loop hands over each block, the texts that are done are written,
+    and a block made while reports.IN_FLIGHT blocks per worker wait first
+    waits for the oldest: the parent holds a window of block texts, never
+    the whole CSV.  The columns are made
+    once from the whole table, row by row as for a block, so the bytes do
+    not depend on the CPU count.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
@@ -238,30 +241,57 @@ class ResidualSeries:
     extra: np.ndarray | None = None  # per-step curvature for the geodesic form
 
 
-def _interior_tables(spec, traj):
-    """Signed-distance n and dn at the interior states, kept on traj for
-    both residuals."""
-    if traj._tables[0] is not spec:
-        traj._tables = (spec, *geo._tables_batch(
-            spec, traj.xs[1:-1].T, ExtensionPolicy.SIGNED_DISTANCE, 1)[:2])
-    return traj._tables[1:]
+def _residual_norms(spec, traj):
+    """(force norms, geodesic norms, kappa_n, stopped) at the interior states,
+    kept on traj for both residuals; stopped is whether any speed there is
+    below 1e-300.
+
+    One pass over the interior states, one geometry.BLOCK at a time: each
+    block's signed-distance n and dn come from one _tables_batch call and
+    serve both series, and only the per-step results are kept.  Every value
+    depends on its row only, so the series are bitwise those of the whole
+    table at once.
+    """
+    if traj._norms[0] is spec:
+        return traj._norms[1:]
+    mu, dt, ps = traj.mass, traj.dt, traj.ps
+    count = len(traj.ts) - 2
+    force, geodesic, kappa_n = (np.empty(count) for _ in range(3))
+    stopped = False
+    for start in range(0, count, geo.BLOCK):
+        rows = slice(start, min(start + geo.BLOCK, count))
+        mid = slice(rows.start + 1, rows.stop + 1)
+        n, dn = geo._tables_batch(spec, traj.xs[mid].T, ExtensionPolicy.SIGNED_DISTANCE, 1)[:2]
+        # the force law on p
+        dpdt = (ps[rows.start + 2:rows.stop + 2] - ps[rows]) / (2.0 * dt)
+        p_mid = ps[mid]
+        quad = np.einsum("ki,ijk,kj->k", p_mid, dn, p_mid)  # p . grad n . p per step
+        force[rows] = np.linalg.norm(dpdt + (n * quad).T / mu, axis=1)
+        # the geodesic form on v = p / mu
+        vs = ps[rows.start:rows.stop + 2] / mu
+        speed = np.linalg.norm(vs[1:-1], axis=1)
+        stopped = stopped or bool(np.any(speed < 1e-300))
+        dvdt = (vs[2:] - vs[:-2]) / (2.0 * dt)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a resting particle
+            vhat = vs[1:-1] / speed[:, None]
+        kappa_n[rows] = np.einsum("ki,ijk,kj->k", vhat, dn, vhat)
+        geodesic[rows] = np.linalg.norm(dvdt + (n * (speed ** 2 * kappa_n[rows])).T, axis=1)
+    traj._norms = (spec, force, geodesic, kappa_n, stopped)
+    return traj._norms[1:]
 
 
 def force_residual(spec, traj):
     """dp/dt + n (p . grad n . p) / mu along the trajectory, mu = traj.mass.
 
     Central-difference dp/dt at interior steps against the constrained
-    force law; returns max and RMS norms of the vector residuals.
+    force law; returns max and RMS norms of the vector residuals.  The
+    first of this and geodesic_form_residual on traj makes both series in
+    one pass, one geometry.BLOCK of interior states at a time, and keeps
+    only their per-step norms on traj for the other.
     """
     if len(traj.ts) < 3:
         raise TooFewStepsError("need at least 3 states for central differences")
-    mu, dt = traj.mass, traj.dt
-    dpdt = (traj.ps[2:] - traj.ps[:-2]) / (2.0 * dt)
-    n, dn = _interior_tables(spec, traj)
-    p_mid = traj.ps[1:-1]
-    quad = np.einsum("ki,ijk,kj->k", p_mid, dn, p_mid)  # p . grad n . p per step
-    residual = dpdt + (n * quad).T / mu
-    norms = np.linalg.norm(residual, axis=1)
+    norms = _residual_norms(spec, traj)[0]
     return ResidualSeries(values=norms, max=float(norms.max()),
                           rms=float(np.sqrt(np.mean(norms ** 2))))
 
@@ -271,21 +301,16 @@ def geodesic_form_residual(spec, traj):
     and v = p / traj.mass.
 
     The local curvature 1/R is computed as vhat . grad n . vhat; its
-    sign is recorded in `extra` rather than assumed.
+    sign is recorded in `extra` rather than assumed.  The series comes from
+    the one pass over the interior states that force_residual shares; a
+    speed below 1e-300 at an interior state raises ZeroVelocityError here
+    only.
     """
     if len(traj.ts) < 3:
         raise TooFewStepsError("need at least 3 states for central differences")
-    dt = traj.dt
-    vs = traj.ps / traj.mass
-    speed = np.linalg.norm(vs[1:-1], axis=1)
-    if np.any(speed < 1e-300):
+    _, norms, kappa_n, stopped = _residual_norms(spec, traj)
+    if stopped:
         raise ZeroVelocityError("zero velocity along trajectory")
-    dvdt = (vs[2:] - vs[:-2]) / (2.0 * dt)
-    n, dn = _interior_tables(spec, traj)
-    vhat = vs[1:-1] / speed[:, None]
-    kappa_n = np.einsum("ki,ijk,kj->k", vhat, dn, vhat)
-    residual = dvdt + (n * (speed ** 2 * kappa_n)).T
-    norms = np.linalg.norm(residual, axis=1)
     return ResidualSeries(values=norms, max=float(norms.max()),
                           rms=float(np.sqrt(np.mean(norms ** 2))),
                           extra=kappa_n)

@@ -435,11 +435,16 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     anchors when applicable, and a list of hard failures (construction
     -level properties that did not confirm).  hbar and mu are echoed and
     scale the DIMENSIONAL_ANCHORS by hbar^2 / mu once they are gated.
+    sizes must be strictly increasing (the slopes are fit over distinct
+    sizes, and the anchors take the second grid); a ValueError says so
+    before any grid is built.
     """
     if tol is None:
         tol = 1e-10 if kind == "circle" else 1e-8
     identities = list(identities or IDENTITY_IDS)
     _check_request(len(sizes), identities)
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):  # slopes fit over distinct sizes
+        raise ValueError(f"grid sizes must be strictly increasing, got {list(sizes)}")
     grids = [build_grid(kind, params, s) for s in sizes]
     groups = [_group(i) for i in identities]
     results = _grid_passes(grids, groups, seed)

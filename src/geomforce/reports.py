@@ -17,20 +17,26 @@ format blocks of rows; the verify passes, whose workers judge the test state
 pairs of every grid and return their residual rows (oplab.identities); and
 the trajectory CSV of dynamics.integrate, whose workers format each block
 of states that the step loop, run by the parent, has finished.  The parent
-takes the items lazily and pickles each to a worker: row or sample starts,
-job indices, or a block of states made after the fork; fn is inherited.
-It joins the results in item order, or writes them in that order as they
-come (the trajectory CSV, to the open temp file of atomic_file).  A block's
-text or a pair's rows do not depend on the process that made them, so the
-bytes do not depend on the CPU count.  The parent flushes its standard
-streams before it forks, so the flush a worker gives them as it leaves
-finds nothing of the parent's, and workers leave through os._exit, which
-runs no finaliser: they never flush another output handle they inherited,
-such as the trajectory's temp file, whose buffer may hold the CSV header.
+takes the items lazily and pickles each to a worker as it is made: row or
+sample starts, job indices, or a block of states made after the fork; fn is
+inherited.  It hands on each result in item order once it is done.  Of
+items made lazily it holds at most IN_FLIGHT futures per worker, and an
+item made while that window is full waits for the oldest result; a sized
+items is submitted whole.  So it joins the results as they come, or
+writes them (the trajectory CSV goes to the open temp file of atomic_file
+while the step loop runs, and no more than a window of block texts is
+held in the parent).  A block's text or a pair's rows do
+not depend on the process that made them, so the bytes do not depend on
+the CPU count.  The parent flushes its standard streams before it forks,
+so the flush a worker gives them as it leaves finds nothing of the
+parent's, and workers leave through os._exit, which runs no finaliser:
+they never flush another output handle they inherited, such as the
+trajectory's temp file, whose buffer may hold the CSV header.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -47,6 +53,7 @@ import numpy as np
 FLOAT_FORMAT = ".17g"  # "%.17g" % x is format(x, ".17g"), nan, inf and -0 too
 ROW_BLOCK = 4096       # rows per block of csv_text
 WRITE_SLICE = 1 << 20  # characters per write of a text atomic_write is given whole
+IN_FLIGHT = 2          # futures per worker ordered_map holds of items made lazily
 RECORD_SEPARATOR = ",\n    "  # between the records of a json_records list
 _MARKER = -1.2345678901234567e-289  # stands in for each float when a row template is cut
 
@@ -206,14 +213,24 @@ def ordered_map(fn, items):
 
     The calls are spread over a pool of forked processes, each held to a CPU
     of its own.  The items are taken lazily, here, and each is handed to a
-    worker as soon as it is made.  A sized items (a list, a range) gets one
-    worker per CPU this process may run on, at most one per item.  Any other
-    items are made by this process while the workers run, so fn runs on the
-    earlier items as the later ones are made (dynamics.integrate yields the
-    blocks of its step loop): until the last is made, this process is held
-    to a CPU of its own and the workers take the others.  On a 2-vCPU VM a
-    worker on the maker's CPU slowed it: a 30,000-step `classical
-    --trajectory` run after a fields report, as the benchmark runs them,
+    worker once it is made; after each submission the results that are done
+    are yielded.  A sized items (a list, a range) gets one worker per CPU
+    this process may run on, at most one per item, and is submitted whole:
+    its jobs may take unequal times, and a window idled a worker behind a
+    long oldest `verify` job for up to 50 ms (about 7 % of the command on a
+    2-vCPU VM).  Any other items are made by this process while the workers
+    run, so fn runs on the earlier items as the later ones are made
+    (dynamics.integrate yields the blocks of its step loop).  Of these at
+    most IN_FLIGHT futures per worker are in flight, and an item made while
+    the window is full first waits for the oldest result, so a caller that
+    writes the results as they come (integrate's trajectory CSV) holds a
+    window of them, not all.  The wait comes before a submission, not
+    after, so that the maker does not wait for the first result while the
+    new workers start (that stalled integrate's step loop for 30-50 ms).
+    Until the last item is made, this process is held to a CPU of its own
+    and the workers take the others.  On a 2-vCPU VM a worker on the
+    maker's CPU slowed it: a 30,000-step `classical --trajectory` run after
+    a fields report, as the benchmark runs them,
     took a median 0.735 s (quartiles 0.60 and 0.87) with a worker on each
     CPU and this process free, and 0.655 s (0.63 and 0.70) held, in 15
     alternating pairs.  The workers inherit fn, so it is not pickled (it may
@@ -239,9 +256,11 @@ def ordered_map(fn, items):
     made_here = not isinstance(items, Sized)
     items = iter(items)
     head = list(itertools.islice(items, 2))
+    items = itertools.chain(head, items)
     if not size or len(head) < 2:
-        yield from map(fn, itertools.chain(head, items))
+        yield from map(fn, items)
         return
+    del head  # so that the first two items go once their results have come
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -260,13 +279,21 @@ def ordered_map(fn, items):
         with contextlib.suppress(OSError):  # a speed-up only, as for the workers
             os.sched_setaffinity(0, {cpus[size]})
             held = set(cpus)
+    window = collections.deque()  # futures in item order
+    full = IN_FLIGHT * size if made_here else math.inf  # a sized items goes whole
     try:
-        try:  # map makes and submits every item before it returns
-            results = pool.map(_call, itertools.chain(head, items))
+        try:
+            for item in items:
+                if len(window) == full:  # wait for the oldest result
+                    yield window.popleft().result()
+                window.append(pool.submit(_call, item))
+                while window and window[0].done():  # and pass on those that are done
+                    yield window.popleft().result()
         finally:
             if held:
                 os.sched_setaffinity(0, held)
-        yield from results
+        while window:
+            yield window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -420,6 +420,9 @@ def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     (["force", "--surface", "generic", "--curvature-scale", "10nm", "--mass", "inf"],
      "--mass"),
     (["force", "--surface", "sphere", "--a", "1e-8m", "--mass", "inf"], "--mass"),
+    # the grid family must grow: a smaller grid second, or a repeated size
+    (["verify", "--surface", "circle", "--a", "1", "--grids", "64,16,32"], "--grids"),
+    (["verify", "--surface", "circle", "--a", "1", "--grids", "32,32,64"], "--grids"),
 ])
 def test_out_of_range_physical_flag_is_named(args, flag, capsys):
     code, out, err = run_cli(args, capsys)

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,10 +126,91 @@ def test_classical_makes_one_normal_table_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def _whole_table_residuals(spec, traj):
+    # both residual series as earlier versions made them, from the normal
+    # tables of all interior states at once: the reference of the block pass
+    mu, dt = traj.mass, traj.dt
+    n, dn = geo._tables_batch(spec, traj.xs[1:-1].T, geo.ExtensionPolicy.SIGNED_DISTANCE, 1)[:2]
+    dpdt = (traj.ps[2:] - traj.ps[:-2]) / (2.0 * dt)
+    p_mid = traj.ps[1:-1]
+    quad = np.einsum("ki,ijk,kj->k", p_mid, dn, p_mid)
+    force = np.linalg.norm(dpdt + (n * quad).T / mu, axis=1)
+    vs = traj.ps / mu
+    speed = np.linalg.norm(vs[1:-1], axis=1)
+    dvdt = (vs[2:] - vs[:-2]) / (2.0 * dt)
+    vhat = vs[1:-1] / speed[:, None]
+    kappa_n = np.einsum("ki,ijk,kj->k", vhat, dn, vhat)
+    geodesic = np.linalg.norm(dvdt + (n * (speed ** 2 * kappa_n)).T, axis=1)
+    return force, geodesic, kappa_n
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("name,params,x0,p0", [
+    ("torus", {"R": 2.0, "r": 1.0}, [3.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+    ("circle", {"a": 1.3}, [1.3, 0.0], [0.0, 0.7]),
+])
+@pytest.mark.parametrize("extra_rows", [1, geo.BLOCK // 2])
+def test_block_residuals_are_the_whole_table_formula(name, params, x0, p0, extra_rows):
+    # 3 full blocks of interior states and a last one of 1 row or of half a block
+    spec = builtin_surface(name, params)
+    steps = 3 * geo.BLOCK + extra_rows + 1
+    traj = dyn.integrate(spec, dyn.TrajectoryState(np.array(x0), np.array(p0), 0.0),
+                         dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7))
+    force, geodesic, kappa_n = _whole_table_residuals(spec, traj)
+    eq2 = dyn.geodesic_form_residual(spec, traj)  # either order makes the one pass
+    eq1 = dyn.force_residual(spec, traj)
+    for series, norms in ((eq1, force), (eq2, geodesic)):
+        assert len(series.values) == steps - 1
+        assert _bits(series.values) == _bits(norms)
+        assert _bits([series.max, series.rms]) == _bits([norms.max(),
+                                                         np.sqrt(np.mean(norms ** 2))])
+    assert eq1.extra is None and _bits(eq2.extra) == _bits(kappa_n)
+
+
+def test_residuals_make_one_tables_call_per_block(monkeypatch):
+    calls = []
+    tables = geo._tables_batch
+
+    def counted(spec, points, policy, order):
+        calls.append(points.shape[1])
+        return tables(spec, points, policy, order)
+
+    monkeypatch.setattr(geo, "_tables_batch", counted)
+    steps = 2 * geo.BLOCK + 300
+    spec, traj = _torus_run(steps)
+    dyn.force_residual(spec, traj)
+    dyn.geodesic_form_residual(spec, traj)
+    dyn.force_residual(spec, traj)
+    assert calls == [geo.BLOCK, geo.BLOCK, 299]
+    assert len(calls) == -(-(steps - 1) // geo.BLOCK)
+
+
+def test_residuals_hold_one_block_of_tables():
+    # the two series keep K floats each past the pass; the tables of all
+    # 29,999 interior states at once peaked at 10.1e6 bytes here
+    tracemalloc.start()
+    try:
+        spec, traj = _torus_run(30_000)
+        tracemalloc.reset_peak()
+        dyn.force_residual(spec, traj)
+        dyn.geodesic_form_residual(spec, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_zero_velocity_rejected_by_geodesic_form():
     spec = builtin_surface("circle", {"a": 1.0})
     init = dyn.TrajectoryState(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.0)
     traj = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=10))
+    with pytest.raises(dyn.ZeroVelocityError):
+        dyn.geodesic_form_residual(spec, traj)
+    # the pass both residuals share leaves the force law to a resting particle
+    assert dyn.force_residual(spec, traj).max == 0.0
     with pytest.raises(dyn.ZeroVelocityError):
         dyn.geodesic_form_residual(spec, traj)
 
@@ -228,6 +311,25 @@ def test_streamed_rows_are_the_rows_of_the_whole_table(steps):
         assert a.flags.c_contiguous and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
     assert plain.xs.shape == (steps + 1, 3)
     assert handle.getvalue() == plain.to_csv()
+
+
+def test_streamed_csv_holds_a_window_of_block_texts():
+    # each block's CSV text reaches the handle while the loop runs, so the
+    # parent holds a few of them, not all 5.9e6 bytes (10.9e6 bytes peak
+    # when every future was kept until the loop ended, on 2 CPUs)
+    import concurrent.futures.process  # noqa: F401  (the pool's imports, made before tracing)
+    import multiprocessing.sharedctypes  # noqa: F401
+
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as handle:
+            dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=30_000), csv=handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):

@@ -384,6 +384,13 @@ def test_suite_refuses_fewer_than_three_grids_before_any_work(monkeypatch):
         run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32])
 
 
+@pytest.mark.parametrize("sizes", [[64, 16, 32], [32, 32, 64]])
+def test_suite_refuses_sizes_that_do_not_increase_before_any_work(sizes, monkeypatch):
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_identity_suite("circle", {"a": 1.0}, sizes)
+
+
 def test_unknown_identity_is_named_before_any_work(circle64, monkeypatch):
     _no_work(monkeypatch)
     with pytest.raises(ValueError, match=r"unknown identities \['EQ3'\]"):

@@ -1,6 +1,7 @@
 """The table writers against the generic path: per-cell format(c, ".17g")
 for the CSVs and canonical_json of records for the fields JSON."""
 
+import contextlib
 import os
 import time
 
@@ -10,8 +11,8 @@ import pytest
 from geomforce import geometry as geo
 from geomforce.dynamics import Trajectory
 from geomforce.oplab.evolve import EhrenfestTrace
-from geomforce.reports import (ROW_BLOCK, canonical_json, csv_rows, json_records, json_rows,
-                               ordered_map)
+from geomforce.reports import (IN_FLIGHT, ROW_BLOCK, canonical_json, csv_rows, json_records,
+                               json_rows, ordered_map)
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
            1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
@@ -183,6 +184,54 @@ def test_items_made_after_the_fork_reach_the_workers_in_order():
         workers = {frozenset(held) for _, held in results}
         assert len(maker) == 1 and all(len(one) == 1 for one in maker | workers)
         assert maker.isdisjoint(workers) and frozenset.union(*maker, *workers) <= cpus
+
+
+def test_the_first_result_leaves_while_a_window_of_items_is_made():
+    # the parent holds at most IN_FLIGHT futures per worker, so a caller that
+    # writes the results as they come holds a window of them, not all
+    cpus = os.sched_getaffinity(0)
+    workers = len(cpus) - 1  # the maker of lazily made items keeps a CPU
+    made = []
+
+    def items():
+        for k in range(4 * len(cpus) + 8):
+            made.append(k)
+            yield k
+
+    with contextlib.closing(ordered_map(lambda x: x * x, items())) as results:
+        assert next(results) == 0
+        if workers:
+            assert len(made) <= IN_FLIGHT * workers + 1
+        assert list(results) == [k * k for k in made[1:]] and len(made) == 4 * len(cpus) + 8
+    assert _children() == 0 and os.sched_getaffinity(0) == cpus
+
+
+class _Taken(list):
+    """A sized items that counts the items taken from it."""
+
+    taken = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.taken += 1
+            yield item
+
+
+def test_a_sized_items_is_submitted_whole():
+    # its jobs may take unequal times, and a window would idle a worker
+    # behind a long oldest job: every item is handed out while the first runs
+    cpus = os.sched_getaffinity(0)
+    items = _Taken(range(4 * len(cpus) + 8))
+
+    def slow_first(x):
+        time.sleep(0.2 if x == 0 else 0.0)
+        return x * x
+
+    with contextlib.closing(ordered_map(slow_first, items)) as results:
+        assert next(results) == 0
+        if len(cpus) >= 2:
+            assert items.taken == len(items)
+        assert list(results) == [k * k for k in items[1:]]
 
 
 def test_an_exception_of_the_items_reaches_the_caller_after_the_pool_is_shut_down():
