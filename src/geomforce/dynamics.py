@@ -23,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .geometry import ExtensionPolicy
-from .reports import ROW_BLOCK, csv_rows, csv_text, ordered_map
+from .reports import csv_rows, csv_text, ordered_map
 
 MAX_NEWTON = 50  # multiplier iterations per step
 
@@ -102,8 +102,8 @@ def _columns(states, mu):
     tangency_residual) of a (K, 2 + 3N) table of states, one row
     (t, x, p, f, grad f) each; each row's values depend on that row only."""
     n = (states.shape[1] - 2) // 3
-    ts, fs = states[:, 0].copy(), states[:, 1 + 2 * n]
-    xs, ps, gs = (np.ascontiguousarray(states[:, a:a + n]) for a in (1, 1 + n, 2 + 2 * n))
+    ts, fs = states[:, 0], states[:, 1 + 2 * n]
+    xs, ps, gs = (states[:, a:a + n] for a in (1, 1 + n, 2 + 2 * n))
     return (ts, xs, ps, np.sum(ps * ps, axis=1) / (2.0 * mu), np.abs(fs),
             np.abs(np.sum(gs * ps, axis=1)) / np.sqrt(np.sum(gs * gs, axis=1)))
 
@@ -125,18 +125,20 @@ def integrate(spec, initial, config, csv=None):
     name the step, its start time and its start point.
 
     The step loop (_state_blocks) carries x, p and grad f as Python floats,
-    one float run of the tape per Newton iterate, and appends each state's
-    floats (t, x, p, f, grad f) to one flat array('d').  It yields each
-    ROW_BLOCK of finished rows, and integrate drains these blocks.  Given
-    csv, an open text handle, it writes the trajectory CSV there, the text
-    Trajectory.to_csv makes: the header, then the CSV rows (energy and
-    residuals included) of each block, formatted through
+    one float run of the tape per Newton iterate, and yields the states'
+    floats (t, x, p, f, grad f) in blocks of geometry.BLOCK rows, each a
+    fresh array('d').  The six Trajectory columns are made empty for all
+    steps + 1 rows first, and each block's rows are filled from _columns of
+    that block as it passes on, so no table of all the states is ever held.
+    Given csv, an open text handle, integrate writes the trajectory CSV
+    there, the text Trajectory.to_csv makes: the header, then the CSV rows
+    (energy and residuals included) of each block, formatted through
     reports.ordered_map on the other CPUs while the loop goes on.  After
     the loop hands over each block, the texts that are done are written,
     and a block made while reports.IN_FLIGHT blocks per worker wait first
     waits for the oldest: the parent holds a window of block texts, never
-    the whole CSV.  The columns are made
-    once from the whole table, row by row as for a block, so the bytes do
+    the whole CSV.  Every column value depends on its row only, so the
+    columns and the CSV bytes are those of the whole table at once and do
     not depend on the CPU count.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
@@ -148,36 +150,53 @@ def integrate(spec, initial, config, csv=None):
     if not abs(_dot(g, p)) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
         raise IntegratorInputError("initial momentum is not tangent")
 
-    t, width = float(initial.t), 2 + 3 * len(x)
-    states = array("d", [t, *x, *p, f, *g])
-    blocks = _state_blocks(spec.tape, x, p, g, t, config, states)
+    n, rows = len(x), config.steps + 1
+    width = 2 + 3 * n
+    columns = tuple(map(np.empty, (rows, (rows, n), (rows, n), rows, rows, rows)))
+    blocks = _filling(columns, mu, width,
+                      _state_blocks(spec.tape, x, p, f, g, float(initial.t), config))
     if csv is None:
         collections.deque(blocks, maxlen=0)
     else:
-        csv.write(",".join(_csv_header(len(x))) + "\n")
+        csv.write(",".join(_csv_header(n)) + "\n")
         csv.writelines(ordered_map(functools.partial(_csv_block, mu, width), blocks))
-    return Trajectory(*_columns(np.frombuffer(states).reshape(-1, width), mu), mass=mu, dt=dt)
+    return Trajectory(*columns, mass=mu, dt=dt)
 
 
-def _state_blocks(tape, x, p, g, t, config, states):
-    """The step loop from the state x, p, grad f = g at time t, whose row
-    states holds: appends each new state's row to states and yields each
-    ROW_BLOCK of rows (array('d') copies) once the last of them is made."""
+def _filling(columns, mu, width, blocks):
+    """The blocks of flat states, each passed on once its rows of the
+    Trajectory columns are filled from it."""
+    start = 0
+    for block in blocks:
+        table = np.frombuffer(block).reshape(-1, width)
+        stop = start + len(table)
+        for column, values in zip(columns, _columns(table, mu)):
+            column[start:stop] = values
+        start = stop
+        yield block
+
+
+def _state_blocks(tape, x, p, f, g, t, config):
+    """The step loop from the state x, p (f and grad f = g there) at time t:
+    yields that state's row and the rows of the new states in blocks of
+    geometry.BLOCK rows, each a fresh array('d') passed on once its last row
+    is made."""
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
-    start, rows = 0, 1
+    block = array("d", [t, *x, *p, f, *g])
+    rows = 1
     for k in range(1, config.steps + 1):
         try:
             x, p, f, g = _rattle_step(tape, x, p, g, dt, mu, tol)
         except (ProjectionFailureError, StepTooLargeError) as error:
             raise type(error)(f"step {k} from t = {t!r}, x = {x}: {error}") from None
         t += dt
-        states.fromlist([t, *x, *p, f, *g])
+        block.fromlist([t, *x, *p, f, *g])
         rows += 1
-        if rows == ROW_BLOCK:
-            yield states[start:]
-            start, rows = len(states), 0
+        if rows == geo.BLOCK:
+            yield block
+            block, rows = array("d"), 0
     if rows:
-        yield states[start:]
+        yield block
 
 
 def _f_and_grad(tape, x):

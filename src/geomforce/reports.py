@@ -12,11 +12,12 @@ CSV and the residuals run.
 Four kinds of work run on every CPU the process may run on, through
 ordered_map: the fields report (JSON or CSV), whose workers each compute and
 format whole blocks of sample columns (geometry.sample_blocks); csv_text
-(the Ehrenfest CSV, and a trajectory's made after the run), whose workers
-format blocks of rows; the verify passes, whose workers judge the test state
-pairs of every grid and return their residual rows (oplab.identities); and
-the trajectory CSV of dynamics.integrate, whose workers format each block
-of states that the step loop, run by the parent, has finished.  The parent
+(the Ehrenfest CSV, and Trajectory.to_csv, the CSV of a finished
+trajectory's columns), whose workers format blocks of ROW_BLOCK rows; the
+verify passes, whose workers judge the test state pairs of every grid and
+return their residual rows (oplab.identities); and the trajectory CSV of
+dynamics.integrate, whose workers format each block of geometry.BLOCK
+states that the step loop, run by the parent, has finished.  The parent
 takes the items lazily and pickles each to a worker as it is made: row or
 sample starts, job indices, or a block of states made after the fork; fn is
 inherited.  It hands on each result in item order once it is done.  Of

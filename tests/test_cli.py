@@ -515,7 +515,7 @@ def _report_bytes(tmp_path, name):
     for fmt in ("json", "csv"):
         argv = TORUS_FIELDS + ["--count", "2085", "--format", fmt, "--out", str(out[fmt])]
         assert main(argv) == 0
-    # 10,001 rows: three CSV row blocks
+    # 10,001 rows: ten blocks of states
     assert main(["classical", "--surface", "circle", "--a", "1", "--x0", "1,0", "--p0", "0,1",
                  "--steps", "10000", "--trajectory", str(out["trajectory.csv"]),
                  "--out", str(tmp_path / f"{name}.classical.json")]) == 0
@@ -554,10 +554,10 @@ def test_fields_without_samples_print_an_empty_csv(capsys):
     assert (code, out) == (0, "")
 
 
-# the trajectory CSV is formatted in row blocks while the RATTLE loop runs
+# the trajectory CSV is formatted in blocks of states while the RATTLE loop runs
 
 TORUS_CLASSICAL = ["classical", "--surface", "torus", "--R", "2", "--r", "1", "--x0", "3,0,0",
-                   "--p0", "0,0.6,0.8", "--steps", "9000"]  # 9,001 rows: three row blocks
+                   "--p0", "0,0.6,0.8", "--steps", "9000"]  # 9,001 rows: nine blocks of states
 
 
 @pytest.mark.parametrize("cpus", ["default", "one"])
@@ -565,7 +565,7 @@ def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp
     import multiprocessing
 
     from geomforce import dynamics as dyn
-    from geomforce.reports import ROW_BLOCK
+    from geomforce.geometry import BLOCK
 
     if cpus == "one":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -573,7 +573,7 @@ def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp
 
     def rattle_step(*args):
         calls.append(None)
-        if len(calls) == 2 * ROW_BLOCK + 5:
+        if len(calls) == 2 * BLOCK + 5:
             raise dyn.ProjectionFailureError("constraint solve stalled")
         return original(*args)
 
@@ -586,7 +586,7 @@ def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp
     assert not path.exists() and os.listdir(tmp_path) == []
     diag = json.loads(err)
     assert diag["error"] == "ProjectionFailureError"
-    assert diag["message"].startswith(f"step {2 * ROW_BLOCK + 5} from t = ")
+    assert diag["message"].startswith(f"step {2 * BLOCK + 5} from t = ")
     # on two or more CPUs, the first blocks had gone to workers
     assert (_children_cpu_s() > before) == (cpus == "default"
                                             and len(os.sched_getaffinity(0)) >= 2)

@@ -11,7 +11,6 @@ from geomforce import dynamics as dyn
 from geomforce import expr as ex
 from geomforce import geometry as geo
 from geomforce.cli import main
-from geomforce.reports import ROW_BLOCK
 from geomforce.surfaces import builtin_surface, from_expression
 
 
@@ -296,40 +295,77 @@ class _Writes(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("steps", [1, ROW_BLOCK - 2, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 7])
+COLUMNS = ("ts", "xs", "ps", "energy", "f_residual", "tangency_residual")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("steps", [1, geo.BLOCK - 2, geo.BLOCK - 1, geo.BLOCK, 2 * geo.BLOCK + 7])
 def test_streamed_rows_are_the_rows_of_the_whole_table(steps):
-    # one block of 2 rows, of ROW_BLOCK - 1, one full block, a last block of 1 row, of 8
+    # one block of 2 rows, of BLOCK - 1, one full block, a last block of 1 row, of 8
     spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
     config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
     handle = _Writes()
     plain, streamed = (dyn.integrate(spec, init, config, csv=csv) for csv in (None, handle))
-    # the header, then one text per row block, each written as it is made
-    assert len(handle.texts) == 1 + -(-(steps + 1) // ROW_BLOCK)
-    for name in ("ts", "xs", "ps", "energy", "f_residual", "tangency_residual"):
+    # the header, then one text per block of states, each written as it is made
+    assert len(handle.texts) == 1 + -(-(steps + 1) // geo.BLOCK)
+    for name in COLUMNS:
         a, b = getattr(plain, name), getattr(streamed, name)
-        assert a.flags.c_contiguous and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        assert a.flags.c_contiguous and _bits(a) == _bits(b)
     assert plain.xs.shape == (steps + 1, 3)
     assert handle.getvalue() == plain.to_csv()
 
 
-def test_streamed_csv_holds_a_window_of_block_texts():
-    # each block's CSV text reaches the handle while the loop runs, so the
-    # parent holds a few of them, not all 5.9e6 bytes (10.9e6 bytes peak
-    # when every future was kept until the loop ended, on 2 CPUs)
-    import concurrent.futures.process  # noqa: F401  (the pool's imports, made before tracing)
+@pytest.mark.parametrize("steps", [2, geo.BLOCK - 1, geo.BLOCK, 3 * geo.BLOCK + 5])
+def test_trajectory_columns_are_those_of_the_whole_table(steps):
+    # the columns are filled one block of states at a time, bitwise as
+    # _columns makes them from the table of all the states at once
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
+    config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
+    traj = dyn.integrate(spec, init, config)
+    x, p = init.x.tolist(), init.p.tolist()
+    f, g = dyn._f_and_grad(spec.tape, x)
+    blocks = list(dyn._state_blocks(spec.tape, x, p, f, g, 0.0, config))
+    assert [len(block) for block in blocks[:-1]] == [11 * geo.BLOCK] * (len(blocks) - 1)
+    table = np.concatenate([np.frombuffer(block) for block in blocks]).reshape(steps + 1, 11)
+    for name, whole in zip(COLUMNS, dyn._columns(table, config.mass), strict=True):
+        column = getattr(traj, name)
+        assert column.flags.c_contiguous and column.shape == whole.shape
+        assert _bits(column) == _bits(whole)
+
+
+def _integrate_peak(csv):
+    # the tracemalloc peak of a 30,000-step torus run, the pool's modules
+    # imported before tracing
+    import concurrent.futures.process  # noqa: F401
     import multiprocessing.sharedctypes  # noqa: F401
 
     spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
     tracemalloc.start()
     try:
-        with open(os.devnull, "w") as handle:
-            dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=30_000), csv=handle)
-        peak = tracemalloc.get_traced_memory()[1]
+        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=30_000), csv=csv)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+
+
+def test_integrate_holds_the_columns_and_one_block_of_states():
+    # the columns (2.4e6 bytes) and a block of states, never a table of
+    # all the states (2.6e6 bytes more)
+    assert _integrate_peak(None) < 3.2e6
+
+
+def test_streamed_csv_holds_a_window_of_block_texts():
+    # each block's CSV text reaches the handle while the loop runs, so the
+    # parent holds the columns and a few block texts, not all 5.9e6 bytes
+    # of the CSV (3.6e6 bytes peak on 1 and 2 CPUs)
+    with open(os.devnull, "w") as handle:
+        assert _integrate_peak(handle) < 4.5e6
 
 
 def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):
