@@ -92,6 +92,27 @@ def parse_tolerance(text):
     return tol
 
 
+def parse_seed(text):
+    """Seed literal; a non-negative int out, as numpy's generators take it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # refused below, with the same message
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
+def _read(flag, path):
+    """The text of the file at path, given by flag: bad input, naming both, if unreadable."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise CliInputError(f"cannot read {flag} {path!r}: {reason}") from None
+
+
 def _require_positive_finite(flag, value):
     if not 0 < value < np.inf:
         raise CliInputError(f"{flag} must be positive and finite, got {value}")
@@ -375,8 +396,7 @@ def _default_point(spec):
 def _cmd_report(args):
     merged = {"reports": []}
     for path in args.inputs.split(","):
-        with open(path) as handle:
-            merged["reports"].append({"path": path, "content": json.load(handle)})
+        merged["reports"].append({"path": path, "content": json.loads(_read("--inputs", path))})
     _emit(args, merged)
     return 0
 
@@ -399,7 +419,7 @@ def build_parser():
     p.add_argument("--sampling", default="grid", choices=["grid", "random"])
     p.add_argument("--resolution", help="grid resolution, e.g. 64 or 64x1")
     p.add_argument("--count", type=int, help="random sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fields)
@@ -409,7 +429,7 @@ def build_parser():
     p.add_argument("--field", default="lapM", choices=list(geo.FIELD_NAMES))
     p.add_argument("--policy", default="gn", type=str.lower, choices=geo.POLICY_NAMES)
     p.add_argument("--starts", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extrema)
@@ -434,7 +454,7 @@ def build_parser():
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--tol", type=parse_tolerance, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--identities", help="comma-separated identity ids (default all)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
@@ -460,15 +480,14 @@ def build_parser():
 
 def _load_config(path):
     pairs = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliInputError(f"bad config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            pairs.extend([f"--{key}", value])
+    for line in _read("--config", path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliInputError(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs.extend([f"--{key}", value])
     return pairs
 
 

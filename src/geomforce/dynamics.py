@@ -11,7 +11,6 @@ drift bounded at O(dt^2) with no secular loss.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import operator
 from array import array
@@ -108,13 +107,6 @@ def _columns(states, mu):
             np.abs(np.sum(gs * ps, axis=1)) / np.sqrt(np.sum(gs * gs, axis=1)))
 
 
-def _csv_block(mu, width, states):
-    """CSV rows of a block of flat states (an array('d') of whole rows of
-    width floats), as Trajectory.to_csv formats the same rows of the whole
-    trajectory."""
-    return csv_rows(np.column_stack(_columns(np.frombuffer(states).reshape(-1, width), mu)))
-
-
 def integrate(spec, initial, config, csv=None):
     """Integrate free constrained motion; returns the stored trajectory.
 
@@ -131,15 +123,14 @@ def integrate(spec, initial, config, csv=None):
     steps + 1 rows first, and each block's rows are filled from _columns of
     that block as it passes on, so no table of all the states is ever held.
     Given csv, an open text handle, integrate writes the trajectory CSV
-    there, the text Trajectory.to_csv makes: the header, then the CSV rows
-    (energy and residuals included) of each block, formatted through
-    reports.ordered_map on the other CPUs while the loop goes on.  After
-    the loop hands over each block, the texts that are done are written,
-    and a block made while reports.IN_FLIGHT blocks per worker wait first
-    waits for the oldest: the parent holds a window of block texts, never
-    the whole CSV.  Every column value depends on its row only, so the
-    columns and the CSV bytes are those of the whole table at once and do
-    not depend on the CPU count.
+    there, the text Trajectory.to_csv makes: the header, then csv_rows of
+    each block's rows of the columns, formatted through reports.ordered_map
+    on the other CPUs while the loop goes on.  After the loop hands over
+    each block, the texts that are done are written, and a block made while
+    reports.IN_FLIGHT blocks per worker wait first waits for the oldest:
+    the parent holds a window of block texts, never the whole CSV.  Every
+    column value depends on its row only, so the columns and the CSV bytes
+    are those of the whole table and do not depend on the CPU count.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
@@ -151,29 +142,30 @@ def integrate(spec, initial, config, csv=None):
         raise IntegratorInputError("initial momentum is not tangent")
 
     n, rows = len(x), config.steps + 1
-    width = 2 + 3 * n
     columns = tuple(map(np.empty, (rows, (rows, n), (rows, n), rows, rows, rows)))
-    blocks = _filling(columns, mu, width,
+    blocks = _filling(columns, mu, 2 + 3 * n,
                       _state_blocks(spec.tape, x, p, f, g, float(initial.t), config))
     if csv is None:
         collections.deque(blocks, maxlen=0)
     else:
         csv.write(",".join(_csv_header(n)) + "\n")
-        csv.writelines(ordered_map(functools.partial(_csv_block, mu, width), blocks))
+        csv.writelines(ordered_map(csv_rows, map(np.column_stack, blocks)))
     return Trajectory(*columns, mass=mu, dt=dt)
 
 
 def _filling(columns, mu, width, blocks):
-    """The blocks of flat states, each passed on once its rows of the
-    Trajectory columns are filled from it."""
+    """For each block of flat states, its rows of the Trajectory columns,
+    yielded once they are filled from it.  The block and the values made
+    from it are dropped first, so that they are gone before the next block
+    is made."""
     start = 0
     for block in blocks:
-        table = np.frombuffer(block).reshape(-1, width)
-        stop = start + len(table)
-        for column, values in zip(columns, _columns(table, mu)):
-            column[start:stop] = values
+        stop = start + len(block) // width
+        for column, value in zip(columns, _columns(np.frombuffer(block).reshape(-1, width), mu)):
+            column[start:stop] = value
+        del block, value
+        yield tuple(column[start:stop] for column in columns)
         start = stop
-        yield block
 
 
 def _state_blocks(tape, x, p, f, g, t, config):

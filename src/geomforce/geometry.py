@@ -252,12 +252,9 @@ def _normal_components(spec, points, policy, degree):
 
 
 def _tables_batch(spec, points, policy, order):
-    """(n, dn, d2n, d3n) with trailing batch axis, per BLOCK columns (bitwise as if whole)."""
-    blocks = [_tables_from_component_jets(
-        _normal_components(spec, points[:, start:start + BLOCK], policy, order), order)
-        for start in range(0, points.shape[1], BLOCK)]
-    return tuple(None if parts[0] is None else np.concatenate(parts, axis=-1)
-                 for parts in zip(*blocks))
+    """(n, dn, d2n, d3n) of the points (N, B), with trailing batch axis; a
+    column's tables do not depend on its batch."""
+    return _tables_from_component_jets(_normal_components(spec, points, policy, order), order)
 
 
 def _require_on_surface(spec, points):
@@ -326,7 +323,9 @@ def curvature_fields(spec, points, policy):
     Returns a dict of arrays keyed n, dn, d2n, d3n, M, S2, gradM, hessM,
     lapM, lapLB_M, gradS2, vg_geom, chi_geom (trailing batch axis), plus
     error_bound, always None since both extensions are exact.  This is
-    the bulk interface used by grid builders.
+    the bulk interface of sample_blocks (and so curvature_sample), the
+    oplab grid builder and the findings; each passes at most BLOCK
+    columns, so that a call's jets stay in cache.
 
     Each contraction is elementwise products summed over the small axes in
     one fixed order, from zero, so a column's values do not depend on the

@@ -9,30 +9,28 @@ neither.  atomic_write writes whole texts or chunks through it, and
 `classical --trajectory` holds it open while dynamics.integrate writes the
 CSV and the residuals run.
 
-Four kinds of work run on every CPU the process may run on, through
+Three kinds of work run on every CPU the process may run on, through
 ordered_map: the fields report (JSON or CSV), whose workers each compute and
-format whole blocks of sample columns (geometry.sample_blocks); csv_text
-(the Ehrenfest CSV, and Trajectory.to_csv, the CSV of a finished
-trajectory's columns), whose workers format blocks of ROW_BLOCK rows; the
-verify passes, whose workers judge the test state pairs of every grid and
-return their residual rows (oplab.identities); and the trajectory CSV of
-dynamics.integrate, whose workers format each block of geometry.BLOCK
-states that the step loop, run by the parent, has finished.  The parent
-takes the items lazily and pickles each to a worker as it is made: row or
-sample starts, job indices, or a block of states made after the fork; fn is
-inherited.  It hands on each result in item order once it is done.  Of
-items made lazily it holds at most IN_FLIGHT futures per worker, and an
-item made while that window is full waits for the oldest result; a sized
-items is submitted whole.  So it joins the results as they come, or
-writes them (the trajectory CSV goes to the open temp file of atomic_file
-while the step loop runs, and no more than a window of block texts is
-held in the parent).  A block's text or a pair's rows do
-not depend on the process that made them, so the bytes do not depend on
-the CPU count.  The parent flushes its standard streams before it forks,
-so the flush a worker gives them as it leaves finds nothing of the
-parent's, and workers leave through os._exit, which runs no finaliser:
-they never flush another output handle they inherited, such as the
-trajectory's temp file, whose buffer may hold the CSV header.
+format whole blocks of sample columns (geometry.sample_blocks); the verify
+passes, whose workers judge the test state pairs of every grid and return
+their residual rows (oplab.identities); and the trajectory CSV of
+dynamics.integrate, whose workers format the CSV rows of the Trajectory
+columns that the parent made from each block of geometry.BLOCK states of its
+step loop.  The parent takes the items lazily and pickles each to a worker
+as it is made: sample starts, job indices, or a block's table of CSV columns
+made after the fork; fn is inherited.  It hands on each result in item order
+once it is done.  Of items made lazily it holds at most IN_FLIGHT futures
+per worker, and an item made while that window is full waits for the oldest
+result; a sized items is submitted whole.  So it joins the results as they
+come, or writes them (the trajectory CSV goes to the open temp file of
+atomic_file while the step loop runs, and no more than a window of block
+texts is held in the parent).  A block's text or a pair's rows do not depend
+on the process that made them, so the bytes do not depend on the CPU count.
+The parent flushes its standard streams before it forks, so the flush a
+worker gives them as it leaves finds nothing of the parent's, and workers
+leave through os._exit, which runs no finaliser: they never flush another
+output handle they inherited, such as the trajectory's temp file, whose
+buffer may hold the CSV header.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ from collections.abc import Sized
 import numpy as np
 
 FLOAT_FORMAT = ".17g"  # "%.17g" % x is format(x, ".17g"), nan, inf and -0 too
-ROW_BLOCK = 4096       # rows per block of csv_text
-WRITE_SLICE = 1 << 20  # characters per write of a text atomic_write is given whole
 IN_FLIGHT = 2          # futures per worker ordered_map holds of items made lazily
 RECORD_SEPARATOR = ",\n    "  # between the records of a json_records list
 _MARKER = -1.2345678901234567e-289  # stands in for each float when a row template is cut
@@ -132,11 +128,8 @@ def csv_rows(table):
 
 
 def csv_text(header, table):
-    """CSV text of a 2-D float table under a header row; blocks of ROW_BLOCK
-    rows are formatted on every CPU (ordered_map)."""
-    blocks = ordered_map(lambda start: csv_rows(table[start:start + ROW_BLOCK]),
-                         range(0, len(table), ROW_BLOCK))
-    return ",".join(header) + "\n" + "".join(blocks)
+    """CSV text of a 2-D float table under a header row."""
+    return ",".join(header) + "\n" + csv_rows(table)
 
 
 def _marker_record(layout):
@@ -221,11 +214,11 @@ def ordered_map(fn, items):
     long oldest `verify` job for up to 50 ms (about 7 % of the command on a
     2-vCPU VM).  Any other items are made by this process while the workers
     run, so fn runs on the earlier items as the later ones are made
-    (dynamics.integrate yields the blocks of its step loop).  Of these at
-    most IN_FLIGHT futures per worker are in flight, and an item made while
-    the window is full first waits for the oldest result, so a caller that
-    writes the results as they come (integrate's trajectory CSV) holds a
-    window of them, not all.  The wait comes before a submission, not
+    (dynamics.integrate makes its items from the blocks of its step loop).
+    Of these at most IN_FLIGHT futures per worker are in flight, and an item
+    made while the window is full first waits for the oldest result, so a
+    caller that writes the results as they come (integrate's trajectory CSV)
+    holds a window of them, not all.  The wait comes before a submission, not
     after, so that the maker does not wait for the first result while the
     new workers start (that stalled integrate's step loop for 30-50 ms).
     Until the last item is made, this process is held to a CPU of its own
@@ -317,10 +310,6 @@ def atomic_file(path):
 
 
 def atomic_write(path, text):
-    """Write text, a str (in slices of WRITE_SLICE characters) or str chunks,
-    to path through atomic_file."""
-    chunks = text
-    if isinstance(text, str):  # in slices, so that no encoded copy of it all is held
-        chunks = (text[k:k + WRITE_SLICE] for k in range(0, len(text), WRITE_SLICE))
+    """Write text, a str or str chunks, to path through atomic_file."""
     with atomic_file(path) as handle:
-        handle.writelines(chunks)
+        handle.writelines([text] if isinstance(text, str) else text)

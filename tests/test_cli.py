@@ -309,6 +309,55 @@ def test_config_file_seeds_flags_and_flags_win(tmp_path, capsys):
     assert len(json.loads(out)["samples"]) == 8
 
 
+@pytest.mark.parametrize("args", [
+    ["fields", "--surface", "torus", "--R", "2", "--r", "1", "--sampling", "random",
+     "--count", "10"],
+    ["verify", "--surface", "circle", "--a", "1", "--grids", "16,32,64"],
+    ["extrema", "--surface", "spheroid", "--a", "2", "--b", "1"],
+], ids=["fields", "verify", "extrema"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_negative_or_non_integer_seed_is_input_error(args, seed, tmp_path, capsys):
+    # numpy's generators take no negative seed; extrema, which reads none, refuses it too
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(args + ["--seed", seed, "--out", str(out)], capsys)
+    diag = json.loads(err)
+    assert (code, diag["exit_code"], diag["error"]) == (1, 1, "CliInputError")
+    assert diag["message"] == f"argument --seed: must be an integer >= 0, got '{seed}'"
+    assert not out.exists()
+
+
+def _unreadable(kind, tmp_path):
+    """A path that cannot be read as text: a directory, a file that is not
+    UTF-8, or nothing."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"a": "\xff"}\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+def test_unreadable_report_input_is_input_error(kind, tmp_path, capsys):
+    a = tmp_path / "a.json"
+    main(["parse", "x^2 - 1", "--out", str(a)])
+    path = _unreadable(kind, tmp_path)
+    code, out, err = run_cli(["report", "--inputs", f"{a},{path}"], capsys)
+    diag = json.loads(err)
+    assert (code, out, diag["exit_code"]) == (1, "", 1)
+    assert "--inputs" in diag["message"] and repr(path) in diag["message"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+def test_unreadable_config_is_input_error(kind, tmp_path, capsys):
+    path = _unreadable(kind, tmp_path)
+    code, out, err = run_cli(["--config", path, "fields", "--surface", "sphere",
+                              "--a", "1", "--resolution", "4"], capsys)
+    diag = json.loads(err)
+    assert (code, out, diag["exit_code"]) == (1, "", 1)
+    assert "--config" in diag["message"] and repr(path) in diag["message"]
+
+
 def test_missing_surface_is_input_error(capsys):
     code, _, err = run_cli(["fields", "--resolution", "4"], capsys)
     assert code == 1

@@ -338,6 +338,27 @@ def test_trajectory_columns_are_those_of_the_whole_table(steps):
         assert _bits(column) == _bits(whole)
 
 
+def test_streamed_csv_makes_the_columns_once_per_block(monkeypatch):
+    # on one CPU the CSV rows are formatted in this process, from the
+    # columns _filling made: _columns runs once per block, not twice
+    calls = []
+    columns = dyn._columns
+
+    def counted(states, mu):
+        calls.append(len(states))
+        return columns(states, mu)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(dyn, "_columns", counted)
+    spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
+    init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
+    config = dyn.IntegratorConfig(dt=1e-3, steps=2 * geo.BLOCK + 7)
+    handle = _Writes()
+    traj = dyn.integrate(spec, init, config, csv=handle)
+    assert calls == [geo.BLOCK, geo.BLOCK, 8]
+    assert handle.getvalue() == traj.to_csv()
+
+
 def _integrate_peak(csv):
     # the tracemalloc peak of a 30,000-step torus run, the pool's modules
     # imported before tracing

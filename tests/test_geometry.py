@@ -384,13 +384,13 @@ def test_sample_field_points_on_surface(torus):
 @pytest.mark.parametrize("policy", [GN, SD], ids=["gn", "sd"])
 @pytest.mark.parametrize("name,params", [("torus", {"R": 2.0, "r": 1.0}),
                                          ("spheroid", {"a": 1.0, "b": 2.0})])
-def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkeypatch):
-    # B = BLOCK + 1 leaves the last column alone in a second block.  The
-    # normal tables are made per block, and each column's tables are the
-    # ones it gets on its own.  The contractions after the tables sum in a
-    # fixed order, not einsum's batch-length-dependent one (which gave S2
-    # and lapLB_M other last bits at B = 1), so every field of a column is
-    # the one it gets alone, and the fields equal one unblocked pass.
+def test_blocked_fields_equal_per_column_evaluation(name, params, policy):
+    # A column's tables do not depend on its batch: in a batch of
+    # B = BLOCK + 1 columns, one more than any caller passes, each column's
+    # normal tables are the ones it gets on its own.  The contractions after
+    # the tables sum in a fixed order, not einsum's batch-length-dependent
+    # one (which gave S2 and lapLB_M other last bits at B = 1), so every
+    # field of a column is the one it gets alone as well.
     spec = builtin_surface(name, params)
     points = geo.sample_points(spec, "random", count=geo.BLOCK + 1, seed=6)
     tables = geo._tables_batch(spec, points, policy, 3)
@@ -403,11 +403,6 @@ def test_blocked_fields_equal_per_column_evaluation(name, params, policy, monkey
         for key, value in alone.items():
             assert value is None if key == "error_bound" else np.array_equal(
                 fields[key][..., b:b + 1], value), (key, b)
-    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
-    whole = geo.curvature_fields(spec, points, policy)
-    assert fields.keys() == whole.keys()
-    for key, value in whole.items():
-        assert value is None if key == "error_bound" else np.array_equal(fields[key], value), key
 
 
 @pytest.mark.parametrize("name,params,policy", [("torus", {"R": 2.0, "r": 1.0}, SD),

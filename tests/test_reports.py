@@ -11,8 +11,9 @@ import pytest
 from geomforce import geometry as geo
 from geomforce.dynamics import Trajectory
 from geomforce.oplab.evolve import EhrenfestTrace
-from geomforce.reports import (IN_FLIGHT, ROW_BLOCK, canonical_json, csv_rows, json_records,
-                               json_rows, ordered_map)
+from geomforce import reports
+from geomforce.reports import (IN_FLIGHT, canonical_json, csv_rows, json_records, json_rows,
+                               ordered_map)
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
            1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
@@ -66,12 +67,12 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 40, ROW_BLOCK + 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 40, 4099])
 def test_fields_json_is_canonical_json_of_the_records(count):
     columns = _columns(count, seed=count)
     layout, table = geo.sample_layout(3), geo.sample_table(columns)
     rows = json_rows(layout)
-    texts = [rows(table[s:s + ROW_BLOCK]) for s in range(0, count, ROW_BLOCK)]
+    texts = [rows(table[s:s + geo.BLOCK]) for s in range(0, count, geo.BLOCK)]
     chunks = list(json_records(PAYLOAD, "samples", layout, texts))
     expected = canonical_json(dict(PAYLOAD, samples=_records(columns))) + "\n"
     _assert_same("".join(chunks), expected)
@@ -95,7 +96,7 @@ def test_fields_json_keeps_the_key_where_the_payload_has_it():
     _assert_same("".join(json_records(payload, "samples", layout, texts)), expected)
 
 
-@pytest.mark.parametrize("count", [0, 1, 40, ROW_BLOCK + 3])
+@pytest.mark.parametrize("count", [0, 1, 40, 4099])
 def test_samples_csv_is_per_cell_format(count):
     columns = _columns(count, seed=count + 1)
     header = ["x0", "x1", "x2", "n0", "n1", "n2", "M", "S2", "kappa0", "kappa1",
@@ -106,8 +107,13 @@ def test_samples_csv_is_per_cell_format(count):
     _assert_same(text, _csv(header, rows))
 
 
-@pytest.mark.parametrize("count", [1, 2, 40, ROW_BLOCK + 3])
-def test_trajectory_csv_is_per_cell_format(count):
+@pytest.mark.parametrize("count", [1, 2, 40, 4099, 2 * 4096 + 5])
+def test_trajectory_csv_is_per_cell_format(count, monkeypatch):
+    # a finished trajectory's CSV is formatted here, however long: no pool
+    def fail(fn, items):
+        raise AssertionError("csv_text went through ordered_map")
+
+    monkeypatch.setattr(reports, "ordered_map", fail)
     table = _values(count, 9, seed=count)
     traj = Trajectory(ts=table[:, 0], xs=table[:, 1:4], ps=table[:, 4:7],
                       energy=table[:, 7], f_residual=table[:, 8],
