@@ -64,29 +64,36 @@ _NUMERIC_ERRORS = (
     optim.NoCriticalPointFoundError,
 )
 
-_LENGTH_SUFFIXES = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
+_LENGTH_SUFFIXES = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}  # "m" last: the others end in it
+
+
+def _suffixed(text, suffixes):
+    """A number with an optional unit suffix, times the suffix's factor."""
+    text = str(text).strip()
+    suffix = next((s for s in suffixes if text.endswith(s)), "")
+    try:
+        return float(text[: len(text) - len(suffix)]) * suffixes.get(suffix, 1.0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number with an optional "
+                                         f"{', '.join(suffixes)} suffix, got {text!r}") from None
 
 
 def parse_length(text):
     """Length literal with optional suffix (m, mm, um, nm); meters out."""
-    text = str(text).strip()
-    for suffix in ("nm", "um", "mm", "m"):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * _LENGTH_SUFFIXES[suffix]
-    return float(text)
+    return _suffixed(text, _LENGTH_SUFFIXES)
 
 
 def parse_mass(text):
     """Mass literal with optional kg suffix; kilograms out."""
-    text = str(text).strip()
-    if text.endswith("kg"):
-        return float(text[:-2])
-    return float(text)
+    return _suffixed(text, {"kg": 1.0})
 
 
 def parse_tolerance(text):
     """Tolerance literal; a finite positive float out."""
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan  # refused below, with the same message
     if not (np.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return tol
@@ -402,7 +409,8 @@ def _cmd_report(args):
 
 
 def build_parser():
-    parser = _Parser(prog="geomforce",
+    # main seeds the flags from --config itself, so argparse may not take an abbreviation
+    parser = _Parser(prog="geomforce", allow_abbrev=False,
                      description="Curvature-induced quantum force toolkit")
     parser.add_argument("--config", help="key = value file seeding any flag")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -505,7 +513,10 @@ def _diagnostic(code, error):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # config file seeds flags; explicit flags win because they come later
+        # config file seeds flags; explicit flags win because they come later.
+        # --config=FILE is the same flag as --config FILE
+        argv = [part for token in argv for part in
+                (token.split("=", 1) if token.startswith("--config=") else [token])]
         if "--config" in argv:
             idx = argv.index("--config")
             if idx + 1 >= len(argv):

@@ -15,6 +15,10 @@ from . import geometry as geo
 from .geometry import ExtensionPolicy
 from .surfaces import builtin_surface, chart_points
 
+TORUS_ANGLES = 64  # tube angles of the torus comparison, at phi = 0
+REL_TOL = 1e-9  # agreement of the torus comparison and the split identity
+SPHEROID_REL_TOL = 1e-6  # agreement of a spheroid extremum with its reference
+
 
 def torus_reference_laplacian(R, r, theta):
     """Reference closed form R(r + R sin t) / (2 r^2 (R + r sin t)^3)."""
@@ -33,13 +37,13 @@ def spheroid_reference_equator(a, b):
     return (b ** 2 - a ** 2) * (b ** 2 + 3 * a ** 2) / (2.0 * a * b ** 6)
 
 
-def _match(computed, reference, rel_tol=1e-9):
+def _match(computed, reference):
     scale = max(abs(reference), 1e-300)
-    return bool(abs(computed - reference) <= rel_tol * scale)
+    return bool(abs(computed - reference) <= SPHEROID_REL_TOL * scale)
 
 
-def torus_laplacian_comparison(R=2.0, r=1.0, n_angles=64, rel_tol=1e-9):
-    """Exact-jet lap M around the tube vs the reference closed form.
+def torus_laplacian_comparison(R=2.0, r=1.0):
+    """Exact-jet lap M at TORUS_ANGLES tube angles vs the reference closed form.
 
     Either the values agree at every angle (matches=True) or the report
     carries both curves, the worst deviation, and the observed pattern
@@ -47,13 +51,13 @@ def torus_laplacian_comparison(R=2.0, r=1.0, n_angles=64, rel_tol=1e-9):
     full Laplacian).
     """
     spec = builtin_surface("torus", {"R": R, "r": r})
-    (theta, _), pts = chart_points(spec, (n_angles, 1))  # at phi = 0
+    (theta, _), pts = chart_points(spec, (TORUS_ANGLES, 1))  # at phi = 0
     fields = geo.curvature_fields(spec, pts[..., 0], ExtensionPolicy.SIGNED_DISTANCE)
     lap = fields["lapM"]
     lap_lb = fields["lapLB_M"]
     reference = torus_reference_laplacian(R, r, theta)
     rel = np.abs(lap - reference) / np.maximum(np.abs(reference), 1e-300)
-    matches = bool(np.all(rel < rel_tol))
+    matches = bool(np.all(rel < REL_TOL))
     ratio = reference / np.where(np.abs(lap_lb) > 1e-300, lap_lb, np.nan)
     report = {
         "surface": "torus",
@@ -70,7 +74,7 @@ def torus_laplacian_comparison(R=2.0, r=1.0, n_angles=64, rel_tol=1e-9):
             np.abs(reference), 1e-300)
         report["pattern"] = {
             "reference_over_lapLB": [float(v) for v in ratio],
-            "reference_equals_half_lapLB": bool(np.all(half_lb_rel < rel_tol)),
+            "reference_equals_half_lapLB": bool(np.all(half_lb_rel < REL_TOL)),
             "note": (
                 "computed full Laplacian disagrees with the reference closed "
                 "form; the reference equals one half of the Laplace-Beltrami "
@@ -80,7 +84,7 @@ def torus_laplacian_comparison(R=2.0, r=1.0, n_angles=64, rel_tol=1e-9):
     return report
 
 
-def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
+def spheroid_extremum_comparison(a, b):
     """lap M at the poles and equator under both extensions vs references.
 
     The quadric is not a distance function, so the SignedDistance values
@@ -103,8 +107,8 @@ def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
             "lapM_gradient_normalized": gn.lapM,
             "lapM_signed_distance": sd.lapM,
             "lapLB": gn.lapLB_M,
-            "matches_gradient_normalized": _match(gn.lapM, reference, rel_tol),
-            "matches_signed_distance": _match(sd.lapM, reference, rel_tol),
+            "matches_gradient_normalized": _match(gn.lapM, reference),
+            "matches_signed_distance": _match(sd.lapM, reference),
         }
         if not (entry["matches_gradient_normalized"]
                 or entry["matches_signed_distance"]):
@@ -120,7 +124,7 @@ def spheroid_extremum_comparison(a, b, rel_tol=1e-6):
     return report
 
 
-def split_identity_report(rel_tol=1e-9):
+def split_identity_report():
     """The normal/surface split of lap M on sphere, circle and torus.
 
     Reports the signed-distance as-printed residual lapM - lapLB - d_n(M^2/2
@@ -152,7 +156,7 @@ def split_identity_report(rel_tol=1e-9):
         worst = max(abs(r["residual"]) for r in rows)
         worst_flipped = max(abs(r["residual_flipped"]) for r in rows)
         scale = max(max(abs(r["lapM"]) for r in rows), 1.0)
-        status = "confirmed" if worst <= rel_tol * scale else "finding"
+        status = "confirmed" if worst <= REL_TOL * scale else "finding"
         out["surfaces"].append({
             "surface": name,
             "rows": rows,
@@ -163,7 +167,7 @@ def split_identity_report(rel_tol=1e-9):
                 "printed split holds" if status == "confirmed" else
                 "printed split fails; flipping the sign of the normal-derivative "
                 "term closes the identity to machine precision"
-                if worst_flipped <= rel_tol * scale else
+                if worst_flipped <= REL_TOL * scale else
                 "printed split fails and the sign flip does not close it"
             ),
         })

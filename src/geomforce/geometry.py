@@ -402,9 +402,9 @@ def si_force_magnitude(sample, scale):
     return ForceEstimate(vector, magnitude, magnitude * 1e12)
 
 
-def curvature_force_scale(mass_kg, length_m, hbar=HBAR_SI):
-    """Order-of-magnitude force hbar^2 / (mu a^3) in piconewtons."""
-    return hbar ** 2 / (mass_kg * length_m ** 3) * 1e12
+def curvature_force_scale(mass_kg, length_m):
+    """Order-of-magnitude force hbar^2 / (mu a^3) in piconewtons, hbar = HBAR_SI."""
+    return HBAR_SI ** 2 / (mass_kg * length_m ** 3) * 1e12
 
 
 # Field sampling ----------------------------------------------------------------

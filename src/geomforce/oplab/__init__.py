@@ -9,15 +9,7 @@ hamiltonian) in units hbar = mu = 1; LinOp gives a map's per-mode blocks.
 
 from .grid import ParamSurfaceGrid, build_grid
 from .linops import LinOp, inner, norm_w
-from .operators import (
-    divergence,
-    gradient,
-    hamiltonian,
-    hermiticity_defect,
-    momentum,
-    random_band_states,
-    residual_on_testspace,
-)
+from .operators import divergence, gradient, hamiltonian, momentum, random_band_states
 from .identities import (IDENTITY_IDS, IdentityVerdict, UnknownIdentityError,
                          check_identity, run_identity_suite)
 from .evolve import EhrenfestTrace, NormDriftError, evolve_wavepacket, hbar_scaling_slopes
@@ -26,7 +18,6 @@ __all__ = [
     "ParamSurfaceGrid", "build_grid",
     "LinOp", "inner", "norm_w",
     "gradient", "momentum", "divergence", "hamiltonian",
-    "residual_on_testspace", "hermiticity_defect",
     "random_band_states",
     "IDENTITY_IDS", "IdentityVerdict", "UnknownIdentityError", "check_identity",
     "run_identity_suite",

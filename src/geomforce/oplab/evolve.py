@@ -28,7 +28,7 @@ from .operators import StateActions, hamiltonian, quartics
 
 
 NORM_TOL = 1e-6  # the largest |norm - 1| evolve_wavepacket accepts
-SCALING_HBARS = (1.0, 0.5, 0.25)
+SCALING_HBARS, SCALING_MU = (1.0, 0.5, 0.25), 1.0
 SCALING_SIZE, SCALING_STEPS, SCALING_T_FINAL = 256, 100, 0.05
 
 
@@ -171,11 +171,12 @@ def _states(grid, psi, dt, steps, record_every, hbar, mu):
         yield np.fft.ifft(spectrum / sqrt_w[:, None], axis=1).reshape(grid.shape)
 
 
-def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2, mu=1.0):
+def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2):
     """Log-log slopes of the quantum and centripetal term magnitudes vs hbar.
 
-    The packet is evolved once per hbar in SCALING_HBARS on one circle
-    grid (SCALING_SIZE nodes, SCALING_STEPS steps to SCALING_T_FINAL).
+    The packet is evolved once per hbar in SCALING_HBARS, at mass
+    SCALING_MU, on one circle grid (SCALING_SIZE nodes, SCALING_STEPS
+    steps to SCALING_T_FINAL).
     The classical action is held fixed: the packet keeps the same mean
     momentum while the mode number scales like 1/hbar.  The quantum term
     should scale like hbar^2 (slope 2), the centripetal term like hbar^0
@@ -188,7 +189,7 @@ def hbar_scaling_slopes(params, mean_momentum=10.0, sigma=0.2, mu=1.0):
     quantum_rms, cent_rms = [], []
     for hb in SCALING_HBARS:
         trace = evolve_wavepacket(grid, packet, SCALING_T_FINAL / SCALING_STEPS,
-                                  SCALING_STEPS, hbar=hb, mu=mu)
+                                  SCALING_STEPS, hbar=hb, mu=SCALING_MU)
         quantum_rms.append(float(np.sqrt(np.mean(
             np.linalg.norm(trace.quantum, axis=1) ** 2))))
         cent_rms.append(float(np.sqrt(np.mean(

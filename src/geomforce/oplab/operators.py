@@ -279,32 +279,10 @@ def worst_entry(table):
     return worst, int(np.argmax(np.isnan(per_state) | (per_state >= worst - tie)))
 
 
-def residual_on_testspace(a, b, grid, seed=0):
-    """max over the TEST_STATES test states of ||(A - B) psi|| / ||B psi||.
-
-    a and b map one state to an array; each component of a stack counts
-    as one operator pair.  Returns (residual, witness_index).
-    """
-    table = [np.ravel(relative_residuals(grid.weights, a(psi), b(psi)))
-             for psi in random_band_states(grid, TEST_STATES, seed)]
-    return worst_entry(np.stack(table, axis=1))
-
-
-def hermiticity_defect(op, grid, seed=0):
-    """max |<phi, A psi> - <A phi, psi>| over the HERMITICITY_PAIRS test
-    pairs, normalized; op may return a component stack, whose worst
-    component counts.
-    """
-    states = random_band_states(grid, 2 * HERMITICITY_PAIRS, seed)
-    worst = 0.0
-    for phi, psi in zip(states[0::2], states[1::2]):
-        worst = max(worst, pair_defect(grid.weights, phi, psi, op(phi), op(psi)))
-    return worst
-
-
 def pair_defect(weights, phi, psi, a_phi, a_psi):
     """|<phi, A psi> - <A phi, psi>| / max(||A psi||, ||A phi||, 1) of one
-    test pair, worst component; hermiticity_defect is its max over pairs."""
+    test pair, worst component; run_identity_suite's HERMITICITY residual is
+    its max over the HERMITICITY_PAIRS pairs."""
     defect = np.abs(inner(weights, phi, a_psi) - inner(weights, a_phi, psi))
     scale = np.maximum(np.maximum(norm_w(weights, a_psi), norm_w(weights, a_phi)), 1.0)
     return float(np.max(defect / scale))

@@ -309,6 +309,34 @@ def test_config_file_seeds_flags_and_flags_win(tmp_path, capsys):
     assert len(json.loads(out)["samples"]) == 8
 
 
+def test_config_flag_with_equals_seeds_the_same_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("surface = circle\na = 1\nresolution = 4\n")
+    reports = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / f"fields-{len(reports)}.json"
+        assert main(spelling + ["fields", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    # an abbreviation is refused, not skipped
+    assert main(["--conf", str(cfg), "fields"]) == 1
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["extrema", "--surface", "torus", "--R", "2", "--r", "1", "--tol", "x"], "--tol"),
+    (["force", "--surface", "sphere", "--a", "1", "--mass", "1e-30x"], "--mass"),
+    (["force", "--surface", "sphere", "--a", "3xm", "--mass", "1e-30"], "--a"),
+    (["force", "--surface", "generic", "--curvature-scale", "1e-8x", "--mass", "1e-30"],
+     "--curvature-scale"),
+], ids=["tolerance", "mass", "length", "curvature-scale"])
+def test_a_non_number_literal_is_input_error_naming_its_flag(args, flag, capsys):
+    code, out, err = run_cli(args, capsys)
+    diag = json.loads(err)
+    assert (code, out, diag["exit_code"], diag["error"]) == (1, "", 1, "CliInputError")
+    assert diag["message"].startswith(f"argument {flag}: must be ")
+    assert "parse_" not in diag["message"]
+
+
 @pytest.mark.parametrize("args", [
     ["fields", "--surface", "torus", "--R", "2", "--r", "1", "--sampling", "random",
      "--count", "10"],

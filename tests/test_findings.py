@@ -15,7 +15,7 @@ def test_torus_reference_formula_values():
 
 
 def test_torus_comparison_records_half_lb_pattern():
-    report = findings.torus_laplacian_comparison(2.0, 1.0, n_angles=64)
+    report = findings.torus_laplacian_comparison(2.0, 1.0)
     assert not report["matches_reference"]
     assert report["max_rel_deviation"] > 1.0
     assert report["pattern"]["reference_equals_half_lapLB"]

@@ -12,10 +12,8 @@ from geomforce.oplab import (
     divergence,
     gradient,
     hamiltonian,
-    hermiticity_defect,
     momentum,
     random_band_states,
-    residual_on_testspace,
 )
 from geomforce.oplab import identities
 from geomforce.oplab.grid import GEO_KEYS, UnsupportedSurfaceError
@@ -26,6 +24,7 @@ from geomforce.oplab.identities import (
     run_identity_suite,
 )
 from geomforce.oplab.linops import fourier_derivative, inner, norm_w
+from geomforce.oplab.operators import relative_residuals, worst_entry
 
 import closed_forms as cf
 
@@ -53,6 +52,18 @@ def circle_family():
 @pytest.fixture(scope="module")
 def torus_family():
     return [build_grid("torus", {"R": 2.0, "r": 1.0}, s) for s in (16, 32, 64)]
+
+
+@pytest.fixture(scope="module")
+def suite_verdicts():
+    """The suite's H_FORMS and HERMITICITY verdicts on 16/32/64 grids, by surface."""
+    return {kind: {v["identity"]: v for v in run_identity_suite(
+                kind, params, [16, 32, 64], identities=["H_FORMS", "HERMITICITY"])["identities"]}
+            for kind, params in (("circle", {"a": 1.0}), ("torus", {"R": 2.0, "r": 1.0}))}
+
+
+def residual_at(verdict, grid_label):
+    return dict(zip(verdict["grids"], verdict["residuals"]))[grid_label]
 
 
 # grids ---------------------------------------------------------------------------
@@ -154,10 +165,10 @@ def test_normal_dot_momentum_is_multiplication(circle64):
         assert norm_w(circle64.weights, got - want) < 1e-12
 
 
-def test_momentum_hermitian(circle64, torus32):
-    for grid, tol in ((circle64, 1e-11), (torus32, 1e-11)):
-        # every component p_j at once: the worst one counts
-        assert hermiticity_defect(lambda psi: momentum(grid, psi), grid) < tol
+def test_momentum_hermitian(suite_verdicts):
+    for kind, grid in (("circle", "64"), ("torus", "32x32")):
+        # every component of the stack [p, H_lb, H_mom] at once: the worst one counts
+        assert residual_at(suite_verdicts[kind]["HERMITICITY"], grid) < 1e-11
 
 
 def test_flat_limit_of_momentum():
@@ -221,20 +232,15 @@ def test_nan_anchor_defects_reach_the_report(monkeypatch):
     assert suite["hard_failures"] == ["CIRCLE_ANCHORS"]
 
 
-def test_h_forms_spectral_convergence_on_torus(torus_family):
-    residuals = []
-    for g in torus_family:
-        residuals.append(residual_on_testspace(
-            lambda psi: hamiltonian(g, psi, form="lb"),
-            lambda psi: hamiltonian(g, psi, form="momentum"), g)[0])
+def test_h_forms_spectral_convergence_on_torus(suite_verdicts):
+    residuals = suite_verdicts["torus"]["H_FORMS"]["residuals"]  # 16, 32, 64
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 1e-10
 
 
-def test_hamiltonian_hermitian(torus32):
-    for form in ("lb", "momentum"):
-        h = lambda psi: hamiltonian(torus32, psi, form=form)
-        assert hermiticity_defect(h, torus32) < 1e-11
+def test_hamiltonian_hermitian(suite_verdicts):
+    # both forms are in the stack [p, H_lb, H_mom]
+    assert residual_at(suite_verdicts["torus"]["HERMITICITY"], "32x32") < 1e-11
 
 
 # operator algebra -------------------------------------------------------------------
@@ -296,26 +302,31 @@ def test_mode_blocks_reproduce_the_operator(kind, params, size):
 
 
 def test_residual_zero_for_equal_operators(circle64):
+    w = circle64.weights
     h = lambda psi: hamiltonian(circle64, psi)
-    assert residual_on_testspace(h, h, circle64)[0] == 0.0
+    table = [relative_residuals(w, h(psi), h(psi)) for psi in random_band_states(circle64)]
+    assert worst_entry(table)[0] == 0.0
 
 
 def test_residual_recovers_epsilon_perturbation(circle64):
+    w = circle64.weights
     h = lambda psi: hamiltonian(circle64, psi)
     eps = 1e-6
-    perturbed = lambda psi: h(psi) + eps * psi
-    value, _ = residual_on_testspace(perturbed, h, circle64)
-    norms = [norm_w(circle64.weights, h(psi))
-             for psi in random_band_states(circle64, 8, seed=0)]
+    states = random_band_states(circle64, 8, seed=0)
+    value, _ = worst_entry([relative_residuals(w, h(psi) + eps * psi, h(psi))
+                            for psi in states])
+    norms = [norm_w(w, h(psi)) for psi in states]
     expected = eps / min(norms)
     assert value == pytest.approx(expected, rel=2.0)
 
 
 def test_residual_deterministic_under_seed(circle64):
+    w = circle64.weights
     a = lambda psi: hamiltonian(circle64, psi, form="lb")
     b = lambda psi: hamiltonian(circle64, psi, form="momentum")
-    r1 = residual_on_testspace(a, b, circle64, seed=11)
-    r2 = residual_on_testspace(a, b, circle64, seed=11)
+    r1, r2 = (worst_entry([relative_residuals(w, a(psi), b(psi))
+                           for psi in random_band_states(circle64, seed=11)])
+              for _ in range(2))
     assert r1 == r2
 
 
