@@ -2,8 +2,10 @@
 
 Subcommands: parse, fields, extrema, classical, verify, force, report.
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
-3 refuted hard invariant, 70 internal bug (EX_SOFTWARE).  Errors go to
-stderr as one JSON object, after the traceback for an internal bug.
+3 refuted hard invariant, 70 internal bug (EX_SOFTWARE), 141 (128 +
+SIGPIPE) when the reader of standard output stops early, as `| head`
+does.  Errors go to stderr as one JSON object, after the traceback for
+an internal bug; a closed pipe prints nothing.
 
 A config file of `key = value` lines (long option names without the
 leading dashes) can seed any flag; explicit flags take precedence.
@@ -16,6 +18,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import sys
 import traceback
 
@@ -35,6 +38,9 @@ from .surfaces import (
     builtin_surface,
     from_expression,
 )
+
+
+EXIT_SIGPIPE = 141  # 128 + SIGPIPE (13), the status a shell gives a process the signal ended
 
 
 class CliInputError(ValueError):
@@ -531,7 +537,18 @@ def main(argv=None):
                 argv = rest + config_pairs
         parser = build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe raises in this try
+        return code
+    except BrokenPipeError:
+        # The reader stopped early: exit as a process killed by SIGPIPE, with
+        # stdout on devnull so that the flush at exit finds no pipe to write.
+        with contextlib.suppress(OSError, ValueError):  # no descriptor behind stdout
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return EXIT_SIGPIPE
     except _NUMERIC_ERRORS as error:
         _diagnostic(2, error)
         return 2

@@ -17,12 +17,15 @@ states in pairs, so HERMITICITY judges its pairs from the same actions.
 Each pair is one job: the pair jobs of every grid of the family run on
 every CPU through one reports.ordered_map, and the parent merges each
 grid's results in pair order, so they do not depend on the CPU count.
-The circle anchors read the same actions.  run_identity_suite runs the
-pass once per grid for all its identities and judges each identity from
-those results; check_identity runs the pass for its one identity.  Both
-refuse a family of fewer than 3 grids or an unknown identity id (an
-UnknownIdentityError) before any work.  The test space (TEST_STATES
-states, HERMITICITY_PAIRS pairs) is operators'.
+The circle anchors read the same actions.  run_identity_suite builds
+only the finest grid of its family and takes each coarser grid from it
+(grid.subgrid), runs the pass once per grid for all its identities and
+judges each identity from those results; check_identity runs the pass
+for its one identity on the grids it is given.  Both refuse a family of
+fewer than 3 grids or an unknown identity id (an UnknownIdentityError)
+before any work, and run_identity_suite refuses a family whose grids do
+not nest into the finest.  The test space (TEST_STATES states,
+HERMITICITY_PAIRS pairs) is operators'.
 
 Both sides of every identity carry the same powers of hbar and mu, so
 they are built in reduced units (hbar = mu = 1) and no verdict depends
@@ -52,13 +55,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..reports import ordered_map
-from .grid import build_grid
+from .grid import build_grid, check_family, subgrid
 from .linops import LinOp, fourier_derivative, norm_w
 from .operators import (
     HERMITICITY_PAIRS,
     ROUNDOFF_FLOOR,
     TEST_STATES,
     StateActions,
+    cached,
     divergence,
     hamiltonian,
     momentum,
@@ -108,13 +112,13 @@ class IdentityVerdict:
 
 def _coefficients(grid):
     """The coefficient fields of EQ10 and the quartics, made once per grid."""
-    if "coefficients" not in grid.cache:
+    def make():
         g = grid.geo
         w = 0.5 * g["gradS2"]  # W_j = n_{i,l} n_{i,l,j}
-        grid.cache["coefficients"] = {
-            "n": g["n"], "W": w, "n_dot_W": np.einsum("k...,k...->...", g["n"], w),
-            "C4": g["C4"], "n_iill": g["n_iill"], "S2": g["S2"]}
-    return grid.cache["coefficients"]
+        return {"n": g["n"], "W": w, "n_dot_W": np.einsum("k...,k...->...", g["n"], w),
+                "C4": g["C4"], "n_iill": g["n_iill"], "S2": g["S2"]}
+
+    return cached(grid, "coefficients", make)
 
 
 # Each builder returns sides(actions): the arrays one identity compares on
@@ -137,9 +141,13 @@ def _sides_eq3(grid):
 def _sides_eq8(grid):
     n, dn = grid.geo["n"], grid.geo["dn"]
     first, second = np.triu_indices(grid.ndim_embed, 1)
-    coefs = np.stack([n[j] * dn[i] - n[i] * dn[j] for i, j in zip(first, second)])
+
+    def coefficients():  # made on first use, in the process that builds the sides
+        return np.stack([n[j] * dn[i] - n[i] * dn[j]
+                         for i, j in zip(first, second)]).astype(complex)
 
     def sides(a):
+        coefs = cached(grid, "EQ8_PP", coefficients)
         lhs = a.pp[first, second] - a.pp[second, first]
         rhs = 0.5j * (np.einsum("pl...,l...->p...", coefs, a.p)
                       + divergence(grid, np.swapaxes(coefs, 0, 1) * a.psi))
@@ -190,6 +198,7 @@ _BUILDERS = {
     "H_FORMS": (lambda grid: lambda a: (a.h_lb, a.h_mom), ((0, 1),)),
 }
 _QUARTIC_TABLES = ("EQ11_F_SIMPL", "EQ13_G_SIMPL", "construction")
+_PP_GROUPS = frozenset({"QUARTICS", "EQ3_MAIN", "EQ8_PP"})  # sides that read p_l p_k psi
 
 
 def _group(identity_id):
@@ -203,12 +212,17 @@ def _pair_jobs(grid, groups, seed):
     A job returns the pair's HERMITICITY defect, {group: one list of
     residual rows per state} and, on state 0, whether EQ10's sides are
     nonzero ("EQ10_probe").  It judges the pair, then builds each group's
-    sides on each state, turns them into residual rows and drops them.
-    The side builders and the states are made here, before any job runs.
+    sides on each state, turns them into residual rows and drops them; a
+    state whose sides read p_l p_k psi takes p^2 psi as its trace.
+    The side builders and the states are made here, before any job runs;
+    the complex coefficient caches the sides and the operators multiply a
+    state by (operators.cached) are made by the first job of the grid that
+    a process runs, so in a worker, not in the parent before the fork.
     """
     built = [(group, build(grid), pairs)
              for group, (build, pairs) in _BUILDERS.items() if group in groups]
     sided = TEST_STATES if built else 0
+    reads_pp = not _PP_GROUPS.isdisjoint(groups)
     paired = 2 * HERMITICITY_PAIRS if "HERMITICITY" in groups else 0
     states = random_band_states(grid, max(sided, paired), seed)
 
@@ -228,6 +242,8 @@ def _pair_jobs(grid, groups, seed):
     def pair_job(k):
         out = {group: [] for group, _, _ in built}
         pair = [StateActions(grid, psi) for psi in states[k:k + 2]]
+        for index, acts in enumerate(pair, k):
+            acts.reads_pp = reads_pp and index < sided
         if k < paired:
             out["HERMITICITY"] = pair_defect(
                 grid.weights, pair[0].psi, pair[1].psi,
@@ -264,10 +280,11 @@ def _grid_passes(grids, groups, seed):
     The pair jobs of all the grids run on every CPU through one
     reports.ordered_map, so the pool is forked once; the finest grid's
     longest jobs go first, so they do not form the tail.  Workers inherit
-    the grids, side builders, states and jobs; only job indices go to them
-    and only residual rows come back;
-    each grid's results are merged in pair order, so they do not depend on
-    the CPU count.
+    the grids (their geometry made before, by build_grid and subgrid),
+    side builders, states and jobs; only job indices go to them and only
+    residual rows come back; each makes its own coefficient caches.  Each
+    grid's results are merged in pair order, so they do not depend on the
+    CPU count.
     """
     order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[0])
     jobs = {k: _pair_jobs(grids[k], groups, seed) for k in order}
@@ -436,8 +453,9 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     -level properties that did not confirm).  hbar and mu are echoed and
     scale the DIMENSIONAL_ANCHORS by hbar^2 / mu once they are gated.
     sizes must be strictly increasing (the slopes are fit over distinct
-    sizes, and the anchors take the second grid); a ValueError says so
-    before any grid is built.
+    sizes, and the anchors take the second grid) and nest: only the
+    finest grid is built (build_grid), and each coarser one is its
+    subgrid.  A ValueError says so before any grid is built.
     """
     if tol is None:
         tol = 1e-10 if kind == "circle" else 1e-8
@@ -445,7 +463,9 @@ def run_identity_suite(kind, params, sizes, hbar=1.0, mu=1.0, tol=None,
     _check_request(len(sizes), identities)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):  # slopes fit over distinct sizes
         raise ValueError(f"grid sizes must be strictly increasing, got {list(sizes)}")
-    grids = [build_grid(kind, params, s) for s in sizes]
+    check_family(kind, sizes)
+    fine = build_grid(kind, params, sizes[-1])
+    grids = [subgrid(fine, s) for s in sizes[:-1]] + [fine]
     groups = [_group(i) for i in identities]
     results = _grid_passes(grids, groups, seed)
     verdicts = [_verdict(grids, ident, results, tol, seed) for ident in identities]

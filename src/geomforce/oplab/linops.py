@@ -12,6 +12,8 @@ map's block in each Fourier mode of that axis.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -48,17 +50,25 @@ class LinOp:
         return blocks
 
 
+@functools.lru_cache(maxsize=None)
+def _wavenumbers(n, trailing):
+    """i k of the n modes of an axis followed by `trailing` axes, read-only."""
+    ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * trailing)
+    ik.flags.writeable = False
+    return ik
+
+
 def fourier_derivative(psi, axis, ndim):
     """d/du^axis (period 2*pi) of a stack whose last ndim axes are the grid.
 
     One fft/ifft pair differentiates every leading-axis component; the
-    product with i k and the inverse transform write into the spectrum.
+    product with i k (made once per axis length and position) and the
+    inverse transform write into the spectrum.
     """
     axis -= ndim
     n = psi.shape[axis]
-    ik = (np.fft.fftfreq(n, d=1.0 / n) * 1j).reshape((n,) + (1,) * (-1 - axis))
     spectrum = np.fft.fft(psi, axis=axis)
-    np.multiply(ik, spectrum, out=spectrum)
+    np.multiply(_wavenumbers(n, -1 - axis), spectrum, out=spectrum)
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 

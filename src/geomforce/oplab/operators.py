@@ -12,7 +12,10 @@ sum_l p_l A_l.  All three accept leading axes and take one fft/ifft
 pair per parametric axis however many components they carry.  The
 Hamiltonian (Laplace-Beltrami or momentum form), the centripetal
 quadratic and the quartics F_j, G_j are built from them.  A commutator
-is a pair of such functions applied in both orders.
+is a pair of such functions applied in both orders.  The real coefficient
+fields they multiply complex states by are cached on the grid as complex
+arrays (`cached`), made where they are first asked for; the momentum's
+carry its -i.
 
 StateActions is the lab's one source of operator actions on a state
 (p psi, p_l p_k psi, p^2 psi, both H psi, Q psi, ...): the identity
@@ -34,22 +37,52 @@ def _lift(field, nlead):
     return field.reshape(field.shape[:1] + (1,) * nlead + field.shape[1:])
 
 
-def _momentum_coefficients(grid):
-    """Per-axis gradient coefficients and M n / 2, cached as complex arrays.
+def cached(grid, key, make):
+    """grid.cache[key], made by make() the first time the process asks for it.
 
-    Complex copies multiply exactly like the real fields, minus the casts.
+    A cache asked for first in a worker is made there, after the fork, so
+    the parent does not hold it.
     """
-    coefs = grid.cache.get("momentum")
-    if coefs is None:
-        coefs = [np.ascontiguousarray(grid.grad_coefs[:, a], dtype=complex)
-                 for a in range(len(grid.shape))]
-        coefs.append((0.5 * grid.geo["M"] * grid.geo["n"]).astype(complex))
-        grid.cache["momentum"] = coefs
-    return coefs
+    if key not in grid.cache:
+        grid.cache[key] = make()
+    return grid.cache[key]
 
 
-def _tangential(grid, x, nlead):
-    """sum_a c[i, a] d_a x for every component i.
+def _complex(field):
+    """A real field as a complex array: it multiplies complex arrays exactly
+    as the real field does, minus the cast on every product."""
+    return np.asarray(field, dtype=complex)
+
+
+def _gradient_coefficients(grid):
+    """Per-axis gradient coefficients c[:, a], as complex arrays."""
+    return cached(grid, "gradient", lambda: [
+        np.ascontiguousarray(grid.grad_coefs[:, a], dtype=complex)
+        for a in range(len(grid.shape))])
+
+
+def _momentum_coefficients(grid):
+    """-i c[:, a] per axis and -i M n / 2, as complex arrays.
+
+    Multiplying by -i only swaps and negates the parts of a complex
+    number, so p x = sum_a (-i c_a) d_a x + (-i M n / 2) x has the bits of
+    -i (sum_a c_a d_a x + M n x / 2), without the pass that multiplies by -i.
+    """
+    def make():
+        fields = [grid.grad_coefs[:, a] for a in range(len(grid.shape))]
+        fields.append(0.5 * grid.geo["M"] * grid.geo["n"])
+        coefs = []
+        for values in fields:
+            coef = np.zeros(values.shape, dtype=complex)
+            coef.imag = -values
+            coefs.append(coef)
+        return coefs
+
+    return cached(grid, "momentum", make)
+
+
+def _tangential(grid, x, nlead, coefs):
+    """sum_a coefs[a][i] d_a x for every component i.
 
     x is one field broadcast to every i (nlead leading axes) or an
     (N,)+lead+shape stack whose entry i gets component i.  A stack's
@@ -58,7 +91,7 @@ def _tangential(grid, x, nlead):
     not commutative bit for bit.
     """
     naxes = len(grid.shape)
-    coefs = [_lift(c, nlead) for c in _momentum_coefficients(grid)[:naxes]]
+    coefs = [_lift(c, nlead) for c in coefs]
     in_place = x.shape == np.broadcast_shapes(coefs[0].shape, x.shape)
     out = None
     for a, c in enumerate(coefs):
@@ -73,16 +106,16 @@ def _tangential(grid, x, nlead):
 
 def _apply(grid, x, nlead):
     """-i (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
-    half_mn = _lift(_momentum_coefficients(grid)[-1], nlead)
-    out = _tangential(grid, x, nlead)
-    out += half_mn * x
-    return np.multiply(-1j, out, out=out)
+    *coefs, half_mn = _momentum_coefficients(grid)
+    out = _tangential(grid, x, nlead, coefs)
+    out += _lift(half_mn, nlead) * x
+    return out
 
 
 def gradient(grid, psi):
     """Cartesian grad_S psi as an (N,)+psi.shape stack."""
     psi = np.asarray(psi, dtype=complex)
-    return _tangential(grid, psi, psi.ndim - len(grid.shape))
+    return _tangential(grid, psi, psi.ndim - len(grid.shape), _gradient_coefficients(grid))
 
 
 def momentum(grid, psi):
@@ -134,6 +167,19 @@ def centripetal(grid, psi, p_psi=None):
     return divergence(grid, np.einsum("ik...,k...->i...", dn, p_psi))
 
 
+def _quartic_coefficients(grid):
+    """n, dn, dn transposed and the inner stack c[j, l, k] = n_{j,l} n_k of
+    the quartics, as complex arrays."""
+    def make():
+        n, dn = _complex(grid.geo["n"]), _complex(grid.geo["dn"])
+        dn_t = np.swapaxes(dn, 0, 1)
+        real_t = np.swapaxes(grid.geo["dn"], 0, 1)
+        stack = _complex(real_t[:, :, None] * grid.geo["n"][None, None])
+        return n, dn, dn_t, stack
+
+    return cached(grid, "quartics", make)
+
+
 def quartics(grid, psi, p_psi, pp_psi):
     """F_j psi and G_j psi for one state, as two (N,)+shape stacks.
 
@@ -145,9 +191,8 @@ def quartics(grid, psi, p_psi, pp_psi):
     are F's last term and, transposed, G's.  Each quartic folds its three
     outer p passes into one divergence.
     """
-    n, dn = grid.geo["n"], grid.geo["dn"]
-    dn_t = np.swapaxes(dn, 0, 1)
-    inner = divergence(grid, dn_t[:, :, None] * n[None, None] * psi)
+    n, dn, dn_t, stack = _quartic_coefficients(grid)
+    inner = divergence(grid, stack * psi)
     n_p = np.einsum("k...,k...->...", n, p_psi)
     f_p = np.einsum("jl...,l...->j...", dn, p_psi)
     f_psi = (np.einsum("jl...,k...,lk...->j...", dn, n, pp_psi)
@@ -166,6 +211,8 @@ class StateActions:
     Each is computed the first time it is read and kept for the state.
     """
 
+    reads_pp = False  # set True on a state whose pp is read: p2 is then its trace
+
     def __init__(self, grid, psi):
         self.grid, self.psi = grid, psi
 
@@ -181,8 +228,12 @@ class StateActions:
 
     @cached_property
     def p2(self):
-        """p^2 psi = sum_l p_l p_l psi."""
-        return divergence(self.grid, self.p)
+        """p^2 psi = sum_l p_l p_l psi: the trace of pp, bit for bit, when pp
+        is read, else one divergence of p."""
+        if not self.reads_pp:
+            return divergence(self.grid, self.p)
+        pp = self.pp
+        return sum((pp[l, l] for l in range(1, len(pp))), pp[0, 0])
 
     @cached_property
     def p2_p(self):

@@ -9,23 +9,26 @@ neither.  atomic_write writes whole texts or chunks through it, and
 `classical --trajectory` holds it open while dynamics.integrate writes the
 CSV and the residuals run.
 
-Three kinds of work run on every CPU the process may run on, through
+Four kinds of work run on every CPU the process may run on, through
 ordered_map: the fields report (JSON or CSV), whose workers each compute and
-format whole blocks of sample columns (geometry.sample_blocks); the verify
-passes, whose workers judge the test state pairs of every grid and return
-their residual rows (oplab.identities); and the trajectory CSV of
-dynamics.integrate, whose workers format the CSV rows of the Trajectory
-columns that the parent made from each block of geometry.BLOCK states of its
-step loop.  The parent takes the items lazily and pickles each to a worker
-as it is made: sample starts, job indices, or a block's table of CSV columns
-made after the fork; fn is inherited.  It hands on each result in item order
-once it is done.  Of items made lazily it holds at most IN_FLIGHT futures
-per worker, and an item made while that window is full waits for the oldest
-result; a sized items is submitted whole.  So it joins the results as they
-come, or writes them (the trajectory CSV goes to the open temp file of
-atomic_file while the step loop runs, and no more than a window of block
-texts is held in the parent).  A block's text or a pair's rows do not depend
-on the process that made them, so the bytes do not depend on the CPU count.
+format whole blocks of sample columns (geometry.sample_blocks); the geometry
+of an operator-lab grid, whose workers each return the curvature fields of a
+block of nodes (oplab.grid.build_grid, which a verify family calls for its
+finest grid only); the verify passes, whose workers judge the test state
+pairs of every grid and return their residual rows (oplab.identities); and
+the trajectory CSV of dynamics.integrate, whose workers format the CSV rows
+of the Trajectory columns that the parent made from each block of
+geometry.BLOCK states of its step loop.  The parent takes the items lazily
+and pickles each to a worker as it is made: sample or node block starts, job
+indices, or a block's table of CSV columns made after the fork; fn is
+inherited.  It hands on each result in item order once it is done.  Of items
+made lazily it holds at most IN_FLIGHT futures per worker, and an item made
+while that window is full waits for the oldest result; a sized items is
+submitted whole.  So it joins the results as they come, or writes them (the
+trajectory CSV goes to the open temp file of atomic_file while the step loop
+runs, and no more than a window of block texts is held in the parent).  A
+block's text, a node's fields or a pair's rows do not depend on the process
+that made them, so the bytes do not depend on the CPU count.
 The parent flushes its standard streams before it forks, so the flush a
 worker gives them as it leaves finds nothing of the parent's, and workers
 leave through os._exit, which runs no finaliser: they never flush another

@@ -559,6 +559,25 @@ def test_numpy_warnings_stay_off_stderr():
     assert json.loads(proc.stderr)["error"] == "OffSurfaceError"
 
 
+def test_a_reader_that_stops_early_gets_exit_141_and_no_diagnostic():
+    # `geomforce fields ... | head -c 10`: about 1 MB of JSON, more than a pipe
+    # holds, so the write meets the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geomforce.cli", "fields", "--surface", "circle",
+         "--a", "1", "--resolution", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert head == b'{\n  "surfa'
+    assert err == b""
+
+
 # fields blocks and CSV row blocks made on every CPU ------------------------------
 
 TORUS_FIELDS = ["fields", "--surface", "torus", "--R", "2", "--r", "1",

@@ -16,7 +16,7 @@ from geomforce.oplab import (
     random_band_states,
 )
 from geomforce.oplab import identities
-from geomforce.oplab.grid import GEO_KEYS, UnsupportedSurfaceError
+from geomforce.oplab.grid import GEO_KEYS, UnsupportedSurfaceError, subgrid
 from geomforce.oplab.identities import (
     IDENTITY_IDS,
     check_identity,
@@ -24,7 +24,7 @@ from geomforce.oplab.identities import (
     run_identity_suite,
 )
 from geomforce.oplab.linops import fourier_derivative, inner, norm_w
-from geomforce.oplab.operators import relative_residuals, worst_entry
+from geomforce.oplab.operators import StateActions, relative_residuals, worst_entry
 
 import closed_forms as cf
 
@@ -124,6 +124,55 @@ def test_grid_fields_equal_one_full_batch_pass(kind, params, size):
     full["n_iill"] = np.einsum("iill...->...", full["d3n"])
     for key in GEO_KEYS:
         assert np.array_equal(grid.geo[key], full[key].reshape(grid.geo[key].shape)), key
+
+
+FAMILY_CASES = [("circle", {"a": 1.0}), ("circle", {"a": 2.0 ** -6}),
+                ("torus", {"R": 2.0, "r": 1.0}), ("torus", {"R": 3.0, "r": 0.5}),
+                ("torus", {"R": 2.0 ** 21, "r": 2.0 ** 20})]
+
+
+@pytest.mark.parametrize("kind, params", FAMILY_CASES)
+def test_subgrids_equal_the_grids_built_at_their_size(kind, params):
+    """A family's coarser grids are taken from its finest: every node and
+    field, bit for bit, is the one build_grid makes at that size."""
+    fine = build_grid(kind, params, 128)
+    for size in (16, 32, 64):
+        got, built = subgrid(fine, size), build_grid(kind, params, size)
+        assert got.shape == built.shape
+        for name in ("points", "grad_coefs", "ginv_diag", "sqrtg", "weights"):
+            assert getattr(got, name).shape == getattr(built, name).shape, (size, name)
+            assert getattr(got, name).tobytes() == getattr(built, name).tobytes(), (size, name)
+        for axis, built_axis in zip(got.coords, built.coords):
+            assert axis.tobytes() == built_axis.tobytes()
+        assert set(got.geo) == set(GEO_KEYS)
+        for key in GEO_KEYS:
+            assert got.geo[key].shape == built.geo[key].shape, (size, key)
+            assert got.geo[key].tobytes() == built.geo[key].tobytes(), (size, key)
+
+
+def test_a_pair_subgrid_takes_each_axis_at_its_own_stride():
+    params = {"R": 2.0, "r": 1.0}
+    got = subgrid(build_grid("torus", params, (64, 32)), (16, 32))
+    built = build_grid("torus", params, (16, 32))
+    for key in GEO_KEYS:
+        assert got.geo[key].tobytes() == built.geo[key].tobytes(), key
+    assert got.weights.tobytes() == built.weights.tobytes()
+    with pytest.raises(ValueError, match="does not nest"):
+        subgrid(build_grid("torus", params, (64, 32)), (16, 64))
+
+
+def test_suite_builds_only_the_finest_grid(monkeypatch):
+    built = []
+    original = identities.build_grid
+
+    def counted(kind, params, size):
+        built.append(size)
+        return original(kind, params, size)
+
+    monkeypatch.setattr(identities, "build_grid", counted)
+    report = run_identity_suite("circle", {"a": 1.0}, [16, 32, 64], identities=["H_FORMS"])
+    assert built == [64]
+    assert report["grids"] == ["16", "32", "64"]
 
 
 # surface gradient ------------------------------------------------------------------
@@ -402,6 +451,13 @@ def test_suite_refuses_sizes_that_do_not_increase_before_any_work(sizes, monkeyp
         run_identity_suite("circle", {"a": 1.0}, sizes)
 
 
+def test_suite_refuses_a_family_that_does_not_nest_before_any_work(monkeypatch):
+    # only pair sizes can make one: a 16x64 grid is no subgrid of a 64x32 one
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"\[\(16, 64\), \(32, 32\), \(64, 32\)\] do not nest"):
+        run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [(16, 64), (32, 32), (64, 32)])
+
+
 def test_unknown_identity_is_named_before_any_work(circle64, monkeypatch):
     _no_work(monkeypatch)
     with pytest.raises(ValueError, match=r"unknown identities \['EQ3'\]"):
@@ -495,6 +551,27 @@ def test_momentum_stack_matches_componentwise_formula(torus32):
             assert np.max(np.abs(stack[j] - want)) < 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kind, params, size", [("circle", {"a": 1.0}, 64),
+                                                ("torus", {"R": 2.0, "r": 1.0}, 32)])
+def test_folded_forms_keep_every_bit(kind, params, size):
+    """p with -i folded into its coefficients equals -i (sum_a c_a d_a psi +
+    M n psi / 2), and p^2 psi read as the trace of p_l p_k psi equals the
+    divergence of p psi, bit for bit."""
+    grid = build_grid(kind, params, size)
+    naxes = len(grid.shape)
+    c = grid.grad_coefs.astype(complex)
+    half_mn = (0.5 * grid.geo["M"] * grid.geo["n"]).astype(complex)
+    for psi in random_band_states(grid, 3, seed=12):
+        unfolded = c[:, 0] * fourier_derivative(psi, 0, naxes)
+        for a in range(1, naxes):
+            unfolded += c[:, a] * fourier_derivative(psi, a, naxes)
+        unfolded += half_mn * psi
+        assert np.array_equal(momentum(grid, psi), -1j * unfolded)
+        acts = StateActions(grid, psi)
+        acts.reads_pp = True
+        assert np.array_equal(acts.p2, divergence(grid, acts.p))
+
+
 def test_stack_operators_accept_leading_axes(torus32):
     states = np.stack(random_band_states(torus32, 2, seed=9))
     stack = momentum(torus32, states)
@@ -576,9 +653,12 @@ def _children_cpu_s():
 def test_torus_suite_fft_budget(monkeypatch):
     # one pass per test state: p psi, p p psi, p^2 psi, H psi and Q psi are
     # computed once and read by every identity.  Identity by identity the
-    # suite made 3,288 calls over 23,955,456 points at these sizes; the
-    # bound is the shared pass's measured count.  On one CPU the pass runs
-    # in this process, so the patched transforms see every call.
+    # suite made 3,288 calls over 23,955,456 points at these sizes, and the
+    # shared pass 1,728 over 15,998,976 while p^2 psi was a divergence of
+    # p psi on every state; the bound is the pass's measured count with p^2
+    # psi the trace of p_l p_k psi on the 8 states whose sides read that.
+    # On one CPU the pass runs in this process, so the patched transforms
+    # see every call.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls, points = [0], [0]
     fft, ifft = np.fft.fft, np.fft.ifft
@@ -595,8 +675,8 @@ def test_torus_suite_fft_budget(monkeypatch):
     before = _children_cpu_s()
     run_identity_suite("torus", {"R": 2.0, "r": 1.0}, [16, 32, 64])
     assert _children_cpu_s() == before  # no transform was made in a worker
-    assert calls[0] <= 1728, calls[0]
-    assert points[0] <= 15998976, points[0]
+    assert calls[0] <= 1632, calls[0]
+    assert points[0] <= 15482880, points[0]
 
 
 @pytest.mark.parametrize("kind, params", [("torus", {"R": 2.0, "r": 1.0}),
