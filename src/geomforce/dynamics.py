@@ -117,9 +117,9 @@ def integrate(spec, initial, config, csv=None):
     name the step, its start time and its start point.
 
     The step loop (_state_blocks) carries x, p and grad f as Python floats,
-    one float run of the tape per Newton iterate, and yields the states'
-    floats (t, x, p, f, grad f) in blocks of geometry.BLOCK rows, each a
-    fresh array('d').  The six Trajectory columns are made empty for all
+    one call of the tape's value_and_gradient per Newton iterate, and yields
+    the states' floats (t, x, p, f, grad f) in blocks of geometry.BLOCK
+    rows, each a fresh array('d').  The six Trajectory columns are made empty for all
     steps + 1 rows first, and each block's rows are filled from _columns of
     that block as it passes on, so no table of all the states is ever held.
     Given csv, an open text handle, integrate writes the trajectory CSV
@@ -135,7 +135,8 @@ def integrate(spec, initial, config, csv=None):
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
     p = [float(v) for v in initial.p]
-    f, g = _f_and_grad(spec.tape, x)
+    program = spec.tape.value_and_gradient
+    f, g = _f_and_grad(program, x)
     if not abs(f) <= max(tol, 1e-9):
         raise IntegratorInputError("initial position violates the constraint")
     if not abs(_dot(g, p)) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
@@ -144,7 +145,7 @@ def integrate(spec, initial, config, csv=None):
     n, rows = len(x), config.steps + 1
     columns = tuple(map(np.empty, (rows, (rows, n), (rows, n), rows, rows, rows)))
     blocks = _filling(columns, mu, 2 + 3 * n,
-                      _state_blocks(spec.tape, x, p, f, g, float(initial.t), config))
+                      _state_blocks(program, x, p, f, g, float(initial.t), config))
     if csv is None:
         collections.deque(blocks, maxlen=0)
     else:
@@ -168,17 +169,17 @@ def _filling(columns, mu, width, blocks):
         start = stop
 
 
-def _state_blocks(tape, x, p, f, g, t, config):
-    """The step loop from the state x, p (f and grad f = g there) at time t:
-    yields that state's row and the rows of the new states in blocks of
-    geometry.BLOCK rows, each a fresh array('d') passed on once its last row
-    is made."""
+def _state_blocks(program, x, p, f, g, t, config):
+    """The step loop by program (tape.value_and_gradient) from the state x, p
+    (f and grad f = g there) at time t: yields that state's row and the rows
+    of the new states in blocks of geometry.BLOCK rows, each a fresh
+    array('d') passed on once its last row is made."""
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     block = array("d", [t, *x, *p, f, *g])
     rows = 1
     for k in range(1, config.steps + 1):
         try:
-            x, p, f, g = _rattle_step(tape, x, p, g, dt, mu, tol)
+            x, p, f, g = _rattle_step(program, x, p, g, dt, mu, tol)
         except (ProjectionFailureError, StepTooLargeError) as error:
             raise type(error)(f"step {k} from t = {t!r}, x = {x}: {error}") from None
         t += dt
@@ -191,23 +192,23 @@ def _state_blocks(tape, x, p, f, g, t, config):
         yield block
 
 
-def _f_and_grad(tape, x):
-    """f and grad f at the float point x: one float run of the tape and its
-    adjoint sweep.  Where Python float arithmetic raises (a division by zero)
-    and an array run gives inf or NaN, both are NaN."""
+def _f_and_grad(program, x):
+    """f and grad f at the float point x by program (tape.value_and_gradient):
+    one float run of the tape and its adjoint sweep.  Where Python float
+    arithmetic raises (a division by zero) and an array run gives inf or
+    NaN, both are NaN."""
     try:
-        values = tape.run(x, ex.float_call)
-        return values[tape.out], tape.gradient(values, ex.float_call)
+        return program(x, ex.float_call)
     except ArithmeticError:
-        return math.nan, [math.nan] * tape.nvars
+        return math.nan, [math.nan] * len(x)
 
 
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _rattle_step(tape, x, p, g0, dt, mu, tol):
-    """One step from x, p with g0 = grad f(x), all float lists.
+def _rattle_step(program, x, p, g0, dt, mu, tol):
+    """One step by program from x, p with g0 = grad f(x), all float lists.
 
     Returns x_new, p_new and f, grad f at x_new, all from the Newton
     iterate that meets the constraint, so the caller stores them and
@@ -217,7 +218,7 @@ def _rattle_step(tape, x, p, g0, dt, mu, tol):
     drift = [xi + dt * pi / mu for xi, pi in zip(x, p)]
     x_new = drift
     for _ in range(MAX_NEWTON):
-        f, g1 = _f_and_grad(tape, x_new)
+        f, g1 = _f_and_grad(program, x_new)
         if abs(f) < tol:
             break
         slope = _dot(g1, g0) * (-dt / mu)

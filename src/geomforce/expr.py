@@ -17,17 +17,19 @@ instructions over numbered slots, which is the one evaluator of an
 expression.  Its ops are + - * / and the five functions: an integer power
 is multiplied out by repeated squaring, so float arrays, numpy scalars,
 Python floats and jets all do the same correctly rounded arithmetic.
-`Tape.run` executes it over any of those (f, or exact derivatives over
-Taylor jets), and `Tape.gradient` sweeps a run backwards for grad f of
-the same kind (reverse-mode differentiation; Griewank & Walther,
-Evaluating Derivatives, 2nd ed., ch. 3 and 13).
+Each Tape is turned once into two straight-line Python functions (source
+transformation; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+ch. 6): `Tape.value` runs it over any of those inputs (f, or exact
+derivatives over Taylor jets), and `Tape.value_and_gradient` adds the
+adjoint sweep back over that run for grad f of the same kind (reverse-mode
+differentiation; ch. 3 and 13).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -382,18 +384,17 @@ def substitute(node, replacements):
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
+_SYMBOLS = {op: symbol for symbol, op in _OPERATORS.items()}
 _NUMPY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
-# splits an (N,) point into scalars over twice as fast as iterating it
-_COORDINATES = {n: operator.itemgetter(*range(n)) for n in VARIABLE_NAMES}
 
-# d f(a) / d a of each function from its argument a, its value y and the
-# run's `call`
-_FUNCTION_DERIVATIVES = {
-    "sqrt": lambda a, y, call: 0.5 / y,
-    "sin": lambda a, y, call: call("cos", a),
-    "cos": lambda a, y, call: -call("sin", a),
-    "exp": lambda a, y, call: y,
-    "log": lambda a, y, call: 1.0 / a,
+# the adjoint of each function as source: g times d f(a) / d a, from g, the
+# argument's slot a, the value's slot y and the run's `call`
+_ADJOINT_TERMS = {
+    "sqrt": "{g} * (0.5 / {y})",
+    "sin": "{g} * call('cos', {a})",
+    "cos": "{g} * -call('sin', {a})",
+    "exp": "{g} * {y}",
+    "log": "{g} * (1.0 / {a})",
 }
 
 
@@ -424,51 +425,106 @@ class Tape:
     (op, a, b) applies an operator function (add, sub, mul, truediv) to
     slots a and b, or, with b None, the FUNCTIONS name op to slot a.
     `out` is the expression's slot.
+
+    Construction turns the instructions into two straight-line Python
+    functions (`_programs`), the tape's only runs:
+
+    - value(inputs, call) is f, from a sequence of one input per coordinate;
+    - value_and_gradient(inputs, call) is f and the list of d f / d x_i over
+      the coordinates, from the same run and one adjoint sweep back over it.
+
+    Operators are Python arithmetic on the values, so the programs run over
+    float arrays, Python floats and jets; functions go through
+    call(name, value).  The sweep's rules are arithmetic on the run's
+    values, so it gives grad f of the run's kind; a coordinate that f reads
+    linearly or not at all keeps a float adjoint.  The programs take no part
+    in repr or equality, and a pickle holds only the instructions: unpickling
+    makes the programs again.
     """
 
     nvars: int
     constants: tuple
     code: tuple
     out: int
+    value: object = field(init=False, repr=False, compare=False)
+    value_and_gradient: object = field(init=False, repr=False, compare=False)
 
-    def run(self, inputs, call):
-        """Every slot's value in slot order, from a sequence of one input per
-        coordinate.  Operators dispatch through the Python arithmetic of the
-        values, so one tape runs over float arrays, over Python floats and
-        over jets; functions go through call(name, value)."""
-        values = [*_COORDINATES[self.nvars](inputs), *self.constants]
-        append = values.append
-        for op, a, b in self.code:
-            append(call(op, values[a]) if b is None else op(values[a], values[b]))
-        return values
+    def __post_init__(self):
+        value, value_and_gradient = _programs(self)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value_and_gradient", value_and_gradient)
 
-    def gradient(self, values, call):
-        """[d out / d x_i] over the coordinates: one adjoint sweep back over
-        the slot values of a run made with `call`.  The rules are arithmetic
-        on those values, so a float, array or jet run gives grad f of its
-        kind; a coordinate that f reads linearly or not at all keeps a float
-        adjoint."""
-        adjoint = [0.0] * len(values)
-        adjoint[self.out] = 1.0
-        k = len(values)
-        for op, a, b in reversed(self.code):
-            k -= 1
-            g = adjoint[k]
-            if op is operator.mul:
-                adjoint[a] = adjoint[a] + g * values[b]
-                adjoint[b] = adjoint[b] + g * values[a]
-            elif op is operator.add:
-                adjoint[a] = adjoint[a] + g
-                adjoint[b] = adjoint[b] + g
-            elif op is operator.sub:
-                adjoint[a] = adjoint[a] + g
-                adjoint[b] = adjoint[b] + -g  # not jet - float, which keeps -0.0 terms
-            elif op is operator.truediv:
-                adjoint[a] = adjoint[a] + g * (1.0 / values[b])
-                adjoint[b] = adjoint[b] + g * (-values[k] / values[b])
-            else:
-                adjoint[a] = adjoint[a] + g * _FUNCTION_DERIVATIVES[op](values[a], values[k], call)
-        return adjoint[:self.nvars]
+    def __reduce__(self):
+        return Tape, (self.nvars, self.constants, self.code, self.out)
+
+
+def _programs(tape):
+    """The (value, value_and_gradient) functions of a tape (see Tape).
+
+    Their source is straight-line code, one statement per operation: slot s
+    is the local v<s> and its adjoint a<s>, the constants are read from
+    `tape.constants` when the functions are made, and the text holds only
+    slot numbers, the four operator symbols and FUNCTIONS names.  The sweep
+    goes back over the instructions and adds each term to the adjoints of
+    its operands, as adjoint = adjoint + term, starting from 0.0 (from 1.0
+    at `out`); the adds of zero adjoints past `out` are made too, so each
+    operation is made in a fixed order on every kind of input.
+    """
+    nvars, first = tape.nvars, tape.nvars + len(tape.constants)
+    code = [(k, op, _slot(a, k), None if b is None else _slot(b, k))
+            for k, (op, a, b) in enumerate(tape.code, first)]
+    forward = [f"v{i} = inputs[{i}]" for i in range(nvars)]
+    for k, op, a, b in code:
+        if b is None and op not in FUNCTIONS:
+            raise ValueError(f"instruction {k}: unknown function {op!r}")
+        forward.append(f"v{k} = call({op!r}, v{a})" if b is None else
+                       f"v{k} = v{a} {_SYMBOLS[op]} v{b}")
+    out = _slot(tape.out, first + len(tape.code))
+    adjoint, sweep = {out: "1.0"}, []
+
+    def add(s, term):
+        sweep.append(f"a{s} = {adjoint.get(s, '0.0')} + {term}")
+        adjoint[s] = f"a{s}"
+
+    for k, op, a, b in reversed(code):
+        g = adjoint.get(k, "0.0")
+        if b is None:
+            add(a, _ADJOINT_TERMS[op].format(g=g, a=f"v{a}", y=f"v{k}"))
+        elif op is operator.mul:
+            add(a, f"{g} * v{b}")
+            add(b, f"{g} * v{a}")
+        elif op is operator.add:
+            add(a, g)
+            add(b, g)
+        elif op is operator.sub:
+            add(a, g)
+            add(b, f"-{g}")  # not jet - float, which keeps -0.0 terms
+        else:
+            add(a, f"{g} * (1.0 / v{b})")
+            add(b, f"{g} * (-v{k} / v{b})")
+    gradient = ", ".join(adjoint.get(i, "0.0") for i in range(nvars))
+    source = "\n".join([
+        "def programs(constants):",
+        *(f"    v{s} = constants[{j}]" for j, s in enumerate(range(nvars, first))),
+        "    def value(inputs, call):",
+        *(f"        {line}" for line in forward),
+        f"        return v{out}",
+        "    def value_and_gradient(inputs, call):",
+        *(f"        {line}" for line in forward + sweep),
+        f"        return v{out}, [{gradient}]",
+        "    return value, value_and_gradient",
+    ])
+    namespace = {}
+    exec(compile(source, "<tape>", "exec"), namespace)
+    return namespace["programs"](tape.constants)
+
+
+def _slot(s, k):
+    """Slot s as an int, checked to be below k (the slot an instruction writes)."""
+    s = int(operator.index(s))
+    if not 0 <= s < k:
+        raise ValueError(f"slot {s} is not below {k}")
+    return s
 
 
 def _fold(node, op, operands, params):

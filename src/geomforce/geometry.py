@@ -186,10 +186,10 @@ def _f_and_grad_jets(spec, coordinate_jets):
     """Jets of f and grad f at the coordinate jets: one tape run over them and
     its adjoint sweep.  A float (the adjoint of a coordinate that f reads
     linearly or not at all) is lifted to a constant jet."""
-    tape, space, like = spec.tape, coordinate_jets[0].space, coordinate_jets[0].coeffs
-    values = tape.run(coordinate_jets, jets.apply_function)
+    space, like = coordinate_jets[0].space, coordinate_jets[0].coeffs
+    f, grad = spec.tape.value_and_gradient(coordinate_jets, jets.apply_function)
     lift = lambda v: v if isinstance(v, jets.Jet) else jets.constant(space, v, like=like)
-    return lift(values[tape.out]), list(map(lift, tape.gradient(values, jets.apply_function)))
+    return lift(f), list(map(lift, grad))
 
 
 def _normalized_gradient_jets(spec, points, degree):

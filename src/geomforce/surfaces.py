@@ -4,13 +4,13 @@ A SurfaceSpec bundles an expression f with its dimension, parameter
 bindings, and a signed-distance flag (true when |grad f| = 1 holds
 identically near the surface, which makes jets of f directly usable as
 jets of the distance function).  The expression is compiled once into an
-`expr.Tape`; f runs it over float arrays, f_and_grad adds the tape's
-adjoint sweep over that run, and jets run it over Taylor jets.  The
-classical integrator runs the same tape over Python floats
-(`expr.float_call`), one point at a time.  The tape's only arithmetic is
-+ - * / and numpy's functions (math.sqrt in a float run, with the same
-bits), so a point gets the same f and grad f bits alone, in a batch and in
-a float run.
+`expr.Tape`; f runs its value program over float arrays, f_and_grad its
+value_and_gradient program (the run and its adjoint sweep), and jets run
+the value program over Taylor jets.  The classical integrator runs the
+same value_and_gradient over Python floats (`expr.float_call`), one point
+at a time.  The tape's only arithmetic is + - * / and numpy's functions
+(math.sqrt in a float run, with the same bits), so a point gets the same f
+and grad f bits alone, in a batch and in a float run.
 
 Each catalog surface also has a chart in CHARTS, the one place that writes
 its parametrization x(u): chart_points gives the chart's points on a
@@ -54,16 +54,15 @@ class SurfaceSpec:
     def f(self, points):
         """f at shape (N,) or (N, B) points."""
         points = np.asarray(points, dtype=float)
-        return self.tape.run(points, ex.numpy_call)[self.tape.out] + 0.0 * points[0]
+        return self.tape.value(points, ex.numpy_call) + 0.0 * points[0]
 
     def f_and_grad(self, points):
         """f and grad f (same shape as points) from one float run of the tape
         and its adjoint sweep."""
         points = np.asarray(points, dtype=float)
         zero = 0.0 * points[0]
-        values = self.tape.run(points, ex.numpy_call)
-        return (values[self.tape.out] + zero,
-                np.array([g + zero for g in self.tape.gradient(values, ex.numpy_call)]))
+        f, grad = self.tape.value_and_gradient(points, ex.numpy_call)
+        return f + zero, np.array([g + zero for g in grad])
 
     def grad_f(self, points):
         """grad f, same shape as points."""
@@ -74,7 +73,7 @@ class SurfaceSpec:
         points = np.asarray(points, dtype=float)
         space = jets.jet_space(self.dimension, degree)
         inputs = [jets.variable(space, axis, x) for axis, x in enumerate(points)]
-        out = self.tape.run(inputs, jets.apply_function)[self.tape.out]
+        out = self.tape.value(inputs, jets.apply_function)
         return out if isinstance(out, jets.Jet) else jets.constant(space, out, like=points)
 
     def feature_scale(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -654,6 +655,17 @@ def test_fields_without_samples_print_an_empty_csv(capsys):
 
 TORUS_CLASSICAL = ["classical", "--surface", "torus", "--R", "2", "--r", "1", "--x0", "3,0,0",
                    "--p0", "0,0.6,0.8", "--steps", "9000"]  # 9,001 rows: nine blocks of states
+
+
+def test_the_2048_row_torus_trajectory_keeps_its_bytes(tmp_path, capsys):
+    # the run CI compares on one CPU and all of them, pinned: the torus tape
+    # runs only + - * / and sqrt, and the step math.hypot and math.dist, so
+    # these bytes do not depend on the platform's libm
+    path = tmp_path / "trajectory.csv"
+    code, _, _ = run_cli(TORUS_CLASSICAL[:-1] + ["2047", "--trajectory", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e551275c8d82053f3e4a921a8d566d29797ba87866edafaa6a413419bacc9767")
 
 
 @pytest.mark.parametrize("cpus", ["default", "one"])

@@ -328,8 +328,8 @@ def test_trajectory_columns_are_those_of_the_whole_table(steps):
     config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
     traj = dyn.integrate(spec, init, config)
     x, p = init.x.tolist(), init.p.tolist()
-    f, g = dyn._f_and_grad(spec.tape, x)
-    blocks = list(dyn._state_blocks(spec.tape, x, p, f, g, 0.0, config))
+    f, g = dyn._f_and_grad(spec.tape.value_and_gradient, x)
+    blocks = list(dyn._state_blocks(spec.tape.value_and_gradient, x, p, f, g, 0.0, config))
     assert [len(block) for block in blocks[:-1]] == [11 * geo.BLOCK] * (len(blocks) - 1)
     table = np.concatenate([np.frombuffer(block) for block in blocks]).reshape(steps + 1, 11)
     for name, whole in zip(COLUMNS, dyn._columns(table, config.mass), strict=True):
@@ -392,20 +392,30 @@ def test_streamed_csv_holds_a_window_of_block_texts():
 def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):
     # each Newton iterate evaluates f and grad f at one point in one pass,
     # and the converged iterate's values serve the record and the next step
-    calls = {"run": 0, "gradient": 0}
+    calls = {"value": 0, "value_and_gradient": 0}
+    programs = ex._programs
 
-    def counted(name):
-        original = getattr(ex.Tape, name)
+    def counted(tape):
+        def wrap(name, program):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return program(*args, **kwargs)
+            return wrapper
+        return tuple(map(wrap, calls, programs(tape)))
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(ex.Tape, name, counted(name))
+    monkeypatch.setattr(ex, "_programs", counted)
     _torus_run(200)
-    assert calls["run"] == calls["gradient"] > 200
+    assert calls["value"] == 0 and calls["value_and_gradient"] > 200
+
+
+def test_a_float_division_by_zero_gives_nan_not_an_error():
+    # an array run gives inf there; the float run's ZeroDivisionError becomes
+    # NaN for f and every gradient entry
+    spec = from_expression("1 / x + y", 2)
+    with pytest.raises(ZeroDivisionError):
+        spec.tape.value_and_gradient([0.0, 1.0], ex.float_call)
+    f, g = dyn._f_and_grad(spec.tape.value_and_gradient, [0.0, 1.0])
+    assert np.isnan(f) and len(g) == 2 and np.all(np.isnan(g))
 
 
 def test_stored_residuals_belong_to_the_stored_state():

@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 import re
 
 import numpy as np
@@ -189,6 +190,69 @@ def test_integer_powers_compile_to_products():
     assert len(ex.compile_tape(ex.parse_expression("x^3^39"), 2).code) <= 122
     with pytest.raises(ex.InvalidParametersError, match=re.escape("'a^-3' with a=0.0")):
         from_expression("x - a^-3", 2, {"a": 0.0})
+
+
+def test_tapes_pickle_and_compare_as_plain_data():
+    # the programs are made from the instructions: they are in no field's
+    # repr or comparison, nor in the pickled state
+    spec = from_expression("sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r", 3, {"R": 2.0, "r": 1.0})
+    point = [3.0, 0.25, -0.5]
+    expected = spec.tape.value_and_gradient(point, ex.float_call)
+    assert b"value" not in pickle.dumps(spec.tape)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.tape == spec.tape and repr(copy.tape) == repr(spec.tape)
+    assert "value" not in repr(spec.tape)
+    assert copy.tape.value is not spec.tape.value
+    assert copy.tape.value_and_gradient(point, ex.float_call) == expected
+    other = ex.compile_tape(spec.expression, 3, spec.params)
+    assert other == spec.tape and hash(other) == hash(spec.tape)
+    assert other.value_and_gradient is not spec.tape.value_and_gradient
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_tape_constants_keep_their_bits():
+    # no constant passes through text: -0.0, the least subnormal and the
+    # largest float reach the programs as the floats themselves
+    params = {"a": -0.0, "b": 5e-324, "c": 1.7976931348623157e308}
+    tape = from_expression("x * a - y * b * c", 2, params).tape
+    assert _float_bits(tape.constants) == _float_bits(list(params.values()))
+    a, b, c = params.values()
+    points = np.array([[1.0, 0.0], [1.0, 1.0], [-3.0, 0.75], [1e308, 0.5]]).T
+    for inputs in [*points.T.tolist(), points]:
+        x, y = inputs
+        f = x * a - y * b * c
+        # the sweep: 0.0 + 1.0 into x * a, 0.0 + -1.0 into (y * b) * c
+        grad = [0.0 + (0.0 + 1.0) * a, 0.0 + (0.0 + (0.0 + -1.0) * c) * b]
+        assert _float_bits(tape.value(inputs, ex.numpy_call)) == _float_bits(f)
+        got_f, got_grad = tape.value_and_gradient(inputs, ex.numpy_call)
+        assert _float_bits(got_f) == _float_bits(f)
+        assert _float_bits(got_grad) == _float_bits(grad)
+
+
+# d f(a) / d a of each function, from its argument a and value y, as the
+# adjoint sweep computes it
+ADJOINT_RULES = {
+    "sqrt": lambda a, y: 0.5 / y,
+    "sin": lambda a, y: np.cos(a),
+    "cos": lambda a, y: -np.sin(a),
+    "exp": lambda a, y: y,
+    "log": lambda a, y: 1.0 / a,
+}
+
+
+def test_adjoint_rules_are_their_written_arithmetic():
+    x, y = np.random.default_rng(13).uniform(0.1, 3.0, (2, 1000))
+    for name, rule in ADJOINT_RULES.items():
+        fx = getattr(np, name)(x)
+        grad = [0.0 + (0.0 + 1.0 * y) * rule(x, fx), 0.0 + 1.0 * fx]
+        _, got = from_expression(f"{name}(x) * y", 2).tape.value_and_gradient([x, y],
+                                                                               ex.numpy_call)
+        assert _float_bits(got) == _float_bits(grad), name
+    _, got = from_expression("x / y", 2).tape.value_and_gradient([x, y], ex.numpy_call)
+    assert _float_bits(got) == _float_bits([0.0 + 1.0 * (1.0 / y), 0.0 + 1.0 * (-(x / y) / y)])
 
 
 def test_exponent_chain_is_right_associative():

@@ -163,11 +163,18 @@ def test_adjoint_gradient_is_the_degree_1_jet_on_the_catalog(name):
         _assert_gradient_is_degree_1_jet(spec, points[:, b])
 
 
-def test_adjoint_gradient_is_the_degree_1_jet_on_sample_expressions():
-    rng = np.random.default_rng(5)
+def _sample_cases(rng):
+    """(text, point) pairs: FD_SAMPLES at points drawn from rng, then a
+    unary-minus case; with random_expressions() they call all five functions
+    and divide."""
     cases = [(text, rng.uniform(0.2, 1.5, 2)) for text in FD_SAMPLES]
     cases.append(("-x^3 / y - exp(-y)", np.array([0.7, 1.1])))  # unary minus
-    for text, point in cases + random_expressions():
+    return cases
+
+
+def test_adjoint_gradient_is_the_degree_1_jet_on_sample_expressions():
+    rng = np.random.default_rng(5)
+    for text, point in _sample_cases(rng) + random_expressions():
         spec = from_expression(text, 2)
         _assert_gradient_is_degree_1_jet(spec, point)
         batch = point[:, None] + rng.uniform(-0.2, 0.2, (2, 5))
@@ -185,7 +192,7 @@ def _assert_float_run_equals_array_run(spec, points):
     # on Python floats
     batch_f, batch_g = spec.f_and_grad(points)
     for b, point in enumerate(points.T):
-        f, g = dyn._f_and_grad(spec.tape, point.tolist())
+        f, g = dyn._f_and_grad(spec.tape.value_and_gradient, point.tolist())
         assert type(f) is float and all(type(v) is float for v in g), spec.name
         for got_f, got_g in ((f, g), spec.f_and_grad(point)):
             assert _bits(got_f) == _bits(batch_f[b]), (spec.name, point)
@@ -204,8 +211,9 @@ POWER_EXPRESSIONS = ["x^3 + y^5 - x*y^-2 + z^4 - 1", "x^4 + y^4 + z^4 - 1"]
 
 
 def test_float_run_equals_the_array_run_on_random_expressions():
+    # every function's adjoint rule and both of division's, bit for bit
     rng = np.random.default_rng(9)
-    for text, point in random_expressions():
+    for text, point in random_expressions() + _sample_cases(np.random.default_rng(5)):
         spec = from_expression(text, 2)
         _assert_float_run_equals_array_run(spec, point[:, None] + rng.uniform(-0.2, 0.2, (2, 3)))
     for text in POWER_EXPRESSIONS:
