@@ -210,20 +210,10 @@ def _cmd_parse(args):
         "expression": args.expr_text,
         "unparsed": ex.unparse(tree),
         "identifiers": sorted(ex.identifiers(tree)),
-        "nodes": _count_nodes(tree),
+        "nodes": sum(1 for _ in ex.walk(tree)),
     }
     _emit(args, payload)
     return 0
-
-
-def _count_nodes(node):
-    if isinstance(node, (ex.Num, ex.Name)):
-        return 1
-    if isinstance(node, (ex.Neg, ex.Call)):
-        return 1 + _count_nodes(node.arg)
-    if isinstance(node, ex.Pow):
-        return 1 + _count_nodes(node.base)
-    return 1 + _count_nodes(node.left) + _count_nodes(node.right)
 
 
 def _cmd_fields(args):

@@ -349,35 +349,30 @@ def unparse(node):
 # Analysis helpers -----------------------------------------------------------
 
 
+#: the child fields of each node type that has children (Num and Name have none)
+CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), BinOp: ("left", "right")}
+
+
+def walk(node):
+    """Every node of the tree, each before its children, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, name) for name in CHILDREN.get(type(node), ()))
+
+
 def identifiers(node):
     """Set of identifier names referenced by the tree (excludes functions)."""
-    if isinstance(node, Name):
-        return {node.ident}
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Neg):
-        return identifiers(node.arg)
-    if isinstance(node, Call):
-        return identifiers(node.arg)
-    if isinstance(node, Pow):
-        return identifiers(node.base)
-    return identifiers(node.left) | identifiers(node.right)
-
-
+    return {n.ident for n in walk(node) if isinstance(n, Name)}
 
 
 def substitute(node, replacements):
     """The tree with each Name in `replacements` replaced by its subtree."""
     if isinstance(node, Name):
         return replacements.get(node.ident, node)
-    if isinstance(node, (Neg, Call)):
-        return replace(node, arg=substitute(node.arg, replacements))
-    if isinstance(node, Pow):
-        return replace(node, base=substitute(node.base, replacements))
-    if isinstance(node, BinOp):
-        return replace(node, left=substitute(node.left, replacements),
-                       right=substitute(node.right, replacements))
-    return node
+    return replace(node, **{name: substitute(getattr(node, name), replacements)
+                            for name in CHILDREN.get(type(node), ())})
 
 
 # Compiled tape ----------------------------------------------------------------
@@ -468,7 +463,9 @@ def _programs(tape):
     goes back over the instructions and adds each term to the adjoints of
     its operands, as adjoint = adjoint + term, starting from 0.0 (from 1.0
     at `out`); the adds of zero adjoints past `out` are made too, so each
-    operation is made in a fixed order on every kind of input.
+    operation is made in a fixed order on every kind of input.  Constants
+    get no adjoint: nothing reads one, and on arrays its product could
+    overflow where f and grad f do not.
     """
     nvars, first = tape.nvars, tape.nvars + len(tape.constants)
     code = [(k, op, _slot(a, k), None if b is None else _slot(b, k))
@@ -483,6 +480,8 @@ def _programs(tape):
     adjoint, sweep = {out: "1.0"}, []
 
     def add(s, term):
+        if nvars <= s < first:  # a constant's slot
+            return
         sweep.append(f"a{s} = {adjoint.get(s, '0.0')} + {term}")
         adjoint[s] = f"a{s}"
 

@@ -89,14 +89,13 @@ POLICY_NAMES = {"gn": ExtensionPolicy.GRADIENT_NORMALIZED,
 
 @dataclass(frozen=True)
 class PhysicalScale:
-    """SI scales attached to a model surface."""
+    """SI scales attached to a model surface; hbar is HBAR_SI."""
 
     mass_kg: float
-    hbar: float = HBAR_SI
     length_unit_m: float = 1.0
 
     def __post_init__(self):
-        for name in ("mass_kg", "hbar", "length_unit_m"):
+        for name in ("mass_kg", "length_unit_m"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -391,13 +390,14 @@ class ForceEstimate:
 
 
 def si_force_magnitude(sample, scale):
-    """Curvature-induced force chi = -(hbar^2 / 4 mu) lap M n in SI units.
+    """Curvature-induced force chi = -(hbar^2 / 4 mu) lap M n in SI units,
+    hbar = HBAR_SI.
 
     lapM is taken in model units and converted with the cube of the
     length unit.
     """
     lap_si = sample.lapM / scale.length_unit_m ** 3
-    vector = -(scale.hbar ** 2 / (4.0 * scale.mass_kg)) * lap_si * sample.n
+    vector = -(HBAR_SI ** 2 / (4.0 * scale.mass_kg)) * lap_si * sample.n
     magnitude = float(np.linalg.norm(vector))
     return ForceEstimate(vector, magnitude, magnitude * 1e12)
 

@@ -11,8 +11,9 @@ The operators are reduced (hbar = mu = 1); the hbar scan is not a change
 of units, so the energies and forces are scaled by hbar^2 / mu here, <p> by hbar.
 
 The recorded trace checks the momentum force law in expectation:
-d<p_j>/dt against the symmetrized centripetal term plus the
-curvature-gradient quantum term, read from operators.StateActions.
+d<p_j>/dt against the symmetrized centripetal term -(n_j Q + Q n_j) / 2
+plus the curvature-gradient quantum term -lap M n_j / 4, both read from
+operators.StateActions (q_sym, quantum), as EQ3's right side is.
 """
 
 from __future__ import annotations
@@ -92,18 +93,15 @@ def _packet(grid, packet, hbar):
 
 
 def _observables(grid, hbar, mu):
-    n = grid.geo["n"]
-    quantum = -0.25 * grid.geo["lapM"] * n
     scale = hbar * hbar / mu
 
     def measure(psi):
         a = StateActions(grid, psi)
-        cent = -0.5 * (n * a.q + a.q_n)
         f_psi, _ = quartics(grid, psi, a.p, a.pp)
         w = grid.weights
         return (hbar * np.real(inner(w, psi, a.p)),
-                scale * np.real(inner(w, psi, cent)),
-                scale * np.real(inner(w, psi, quantum * psi)),
+                scale * np.real(inner(w, psi, -0.5 * a.q_sym)),
+                scale * np.real(inner(w, psi, a.quantum)),
                 scale * np.real(inner(w, psi, f_psi / 2j)))
 
     return measure

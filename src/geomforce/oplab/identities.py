@@ -34,7 +34,8 @@ on the units; run_identity_suite scales the anchors' energies.
 Identity ids (written with hbar, as printed in the paper):
 
 * EQ3_MAIN      [p_j, H]/(i hbar) vs the symmetrized centripetal force
-                plus the curvature-gradient quantum force.
+                plus the curvature-gradient quantum force, both read
+                from StateActions (q_sym, quantum).
 * EQ8_PP        [p_i, p_j] vs its symmetrized first-order form.
 * EQ10_SCALAR   [p_j, scalar] vs the printed +2 i hbar expression; also
                 compared against -i hbar (grad_S)_j scalar to settle the
@@ -126,14 +127,10 @@ def _coefficients(grid):
 
 
 def _sides_eq3(grid):
-    n = grid.geo["n"]
-    quantum = -0.25 * grid.geo["lapM"] * n
-
     def sides(a):
         lhs = (1.0 / 1j) * (momentum(grid, a.h_mom)
                             - hamiltonian(grid, a.p, "momentum", a.p2_p))
-        rhs = -0.5 * (n * a.q + a.q_n) + quantum * a.psi
-        return lhs, rhs
+        return lhs, -0.5 * a.q_sym + a.quantum
 
     return sides
 
@@ -180,7 +177,7 @@ def _sides_quartics(grid):
 
     def sides(a):
         f_psi, g_psi = quartics(grid, a.psi, a.p, a.pp)
-        printed13 = -2j * (n * a.q + a.q_n) - 1j * cubic * a.psi
+        printed13 = -2j * a.q_sym - 1j * cubic * a.psi
         return (f_psi, printed11 * a.psi, g_psi, printed13,
                 momentum(grid, a.p2) - a.p2_p, f_psi + g_psi)
 

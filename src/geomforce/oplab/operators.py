@@ -3,24 +3,26 @@
 The operators are in reduced units (hbar = mu = 1): the physical p is
 hbar times p here and the physical H is hbar^2 / mu times H here.
 
-Three array functions carry the lab.  On a grid with N embedding
-dimensions, `gradient` returns the Cartesian surface gradient
-(grad_S)_i = sum_a g^{aa} (dx/du^a)_i d_a as an (N,)+shape stack,
-`momentum` the hermitian p_j = -i ((grad_S)_j + M n_j / 2) as an
-(N,)+shape stack, and `divergence` contracts an (N, ...) stack A into
-sum_l p_l A_l.  All three accept leading axes and take one fft/ifft
-pair per parametric axis however many components they carry.  The
-Hamiltonian (Laplace-Beltrami or momentum form), the centripetal
-quadratic and the quartics F_j, G_j are built from them.  A commutator
-is a pair of such functions applied in both orders.  The real coefficient
-fields they multiply complex states by are cached on the grid as complex
-arrays (`cached`), made where they are first asked for; the momentum's
-carry its -i.
+Two array functions carry the lab.  On a grid with N embedding
+dimensions, `momentum` returns the hermitian
+p_j = -i ((grad_S)_j + M n_j / 2) as an (N,)+shape stack, where
+(grad_S)_i = sum_a g^{aa} (dx/du^a)_i d_a is the Cartesian surface
+gradient, and `divergence` contracts an (N, ...) stack A into
+sum_l p_l A_l.  Both accept leading axes and take one fft/ifft pair per
+parametric axis however many components they carry.  The Hamiltonian
+(Laplace-Beltrami or momentum form), the centripetal quadratic and the
+quartics F_j, G_j are built from them.  A commutator is a pair of such
+functions applied in both orders.  The real coefficient fields they
+multiply complex states by are cached on the grid as complex arrays
+(`cached`), made where they are first asked for; the momentum's carry
+its -i, and are the only tangential-derivative coefficients.
 
 StateActions is the lab's one source of operator actions on a state
 (p psi, p_l p_k psi, p^2 psi, both H psi, Q psi, ...): the identity
 verdicts, the circle anchors and the Ehrenfest observables all read
-them from it, each computed once per state.
+them from it, each computed once per state.  It also writes the paper's
+two force terms once: the symmetrized centripetal n_j Q psi + Q(n_j psi)
+and the curvature-induced -lap M n_j psi / 4.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ def _complex(field):
     return np.asarray(field, dtype=complex)
 
 
-def _gradient_coefficients(grid):
-    """Per-axis gradient coefficients c[:, a], as complex arrays."""
-    return cached(grid, "gradient", lambda: [
-        np.ascontiguousarray(grid.grad_coefs[:, a], dtype=complex)
-        for a in range(len(grid.shape))])
-
-
 def _momentum_coefficients(grid):
     """-i c[:, a] per axis and -i M n / 2, as complex arrays.
 
@@ -81,8 +76,8 @@ def _momentum_coefficients(grid):
     return cached(grid, "momentum", make)
 
 
-def _tangential(grid, x, nlead, coefs):
-    """sum_a coefs[a][i] d_a x for every component i.
+def _apply(grid, x, nlead):
+    """-i (sum_a c[i, a] d_a x + M n_i x / 2) for every component i.
 
     x is one field broadcast to every i (nlead leading axes) or an
     (N,)+lead+shape stack whose entry i gets component i.  A stack's
@@ -91,7 +86,7 @@ def _tangential(grid, x, nlead, coefs):
     not commutative bit for bit.
     """
     naxes = len(grid.shape)
-    coefs = [_lift(c, nlead) for c in coefs]
+    *coefs, half_mn = (_lift(c, nlead) for c in _momentum_coefficients(grid))
     in_place = x.shape == np.broadcast_shapes(coefs[0].shape, x.shape)
     out = None
     for a, c in enumerate(coefs):
@@ -101,21 +96,9 @@ def _tangential(grid, x, nlead, coefs):
             out = term
         else:
             out += term
+    del term  # summed into out: not held beside half_mn * x
+    out += half_mn * x
     return out
-
-
-def _apply(grid, x, nlead):
-    """-i (sum_a c[i, a] d_a x + M n_i x / 2); x as in _tangential."""
-    *coefs, half_mn = _momentum_coefficients(grid)
-    out = _tangential(grid, x, nlead, coefs)
-    out += _lift(half_mn, nlead) * x
-    return out
-
-
-def gradient(grid, psi):
-    """Cartesian grad_S psi as an (N,)+psi.shape stack."""
-    psi = np.asarray(psi, dtype=complex)
-    return _tangential(grid, psi, psi.ndim - len(grid.shape), _gradient_coefficients(grid))
 
 
 def momentum(grid, psi):
@@ -208,7 +191,8 @@ def quartics(grid, psi, p_psi, pp_psi):
 class StateActions:
     """The operator actions shared on one state.
 
-    Each is computed the first time it is read and kept for the state.
+    Each is computed the first time it is read and kept for the state,
+    except the two force terms (q_sym, quantum), made on each read.
     """
 
     reads_pp = False  # set True on a state whose pp is read: p2 is then its trace
@@ -257,6 +241,21 @@ class StateActions:
     def q_n(self):
         """Q (n_j psi) for every component j."""
         return centripetal(self.grid, self.grid.geo["n"] * self.psi)
+
+    @property
+    def q_sym(self):
+        """n_j Q psi + Q (n_j psi), the symmetrized centripetal term: EQ3 and
+        the Ehrenfest force take it times -1/2, EQ13's printed side times -2i."""
+        return self.grid.geo["n"] * self.q + self.q_n
+
+    @property
+    def quantum(self):
+        """-lap M n_j psi / 4, the curvature-induced force term.  Its
+        coefficient is made once per grid and kept real: it is read once per
+        state, and a complex copy would double its memory."""
+        geo = self.grid.geo
+        coef = cached(self.grid, "quantum", lambda: -0.25 * geo["lapM"] * geo["n"])
+        return coef * self.psi
 
 
 # test space ---------------------------------------------------------------------

@@ -23,6 +23,14 @@ def test_torus_expression_parses_with_parameters():
     assert ex.identifiers(tree) == {"x", "y", "z", "R", "r"}
 
 
+def test_every_tree_walk_reads_the_child_table():
+    tree = ex.parse_expression("-x^2^3 + sin(-(y)) / (z - 2)^-2")
+    assert sum(1 for _ in ex.walk(tree)) == 12  # the parse command's node count
+    assert ex.identifiers(tree) == {"x", "y", "z"}
+    got = ex.substitute(tree, {"x": ex.parse_expression("y + 1"), "z": ex.Num(3.0)})
+    assert got == ex.parse_expression("-(y + 1)^2^3 + sin(-(y)) / (3 - 2)^-2")
+
+
 def test_double_caret_is_a_syntax_error_at_offset_2():
     with pytest.raises(ex.ParseError) as err:
         ex.parse_expression("x^^2")
@@ -220,7 +228,7 @@ def test_tape_constants_keep_their_bits():
     tape = from_expression("x * a - y * b * c", 2, params).tape
     assert _float_bits(tape.constants) == _float_bits(list(params.values()))
     a, b, c = params.values()
-    points = np.array([[1.0, 0.0], [1.0, 1.0], [-3.0, 0.75], [1e308, 0.5]]).T
+    points = np.array([[1.0, 0.0], [1.0, 1.0], [-3.0, 0.75], [1e308, 0.5], [1.0, 1e300]]).T
     for inputs in [*points.T.tolist(), points]:
         x, y = inputs
         f = x * a - y * b * c

@@ -327,8 +327,6 @@ def test_vg_equals_minus_half_squared_curvature_difference(torus):
 def test_physical_scale_validation():
     with pytest.raises(ValueError):
         geo.PhysicalScale(mass_kg=-1.0)
-    with pytest.raises(ValueError):
-        geo.PhysicalScale(mass_kg=1.0, hbar=0.0)
 
 
 def test_force_scale_reproduces_order_of_magnitude():

@@ -10,7 +10,6 @@ from geomforce.oplab import (
     LinOp,
     build_grid,
     divergence,
-    gradient,
     hamiltonian,
     momentum,
     random_band_states,
@@ -175,28 +174,33 @@ def test_suite_builds_only_the_finest_grid(monkeypatch):
     assert report["grids"] == ["16", "32", "64"]
 
 
-# surface gradient ------------------------------------------------------------------
+# surface gradient, the tangential part of the momentum -------------------------
+
+
+def _tangential(grid, psi):
+    """grad_S psi = i p psi - M n psi / 2, an (N,)+shape stack."""
+    return 1j * momentum(grid, psi) - 0.5 * grid.geo["M"] * grid.geo["n"] * psi
 
 
 def test_circle_gradient_component_on_cosine(circle64):
     th = circle64.coords[0]
     psi = np.cos(th).astype(complex)
     # (grad_S)_x cos = (-sin) d_theta cos = sin^2
-    got = gradient(circle64, psi)[0]
+    got = _tangential(circle64, psi)[0]
     assert np.allclose(got.real, np.sin(th) ** 2, atol=1e-13)
     assert np.allclose(got.imag, 0.0, atol=1e-13)
 
 
 def test_gradient_annihilates_constants(circle64):
     psi = np.ones(64, dtype=complex)
-    for g_psi in gradient(circle64, psi):
+    for g_psi in _tangential(circle64, psi):
         assert norm_w(circle64.weights, g_psi) < 1e-14
 
 
 def test_gradient_is_tangent(torus32):
     n = torus32.geo["n"]
     for psi in random_band_states(torus32, 3, seed=1):
-        g_psi = gradient(torus32, psi)
+        g_psi = _tangential(torus32, psi)
         total = sum(n[j] * g_psi[j] for j in range(3))
         assert norm_w(torus32.weights, total) < 1e-13
 
