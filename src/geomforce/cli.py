@@ -29,7 +29,7 @@ from . import expr as ex
 from . import geometry as geo
 from . import jets
 from . import optim
-from .oplab import UnknownIdentityError, run_identity_suite
+from .oplab import RepeatedIdentityError, UnknownIdentityError, run_identity_suite
 from .reports import atomic_file, atomic_write, canonical_json, csv_rows, json_records, json_rows
 from .surfaces import (
     CATALOG,
@@ -59,6 +59,7 @@ _INPUT_ERRORS = (
     jets.DomainError,
     jets.DivisionByZeroLeadingTerm,
     UnknownIdentityError,
+    RepeatedIdentityError,
     FileNotFoundError,
     json.JSONDecodeError,
 )
@@ -210,7 +211,7 @@ def _cmd_parse(args):
         "expression": args.expr_text,
         "unparsed": ex.unparse(tree),
         "identifiers": sorted(ex.identifiers(tree)),
-        "nodes": sum(1 for _ in ex.walk(tree)),
+        "nodes": ex.fold(tree, lambda node, counts: 1 + sum(counts)),
     }
     _emit(args, payload)
     return 0

@@ -9,8 +9,13 @@ Grammar (EBNF):
 
 Identifiers are either coordinate variables (``x, y, z`` or ``x1..x4``),
 bound parameters, or one of the supported function names
-(sqrt, sin, cos, exp, log).  Exponents are integer literals, and a folded
-exponent tower stays below 2^63 in magnitude.
+(sqrt, sin, cos, exp, log).  Number literals are finite floats, exponents
+are integer literals, and a folded exponent tower stays below 2^63 in
+magnitude.  At most MAX_NESTING groups, calls and unary minuses are open at
+once, and sums and products of any length are parsed by loops.  `fold`, an
+explicit-stack walk over the child table CHILDREN, is the one traversal of
+a tree, so `unparse`, `identifiers`, `substitute` and `compile_tape` take
+trees of any depth.
 
 `compile_tape` turns a tree into a `Tape`, a flat tuple of (op, a, b)
 instructions over numbered slots, which is the one evaluator of an
@@ -36,6 +41,7 @@ import numpy as np
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 MAX_EXPONENT = 2 ** 63  # |n| below it: x^n compiles to at most 125 instructions
+MAX_NESTING = 100  # '(' groups, calls and unary minuses open at once
 
 #: coordinate aliases accepted per dimension
 VARIABLE_NAMES = {
@@ -151,6 +157,9 @@ def _tokenize(text):
                 value = float(lit)
             except ValueError:
                 raise ParseError(f"bad number literal '{lit}'", i) from None
+            if math.isinf(value):  # it would unparse as the name 'inf'
+                raise ParseError(f"number literal '{lit}' out of range", i,
+                                 expected="a finite float")
             tokens.append(("num", value, i))
             i = j
             continue
@@ -168,17 +177,25 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # groups, calls and unary minuses open
+
+    def nested(self, parse, position):  # parse() one level deeper, at most MAX_NESTING
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position,
+                             expected=f"at most {MAX_NESTING} open groups, calls or unary minuses")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, op):
         kind, value, position = self.peek()
@@ -186,43 +203,28 @@ class _Parser:
             raise ParseError(f"found '{value or 'end of input'}'", position, expected=f"'{op}'")
         return self.advance()
 
-    def parse(self):
-        node = self.expr()
-        kind, value, position = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input '{value}'", position, expected="end of input")
-        return node
+    def at_op(self, ops):
+        kind, value, _ = self.peek()
+        return kind == "op" and value in ops
 
     def expr(self):
         node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
-                return node
+        while self.at_op("+-"):
+            node = BinOp(self.advance()[1], node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
+        while self.at_op("*/"):
+            node = BinOp(self.advance()[1], node, self.factor())
+        return node
 
     def factor(self):
         node = self.base()
         exponents = []
-        while True:
-            kind, value, position = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                exponents.append((self.exponent_literal(), position))
-            else:
-                break
+        while self.at_op("^"):
+            position = self.advance()[2]
+            exponents.append((self.exponent_literal(), position))
         if exponents:
             # right associativity: x^2^3 == x^(2^3); the folded tower must
             # stay an integer (2^-1 in exponent position is rejected) of
@@ -241,47 +243,39 @@ class _Parser:
         return node
 
     def exponent_literal(self):
-        kind, value, position = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            negate = True
+        negate = self.at_op("-")
+        if negate:
             self.advance()
-            kind, value, position = self.peek()
+        kind, value, position = self.peek()
         if kind != "num":
-            raise NonIntegerExponentError(
-                f"found '{value or 'end of input'}'", position, expected="integer literal"
-            )
+            raise NonIntegerExponentError(f"found '{value or 'end of input'}'", position,
+                                          expected="integer literal")
         if not abs(value) < MAX_EXPONENT:
             raise ParseError(f"exponent {value} out of range", position,
                              expected="|exponent| < 2^63")
         if value != int(value):
-            raise NonIntegerExponentError(
-                f"non-integer exponent {value}", position, expected="integer literal"
-            )
+            raise NonIntegerExponentError(f"non-integer exponent {value}", position,
+                                          expected="integer literal")
         self.advance()
-        exponent = int(value)
-        return -exponent if negate else exponent
+        return -int(value) if negate else int(value)
 
     def base(self):
         kind, value, position = self.advance()
         if kind == "num":
             return Num(value)
         if kind == "op" and value == "-":  # binds looser than '^': -x^2^3 is -(x^8)
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor, position))
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, position)
             self.expect_op(")")
             return node
         if kind == "ident":
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
+            if self.at_op("("):
                 if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(
-                        f"unknown function '{value}' at offset {position}; "
-                        f"supported: {', '.join(FUNCTIONS)}"
-                    )
+                    raise UnknownIdentifierError(f"unknown function '{value}' at offset "
+                                                 f"{position}; supported: {', '.join(FUNCTIONS)}")
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.expr, position)
                 self.expect_op(")")
                 return Call(value, arg)
             return Name(value)
@@ -297,7 +291,12 @@ def parse_expression(text):
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected="expression")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser.expr()
+    kind, value, position = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input '{value}'", position, expected="end of input")
+    return node
 
 
 # Unparser -------------------------------------------------------------------
@@ -305,45 +304,34 @@ def parse_expression(text):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
+def _grouped(part, below):
+    """The text of a (text, precedence) part, in parentheses if it binds looser than `below`."""
+    text, prec = part
+    return f"({text})" if prec < below else text
+
+
+def _unparsed(node, parts):
+    """(text, precedence) of a node from the (text, precedence) parts of its children."""
+    if isinstance(node, Num):
+        return repr(node.value), _PREC["atom"]
+    if isinstance(node, Name):
+        return node.ident, _PREC["atom"]
+    if isinstance(node, Call):
+        return f"{node.func}({parts[0][0]})", _PREC["atom"]
     if isinstance(node, Neg):
-        return _PREC["neg"]
+        return f"-{_grouped(parts[0], _PREC['neg'])}", _PREC["neg"]
     if isinstance(node, Pow):
-        return _PREC["^"]
-    return _PREC["atom"]
+        return f"{_grouped(parts[0], _PREC['^'] + 1)}^{node.exponent}", _PREC["^"]
+    if isinstance(node, BinOp):
+        prec = _PREC[node.op]
+        # left-associative: parenthesize the right child at equal precedence
+        return f"{_grouped(parts[0], prec)} {node.op} {_grouped(parts[1], prec + 1)}", prec
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def unparse(node):
     """Render an AST back to text; parse(unparse(t)) is structurally t."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Call):
-        return f"{node.func}({unparse(node.arg)})"
-    if isinstance(node, Neg):
-        inner = unparse(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        inner = unparse(node.base)
-        if _prec(node.base) <= _PREC["^"]:
-            inner = f"({inner})"
-        exp = str(node.exponent) if node.exponent >= 0 else f"-{-node.exponent}"
-        return f"{inner}^{exp}"
-    if isinstance(node, BinOp):
-        left = unparse(node.left)
-        right = unparse(node.right)
-        if _prec(node.left) < _PREC[node.op]:
-            left = f"({left})"
-        # left-associative: parenthesize right child at equal precedence
-        if _prec(node.right) <= _PREC[node.op]:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+    return fold(node, _unparsed)[0]
 
 
 # Analysis helpers -----------------------------------------------------------
@@ -353,26 +341,31 @@ def unparse(node):
 CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), BinOp: ("left", "right")}
 
 
-def walk(node):
-    """Every node of the tree, each before its children, without recursion."""
-    stack = [node]
+def fold(node, visit, leaf=None):
+    """The root's visit(n, [results of n's children]), the children (in
+    CHILDREN order) visited before their node, on an explicit stack: a tree
+    of any depth folds.  A node n for which leaf(n) holds is visited as a leaf."""
+    stack, results = [(node, None)], []
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(getattr(node, name) for name in CHILDREN.get(type(node), ()))
+        n, kids = stack.pop()
+        if kids is None:
+            kids = [] if leaf and leaf(n) else [getattr(n, f) for f in CHILDREN.get(type(n), ())]
+            stack.append((n, kids))
+            stack.extend((kid, None) for kid in reversed(kids))
+        else:
+            results.append(visit(n, [results.pop() for _ in kids][::-1]))
+    return results[0]
 
 
 def identifiers(node):
     """Set of identifier names referenced by the tree (excludes functions)."""
-    return {n.ident for n in walk(node) if isinstance(n, Name)}
+    return fold(node, lambda n, names: {n.ident} if isinstance(n, Name) else set().union(*names))
 
 
 def substitute(node, replacements):
     """The tree with each Name in `replacements` replaced by its subtree."""
-    if isinstance(node, Name):
-        return replacements.get(node.ident, node)
-    return replace(node, **{name: substitute(getattr(node, name), replacements)
-                            for name in CHILDREN.get(type(node), ())})
+    return fold(node, lambda n, parts: replacements.get(n.ident, n) if isinstance(n, Name)
+                else replace(n, **dict(zip(CHILDREN.get(type(n), ()), parts))))
 
 
 # Compiled tape ----------------------------------------------------------------
@@ -526,7 +519,7 @@ def _slot(s, k):
     return s
 
 
-def _fold(node, op, operands, params):
+def _fold_constant(node, op, operands, params):
     """op on constants, as a float run computes it.  A fold that overflows,
     underflows, divides by zero or is invalid raises InvalidParametersError
     naming `node` and its parameters."""
@@ -548,9 +541,10 @@ def compile_tape(node, dimension, params=None):
     constants; constant subtrees are folded, and repeated subexpressions
     share one slot.  -x runs as x * -1.0, exact for floats and jets.  x^n
     runs as products by repeated squaring (x^5 = (x*x)*(x*x)*x), x^0 as
-    1.0 and x^-n as 1.0 / x^n.  Raises UnknownIdentifierError naming every
-    other identifier, and InvalidParametersError naming a constant subtree
-    whose fold leaves the float range.
+    1.0 (its base is not compiled) and x^-n as 1.0 / x^n.  Raises
+    UnknownIdentifierError naming every other identifier, and
+    InvalidParametersError naming a constant subtree whose fold leaves the
+    float range.
     """
     params = {key: float(value) for key, value in (params or {}).items()}
     axes = {name: axis for names in VARIABLE_NAMES[dimension]
@@ -558,7 +552,7 @@ def compile_tape(node, dimension, params=None):
     free = identifiers(node) - set(axes) - set(params)
     if free:
         raise UnknownIdentifierError(f"unbound identifier(s): {', '.join(sorted(free))}")
-    # rec() returns a 1-tuple (value,) for a constant subtree, else a
+    # visit() returns a 1-tuple (value,) for a constant subtree, else a
     # provisional slot: the axis, ~j for constant j, dimension + k for code k
     constants, code, slot_of = [], [], {}
 
@@ -573,7 +567,7 @@ def compile_tape(node, dimension, params=None):
 
     def emit(node, op, a, b=None):
         if isinstance(a, tuple) and (b is None or isinstance(b, tuple)):
-            return (_fold(node, op, a if b is None else a + b, params),)
+            return (_fold_constant(node, op, a if b is None else a + b, params),)
         key = (op, slot(a), slot(b))
         if key not in slot_of:
             slot_of[key] = dimension + len(code)
@@ -589,20 +583,20 @@ def compile_tape(node, dimension, params=None):
         square = emit(n, operator.mul, half, half)
         return emit(n, operator.mul, square, base) if exponent & 1 else square
 
-    def rec(n):
+    def visit(n, parts):
         if isinstance(n, Num):
             return (float(n.value),)
         if isinstance(n, Name):
             return axes[n.ident] if n.ident in axes else (params[n.ident],)
         if isinstance(n, BinOp):
-            return emit(n, _OPERATORS[n.op], rec(n.left), rec(n.right))
+            return emit(n, _OPERATORS[n.op], *parts)
         if isinstance(n, Neg):
-            return emit(n, operator.mul, rec(n.arg), (-1.0,))
+            return emit(n, operator.mul, parts[0], (-1.0,))
         if isinstance(n, Pow):
-            return power(n, rec(n.base), n.exponent) if n.exponent else (1.0,)
-        return emit(n, n.func, rec(n.arg))
+            return power(n, parts[0], n.exponent) if n.exponent else (1.0,)
+        return emit(n, n.func, parts[0])
 
-    out = slot(rec(node))
+    out = slot(fold(node, visit, leaf=lambda n: isinstance(n, Pow) and not n.exponent))
 
     def final(s):  # the constants go in between the coordinates and the code
         if s is None or 0 <= s < dimension:

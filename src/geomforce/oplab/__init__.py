@@ -12,8 +12,8 @@ map's per-mode blocks.
 from .grid import ParamSurfaceGrid, build_grid
 from .linops import LinOp, inner, norm_w
 from .operators import divergence, hamiltonian, momentum, random_band_states
-from .identities import (IDENTITY_IDS, IdentityVerdict, UnknownIdentityError,
-                         check_identity, run_identity_suite)
+from .identities import (IDENTITY_IDS, IdentityVerdict, RepeatedIdentityError,
+                         UnknownIdentityError, check_identity, run_identity_suite)
 from .evolve import EhrenfestTrace, NormDriftError, evolve_wavepacket, hbar_scaling_slopes
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "LinOp", "inner", "norm_w",
     "momentum", "divergence", "hamiltonian",
     "random_band_states",
-    "IDENTITY_IDS", "IdentityVerdict", "UnknownIdentityError", "check_identity",
-    "run_identity_suite",
+    "IDENTITY_IDS", "IdentityVerdict", "RepeatedIdentityError", "UnknownIdentityError",
+    "check_identity", "run_identity_suite",
     "EhrenfestTrace", "NormDriftError", "evolve_wavepacket", "hbar_scaling_slopes",
 ]

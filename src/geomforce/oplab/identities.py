@@ -21,11 +21,11 @@ The circle anchors read the same actions.  run_identity_suite builds
 only the finest grid of its family and takes each coarser grid from it
 (grid.subgrid), runs the pass once per grid for all its identities and
 judges each identity from those results; check_identity runs the pass
-for its one identity on the grids it is given.  Both refuse a family of
-fewer than 3 grids or an unknown identity id (an UnknownIdentityError)
-before any work, and run_identity_suite refuses a family whose grids do
-not nest into the finest.  The test space (TEST_STATES states,
-HERMITICITY_PAIRS pairs) is operators'.
+for its one identity on the grids it is given.  Both refuse, before any
+work, a family of fewer than 3 grids and an unknown or a repeated identity
+id (UnknownIdentityError, RepeatedIdentityError); run_identity_suite also
+refuses a family whose grids do not nest into the finest.  The test space
+(TEST_STATES states, HERMITICITY_PAIRS pairs) is operators'.
 
 Both sides of every identity carry the same powers of hbar and mu, so
 they are built in reduced units (hbar = mu = 1) and no verdict depends
@@ -87,6 +87,10 @@ IDENTITY_IDS = (
 
 class UnknownIdentityError(ValueError):
     """An identity id that is not in IDENTITY_IDS."""
+
+
+class RepeatedIdentityError(ValueError):
+    """An identity id asked for more than once."""
 
 
 @dataclass
@@ -294,14 +298,17 @@ def _grid_passes(grids, groups, seed):
 
 
 def _check_request(grid_count, identities):
-    """Refuse a family of fewer than 3 grids or an unknown identity id, before
-    any grid is built or pass run."""
+    """Refuse a family of fewer than 3 grids, an unknown identity id or a
+    repeated one, before any grid is built or pass run."""
     if grid_count < 3:
         raise ValueError("need a grid family of at least 3 sizes")
     unknown = sorted(set(identities) - set(IDENTITY_IDS))
     if unknown:
         raise UnknownIdentityError(f"unknown identities {unknown}; "
                                    f"known: {', '.join(IDENTITY_IDS)}")
+    repeated = sorted({i for i in identities if identities.count(i) > 1})
+    if repeated:
+        raise RepeatedIdentityError(f"identities {repeated} asked for more than once")
 
 
 def _fit_slope(sizes, residuals):

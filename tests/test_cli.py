@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,44 @@ def test_parse_error_reports_json_diag(capsys):
     diag = json.loads(err)
     assert diag["error"] == "NonIntegerExponentError"
     assert "offset 2" in diag["message"]
+
+
+def test_long_sums_parse_and_integrate(capsys):
+    # a flat sum is a tree as deep as it has terms; none is an internal error
+    text = " + ".join(["x"] * 5000)
+    code, out, _ = run_cli(["parse", text], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nodes"] == 9999 and payload["unparsed"] == text
+    plane = "z" + " + 0*x" * 1199
+    code, out, err = run_cli(["classical", "--expr", plane, "--x0", "0,0,0", "--p0", "1,0,0",
+                              "--steps", "20"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["constraint_max"] == 0
+
+
+def _names_no_function(message):
+    """No word of the message is a function or method of the expression module."""
+    from geomforce import expr as ex
+
+    names = {name for name, value in [*vars(ex).items(), *vars(ex._Parser).items()]
+             if inspect.isfunction(value)}
+    return not names & set(re.findall(r"\w+", message))
+
+
+def test_deep_nesting_and_infinite_literals_are_bad_input(capsys):
+    from geomforce.expr import MAX_NESTING as cap
+
+    code, out, _ = run_cli(["parse", "(" * cap + "x" + ")" * cap], capsys)
+    assert code == 0 and json.loads(out)["nodes"] == 1
+    for text, position in [("(" * (cap + 1) + "x" + ")" * (cap + 1), cap),
+                           ("x + " + "-" * (cap + 1) + "x", 4 + cap), ("1e309*x", 0)]:
+        code, out, err = run_cli(["parse", text], capsys)
+        assert code == 1 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "ParseError"
+        assert f"at offset {position}" in diagnostic["message"]
+        assert _names_no_function(diagnostic["message"]), diagnostic["message"]
 
 
 def test_unknown_flag_is_input_error(capsys):
@@ -478,6 +518,8 @@ def test_internal_value_error_is_not_reported_as_input_error(monkeypatch, capsys
     # the meridian search reads no --starts, but the flag is still checked
     (["extrema", "--surface", "sphere", "--a", "1", "--starts", "0"], "CliInputError"),
     (["verify", "--surface", "circle", "--identities", "EQ3"], "UnknownIdentityError"),
+    (["verify", "--surface", "circle", "--grids", "16,32,64",
+      "--identities", "EQ3_MAIN,HERMITICITY,EQ3_MAIN"], "RepeatedIdentityError"),
 ])
 def test_bad_input_exits_1_through_a_typed_error(args, error, capsys):
     code, _, err = run_cli(args, capsys)

@@ -25,10 +25,63 @@ def test_torus_expression_parses_with_parameters():
 
 def test_every_tree_walk_reads_the_child_table():
     tree = ex.parse_expression("-x^2^3 + sin(-(y)) / (z - 2)^-2")
-    assert sum(1 for _ in ex.walk(tree)) == 12  # the parse command's node count
+    assert ex.fold(tree, lambda n, counts: 1 + sum(counts)) == 12  # the parse command's node count
     assert ex.identifiers(tree) == {"x", "y", "z"}
     got = ex.substitute(tree, {"x": ex.parse_expression("y + 1"), "z": ex.Num(3.0)})
     assert got == ex.parse_expression("-(y + 1)^2^3 + sin(-(y)) / (3 - 2)^-2")
+
+
+def test_fold_visits_the_children_in_table_order_before_their_node():
+    tree = ex.parse_expression("-x^2 + sin(y) / z")
+    order = []
+    ex.fold(tree, lambda n, parts: order.append(type(n).__name__ + str(len(parts))))
+    assert order == ["Name0", "Pow1", "Neg1", "Name0", "Call1", "Name0", "BinOp2", "BinOp2"]
+
+
+def test_long_sums_fold_without_recursion():
+    # each term is one level of a left-deep tree; texts and tapes are compared,
+    # not trees, since dataclass equality itself recurses
+    text = " + ".join(["x"] * 5000)
+    tree = ex.parse_expression(text)
+    assert ex.unparse(tree) == text
+    assert ex.unparse(ex.parse_expression(ex.unparse(tree))) == text
+    assert ex.fold(tree, lambda n, counts: 1 + sum(counts)) == 9999
+    assert ex.identifiers(tree) == {"x"}
+    tape = ex.compile_tape(tree, 2)
+    assert len(tape.code) == 4999 and tape.code[-1] == (operator.add, 2 + 4997, 0)
+    assert tape.value([2.0, 0.0], ex.float_call) == 10000.0
+    scaled = ex.substitute(tree, {"x": ex.parse_expression("2 * y")})
+    assert ex.unparse(scaled) == " + ".join(["2.0 * y"] * 5000)
+
+
+def test_nesting_is_capped_at_its_offset():
+    cap = ex.MAX_NESTING
+    for open_, close in [("(", ")"), ("sin(", ")"), ("-", "")]:
+        assert ex.identifiers(ex.parse_expression(open_ * cap + "x" + close * cap)) == {"x"}
+        with pytest.raises(ex.ParseError, match=f"deeper than {cap}") as err:
+            ex.parse_expression("y + " + open_ * (cap + 1) + "x" + close * (cap + 1))
+        assert err.value.position == 4 + cap * len(open_)
+    # levels close again: a long chain of shallow groups parses
+    assert ex.identifiers(ex.parse_expression(" + ".join(["(-(x))"] * (2 * cap)))) == {"x"}
+
+
+def test_a_literal_that_rounds_to_inf_is_refused_at_its_offset():
+    for text, position in [("1e309*x", 0), ("x - 2e308", 4), ("x^2 + 1.8e308 * y", 6)]:
+        with pytest.raises(ex.ParseError, match="out of range") as err:
+            ex.parse_expression(text)
+        assert err.value.position == position, text
+    biggest = ex.parse_expression("1.7976931348623157e308 * x")
+    assert ex.unparse(ex.parse_expression(ex.unparse(biggest))) == ex.unparse(biggest)
+
+
+def test_the_base_of_a_zeroth_power_is_not_compiled():
+    # x^0 is 1.0: its base makes no instruction, and a base that would leave
+    # the float range is not folded
+    tape = ex.compile_tape(ex.parse_expression("sin(x)^0 + y + sin(x)"), 2)
+    assert tape.constants == (1.0,)
+    assert tape.code == ((operator.add, 2, 1), ("sin", 0, None), (operator.add, 3, 4))
+    tape = ex.compile_tape(ex.parse_expression("sqrt(-a)^0 * x"), 2, {"a": 1.0})
+    assert tape.code == ((operator.mul, 2, 0),)
 
 
 def test_double_caret_is_a_syntax_error_at_offset_2():

@@ -18,6 +18,7 @@ from geomforce.oplab import identities
 from geomforce.oplab.grid import GEO_KEYS, UnsupportedSurfaceError, subgrid
 from geomforce.oplab.identities import (
     IDENTITY_IDS,
+    RepeatedIdentityError,
     check_identity,
     circle_anchor_report,
     run_identity_suite,
@@ -471,6 +472,13 @@ def test_unknown_identity_is_named_before_any_work(circle64, monkeypatch):
         check_identity([circle64] * 3, "EQ3")
 
 
+def test_repeated_identity_is_named_before_any_work(monkeypatch):
+    _no_work(monkeypatch)
+    with pytest.raises(RepeatedIdentityError, match=r"identities \['EQ3_MAIN'\] asked for more"):
+        run_identity_suite("circle", {"a": 1.0}, [16, 32, 64],
+                           identities=["EQ3_MAIN", "HERMITICITY", "EQ3_MAIN"])
+
+
 def test_suite_report_schema():
     report = run_identity_suite("circle", {"a": 1.0}, [16, 32, 64])
     assert {v["identity"] for v in report["identities"]} == set(IDENTITY_IDS)
@@ -695,5 +703,7 @@ def test_verdicts_do_not_depend_on_the_identities_asked_for(kind, params):
         fresh = [build_grid(kind, params, s) for s in sizes]
         alone = check_identity(fresh, ident, tol=full["tol"]).to_dict()
         assert alone == entry, ident
-        paired = run_identity_suite(kind, params, sizes, identities=[ident, "HERMITICITY"])
+        # a repeated id is refused, so HERMITICITY is asked for once
+        paired = run_identity_suite(kind, params, sizes,
+                                    identities=list(dict.fromkeys([ident, "HERMITICITY"])))
         assert paired["identities"][0] == entry, ident
