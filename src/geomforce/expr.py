@@ -194,14 +194,22 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self):
+        tok = self.tokens[self.pos]
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return tok
 
     def expect_op(self, op):
         kind, value, position = self.peek()
         if kind != "op" or value != op:
             raise ParseError(f"found '{value or 'end of input'}'", position, expected=f"'{op}'")
         return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        kind, value, position = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input '{value}'", position, expected="end of input")
+        return node
 
     def at_op(self, ops):
         kind, value, _ = self.peek()
@@ -248,16 +256,19 @@ class _Parser:
             self.advance()
         kind, value, position = self.peek()
         if kind != "num":
-            raise NonIntegerExponentError(f"found '{value or 'end of input'}'", position,
-                                          expected="integer literal")
+            raise NonIntegerExponentError(
+                f"found '{value or 'end of input'}'", position, expected="integer literal"
+            )
         if not abs(value) < MAX_EXPONENT:
             raise ParseError(f"exponent {value} out of range", position,
                              expected="|exponent| < 2^63")
         if value != int(value):
-            raise NonIntegerExponentError(f"non-integer exponent {value}", position,
-                                          expected="integer literal")
+            raise NonIntegerExponentError(
+                f"non-integer exponent {value}", position, expected="integer literal"
+            )
         self.advance()
-        return -int(value) if negate else int(value)
+        exponent = int(value)
+        return -exponent if negate else exponent
 
     def base(self):
         kind, value, position = self.advance()
@@ -272,8 +283,10 @@ class _Parser:
         if kind == "ident":
             if self.at_op("("):
                 if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(f"unknown function '{value}' at offset "
-                                                 f"{position}; supported: {', '.join(FUNCTIONS)}")
+                    raise UnknownIdentifierError(
+                        f"unknown function '{value}' at offset {position}; "
+                        f"supported: {', '.join(FUNCTIONS)}"
+                    )
                 self.advance()
                 arg = self.nested(self.expr, position)
                 self.expect_op(")")
@@ -291,12 +304,7 @@ def parse_expression(text):
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected="expression")
-    parser = _Parser(text)
-    node = parser.expr()
-    kind, value, position = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input '{value}'", position, expected="end of input")
-    return node
+    return _Parser(text).parse()
 
 
 # Unparser -------------------------------------------------------------------
