@@ -211,7 +211,7 @@ def _cmd_parse(args):
         "expression": args.expr_text,
         "unparsed": ex.unparse(tree),
         "identifiers": sorted(ex.identifiers(tree)),
-        "nodes": ex.fold(tree, lambda node, counts: 1 + sum(counts)),
+        "nodes": len(tree.postfix),
     }
     _emit(args, payload)
     return 0
@@ -301,11 +301,9 @@ def _cmd_classical(args):
 def _cmd_verify(args):
     if args.surface == "circle":
         params = {"a": args.a if args.a is not None else 1.0}
-    elif args.surface == "torus":
+    else:  # argparse's choices leave only the torus
         params = {"R": args.big_r if args.big_r is not None else 2.0,
                   "r": args.r if args.r is not None else 1.0}
-    else:
-        raise CliInputError("verify runs on --surface circle or torus")
     hbar, mu = args.hbar, args.mass
     # the verdicts are unit-free: hbar^2 / mu only scales the anchors' energies
     if not (hbar > 0 and mu > 0 and sys.float_info.min <= hbar * hbar / mu < np.inf):
@@ -378,11 +376,12 @@ def _model_surface(spec, length_unit):
     Scaling the coordinates leaves dimensionless parameters alone, so a
     catalog surface and the same --expr surface share one model.
     """
-    scale = ex.Num(length_unit)
-    coordinates = {name: ex.BinOp("*", scale, ex.Name(name))
+    scale = ("num", length_unit)
+    coordinates = {name: ex.Expression((scale, ("name", name), ("*", None)))
                    for names in ex.VARIABLE_NAMES[spec.dimension] for name in names}
     expression = ex.substitute(spec.expression, coordinates)
-    return dataclasses.replace(spec, expression=ex.BinOp("/", expression, scale))
+    return dataclasses.replace(spec, expression=ex.Expression(
+        expression.postfix + (scale, ("/", None))))
 
 
 def _default_point(spec):

@@ -12,12 +12,16 @@ bound parameters, or one of the supported function names
 (sqrt, sin, cos, exp, log).  Number literals are finite floats, exponents
 are integer literals, and a folded exponent tower stays below 2^63 in
 magnitude.  At most MAX_NESTING groups, calls and unary minuses are open at
-once, and sums and products of any length are parsed by loops.  `fold`, an
-explicit-stack walk over the child table CHILDREN, is the one traversal of
-a tree, so `unparse`, `identifiers`, `substitute` and `compile_tape` take
-trees of any depth.
+once, and sums and products of any length are parsed by loops.
 
-`compile_tape` turns a tree into a `Tape`, a flat tuple of (op, a, b)
+An `Expression` is one flat tuple of (kind, payload) entries in postfix
+order, each operand before the entry that reads it, and ARITY gives each
+kind's operand count.  The parser appends an entry as each operand is
+finished, and `unparse` and `compile_tape` are each one stack loop over the
+entries: nothing recurses over an expression, so one of any depth parses,
+compiles, compares, hashes, prints and pickles.
+
+`compile_tape` turns an expression into a `Tape`, a flat tuple of (op, a, b)
 instructions over numbered slots, which is the one evaluator of an
 expression.  Its ops are + - * / and the five functions: an integer power
 is multiplied out by repeated squaring, so float arrays, numpy scalars,
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,44 +84,22 @@ class InvalidParametersError(ValueError):
     of them leaves the float range."""
 
 
-# AST nodes ------------------------------------------------------------------
+# Expressions ------------------------------------------------------------------
+
+#: operand count of each entry kind: a number or name, -, x^n or a call, and + - * /
+ARITY = {"num": 0, "name": 0, "neg": 1, "^": 1, "call": 1, "+": 2, "-": 2, "*": 2, "/": 2}
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class Expression:
+    """An expression as a tuple of (kind, payload) entries in postfix order.
 
+    The payload of "num" is the float, of "name" the identifier, of "^" the
+    integer exponent and of "call" the FUNCTIONS name; the other kinds have
+    None.  Each entry reads the ARITY[kind] operands just before it.
+    """
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Num | Name | Neg | BinOp | Pow | Call
+    postfix: tuple
 
 
 # Tokenizer ------------------------------------------------------------------
@@ -180,15 +162,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # groups, calls and unary minuses open
+        self.postfix = []  # the entries of the operands finished so far
 
     def nested(self, parse, position):  # parse() one level deeper, at most MAX_NESTING
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position,
                              expected=f"at most {MAX_NESTING} open groups, calls or unary minuses")
         self.depth += 1
-        node = parse()
+        parse()
         self.depth -= 1
-        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -205,30 +187,32 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        self.expr()
         kind, value, position = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing input '{value}'", position, expected="end of input")
-        return node
+        return Expression(tuple(self.postfix))
 
     def at_op(self, ops):
         kind, value, _ = self.peek()
         return kind == "op" and value in ops
 
     def expr(self):
-        node = self.term()
+        self.term()
         while self.at_op("+-"):
-            node = BinOp(self.advance()[1], node, self.term())
-        return node
+            op = self.advance()[1]
+            self.term()
+            self.postfix.append((op, None))
 
     def term(self):
-        node = self.factor()
+        self.factor()
         while self.at_op("*/"):
-            node = BinOp(self.advance()[1], node, self.factor())
-        return node
+            op = self.advance()[1]
+            self.factor()
+            self.postfix.append((op, None))
 
     def factor(self):
-        node = self.base()
+        self.base()
         exponents = []
         while self.at_op("^"):
             position = self.advance()[2]
@@ -247,8 +231,7 @@ class _Parser:
                 if abs(acc) >= MAX_EXPONENT:
                     raise ParseError("exponent tower out of range", position,
                                      expected="|exponent| < 2^63")
-            node = Pow(node, acc)
-        return node
+            self.postfix.append(("^", acc))
 
     def exponent_literal(self):
         negate = self.at_op("-")
@@ -273,31 +256,32 @@ class _Parser:
     def base(self):
         kind, value, position = self.advance()
         if kind == "num":
-            return Num(value)
-        if kind == "op" and value == "-":  # binds looser than '^': -x^2^3 is -(x^8)
-            return Neg(self.nested(self.factor, position))
-        if kind == "op" and value == "(":
-            node = self.nested(self.expr, position)
+            self.postfix.append(("num", value))
+        elif kind == "op" and value == "-":  # binds looser than '^': -x^2^3 is -(x^8)
+            self.nested(self.factor, position)
+            self.postfix.append(("neg", None))
+        elif kind == "op" and value == "(":
+            self.nested(self.expr, position)
             self.expect_op(")")
-            return node
-        if kind == "ident":
-            if self.at_op("("):
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(
-                        f"unknown function '{value}' at offset {position}; "
-                        f"supported: {', '.join(FUNCTIONS)}"
-                    )
-                self.advance()
-                arg = self.nested(self.expr, position)
-                self.expect_op(")")
-                return Call(value, arg)
-            return Name(value)
-        raise ParseError(f"found '{value or 'end of input'}'", position,
-                         expected="number, identifier or '('")
+        elif kind == "ident" and self.at_op("("):
+            if value not in FUNCTIONS:
+                raise UnknownIdentifierError(
+                    f"unknown function '{value}' at offset {position}; "
+                    f"supported: {', '.join(FUNCTIONS)}"
+                )
+            self.advance()
+            self.nested(self.expr, position)
+            self.expect_op(")")
+            self.postfix.append(("call", value))
+        elif kind == "ident":
+            self.postfix.append(("name", value))
+        else:
+            raise ParseError(f"found '{value or 'end of input'}'", position,
+                             expected="number, identifier or '('")
 
 
 def parse_expression(text):
-    """Parse expression text into an AST.
+    """Parse expression text into an Expression.
 
     Raises ParseError (with position), NonIntegerExponentError, or
     UnknownIdentifierError for unknown function names.
@@ -318,62 +302,56 @@ def _grouped(part, below):
     return f"({text})" if prec < below else text
 
 
-def _unparsed(node, parts):
-    """(text, precedence) of a node from the (text, precedence) parts of its children."""
-    if isinstance(node, Num):
-        return repr(node.value), _PREC["atom"]
-    if isinstance(node, Name):
-        return node.ident, _PREC["atom"]
-    if isinstance(node, Call):
-        return f"{node.func}({parts[0][0]})", _PREC["atom"]
-    if isinstance(node, Neg):
+def _operands(stack, kind):
+    """The ARITY[kind] operands of an entry, taken off the top of the stack."""
+    start = len(stack) - ARITY[kind]
+    operands = stack[start:]
+    del stack[start:]
+    return operands
+
+
+def _unparsed(kind, payload, parts):
+    """(text, precedence) of an entry from the (text, precedence) parts of its operands."""
+    if kind == "num":
+        return repr(payload), _PREC["atom"]
+    if kind == "name":
+        return payload, _PREC["atom"]
+    if kind == "call":
+        return f"{payload}({parts[0][0]})", _PREC["atom"]
+    if kind == "neg":
         return f"-{_grouped(parts[0], _PREC['neg'])}", _PREC["neg"]
-    if isinstance(node, Pow):
-        return f"{_grouped(parts[0], _PREC['^'] + 1)}^{node.exponent}", _PREC["^"]
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        # left-associative: parenthesize the right child at equal precedence
-        return f"{_grouped(parts[0], prec)} {node.op} {_grouped(parts[1], prec + 1)}", prec
-    raise TypeError(f"not an expression node: {node!r}")
+    if kind == "^":
+        return f"{_grouped(parts[0], _PREC['^'] + 1)}^{payload}", _PREC["^"]
+    prec = _PREC[kind]
+    # left-associative: parenthesize the right operand at equal precedence
+    return f"{_grouped(parts[0], prec)} {kind} {_grouped(parts[1], prec + 1)}", prec
 
 
-def unparse(node):
-    """Render an AST back to text; parse(unparse(t)) is structurally t."""
-    return fold(node, _unparsed)[0]
+def unparse(expression):
+    """Render an Expression back to text; parse(unparse(e)) == e."""
+    stack = []  # the (text, precedence) of each operand not yet read
+    for kind, payload in expression.postfix:
+        stack.append(_unparsed(kind, payload, _operands(stack, kind)))
+    return stack[0][0]
 
 
 # Analysis helpers -----------------------------------------------------------
 
 
-#: the child fields of each node type that has children (Num and Name have none)
-CHILDREN = {Neg: ("arg",), Call: ("arg",), Pow: ("base",), BinOp: ("left", "right")}
+def identifiers(expression):
+    """Set of identifier names referenced by the expression (excludes functions)."""
+    return {payload for kind, payload in expression.postfix if kind == "name"}
 
 
-def fold(node, visit, leaf=None):
-    """The root's visit(n, [results of n's children]), the children (in
-    CHILDREN order) visited before their node, on an explicit stack: a tree
-    of any depth folds.  A node n for which leaf(n) holds is visited as a leaf."""
-    stack, results = [(node, None)], []
-    while stack:
-        n, kids = stack.pop()
-        if kids is None:
-            kids = [] if leaf and leaf(n) else [getattr(n, f) for f in CHILDREN.get(type(n), ())]
-            stack.append((n, kids))
-            stack.extend((kid, None) for kid in reversed(kids))
+def substitute(expression, replacements):
+    """The expression with each name in `replacements` replaced by that Expression."""
+    postfix = []
+    for kind, payload in expression.postfix:
+        if kind == "name" and payload in replacements:
+            postfix.extend(replacements[payload].postfix)
         else:
-            results.append(visit(n, [results.pop() for _ in kids][::-1]))
-    return results[0]
-
-
-def identifiers(node):
-    """Set of identifier names referenced by the tree (excludes functions)."""
-    return fold(node, lambda n, names: {n.ident} if isinstance(n, Name) else set().union(*names))
-
-
-def substitute(node, replacements):
-    """The tree with each Name in `replacements` replaced by its subtree."""
-    return fold(node, lambda n, parts: replacements.get(n.ident, n) if isinstance(n, Name)
-                else replace(n, **dict(zip(CHILDREN.get(type(n), ()), parts))))
+            postfix.append((kind, payload))
+    return Expression(tuple(postfix))
 
 
 # Compiled tape ----------------------------------------------------------------
@@ -527,23 +505,16 @@ def _slot(s, k):
     return s
 
 
-def _fold_constant(node, op, operands, params):
-    """op on constants, as a float run computes it.  A fold that overflows,
-    underflows, divides by zero or is invalid raises InvalidParametersError
-    naming `node` and its parameters."""
+def _fold_constant(op, operands):
+    """op on constants, as a float run computes it; a fold that overflows,
+    underflows, divides by zero or is invalid raises FloatingPointError."""
     a = np.float64(operands[0])
-    try:
-        with np.errstate(all="raise"):
-            return float(numpy_call(op, a) if len(operands) == 1 else op(a, operands[1]))
-    except FloatingPointError as error:
-        names = sorted(identifiers(node) & set(params))
-        bound = f" with {', '.join(f'{k}={params[k]!r}' for k in names)}" if names else ""
-        raise InvalidParametersError(f"constant subexpression '{unparse(node)}'{bound} "
-                                     f"leaves the float range: {error}") from None
+    with np.errstate(all="raise"):
+        return float(numpy_call(op, a) if len(operands) == 1 else op(a, operands[1]))
 
 
-def compile_tape(node, dimension, params=None):
-    """Compile a tree into a Tape over the coordinates of `dimension`.
+def compile_tape(expression, dimension, params=None):
+    """Compile an Expression into a Tape over the coordinates of `dimension`.
 
     Coordinate aliases resolve to axis slots and bound parameters to float
     constants; constant subtrees are folded, and repeated subexpressions
@@ -557,10 +528,21 @@ def compile_tape(node, dimension, params=None):
     params = {key: float(value) for key, value in (params or {}).items()}
     axes = {name: axis for names in VARIABLE_NAMES[dimension]
             for axis, name in enumerate(names)}
-    free = identifiers(node) - set(axes) - set(params)
+    free = identifiers(expression) - set(axes) - set(params)
     if free:
         raise UnknownIdentifierError(f"unbound identifier(s): {', '.join(sorted(free))}")
-    # visit() returns a 1-tuple (value,) for a constant subtree, else a
+    postfix = expression.postfix
+    # the entries of each x^0's base, found in one backward pass: `pending`
+    # counts the operands still to be reached there
+    unread, pending = set(), 0
+    for k in range(len(postfix) - 1, -1, -1):
+        kind, payload = postfix[k]
+        if pending:
+            unread.add(k)
+            pending += ARITY[kind] - 1
+        elif kind == "^" and payload == 0:
+            pending = 1
+    # an operand is a 1-tuple (value,) for a constant subexpression, else a
     # provisional slot: the axis, ~j for constant j, dimension + k for code k
     constants, code, slot_of = [], [], {}
 
@@ -573,38 +555,51 @@ def compile_tape(node, dimension, params=None):
             constants.append(operand[0])
         return slot_of[key]
 
-    def emit(node, op, a, b=None):
+    def emit(op, a, b=None):
         if isinstance(a, tuple) and (b is None or isinstance(b, tuple)):
-            return (_fold_constant(node, op, a if b is None else a + b, params),)
+            return (_fold_constant(op, a if b is None else a + b),)
         key = (op, slot(a), slot(b))
         if key not in slot_of:
             slot_of[key] = dimension + len(code)
             code.append(key)
         return slot_of[key]
 
-    def power(n, base, exponent):  # exponent != 0
+    def power(base, exponent):  # exponent != 0
         if exponent < 0:
-            return emit(n, operator.truediv, (1.0,), power(n, base, -exponent))
+            return emit(operator.truediv, (1.0,), power(base, -exponent))
         if exponent == 1:
             return base
-        half = power(n, base, exponent // 2)
-        square = emit(n, operator.mul, half, half)
-        return emit(n, operator.mul, square, base) if exponent & 1 else square
+        half = power(base, exponent // 2)
+        square = emit(operator.mul, half, half)
+        return emit(operator.mul, square, base) if exponent & 1 else square
 
-    def visit(n, parts):
-        if isinstance(n, Num):
-            return (float(n.value),)
-        if isinstance(n, Name):
-            return axes[n.ident] if n.ident in axes else (params[n.ident],)
-        if isinstance(n, BinOp):
-            return emit(n, _OPERATORS[n.op], *parts)
-        if isinstance(n, Neg):
-            return emit(n, operator.mul, parts[0], (-1.0,))
-        if isinstance(n, Pow):
-            return power(n, parts[0], n.exponent) if n.exponent else (1.0,)
-        return emit(n, n.func, parts[0])
+    def operand_of(kind, payload, operands):
+        if kind == "num":
+            return (float(payload),)
+        if kind == "name":
+            return axes[payload] if payload in axes else (params[payload],)
+        if kind == "neg":
+            return emit(operator.mul, operands[0], (-1.0,))
+        if kind == "^":
+            return power(operands[0], payload) if payload else (1.0,)
+        if kind == "call":
+            return emit(payload, operands[0])
+        return emit(_OPERATORS[kind], *operands)
 
-    out = slot(fold(node, visit, leaf=lambda n: isinstance(n, Pow) and not n.exponent))
+    stack = []  # (operand, index of its first entry); operand None in an x^0's base
+    for k, (kind, payload) in enumerate(postfix):
+        parts = _operands(stack, kind)
+        first = parts[0][1] if parts else k
+        try:
+            operand = None if k in unread else operand_of(kind, payload, [p for p, _ in parts])
+        except FloatingPointError as error:
+            term = Expression(postfix[first:k + 1])
+            names = sorted(identifiers(term) & set(params))
+            bound = f" with {', '.join(f'{n}={params[n]!r}' for n in names)}" if names else ""
+            raise InvalidParametersError(f"constant subexpression '{unparse(term)}'{bound} "
+                                         f"leaves the float range: {error}") from None
+        stack.append((operand, first))
+    out = slot(stack[0][0])
 
     def final(s):  # the constants go in between the coordinates and the code
         if s is None or 0 <= s < dimension:

@@ -41,7 +41,7 @@ class SurfaceSpec:
     """
 
     name: str
-    expression: ex.Node
+    expression: ex.Expression
     dimension: int
     params: dict = field(default_factory=dict)
     is_signed_distance: bool = False

@@ -322,9 +322,13 @@ def test_verify_reports_do_not_depend_on_the_units(surface, hbar, mass, reduced_
     assert energies == [value * (hbar * hbar / mass) for value in want_energies]
 
 
-def test_verify_rejects_unsupported_surface(capsys):
-    code, _, err = run_cli(["verify", "--surface", "sphere"], capsys)
-    assert code == 1
+def test_verify_rejects_unsupported_surface(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("surface = sphere\n")
+    for argv in (["verify", "--surface", "sphere"], ["--config", str(cfg), "verify"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert "--surface" in json.loads(err)["message"], argv
 
 
 def test_report_merges_outputs(tmp_path, capsys):

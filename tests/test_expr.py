@@ -14,8 +14,7 @@ from geomforce.surfaces import SurfaceSpec, from_expression
 
 def test_polynomial_parses_to_top_level_subtraction():
     tree = ex.parse_expression("x^2 + y^2 + z^2 - 1")
-    assert isinstance(tree, ex.BinOp)
-    assert tree.op == "-"
+    assert tree.postfix[-1] == ("-", None)
 
 
 def test_torus_expression_parses_with_parameters():
@@ -23,35 +22,42 @@ def test_torus_expression_parses_with_parameters():
     assert ex.identifiers(tree) == {"x", "y", "z", "R", "r"}
 
 
-def test_every_tree_walk_reads_the_child_table():
+def test_every_expression_loop_reads_the_postfix_entries():
     tree = ex.parse_expression("-x^2^3 + sin(-(y)) / (z - 2)^-2")
-    assert ex.fold(tree, lambda n, counts: 1 + sum(counts)) == 12  # the parse command's node count
+    assert len(tree.postfix) == 12  # the parse command's node count
     assert ex.identifiers(tree) == {"x", "y", "z"}
-    got = ex.substitute(tree, {"x": ex.parse_expression("y + 1"), "z": ex.Num(3.0)})
+    got = ex.substitute(tree, {"x": ex.parse_expression("y + 1"),
+                               "z": ex.Expression((("num", 3.0),))})
     assert got == ex.parse_expression("-(y + 1)^2^3 + sin(-(y)) / (3 - 2)^-2")
 
 
-def test_fold_visits_the_children_in_table_order_before_their_node():
-    tree = ex.parse_expression("-x^2 + sin(y) / z")
-    order = []
-    ex.fold(tree, lambda n, parts: order.append(type(n).__name__ + str(len(parts))))
-    assert order == ["Name0", "Pow1", "Neg1", "Name0", "Call1", "Name0", "BinOp2", "BinOp2"]
+def test_postfix_lists_the_operands_before_their_entry():
+    postfix = ex.parse_expression("-x^2 + sin(y) / z").postfix
+    assert postfix == (("name", "x"), ("^", 2), ("neg", None), ("name", "y"), ("call", "sin"),
+                       ("name", "z"), ("/", None), ("+", None))
+    assert [ex.ARITY[kind] for kind, _ in postfix] == [0, 1, 1, 0, 1, 0, 2, 2]
 
 
 def test_long_sums_fold_without_recursion():
-    # each term is one level of a left-deep tree; texts and tapes are compared,
-    # not trees, since dataclass equality itself recurses
+    # each term is one level of a left-deep tree
     text = " + ".join(["x"] * 5000)
     tree = ex.parse_expression(text)
     assert ex.unparse(tree) == text
     assert ex.unparse(ex.parse_expression(ex.unparse(tree))) == text
-    assert ex.fold(tree, lambda n, counts: 1 + sum(counts)) == 9999
+    assert len(tree.postfix) == 9999
     assert ex.identifiers(tree) == {"x"}
     tape = ex.compile_tape(tree, 2)
     assert len(tape.code) == 4999 and tape.code[-1] == (operator.add, 2 + 4997, 0)
     assert tape.value([2.0, 0.0], ex.float_call) == 10000.0
     scaled = ex.substitute(tree, {"x": ex.parse_expression("2 * y")})
     assert ex.unparse(scaled) == " + ".join(["2.0 * y"] * 5000)
+    # a spec of such a tree compares, hashes, prints and pickles
+    spec = from_expression(text + " - z", 3)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy is not spec
+    assert hash(copy.expression) == hash(spec.expression)
+    assert repr(copy) == repr(spec)
+    assert copy.tape == spec.tape
 
 
 def test_nesting_is_capped_at_its_offset():
@@ -104,7 +110,7 @@ def test_non_integer_exponent_rejected():
 
 def test_negative_integer_exponent_allowed():
     tree = ex.parse_expression("x^-2")
-    assert isinstance(tree, ex.Pow) and tree.exponent == -2
+    assert tree.postfix == (("name", "x"), ("^", -2))
 
 
 def test_unknown_function_rejected():
@@ -115,14 +121,13 @@ def test_unknown_function_rejected():
 def test_precedence_caret_over_unary_minus():
     # -x^2 must parse as -(x^2), and -x^2^3 as -(x^(2^3))
     tree = ex.parse_expression("-x^2")
-    assert isinstance(tree, ex.Neg)
-    assert isinstance(tree.arg, ex.Pow)
-    assert ex.parse_expression("-x^2^3") == ex.Neg(ex.Pow(ex.Name("x"), 8))
+    assert tree.postfix == (("name", "x"), ("^", 2), ("neg", None))
+    assert ex.parse_expression("-x^2^3") == ex.Expression((("name", "x"), ("^", 8), ("neg", None)))
 
 
 def test_left_associative_subtraction():
     tree = ex.parse_expression("1 - 2 - 3")
-    assert isinstance(tree.left, ex.BinOp) and tree.left.op == "-"
+    assert tree.postfix == (("num", 1.0), ("num", 2.0), ("-", None), ("num", 3.0), ("-", None))
 
 
 def _eval(tree, point=(0.0, 0.0), params=None):
@@ -146,7 +151,8 @@ def test_unbound_identifier_is_reported_at_bind_time():
 def test_constant_folds_outside_the_float_range_are_named():
     cases = [("x - 1e300 * 1e300", {}, "'1e+300 * 1e+300'"),
              ("x - exp(-a)", {"a": 1000.0}, "'exp(-a)' with a=1000.0"),
-             ("x - 1 / (b - b)", {"b": 1.0}, "with b=1.0 leaves")]
+             ("x - 1 / (b - b)", {"b": 1.0}, "with b=1.0 leaves"),
+             ("x - sqrt(-a^0)", {"a": 2.0}, "'sqrt(-a^0)' with a=2.0")]
     for text, params, named in cases:
         with pytest.raises(ex.InvalidParametersError, match=re.escape(named)):
             from_expression(text, 2, params)
@@ -163,28 +169,29 @@ def test_parameters_bake_into_callables():
 
 # round-trip property ---------------------------------------------------------
 
+# postfix tuples: the operands' entries, then the entry that reads them
 _leaf = st.one_of(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(ex.Num),
-    st.sampled_from(["x", "y", "a", "b"]).map(ex.Name),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(lambda v: (("num", v),)),
+    st.sampled_from(["x", "y", "a", "b"]).map(lambda name: (("name", name),)),
 )
 
 
 def _compound(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children).map(
-            lambda t: ex.BinOp(t[0], t[1], t[2])
+            lambda t: t[1] + t[2] + ((t[0], None),)
         ),
-        children.map(ex.Neg),
+        children.map(lambda arg: arg + (("neg", None),)),
         st.tuples(children, st.integers(min_value=-4, max_value=6)).map(
-            lambda t: ex.Pow(t[0], t[1])
+            lambda t: t[0] + (("^", t[1]),)
         ),
         st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(
-            lambda t: ex.Call(t[0], t[1])
+            lambda t: t[1] + (("call", t[0]),)
         ),
     )
 
 
-_trees = st.recursive(_leaf, _compound, max_leaves=25)
+_trees = st.recursive(_leaf, _compound, max_leaves=25).map(ex.Expression)
 
 
 @given(_trees)
@@ -230,8 +237,8 @@ def test_exponents_out_of_range_are_rejected_with_their_offset():
         with pytest.raises(ex.ParseError, match="out of range") as err:
             ex.parse_expression(text)
         assert err.value.position == position, text
-    assert ex.parse_expression("x^3^39").exponent == 3 ** 39
-    assert ex.parse_expression("x^1^-5").exponent == 1
+    assert ex.parse_expression("x^3^39").postfix[-1] == ("^", 3 ** 39)
+    assert ex.parse_expression("x^1^-5").postfix[-1] == ("^", 1)
     with pytest.raises(ex.NonIntegerExponentError):
         ex.parse_expression("x^0^-1")  # 1/0
 
@@ -318,7 +325,7 @@ def test_adjoint_rules_are_their_written_arithmetic():
 
 def test_exponent_chain_is_right_associative():
     tree = ex.parse_expression("x^3^2")
-    assert isinstance(tree, ex.Pow) and tree.exponent == 9
+    assert tree.postfix == (("name", "x"), ("^", 9))
     with pytest.raises(ex.NonIntegerExponentError):
         ex.parse_expression("x^2^-1")  # tower folds to 1/2
 
