@@ -5,7 +5,9 @@ the free drift carries a momentum kick along grad f(x_n) whose
 multiplier is solved so the new position lands on the surface, then the
 momentum is projected to the tangent plane at the new point in closed
 form.  For free motion on the constraint this keeps the kinetic energy
-drift bounded at O(dt^2) with no secular loss.
+drift bounded at O(dt^2) with no secular loss.  Each integrate call
+generates the step as straight-line source from the surface's tape
+(_step_source).
 """
 
 from __future__ import annotations
@@ -116,12 +118,13 @@ def integrate(spec, initial, config, csv=None):
     half the free drift (dt too large for the local curvature); both
     name the step, its start time and its start point.
 
-    The step loop (_state_blocks) carries x, p and grad f as Python floats,
-    one call of the tape's value_and_gradient per Newton iterate, and yields
-    the states' floats (t, x, p, f, grad f) in blocks of geometry.BLOCK
-    rows, each a fresh array('d').  The six Trajectory columns are made empty for all
-    steps + 1 rows first, and each block's rows are filled from _columns of
-    that block as it passes on, so no table of all the states is ever held.
+    The step loop (_state_blocks) runs the step program made for this call
+    (_step_program), which carries x, p and grad f as Python floats, and
+    yields the states' floats (t, x, p, f, grad f) in blocks of
+    geometry.BLOCK rows, each a fresh array('d').  The six Trajectory
+    columns are made empty for all steps + 1 rows first, and each block's
+    rows are filled from _columns of that block as it passes on, so no table
+    of all the states is ever held.
     Given csv, an open text handle, integrate writes the trajectory CSV
     there, the text Trajectory.to_csv makes: the header, then csv_rows of
     each block's rows of the columns, formatted through reports.ordered_map
@@ -135,17 +138,20 @@ def integrate(spec, initial, config, csv=None):
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
     p = [float(v) for v in initial.p]
-    program = spec.tape.value_and_gradient
-    f, g = _f_and_grad(program, x)
+    n, rows = len(x), config.steps + 1
+    try:
+        f, g = spec.tape.value_and_gradient(x, ex.float_call)
+    except ArithmeticError:  # a float division by zero: f is NaN there
+        f, g = math.nan, [math.nan] * n
     if not abs(f) <= max(tol, 1e-9):
         raise IntegratorInputError("initial position violates the constraint")
-    if not abs(_dot(g, p)) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
+    if not abs(sum(map(operator.mul, g, p))) <= 1e-9 * math.hypot(*g) * max(1.0, math.hypot(*p)):
         raise IntegratorInputError("initial momentum is not tangent")
 
-    n, rows = len(x), config.steps + 1
     columns = tuple(map(np.empty, (rows, (rows, n), (rows, n), rows, rows, rows)))
     blocks = _filling(columns, mu, 2 + 3 * n,
-                      _state_blocks(program, x, p, f, g, float(initial.t), config))
+                      _state_blocks(_step_program(spec.tape, config),
+                                    (float(initial.t), *x, *p, f, *g), config.steps))
     if csv is None:
         collections.deque(blocks, maxlen=0)
     else:
@@ -169,21 +175,21 @@ def _filling(columns, mu, width, blocks):
         start = stop
 
 
-def _state_blocks(program, x, p, f, g, t, config):
-    """The step loop by program (tape.value_and_gradient) from the state x, p
-    (f and grad f = g there) at time t: yields that state's row and the rows
-    of the new states in blocks of geometry.BLOCK rows, each a fresh
-    array('d') passed on once its last row is made."""
-    mu, dt, tol = config.mass, config.dt, config.constraint_tol
-    block = array("d", [t, *x, *p, f, *g])
+def _state_blocks(step, state, steps):
+    """The step loop by the step program from the state row (t, x, p, f,
+    grad f): yields that row and the rows of the next `steps` states in
+    blocks of geometry.BLOCK rows, each a fresh array('d') passed on once its
+    last row is made."""
+    n = (len(state) - 2) // 3
+    block = array("d", state)
     rows = 1
-    for k in range(1, config.steps + 1):
+    for k in range(1, steps + 1):
         try:
-            x, p, f, g = _rattle_step(program, x, p, g, dt, mu, tol)
+            state = _rattle_step(step, state)
         except (ProjectionFailureError, StepTooLargeError) as error:
-            raise type(error)(f"step {k} from t = {t!r}, x = {x}: {error}") from None
-        t += dt
-        block.fromlist([t, *x, *p, f, *g])
+            raise type(error)(f"step {k} from t = {state[0]!r}, "
+                              f"x = {list(state[1:n + 1])}: {error}") from None
+        block.extend(state)
         rows += 1
         if rows == geo.BLOCK:
             yield block
@@ -192,57 +198,98 @@ def _state_blocks(program, x, p, f, g, t, config):
         yield block
 
 
-def _f_and_grad(program, x):
-    """f and grad f at the float point x by program (tape.value_and_gradient):
-    one float run of the tape and its adjoint sweep.  Where Python float
-    arithmetic raises (a division by zero) and an array run gives inf or
-    NaN, both are NaN."""
-    try:
-        return program(x, ex.float_call)
-    except ArithmeticError:
-        return math.nan, [math.nan] * len(x)
+def _rattle_step(step, state):
+    """The state row after `state` by the step program: the loop's one call
+    per step."""
+    return step(state)
 
 
-def _dot(a, b):
-    return sum(map(operator.mul, a, b))
+def _step_program(tape, config):
+    """The RATTLE step of tape's surface with config's dt, mass and
+    constraint_tol, as a function from a state row (t, x, p, f, grad f), all
+    floats, to the next (see _step_source)."""
+    namespace = {"MAX_NEWTON": MAX_NEWTON, "ProjectionFailureError": ProjectionFailureError,
+                 "StepTooLargeError": StepTooLargeError, "hypot": math.hypot,
+                 "dist": math.dist, "nan": math.nan, **ex.FLOAT_FUNCTIONS}
+    exec(compile(_step_source(tape), "<rattle step>", "exec"), namespace)
+    return namespace["program"](tape.constants, config.dt, config.mass, config.constraint_tol)
 
 
-def _rattle_step(program, x, p, g0, dt, mu, tol):
-    """One step by program from x, p with g0 = grad f(x), all float lists.
+def _step_source(tape):
+    """The source of the RATTLE step (Hairer, Lubich & Wanner, Geometric
+    Numerical Integration, 2nd ed., sec. VII.1) for one tape: straight-line
+    code over the dimension n, with the tape's run and adjoint sweep
+    (expr.straight_line, each function applied by its FLOAT_FUNCTIONS name)
+    inlined in the Newton loop, so an iterate calls nothing but the
+    functions.  The text holds only slot numbers, operator symbols,
+    FUNCTIONS names and n; the constants, dt, mu and tol are bound when the
+    step is made.
 
-    Returns x_new, p_new and f, grad f at x_new, all from the Newton
-    iterate that meets the constraint, so the caller stores them and
-    hands the gradient to the next step.
+    The free drift d = x + dt p / mu carries a kick along g = grad f(x)
+    whose multiplier lam is solved by Newton iterates, so the new point
+    v (the tape's coordinate locals) lands on the surface, where f and
+    e = grad f are taken.  Where the float run raises ArithmeticError (a
+    division by zero, where an array run gives inf or NaN), f and every
+    entry of e are NaN.  Then the momentum p - lam g is projected to the
+    tangent plane at v along m = e / |e|.  A dot product is the sum
+    0 + a0*b0 + a1*b1 + ..., in that order, and each step, error and message
+    is the list-based step's of earlier versions, bit for bit.
     """
-    lam = 0.0
-    drift = [xi + dt * pi / mu for xi, pi in zip(x, p)]
-    x_new = drift
-    for _ in range(MAX_NEWTON):
-        f, g1 = _f_and_grad(program, x_new)
-        if abs(f) < tol:
-            break
-        slope = _dot(g1, g0) * (-dt / mu)
-        if slope == 0.0:
-            raise ProjectionFailureError("degenerate constraint direction")
-        lam -= f / slope
-        x_new = [xi + dt * (pi - lam * gi) / mu for xi, pi, gi in zip(x, p, g0)]
-    else:
-        raise ProjectionFailureError(f"constraint solve stalled after {MAX_NEWTON} "
-                                     f"iterations at |f| = {abs(f):.3e}")
-    free = dt * math.hypot(*p) / mu
-    correction = math.dist(x_new, drift)
-    if free > 0 and correction > 0.5 * free:
-        raise StepTooLargeError(
-            f"projection moved the point {correction:.3e}, more than half "
-            f"the free drift {free:.3e}"
-        )
-    norm = math.hypot(*g1)
-    if not norm > 0.0:
-        raise ProjectionFailureError(f"grad f = {g1} at the new point has no direction")
-    p_half = [pi - lam * gi for pi, gi in zip(p, g0)]
-    n1 = [gi / norm for gi in g1]
-    along = _dot(n1, p_half)
-    return x_new, [pi - ni * along for pi, ni in zip(p_half, n1)], f, g1
+    n = tape.nvars
+    constants, forward, sweep, value, gradient = ex.straight_line(
+        tape, lambda name, argument: f"{name}({argument})")
+
+    def axes(template):  # the template's text for each coordinate i
+        return [template.format(i=i) for i in range(n)]
+
+    def vector(name):
+        return ", ".join(axes(name + "{i}"))
+
+    def dot(a, b):
+        return " + ".join(["0", *axes(f"{a}{{i}} * {b}{{i}}")])
+
+    body = [
+        f"t, {vector('x')}, {vector('p')}, _, {vector('g')} = state",
+        *axes("d{i} = x{i} + dt * p{i} / mu"),
+        f"{vector('v')} = {vector('d')}",
+        "lam = 0.0",
+        "for _ in range(MAX_NEWTON):",
+        "    try:",
+        *(f"        {line}" for line in forward + sweep),
+        f"        f, {vector('e')} = {value}, {', '.join(gradient)}",
+        "    except ArithmeticError:",
+        f"        f = {' = '.join(axes('e{i}'))} = nan",
+        "    if abs(f) < tol:",
+        "        break",
+        f"    slope = ({dot('e', 'g')}) * (-dt / mu)",
+        "    if slope == 0.0:",
+        "        raise ProjectionFailureError('degenerate constraint direction')",
+        "    lam -= f / slope",
+        *(f"    {line}" for line in axes("v{i} = x{i} + dt * (p{i} - lam * g{i}) / mu")),
+        "else:",
+        "    raise ProjectionFailureError(f'constraint solve stalled after {MAX_NEWTON} '",
+        "                                 f'iterations at |f| = {abs(f):.3e}')",
+        f"free = dt * hypot({vector('p')}) / mu",
+        f"correction = dist(({vector('v')}), ({vector('d')}))",
+        "if free > 0 and correction > 0.5 * free:",
+        "    raise StepTooLargeError(f'projection moved the point {correction:.3e}, more than '",
+        "                            f'half the free drift {free:.3e}')",
+        f"norm = hypot({vector('e')})",
+        "if not norm > 0.0:",
+        f"    raise ProjectionFailureError(f'grad f = {{[{vector('e')}]}} at the new point '",
+        "                                 'has no direction')",
+        *axes("q{i} = p{i} - lam * g{i}"),
+        *axes("m{i} = e{i} / norm"),
+        f"along = {dot('m', 'q')}",
+        f"return t + dt, {vector('v')}, {', '.join(axes('q{i} - m{i} * along'))}, f, {vector('e')}",
+    ]
+    return "\n".join([
+        "def program(constants, dt, mu, tol):",
+        *(f"    {line}" for line in constants),
+        "    def step(state):",
+        *(f"        {line}" for line in body),
+        "    return step",
+    ])
 
 
 @dataclass(frozen=True)

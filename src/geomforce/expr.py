@@ -31,7 +31,8 @@ transformation; Griewank & Walther, Evaluating Derivatives, 2nd ed.,
 ch. 6): `Tape.value` runs it over any of those inputs (f, or exact
 derivatives over Taylor jets), and `Tape.value_and_gradient` adds the
 adjoint sweep back over that run for grad f of the same kind (reverse-mode
-differentiation; ch. 3 and 13).
+differentiation; ch. 3 and 13).  `straight_line` writes the statements of
+both, and the RATTLE step of `dynamics` inlines the same statements.
 """
 
 from __future__ import annotations
@@ -362,11 +363,12 @@ _SYMBOLS = {op: symbol for symbol, op in _OPERATORS.items()}
 _NUMPY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 
 # the adjoint of each function as source: g times d f(a) / d a, from g, the
-# argument's slot a, the value's slot y and the run's `call`
+# argument's slot a, the value's slot y and the spelled applications sin(a)
+# and cos(a)
 _ADJOINT_TERMS = {
     "sqrt": "{g} * (0.5 / {y})",
-    "sin": "{g} * call('cos', {a})",
-    "cos": "{g} * -call('sin', {a})",
+    "sin": "{g} * {cos}",
+    "cos": "{g} * -{sin}",
     "exp": "{g} * {y}",
     "log": "{g} * (1.0 / {a})",
 }
@@ -380,14 +382,27 @@ def numpy_call(name, value):
 _INVALID = math.inf - math.inf  # the NaN of an invalid operation, as numpy's sqrt of x < 0
 
 
+def _float_sqrt(value):
+    return _INVALID if value < 0.0 else math.sqrt(value)
+
+
+def _as_float(function):
+    def call(value):
+        return float(function(value))
+    return call
+
+
+#: each function on a Python float, with the bits, NaN and inf of an array
+#: run: sqrt is math.sqrt (both are correctly rounded), NaN below 0; the
+#: others are the numpy function of that name, returned as a float (numpy's
+#: exp, log, sin and cos can differ from `math` in the last bit)
+FLOAT_FUNCTIONS = {name: _float_sqrt if name == "sqrt" else _as_float(function)
+                   for name, function in _NUMPY_FUNCTIONS.items()}
+
+
 def float_call(name, value):
-    """The `call` of a run on Python floats, with the bits, NaN and inf of an
-    array run: sqrt is math.sqrt (both are correctly rounded), NaN below 0;
-    the others are the numpy function of that name, returned as a float
-    (numpy's exp, log, sin and cos can differ from `math` in the last bit)."""
-    if name == "sqrt":
-        return _INVALID if value < 0.0 else math.sqrt(value)
-    return float(_NUMPY_FUNCTIONS[name](value))
+    """The `call` of a run on Python floats: FLOAT_FUNCTIONS[name](value)."""
+    return FLOAT_FUNCTIONS[name](value)
 
 
 @dataclass(frozen=True)
@@ -435,25 +450,57 @@ class Tape:
 def _programs(tape):
     """The (value, value_and_gradient) functions of a tape (see Tape).
 
-    Their source is straight-line code, one statement per operation: slot s
-    is the local v<s> and its adjoint a<s>, the constants are read from
-    `tape.constants` when the functions are made, and the text holds only
-    slot numbers, the four operator symbols and FUNCTIONS names.  The sweep
-    goes back over the instructions and adds each term to the adjoints of
-    its operands, as adjoint = adjoint + term, starting from 0.0 (from 1.0
-    at `out`); the adds of zero adjoints past `out` are made too, so each
-    operation is made in a fixed order on every kind of input.  Constants
-    get no adjoint: nothing reads one, and on arrays its product could
-    overflow where f and grad f do not.
+    Their source is the straight-line code of `straight_line`, after one
+    statement per coordinate binding v<i> from `inputs`, with each function
+    applied as call('name', v<a>); the constants are read from
+    `tape.constants` when the functions are made.
+    """
+    constants, forward, sweep, value, gradient = straight_line(
+        tape, lambda name, argument: f"call({name!r}, {argument})")
+    forward = [f"v{i} = inputs[{i}]" for i in range(tape.nvars)] + forward
+    source = "\n".join([
+        "def programs(constants):",
+        *(f"    {line}" for line in constants),
+        "    def value(inputs, call):",
+        *(f"        {line}" for line in forward),
+        f"        return {value}",
+        "    def value_and_gradient(inputs, call):",
+        *(f"        {line}" for line in forward + sweep),
+        f"        return {value}, [{', '.join(gradient)}]",
+        "    return value, value_and_gradient",
+    ])
+    namespace = {}
+    exec(compile(source, "<tape>", "exec"), namespace)
+    return namespace["programs"](tape.constants)
+
+
+def straight_line(tape, spell):
+    """The source of a tape's run and its adjoint sweep, one statement per
+    operation: (constants, forward, sweep, value, gradient).
+
+    Slot s is the local v<s> and its adjoint a<s>.  `constants` binds each
+    constant's local from a sequence `constants`; `forward` runs the
+    instructions once the coordinates' locals v0..v<nvars-1> are bound, and
+    `sweep` goes back over them; `value` is the text of f and `gradient` the
+    text of d f / d x_i for each coordinate.  spell(name, argument) is the
+    text of the FUNCTIONS name applied to the argument's text, the one part
+    a generated program chooses.  The text holds only slot numbers, the four
+    operator symbols, FUNCTIONS names and what spell adds.
+
+    The sweep adds each term to the adjoints of its operands, as adjoint =
+    adjoint + term, starting from 0.0 (from 1.0 at `out`); the adds of zero
+    adjoints past `out` are made too, so each operation is made in a fixed
+    order on every kind of input.  Constants get no adjoint: nothing reads
+    one, and on arrays its product could overflow where f and grad f do not.
     """
     nvars, first = tape.nvars, tape.nvars + len(tape.constants)
     code = [(k, op, _slot(a, k), None if b is None else _slot(b, k))
             for k, (op, a, b) in enumerate(tape.code, first)]
-    forward = [f"v{i} = inputs[{i}]" for i in range(nvars)]
+    forward = []
     for k, op, a, b in code:
         if b is None and op not in FUNCTIONS:
             raise ValueError(f"instruction {k}: unknown function {op!r}")
-        forward.append(f"v{k} = call({op!r}, v{a})" if b is None else
+        forward.append(f"v{k} = {spell(op, f'v{a}')}" if b is None else
                        f"v{k} = v{a} {_SYMBOLS[op]} v{b}")
     out = _slot(tape.out, first + len(tape.code))
     adjoint, sweep = {out: "1.0"}, []
@@ -467,7 +514,8 @@ def _programs(tape):
     for k, op, a, b in reversed(code):
         g = adjoint.get(k, "0.0")
         if b is None:
-            add(a, _ADJOINT_TERMS[op].format(g=g, a=f"v{a}", y=f"v{k}"))
+            add(a, _ADJOINT_TERMS[op].format(g=g, a=f"v{a}", y=f"v{k}", sin=spell("sin", f"v{a}"),
+                                             cos=spell("cos", f"v{a}")))
         elif op is operator.mul:
             add(a, f"{g} * v{b}")
             add(b, f"{g} * v{a}")
@@ -480,21 +528,9 @@ def _programs(tape):
         else:
             add(a, f"{g} * (1.0 / v{b})")
             add(b, f"{g} * (-v{k} / v{b})")
-    gradient = ", ".join(adjoint.get(i, "0.0") for i in range(nvars))
-    source = "\n".join([
-        "def programs(constants):",
-        *(f"    v{s} = constants[{j}]" for j, s in enumerate(range(nvars, first))),
-        "    def value(inputs, call):",
-        *(f"        {line}" for line in forward),
-        f"        return v{out}",
-        "    def value_and_gradient(inputs, call):",
-        *(f"        {line}" for line in forward + sweep),
-        f"        return v{out}, [{gradient}]",
-        "    return value, value_and_gradient",
-    ])
-    namespace = {}
-    exec(compile(source, "<tape>", "exec"), namespace)
-    return namespace["programs"](tape.constants)
+    constants = [f"v{s} = constants[{j}]" for j, s in enumerate(range(nvars, first))]
+    gradient = [adjoint.get(i, "0.0") for i in range(nvars)]
+    return constants, forward, sweep, f"v{out}", gradient
 
 
 def _slot(s, k):

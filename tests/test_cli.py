@@ -75,6 +75,22 @@ def test_deep_nesting_and_infinite_literals_are_bad_input(capsys):
         assert _names_no_function(diagnostic["message"]), diagnostic["message"]
 
 
+def test_expression_text_beginning_with_a_minus(capsys):
+    # argparse reads such text as an option: it is passed after "--" to
+    # parse, and as --expr=TEXT to the other commands
+    code, out, _ = run_cli(["parse", "--", "-a"], capsys)
+    assert code == 0 and json.loads(out)["unparsed"] == "-a"
+    code, out, _ = run_cli(["force", "--expr=-z", "--at", "0,0,0", "--mass", "1e-30"], capsys)
+    assert code == 0 and json.loads(out)["surface"] == "-z"
+    code, out, _ = run_cli(["classical", "--expr=-z", "--x0", "0,0,0", "--p0", "1,0,0",
+                            "--steps", "10"], capsys)
+    assert code == 0 and json.loads(out)["surface"] == "-z"
+    # the bare forms are read as flags: bad input
+    for argv in (["parse", "-a"], ["force", "--expr", "-z", "--at", "0,0,0", "--mass", "1e-30"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "") and json.loads(err)["error"] == "CliInputError"
+
+
 def test_unknown_flag_is_input_error(capsys):
     code, out, err = run_cli(["parse", "x", "--bogus"], capsys)
     assert code == 1

@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import os
 import re
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -328,8 +330,9 @@ def test_trajectory_columns_are_those_of_the_whole_table(steps):
     config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
     traj = dyn.integrate(spec, init, config)
     x, p = init.x.tolist(), init.p.tolist()
-    f, g = dyn._f_and_grad(spec.tape.value_and_gradient, x)
-    blocks = list(dyn._state_blocks(spec.tape.value_and_gradient, x, p, f, g, 0.0, config))
+    f, g = spec.tape.value_and_gradient(x, ex.float_call)
+    blocks = list(dyn._state_blocks(dyn._step_program(spec.tape, config),
+                                    (0.0, *x, *p, f, *g), config.steps))
     assert [len(block) for block in blocks[:-1]] == [11 * geo.BLOCK] * (len(blocks) - 1)
     table = np.concatenate([np.frombuffer(block) for block in blocks]).reshape(steps + 1, 11)
     for name, whole in zip(COLUMNS, dyn._columns(table, config.mass), strict=True):
@@ -389,9 +392,9 @@ def test_streamed_csv_holds_a_window_of_block_texts():
         assert _integrate_peak(handle) < 4.5e6
 
 
-def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):
-    # each Newton iterate evaluates f and grad f at one point in one pass,
-    # and the converged iterate's values serve the record and the next step
+def test_the_step_loop_runs_no_tape_program(monkeypatch):
+    # the step program inlines the tape's run and adjoint sweep: the tape's
+    # own programs run once, at the initial point, however many steps follow
     calls = {"value": 0, "value_and_gradient": 0}
     programs = ex._programs
 
@@ -404,18 +407,33 @@ def test_rattle_runs_the_tape_once_per_adjoint_sweep(monkeypatch):
         return tuple(map(wrap, calls, programs(tape)))
 
     monkeypatch.setattr(ex, "_programs", counted)
-    _torus_run(200)
-    assert calls["value"] == 0 and calls["value_and_gradient"] > 200
+    spec, traj = _torus_run(200)
+    assert calls == {"value": 0, "value_and_gradient": 1}
+    # each stored f and grad f is the tape's float run at the stored x
+    monkeypatch.undo()
+    config = dyn.IntegratorConfig(dt=1e-3, steps=200)
+    x, p = traj.xs[0].tolist(), traj.ps[0].tolist()
+    f, g = spec.tape.value_and_gradient(x, ex.float_call)
+    rows = np.concatenate([np.frombuffer(block) for block in dyn._state_blocks(
+        dyn._step_program(spec.tape, config), (0.0, *x, *p, f, *g), config.steps)])
+    rows = rows.reshape(-1, 11)
+    assert _bits(rows[:, 1:4]) == _bits(traj.xs)
+    for row in rows.tolist():
+        f, g = spec.tape.value_and_gradient(row[1:4], ex.float_call)
+        assert _bits(row[7:]) == _bits([f, *g])
 
 
 def test_a_float_division_by_zero_gives_nan_not_an_error():
     # an array run gives inf there; the float run's ZeroDivisionError becomes
-    # NaN for f and every gradient entry
+    # NaN for f and every gradient entry, at the initial point and in an
+    # iterate of the step program
     spec = from_expression("1 / x + y", 2)
     with pytest.raises(ZeroDivisionError):
         spec.tape.value_and_gradient([0.0, 1.0], ex.float_call)
-    f, g = dyn._f_and_grad(spec.tape.value_and_gradient, [0.0, 1.0])
-    assert np.isnan(f) and len(g) == 2 and np.all(np.isnan(g))
+    with pytest.raises(dyn.IntegratorInputError, match="violates the constraint"):
+        dyn.integrate(spec, dyn.TrajectoryState(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0),
+                      dyn.IntegratorConfig(dt=1e-3, steps=3))
+    # inside an iterate of the step program: test_each_step_error_is_the_list_steps[nan]
 
 
 def test_stored_residuals_belong_to_the_stored_state():
@@ -468,6 +486,149 @@ def test_float_steps_follow_the_array_steps(name, params, x0, p0):
     assert np.abs(traj.energy - traj.energy[0]).max() <= dt ** 2
     assert traj.f_residual.max() < 1e-12
     assert traj.tangency_residual.max() <= 1e-12
+
+
+def _list_f_and_grad(program, x):
+    # f and grad f of a float run, NaN where it raises, as the step of
+    # earlier versions took them
+    try:
+        return program(x, ex.float_call)
+    except ArithmeticError:
+        return math.nan, [math.nan] * len(x)
+
+
+def _list_dot(a, b):
+    # left to right from the int 0, as sum() adds floats before Python 3.12
+    total = 0
+    for ai, bi in zip(a, b):
+        total = total + ai * bi
+    return total
+
+
+def _list_rattle_step(program, x, p, g0, dt, mu, tol):
+    # The RATTLE step of earlier versions on float lists, calling the tape's
+    # value_and_gradient once per Newton iterate: the reference of the
+    # generated step, which must give its states, errors and messages bit
+    # for bit.
+    lam = 0.0
+    drift = [xi + dt * pi / mu for xi, pi in zip(x, p)]
+    x_new = drift
+    for _ in range(dyn.MAX_NEWTON):
+        f, g1 = _list_f_and_grad(program, x_new)
+        if abs(f) < tol:
+            break
+        slope = _list_dot(g1, g0) * (-dt / mu)
+        if slope == 0.0:
+            raise dyn.ProjectionFailureError("degenerate constraint direction")
+        lam -= f / slope
+        x_new = [xi + dt * (pi - lam * gi) / mu for xi, pi, gi in zip(x, p, g0)]
+    else:
+        raise dyn.ProjectionFailureError(f"constraint solve stalled after {dyn.MAX_NEWTON} "
+                                         f"iterations at |f| = {abs(f):.3e}")
+    free = dt * math.hypot(*p) / mu
+    correction = math.dist(x_new, drift)
+    if free > 0 and correction > 0.5 * free:
+        raise dyn.StepTooLargeError(
+            f"projection moved the point {correction:.3e}, more than half "
+            f"the free drift {free:.3e}"
+        )
+    norm = math.hypot(*g1)
+    if not norm > 0.0:
+        raise dyn.ProjectionFailureError(f"grad f = {g1} at the new point has no direction")
+    p_half = [pi - lam * gi for pi, gi in zip(p, g0)]
+    n1 = [gi / norm for gi in g1]
+    along = _list_dot(n1, p_half)
+    return x_new, [pi - ni * along for pi, ni in zip(p_half, n1)], f, g1
+
+
+def _list_rows(spec, x, p, config):
+    # the state rows (t, x, p, f, grad f) of the reference step loop
+    program = spec.tape.value_and_gradient
+    f, g = _list_f_and_grad(program, x)
+    t, rows = 0.0, [[0.0, *x, *p, f, *g]]
+    for _ in range(config.steps):
+        x, p, f, g = _list_rattle_step(program, x, p, g, config.dt, config.mass,
+                                       config.constraint_tol)
+        t += config.dt
+        rows.append([t, *x, *p, f, *g])
+    return rows
+
+
+THREE_SPHERE = "x1^2 + x2^2 + x3^2 + x4^2 - 1"
+
+
+@pytest.mark.parametrize("spec,x0,p0", [
+    (builtin_surface("circle", {"a": 1.3}), [1.3, 0.0], [0.0, 0.7]),
+    (builtin_surface("torus", {"R": 2.0, "r": 1.0}), [3.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+    (builtin_surface("spheroid", {"a": 1.0, "b": 2.0}), [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+    (from_expression(THREE_SPHERE, 4), [1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.8]),
+    (from_expression("x^2 + y^2 + z^2 - 1 + 0.1*sin(z) + 0.1*(cos(y) - 1) + 0.1*(exp(z) - 1)"
+                     " + 0.1*log(x) + 0.1*(sqrt(x) - 1)", 3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+], ids=["circle", "torus", "spheroid", "3-sphere", "five-functions"])
+def test_the_step_program_is_the_list_step_bit_for_bit(spec, x0, p0):
+    config = dyn.IntegratorConfig(dt=1e-3, steps=1500, mass=0.7)
+    traj = dyn.integrate(spec, dyn.TrajectoryState(np.array(x0), np.array(p0), 0.0), config)
+    f, g = spec.tape.value_and_gradient(x0, ex.float_call)
+    blocks = dyn._state_blocks(dyn._step_program(spec.tape, config), (0.0, *x0, *p0, f, *g),
+                               config.steps)
+    rows = np.concatenate([np.frombuffer(block) for block in blocks])
+    reference = _list_rows(spec, x0, p0, config)
+    assert _bits(rows) == _bits(np.ravel(reference))
+    n = len(x0)
+    assert _bits(traj.xs) == _bits(np.array(reference)[:, 1:1 + n])
+
+
+@pytest.mark.parametrize("expression,dimension,x0,p0,dt,message", [
+    # the drift from the unit circle leaves |f| above tol at every iterate
+    ("x^2 + y^2 - 1", 2, [1.0, 0.0], [0.0, 1.0], 1.9,
+     r"constraint solve stalled after 50 iterations at \|f\| = \d\.\d{3}e[+-]\d\d"),
+    # grad f at the drift (3, 0) is orthogonal to grad f at the start (0, 1)
+    ("y * (1 - x) + x^3", 2, [0.0, 0.0], [1.0, 0.0], 1.0, "degenerate constraint direction"),
+    ("x^2 + y^2 - 1", 2, [1.0, 0.0], [0.0, 1.0], 0.9,
+     r"projection moved the point \d\.\d{3}e-01, more than half the free drift 9\.000e-01"),
+    # a resting particle meets f = 0 at once, where grad f = 0
+    ("x^2 + y^2 + z^2", 3, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-3,
+     re.escape("grad f = [0.0, 0.0, 0.0] at the new point has no direction")),
+    # the drift from x = -1 lands on x = 0, where the float run divides by
+    # zero: f and grad f are NaN there, and so is every later iterate
+    ("y + 0 * (1 / x)", 2, [-1.0, 0.0], [1.0, 0.0], 1.0,
+     r"constraint solve stalled after 50 iterations at \|f\| = nan"),
+], ids=["stalled", "degenerate", "too-large", "no-direction", "nan"])
+def test_each_step_error_is_the_list_steps(expression, dimension, x0, p0, dt, message):
+    spec = from_expression(expression, dimension)
+    config = dyn.IntegratorConfig(dt=dt, steps=3)
+    f, g = spec.tape.value_and_gradient(x0, ex.float_call)
+    with pytest.raises((dyn.ProjectionFailureError, dyn.StepTooLargeError)) as generated:
+        dyn._step_program(spec.tape, config)((0.0, *x0, *p0, f, *g))
+    assert re.fullmatch(message, str(generated.value))
+    with pytest.raises(type(generated.value)) as reference:
+        _list_rattle_step(spec.tape.value_and_gradient, x0, p0, g, dt, 1.0, config.constraint_tol)
+    assert str(generated.value) == str(reference.value)
+    with pytest.raises(type(generated.value)) as integrated:
+        dyn.integrate(spec, dyn.TrajectoryState(np.array(x0), np.array(p0), 0.0), config)
+    assert str(integrated.value) == f"step 1 from t = 0.0, x = {x0}: {generated.value}"
+
+
+def test_the_step_source_holds_no_expression_text_or_parameter_value():
+    # the source names slots, operators, functions and the coordinates'
+    # locals only; the constants are bound when the step is made
+    spec = from_expression("sqrt((sqrt(x^2 + y^2) - R)^2 + z^2) - r + 0.25*sin(z)", 3,
+                           {"R": 2.718281828, "r": 1.4142135})
+    source = dyn._step_source(spec.tape)
+    for text in ("2.718281828", "1.4142135", "0.25", "z^2", "^"):
+        assert text not in source
+    names = {token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+             if token.type == tokenize.NAME}
+    words = {"def", "program", "constants", "dt", "mu", "tol", "step", "state", "t", "_",
+             "lam", "for", "in", "range", "MAX_NEWTON", "try", "except", "ArithmeticError",
+             "f", "nan", "if", "abs", "break", "slope", "raise", "ProjectionFailureError",
+             "else", "free", "hypot", "correction", "dist", "and", "StepTooLargeError", "norm",
+             "not", "along", "return", *ex.FUNCTIONS}
+    assert names - words <= {f"{kind}{i}" for kind in "xpgdvqmea" for i in range(40)}
+    assert {"sqrt", "sin", "cos"} <= names and "call" not in names
+    # every constant comes from the tape's constants
+    assert re.findall(r"constants\[(\d+)\]", source) == [
+        str(j) for j in range(len(spec.tape.constants))]
 
 
 def test_integrator_failures_name_the_step_time_and_point(capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from geomforce import dynamics as dyn
 from geomforce import expr as ex
 from geomforce import geometry as geo
 from geomforce.surfaces import (
@@ -192,7 +191,7 @@ def _assert_float_run_equals_array_run(spec, points):
     # on Python floats
     batch_f, batch_g = spec.f_and_grad(points)
     for b, point in enumerate(points.T):
-        f, g = dyn._f_and_grad(spec.tape.value_and_gradient, point.tolist())
+        f, g = spec.tape.value_and_gradient(point.tolist(), ex.float_call)
         assert type(f) is float and all(type(v) is float for v in g), spec.name
         for got_f, got_g in ((f, g), spec.f_and_grad(point)):
             assert _bits(got_f) == _bits(batch_f[b]), (spec.name, point)
