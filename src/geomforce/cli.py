@@ -127,6 +127,15 @@ def _read(flag, path):
         raise CliInputError(f"cannot read {flag} {path!r}: {reason}") from None
 
 
+def _refuse_directories(args):
+    """Bad input, naming the flag and the path, for an output path that is a
+    directory: refused before any work, as atomic_file could not replace it."""
+    for flag in ("--out", "--trajectory"):
+        path = getattr(args, flag[2:], None)
+        if path and os.path.isdir(path):
+            raise CliInputError(f"cannot write {flag} {path!r}: it is a directory")
+
+
 def _require_positive_finite(flag, value):
     if not 0 < value < np.inf:
         raise CliInputError(f"{flag} must be positive and finite, got {value}")
@@ -275,10 +284,12 @@ def _cmd_classical(args):
     x0 = np.array(_numbers(args.x0, "--x0", count=spec.dimension))
     p0 = np.array(_numbers(args.p0, "--p0", count=spec.dimension))
     config = dyn.IntegratorConfig(dt=args.dt, steps=args.steps, mass=args.mass)
-    # with --trajectory, the CSV rows are formatted on the other CPUs as the loop
-    # runs and written as they come; a failed step or residual leaves no file
+    traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config)
+    # the CSV is written before the residuals run, which is the faster order;
+    # a failed step or residual leaves no file
     with atomic_file(args.trajectory) if args.trajectory else contextlib.nullcontext() as csv:
-        traj = dyn.integrate(spec, dyn.TrajectoryState(x0, p0, 0.0), config, csv=csv)
+        if csv:
+            csv.writelines(traj.csv_chunks())
         eq1 = dyn.force_residual(spec, traj)
         eq2 = dyn.geodesic_form_residual(spec, traj)
     payload = {
@@ -527,6 +538,7 @@ def main(argv=None):
                 argv = rest + config_pairs
         parser = build_parser()
         args = parser.parse_args(argv)
+        _refuse_directories(args)
         code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe raises in this try
         return code

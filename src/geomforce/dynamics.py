@@ -12,7 +12,6 @@ generates the step as straight-line source from the surface's tape
 
 from __future__ import annotations
 
-import collections
 import math
 import operator
 from array import array
@@ -24,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .geometry import ExtensionPolicy
-from .reports import csv_rows, csv_text, ordered_map
+from .reports import csv_rows, ordered_map
 
 MAX_NEWTON = 50  # multiplier iterations per step
 
@@ -90,12 +89,21 @@ class Trajectory:
     dt: float
     _norms: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
+    def csv_chunks(self):
+        """The trajectory CSV in chunks: the header, then csv_rows of each
+        geometry.BLOCK rows of the columns, formatted on every CPU
+        (reports.ordered_map).  The workers slice the columns they inherit,
+        so only block starts and texts are pickled."""
+        columns = (self.ts, self.xs, self.ps, self.energy, self.f_residual,
+                   self.tangency_residual)
+        yield ",".join(_csv_header(self.xs.shape[1])) + "\n"
+        yield from ordered_map(
+            lambda start: csv_rows(np.column_stack([c[start:start + geo.BLOCK] for c in columns])),
+            range(0, len(self.ts), geo.BLOCK))
+
     def to_csv(self):
-        """The trajectory CSV (reports.csv_text), as integrate writes it to its
-        csv handle."""
-        return csv_text(_csv_header(self.xs.shape[1]),
-                        np.column_stack([self.ts, self.xs, self.ps, self.energy,
-                                         self.f_residual, self.tangency_residual]))
+        """The trajectory CSV as one text, the joined csv_chunks."""
+        return "".join(self.csv_chunks())
 
 
 def _columns(states, mu):
@@ -109,7 +117,7 @@ def _columns(states, mu):
             np.abs(np.sum(gs * ps, axis=1)) / np.sqrt(np.sum(gs * gs, axis=1)))
 
 
-def integrate(spec, initial, config, csv=None):
+def integrate(spec, initial, config):
     """Integrate free constrained motion; returns the stored trajectory.
 
     The initial state must satisfy the constraint and tangency
@@ -124,16 +132,10 @@ def integrate(spec, initial, config, csv=None):
     geometry.BLOCK rows, each a fresh array('d').  The six Trajectory
     columns are made empty for all steps + 1 rows first, and each block's
     rows are filled from _columns of that block as it passes on, so no table
-    of all the states is ever held.
-    Given csv, an open text handle, integrate writes the trajectory CSV
-    there, the text Trajectory.to_csv makes: the header, then csv_rows of
-    each block's rows of the columns, formatted through reports.ordered_map
-    on the other CPUs while the loop goes on.  After the loop hands over
-    each block, the texts that are done are written, and a block made while
-    reports.IN_FLIGHT blocks per worker wait first waits for the oldest:
-    the parent holds a window of block texts, never the whole CSV.  Every
-    column value depends on its row only, so the columns and the CSV bytes
-    are those of the whole table and do not depend on the CPU count.
+    of all the states is ever held.  Every column value depends on its row
+    only, so the columns are those of the whole table.  The loop runs to its
+    end before anything else: `classical --trajectory` then writes
+    Trajectory.csv_chunks, and only then runs the residuals.
     """
     mu, dt, tol = config.mass, config.dt, config.constraint_tol
     x = [float(v) for v in initial.x]
@@ -149,30 +151,15 @@ def integrate(spec, initial, config, csv=None):
         raise IntegratorInputError("initial momentum is not tangent")
 
     columns = tuple(map(np.empty, (rows, (rows, n), (rows, n), rows, rows, rows)))
-    blocks = _filling(columns, mu, 2 + 3 * n,
-                      _state_blocks(_step_program(spec.tape, config),
-                                    (float(initial.t), *x, *p, f, *g), config.steps))
-    if csv is None:
-        collections.deque(blocks, maxlen=0)
-    else:
-        csv.write(",".join(_csv_header(n)) + "\n")
-        csv.writelines(ordered_map(csv_rows, map(np.column_stack, blocks)))
-    return Trajectory(*columns, mass=mu, dt=dt)
-
-
-def _filling(columns, mu, width, blocks):
-    """For each block of flat states, its rows of the Trajectory columns,
-    yielded once they are filled from it.  The block and the values made
-    from it are dropped first, so that they are gone before the next block
-    is made."""
-    start = 0
-    for block in blocks:
+    width, start = 2 + 3 * n, 0
+    for block in _state_blocks(_step_program(spec.tape, config),
+                               (float(initial.t), *x, *p, f, *g), config.steps):
         stop = start + len(block) // width
         for column, value in zip(columns, _columns(np.frombuffer(block).reshape(-1, width), mu)):
             column[start:stop] = value
-        del block, value
-        yield tuple(column[start:stop] for column in columns)
+        del block, value  # gone before the next block is made
         start = stop
+    return Trajectory(*columns, mass=mu, dt=dt)
 
 
 def _state_blocks(step, state, steps):

@@ -6,8 +6,8 @@ significant digits, and files are written atomically: atomic_file opens a
 temp file beside the report, renames it to the report when its with block
 ends and removes it when the block raises, so that a failed command leaves
 neither.  atomic_write writes whole texts or chunks through it, and
-`classical --trajectory` holds it open while dynamics.integrate writes the
-CSV and the residuals run.
+`classical --trajectory` holds it open while the trajectory CSV is written
+and the residuals run.
 
 Four kinds of work run on every CPU the process may run on, through
 ordered_map: the fields report (JSON or CSV), whose workers each compute and
@@ -16,17 +16,12 @@ of an operator-lab grid, whose workers each return the curvature fields of a
 block of nodes (oplab.grid.build_grid, which a verify family calls for its
 finest grid only); the verify passes, whose workers judge the test state
 pairs of every grid and return their residual rows (oplab.identities); and
-the trajectory CSV of dynamics.integrate, whose workers format the CSV rows
-of the Trajectory columns that the parent made from each block of
-geometry.BLOCK states of its step loop.  The parent takes the items lazily
-and pickles each to a worker as it is made: sample or node block starts, job
-indices, or a block's table of CSV columns made after the fork; fn is
-inherited.  It hands on each result in item order once it is done.  Of items
-made lazily it holds at most IN_FLIGHT futures per worker, and an item made
-while that window is full waits for the oldest result; a sized items is
-submitted whole.  So it joins the results as they come, or writes them (the
-trajectory CSV goes to the open temp file of atomic_file while the step loop
-runs, and no more than a window of block texts is held in the parent).  A
+the trajectory CSV, whose workers format the CSV rows of each geometry.BLOCK
+rows of a finished Trajectory's columns (dynamics.Trajectory.csv_chunks).
+The items are sized, a range of block starts or job indices, and all are
+submitted at once; fn and the data it reads are inherited, so only the items
+and the results are pickled.  The parent hands on each result in item order
+once it is done, so a caller joins them or writes them as they come.  A
 block's text, a node's fields or a pair's rows do not depend on the process
 that made them, so the bytes do not depend on the CPU count.
 The parent flushes its standard streams before it forks, so the flush a
@@ -41,19 +36,16 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import threading
-from collections.abc import Sized
 
 import numpy as np
 
 FLOAT_FORMAT = ".17g"  # "%.17g" % x is format(x, ".17g"), nan, inf and -0 too
-IN_FLIGHT = 2          # futures per worker ordered_map holds of items made lazily
 RECORD_SEPARATOR = ",\n    "  # between the records of a json_records list
 _MARKER = -1.2345678901234567e-289  # stands in for each float when a row template is cut
 
@@ -188,14 +180,12 @@ def _call(item):
     return _fn(item)
 
 
-def _pool_size(items):
-    """Worker processes ordered_map forks for items, 0 for none: one per CPU,
-    at most one per item of a sized items, and one fewer for any other
-    items, whose maker gets a CPU of its own."""
+def _pool_size(count):
+    """Worker processes ordered_map forks for count items, 0 for none: one
+    per CPU, at most one per item."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    sized = isinstance(items, Sized)
-    size = min(cpus or 1, len(items)) if sized else (cpus or 1) - 1
-    if size < (2 if sized else 1) or threading.active_count() > 1:
+    size = min(cpus or 1, count)
+    if size < 2 or threading.active_count() > 1:
         return 0
     import multiprocessing  # here, so that importing geomforce does not load it
 
@@ -206,58 +196,34 @@ def _pool_size(items):
 
 
 def ordered_map(fn, items):
-    """fn(item) for each item, yielded in item order.
+    """fn(item) for each item of a sized items (a range, a list), yielded in
+    item order.
 
-    The calls are spread over a pool of forked processes, each held to a CPU
-    of its own.  The items are taken lazily, here, and each is handed to a
-    worker once it is made; after each submission the results that are done
-    are yielded.  A sized items (a list, a range) gets one worker per CPU
-    this process may run on, at most one per item, and is submitted whole:
-    its jobs may take unequal times, and a window idled a worker behind a
-    long oldest `verify` job for up to 50 ms (about 7 % of the command on a
-    2-vCPU VM).  Any other items are made by this process while the workers
-    run, so fn runs on the earlier items as the later ones are made
-    (dynamics.integrate makes its items from the blocks of its step loop).
-    Of these at most IN_FLIGHT futures per worker are in flight, and an item
-    made while the window is full first waits for the oldest result, so a
-    caller that writes the results as they come (integrate's trajectory CSV)
-    holds a window of them, not all.  The wait comes before a submission, not
-    after, so that the maker does not wait for the first result while the
-    new workers start (that stalled integrate's step loop for 30-50 ms).
-    Until the last item is made, this process is held to a CPU of its own
-    and the workers take the others.  On a 2-vCPU VM a worker on the
-    maker's CPU slowed it: a 30,000-step `classical --trajectory` run after
-    a fields report, as the benchmark runs them,
-    took a median 0.735 s (quartiles 0.60 and 0.87) with a worker on each
-    CPU and this process free, and 0.655 s (0.63 and 0.70) held, in 15
-    alternating pairs.  The workers inherit fn, so it is not pickled (it may
-    be a closure); the items and the results are.
+    The calls are spread over a pool of forked processes, one per CPU this
+    process may run on and at most one per item, each held to a CPU of its
+    own.  Every item is submitted at once: the jobs may take unequal times,
+    and a window of items in flight idled a worker behind a long oldest
+    `verify` job for up to 50 ms (about 7 % of the command on a 2-vCPU VM).
+    The workers inherit fn, so it is not pickled (it may be a closure); the
+    items and the results are.
 
     An exception fn raises reaches the caller at its item, with its type
     and arguments (one that cannot be pickled arrives as BrokenProcessPool
-    instead); one that the items raise, as they raise it.  Either way the
-    items not yet started are cancelled, and the pool is shut down and its
-    workers joined before the exception leaves the generator, as they are
-    when it ends or is closed.
+    instead).  The items not yet started are then cancelled, and the pool is
+    shut down and its workers joined before the exception leaves the
+    generator, as they are when it ends or is closed.
 
     It is the built-in map, with the same results and no fork, for fewer
-    than two items (the items are taken until a second one exists), when
-    the pool would hold no worker (one CPU, or one item per CPU of a sized
-    items), when the platform cannot fork, when this process is itself a
-    multiprocessing worker (a daemon may not have children, and its CPUs are
-    already shared out), or when other threads run (fork copies only the
-    calling thread, so a lock another thread holds would stay held in the
-    child).
+    than two items, on one CPU, when the platform cannot fork, when this
+    process is itself a multiprocessing worker (a daemon may not have
+    children, and its CPUs are already shared out), or when other threads
+    run (fork copies only the calling thread, so a lock another thread holds
+    would stay held in the child).
     """
-    size = _pool_size(items)
-    made_here = not isinstance(items, Sized)
-    items = iter(items)
-    head = list(itertools.islice(items, 2))
-    items = itertools.chain(head, items)
-    if not size or len(head) < 2:
+    size = _pool_size(len(items))
+    if not size:
         yield from map(fn, items)
         return
-    del head  # so that the first two items go once their results have come
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -271,26 +237,10 @@ def ordered_map(fn, items):
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(size, mp_context=context, initializer=_start_worker,
                                initargs=(fn, cpus, context.Value("i", 0)))
-    held = None  # this process's CPUs while it is held to the one no worker takes
-    if made_here and cpus:
-        with contextlib.suppress(OSError):  # a speed-up only, as for the workers
-            os.sched_setaffinity(0, {cpus[size]})
-            held = set(cpus)
-    window = collections.deque()  # futures in item order
-    full = IN_FLIGHT * size if made_here else math.inf  # a sized items goes whole
     try:
-        try:
-            for item in items:
-                if len(window) == full:  # wait for the oldest result
-                    yield window.popleft().result()
-                window.append(pool.submit(_call, item))
-                while window and window[0].done():  # and pass on those that are done
-                    yield window.popleft().result()
-        finally:
-            if held:
-                os.sched_setaffinity(0, held)
-        while window:
-            yield window.popleft().result()
+        futures = collections.deque([pool.submit(_call, item) for item in items])
+        while futures:  # each result goes once it is handed on
+            yield futures.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -311,8 +311,9 @@ def test_streamed_rows_are_the_rows_of_the_whole_table(steps):
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
     config = dyn.IntegratorConfig(dt=1e-3, steps=steps, mass=0.7)
     handle = _Writes()
-    plain, streamed = (dyn.integrate(spec, init, config, csv=csv) for csv in (None, handle))
-    # the header, then one text per block of states, each written as it is made
+    plain, streamed = (dyn.integrate(spec, init, config) for _ in range(2))
+    # the header, then one text per block of states
+    handle.writelines(streamed.csv_chunks())
     assert len(handle.texts) == 1 + -(-(steps + 1) // geo.BLOCK)
     for name in COLUMNS:
         a, b = getattr(plain, name), getattr(streamed, name)
@@ -343,7 +344,7 @@ def test_trajectory_columns_are_those_of_the_whole_table(steps):
 
 def test_streamed_csv_makes_the_columns_once_per_block(monkeypatch):
     # on one CPU the CSV rows are formatted in this process, from the
-    # columns _filling made: _columns runs once per block, not twice
+    # finished columns: _columns runs once per block, not twice
     calls = []
     columns = dyn._columns
 
@@ -357,7 +358,8 @@ def test_streamed_csv_makes_the_columns_once_per_block(monkeypatch):
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
     config = dyn.IntegratorConfig(dt=1e-3, steps=2 * geo.BLOCK + 7)
     handle = _Writes()
-    traj = dyn.integrate(spec, init, config, csv=handle)
+    traj = dyn.integrate(spec, init, config)
+    handle.writelines(traj.csv_chunks())
     assert calls == [geo.BLOCK, geo.BLOCK, 8]
     assert handle.getvalue() == traj.to_csv()
 
@@ -372,7 +374,9 @@ def _integrate_peak(csv):
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)
     tracemalloc.start()
     try:
-        dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=30_000), csv=csv)
+        traj = dyn.integrate(spec, init, dyn.IntegratorConfig(dt=1e-3, steps=30_000))
+        if csv is not None:
+            csv.writelines(traj.csv_chunks())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,9 +389,9 @@ def test_integrate_holds_the_columns_and_one_block_of_states():
 
 
 def test_streamed_csv_holds_a_window_of_block_texts():
-    # each block's CSV text reaches the handle while the loop runs, so the
+    # each block's CSV text reaches the handle once it is handed on, so the
     # parent holds the columns and a few block texts, not all 5.9e6 bytes
-    # of the CSV (3.6e6 bytes peak on 1 and 2 CPUs)
+    # of the CSV
     with open(os.devnull, "w") as handle:
         assert _integrate_peak(handle) < 4.5e6
 

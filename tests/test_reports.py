@@ -11,9 +11,7 @@ import pytest
 from geomforce import geometry as geo
 from geomforce.dynamics import Trajectory
 from geomforce.oplab.evolve import EhrenfestTrace
-from geomforce import reports
-from geomforce.reports import (IN_FLIGHT, canonical_json, csv_rows, json_records, json_rows,
-                               ordered_map)
+from geomforce.reports import canonical_json, csv_rows, json_records, json_rows, ordered_map
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
            1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -2.5e-5]
@@ -108,12 +106,7 @@ def test_samples_csv_is_per_cell_format(count):
 
 
 @pytest.mark.parametrize("count", [1, 2, 40, 4099, 2 * 4096 + 5])
-def test_trajectory_csv_is_per_cell_format(count, monkeypatch):
-    # a finished trajectory's CSV is formatted here, however long: no pool
-    def fail(fn, items):
-        raise AssertionError("csv_text went through ordered_map")
-
-    monkeypatch.setattr(reports, "ordered_map", fail)
+def test_trajectory_csv_is_per_cell_format(count):
     table = _values(count, 9, seed=count)
     traj = Trajectory(ts=table[:, 0], xs=table[:, 1:4], ps=table[:, 4:7],
                       energy=table[:, 7], f_residual=table[:, 8],
@@ -162,56 +155,6 @@ def test_a_worker_that_cannot_be_held_to_a_cpu_still_works(monkeypatch):
     assert list(ordered_map(lambda x: x * x, range(6))) == [0, 1, 4, 9, 16, 25]
 
 
-# items taken lazily: made in this process while the workers run ----------------
-
-
-def _children():
-    import multiprocessing
-
-    return len(multiprocessing.active_children())
-
-
-def test_items_made_after_the_fork_reach_the_workers_in_order():
-    cpus = os.sched_getaffinity(0)
-    made = []  # (workers alive, this process's CPUs) as each item was made
-
-    def items():
-        for k in range(12):
-            made.append((_children(), os.sched_getaffinity(0)))
-            yield np.full(3, float(k))  # made here, so a worker can only get it pickled
-
-    results = list(ordered_map(lambda item: (item.tolist(), os.sched_getaffinity(0)), items()))
-    assert [values for values, _ in results] == [[float(k)] * 3 for k in range(12)]
-    assert _children() == 0 and os.sched_getaffinity(0) == cpus
-    if len(cpus) >= 2:  # forked after the second item; a worker on each CPU but the maker's
-        assert [alive for alive, _ in made[:2]] == [0, 0]
-        assert {alive for alive, _ in made[2:]} == {len(cpus) - 1}
-        maker = {frozenset(held) for _, held in made[2:]}
-        workers = {frozenset(held) for _, held in results}
-        assert len(maker) == 1 and all(len(one) == 1 for one in maker | workers)
-        assert maker.isdisjoint(workers) and frozenset.union(*maker, *workers) <= cpus
-
-
-def test_the_first_result_leaves_while_a_window_of_items_is_made():
-    # the parent holds at most IN_FLIGHT futures per worker, so a caller that
-    # writes the results as they come holds a window of them, not all
-    cpus = os.sched_getaffinity(0)
-    workers = len(cpus) - 1  # the maker of lazily made items keeps a CPU
-    made = []
-
-    def items():
-        for k in range(4 * len(cpus) + 8):
-            made.append(k)
-            yield k
-
-    with contextlib.closing(ordered_map(lambda x: x * x, items())) as results:
-        assert next(results) == 0
-        if workers:
-            assert len(made) <= IN_FLIGHT * workers + 1
-        assert list(results) == [k * k for k in made[1:]] and len(made) == 4 * len(cpus) + 8
-    assert _children() == 0 and os.sched_getaffinity(0) == cpus
-
-
 class _Taken(list):
     """A sized items that counts the items taken from it."""
 
@@ -240,22 +183,6 @@ def test_a_sized_items_is_submitted_whole():
         assert list(results) == [k * k for k in items[1:]]
 
 
-def test_an_exception_of_the_items_reaches_the_caller_after_the_pool_is_shut_down():
-    cpus = os.sched_getaffinity(0)
-    made = []
-
-    def items():
-        yield from range(5)
-        made.append(_children())
-        raise LookupError("no sixth item")
-
-    with pytest.raises(LookupError, match="no sixth item"):
-        list(ordered_map(lambda x: x * x, items()))
-    if len(cpus) >= 2:  # the pool ran when the items raised
-        assert made == [len(cpus) - 1]
-    assert _children() == 0 and os.sched_getaffinity(0) == cpus
-
-
-@pytest.mark.parametrize("items", [[3], range(3, 4), iter([3]), (k for k in [3])])
+@pytest.mark.parametrize("items", [[3], range(3, 4)])
 def test_one_item_forks_nothing(items):
     assert list(ordered_map(lambda x: (x, os.getpid()), items)) == [(3, os.getpid())]
