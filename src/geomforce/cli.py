@@ -127,13 +127,20 @@ def _read(flag, path):
         raise CliInputError(f"cannot read {flag} {path!r}: {reason}") from None
 
 
-def _refuse_directories(args):
-    """Bad input, naming the flag and the path, for an output path that is a
-    directory: refused before any work, as atomic_file could not replace it."""
+def _refuse_output_paths(args):
+    """Bad input, naming the flag and the path, for an output path that
+    atomic_file could not write: a directory, or a path whose directory does
+    not exist or is not a directory.  Refused before any work."""
     for flag in ("--out", "--trajectory"):
         path = getattr(args, flag[2:], None)
-        if path and os.path.isdir(path):
+        if not path:
+            continue
+        if os.path.isdir(path):
             raise CliInputError(f"cannot write {flag} {path!r}: it is a directory")
+        directory = os.path.dirname(path) or "."  # "missing/" names a missing directory
+        if not os.path.isdir(directory):
+            problem = "is not a directory" if os.path.exists(directory) else "does not exist"
+            raise CliInputError(f"cannot write {flag} {path!r}: {directory!r} {problem}")
 
 
 def _require_positive_finite(flag, value):
@@ -538,7 +545,7 @@ def main(argv=None):
                 argv = rest + config_pairs
         parser = build_parser()
         args = parser.parse_args(argv)
-        _refuse_directories(args)
+        _refuse_output_paths(args)
         code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe raises in this try
         return code

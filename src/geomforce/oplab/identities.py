@@ -279,7 +279,7 @@ def _grid_passes(grids, groups, seed):
     """One pass over the test states of each grid for the given groups.
 
     The pair jobs of all the grids run on every CPU through one
-    reports.ordered_map, so the pool is forked once; the finest grid's
+    reports.ordered_map, so the workers are forked once; the finest grid's
     longest jobs go first, so they do not form the tail.  Workers inherit
     the grids (their geometry made before, by build_grid and subgrid),
     side builders, states and jobs; only job indices go to them and only
@@ -290,7 +290,7 @@ def _grid_passes(grids, groups, seed):
     order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[0])
     jobs = {k: _pair_jobs(grids[k], groups, seed) for k in order}
     queue = [job for k in order for job in jobs[k]]
-    # the items are indices into queue; closed on the way out, which shuts the pool down
+    # the items are indices into queue; closed on the way out, which reaps the workers
     with contextlib.closing(ordered_map(lambda index: queue[index](),
                                         range(len(queue)))) as done:
         merged = {k: _merge_pairs(itertools.islice(done, len(jobs[k]))) for k in order}

@@ -451,22 +451,35 @@ CLASSICAL_SPHERE = ["classical", "--surface", "sphere", "--a", "1", "--x0", "1,0
                     "--p0", "0,1,0", "--steps", "10"]
 
 
-@pytest.mark.parametrize("args,flag", [
-    (["parse", "x^2 - 1"], "--out"),
-    (["fields", "--surface", "sphere", "--a", "1", "--resolution", "4"], "--out"),
-    (["verify", "--surface", "circle", "--a", "1", "--grids", "16,32,64"], "--out"),
-    (CLASSICAL_SPHERE, "--out"),
-    (CLASSICAL_SPHERE, "--trajectory"),
-], ids=["parse", "fields", "verify", "classical", "trajectory"])
-def test_an_output_path_that_is_a_directory_is_input_error(args, flag, tmp_path, capsys):
-    # refused before any work, not after it when the temp file cannot replace it
-    directory = tmp_path / "out"
-    directory.mkdir()
-    code, out, err = run_cli(args + [flag, str(directory)], capsys)
+@pytest.mark.parametrize("args,flag,kind", [
+    (["parse", "x^2 - 1"], "--out", "directory"),
+    (["fields", "--surface", "sphere", "--a", "1", "--resolution", "4"], "--out", "directory"),
+    (["verify", "--surface", "circle", "--a", "1", "--grids", "16,32,64"], "--out", "directory"),
+    (CLASSICAL_SPHERE, "--out", "directory"),
+    (CLASSICAL_SPHERE, "--trajectory", "directory"),
+    (CLASSICAL_SPHERE, "--trajectory", "missing directory"),
+    (["parse", "x^2 - 1"], "--out", "under a file"),
+    (["parse", "x^2 - 1"], "--out", "missing directory/"),
+], ids=["parse", "fields", "verify", "classical", "trajectory", "trajectory-missing-directory",
+        "parse-under-a-file", "parse-missing-directory-slash"])
+def test_an_output_path_that_is_a_directory_is_input_error(args, flag, kind, tmp_path, capsys):
+    # refused before any work, not after it when the temp file cannot be made
+    # or cannot replace the path
+    out_path = tmp_path / "out"
+    if kind == "under a file":
+        out_path.write_text("")
+        path = out_path / "x.json"
+    else:
+        out_path.mkdir()
+        path = {"directory": str(out_path),
+                "missing directory": str(out_path / "missing" / "t.csv"),
+                "missing directory/": str(out_path / "missing") + os.sep}[kind]
+    code, out, err = run_cli(args + [flag, str(path)], capsys)
     diag = json.loads(err)
     assert (code, out, diag["exit_code"], diag["error"]) == (1, "", 1, "CliInputError")
-    assert flag in diag["message"] and repr(str(directory)) in diag["message"]
-    assert os.listdir(directory) == [] and os.listdir(tmp_path) == ["out"]
+    assert flag in diag["message"] and repr(str(path)) in diag["message"]
+    assert os.listdir(tmp_path) == ["out"]
+    assert out_path.read_text() == "" if kind == "under a file" else os.listdir(out_path) == []
 
 
 def test_missing_surface_is_input_error(capsys):
@@ -669,6 +682,15 @@ TORUS_FIELDS = ["fields", "--surface", "torus", "--R", "2", "--r", "1",
                 "--sampling", "random", "--seed", "7"]
 
 
+def _children_left():
+    """Whether this process has a child, running or exited, not yet waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def _children_cpu_s():
     import resource
 
@@ -754,8 +776,6 @@ def test_the_2048_row_torus_trajectory_keeps_its_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("cpus", ["default", "one"])
 def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp_path, capsys):
-    import multiprocessing
-
     from geomforce import dynamics as dyn
     from geomforce.geometry import BLOCK
 
@@ -774,7 +794,7 @@ def test_a_failed_step_after_two_row_blocks_writes_no_csv(cpus, monkeypatch, tmp
     path = tmp_path / "trajectory.csv"
     code, out, err = run_cli(TORUS_CLASSICAL + ["--trajectory", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert multiprocessing.active_children() == []
+    assert not _children_left()
     assert not path.exists() and os.listdir(tmp_path) == []
     diag = json.loads(err)
     assert diag["error"] == "ProjectionFailureError"
@@ -801,8 +821,6 @@ def test_a_failed_residual_leaves_no_trajectory_and_no_temp_file(cpus, monkeypat
 @pytest.mark.parametrize("failure,code", [(None, 0), ("NoConvergenceError", 2),
                                           ("ValueError", 70)])
 def test_no_child_outlives_a_command(failure, code, monkeypatch, capsys):
-    import multiprocessing
-
     from geomforce import geometry as geo
 
     original = geo._sample_columns
@@ -818,7 +836,7 @@ def test_no_child_outlives_a_command(failure, code, monkeypatch, capsys):
     monkeypatch.setattr(geo, "_sample_columns", sample_columns)
     got, out, err = run_cli(TORUS_FIELDS + ["--count", "3000"], capsys)
     assert got == code
-    assert multiprocessing.active_children() == []
+    assert not _children_left()
     if failure:
         assert out == "" and f'"error": "{failure}"' in err
         assert ("Traceback" in err) == (code == 70)
@@ -854,8 +872,6 @@ def test_verify_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("cpus", ["default", "one"])
 def test_no_child_outlives_a_failed_verify(cpus, monkeypatch, capsys):
-    import multiprocessing
-
     import numpy as np
 
     from geomforce.oplab import identities
@@ -880,7 +896,7 @@ def test_no_child_outlives_a_failed_verify(cpus, monkeypatch, capsys):
     got, out, err = run_cli(["verify", "--surface", "torus", "--R", "2", "--r", "1",
                              "--grids", "16,32,64"], capsys)
     assert got == 70
-    assert multiprocessing.active_children() == []
+    assert not _children_left()
     assert out == "" and '"error": "ValueError"' in err
     assert "Traceback" in err and "internal bug in a pair job" in err
     # on two or more CPUs the job failed in a worker
@@ -905,16 +921,69 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_non_convergence_in_a_worker_exits_2_with_the_serial_message():
+def _fresh_interpreter(script, *args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    runs = [subprocess.run([sys.executable, "-c", _LAST_BLOCK_DOES_NOT_CONVERGE, mode,
-                            *TORUS_FIELDS, "--count", "3000"],
-                           capture_output=True, text=True, env=env, timeout=120)
-            for mode in ("parallel", "serial")]
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_non_convergence_in_a_worker_exits_2_with_the_serial_message():
+    runs = [_fresh_interpreter(_LAST_BLOCK_DOES_NOT_CONVERGE, mode, *TORUS_FIELDS,
+                               "--count", "3000") for mode in ("parallel", "serial")]
     for proc in runs:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert json.loads(proc.stderr)["error"] == "NoConvergenceError"
     assert runs[0].stderr == runs[1].stderr
     assert "for 1 of 952 point(s)" in runs[0].stderr
+
+
+
+# the last block's worker exits in the middle of its item; the script then
+# checks that the command left no child behind
+_A_WORKER_EXITS_MID_ITEM = """
+import os, sys
+from geomforce import cli, geometry as geo
+original = geo._sample_columns
+def sample_columns(spec, points, policy):
+    if points.shape[1] < geo.BLOCK:
+        os._exit(3)
+    return original(spec, points, policy)
+geo._sample_columns = sample_columns
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+def test_a_worker_that_exits_mid_item_is_an_internal_error_naming_the_item():
+    proc = _fresh_interpreter(_A_WORKER_EXITS_MID_ITEM, *TORUS_FIELDS, "--count", "3000")
+    if len(os.sched_getaffinity(0)) < 2:  # no worker: the command itself exits
+        assert proc.returncode == 3
+        return
+    assert (proc.returncode, proc.stdout) == (70, "")
+    assert "a child is left" not in proc.stderr
+    diag = json.loads(proc.stderr[proc.stderr.rindex("\n{"):])
+    assert diag["error"] == "RuntimeError"
+    assert diag["message"].startswith("item 2 of 3 was lost: a worker exited")
+
+
+_MODULES_AFTER_FIELDS = """
+import sys
+from geomforce import cli
+code = cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+sys.exit(code)
+"""
+
+
+def test_a_fields_run_loads_no_multiprocessing(tmp_path):
+    # 3,000 samples are three blocks, made in workers on two or more CPUs
+    proc = _fresh_interpreter(_MODULES_AFTER_FIELDS, *TORUS_FIELDS, "--count", "3000",
+                              "--out", str(tmp_path / "fields.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -367,8 +367,7 @@ def test_streamed_csv_makes_the_columns_once_per_block(monkeypatch):
 def _integrate_peak(csv):
     # the tracemalloc peak of a 30,000-step torus run, the pool's modules
     # imported before tracing
-    import concurrent.futures.process  # noqa: F401
-    import multiprocessing.sharedctypes  # noqa: F401
+    import selectors  # noqa: F401
 
     spec = builtin_surface("torus", {"R": 2.0, "r": 1.0})
     init = dyn.TrajectoryState(np.array([3.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 0.0)

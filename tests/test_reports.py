@@ -3,7 +3,10 @@ for the CSVs and canonical_json of records for the fields JSON."""
 
 import contextlib
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +189,66 @@ def test_a_sized_items_is_submitted_whole():
 @pytest.mark.parametrize("items", [[3], range(3, 4)])
 def test_one_item_forks_nothing(items):
     assert list(ordered_map(lambda x: (x, os.getpid()), items)) == [(3, os.getpid())]
+
+
+def test_a_worker_maps_in_its_own_process():
+    def inner(_):
+        return set(ordered_map(lambda _: os.getpid(), range(4))) == {os.getpid()}
+
+    assert all(ordered_map(inner, range(4)))
+
+
+def test_more_items_than_the_task_pipe_holds_come_back_in_order():
+    # 40,000 8-byte index records are 320 kB, five times a 64 kB pipe buffer,
+    # so the parent writes them as the workers drain the pipe
+    count = 40_000
+    assert list(ordered_map(lambda x: -x, range(count))) == [-k for k in range(count)]
+
+
+def test_an_exception_that_cannot_be_pickled_reaches_the_caller_with_its_traceback():
+    class Local(Exception):  # pickle cannot find a local class by name
+        pass
+
+    def fail(x):
+        if x == 3:
+            raise Local("no way back")
+        return x
+
+    results = ordered_map(fail, range(8))
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(Exception) as caught:
+        next(results)
+    if len(os.sched_getaffinity(0)) < 2:  # raised in this process
+        assert type(caught.value) is Local
+        return
+    assert type(caught.value) is RuntimeError and "item 3" in str(caught.value)
+    cause = caught.value.__cause__
+    assert type(cause).__name__ == "_RemoteTraceback"
+    assert "in fail" in str(cause) and "Local: no way back" in str(cause)
+
+
+# in a fresh interpreter under a timeout: a worker of the second map that held
+# the first map's result pipe open would leave the first one's close waiting
+_TWO_MAPS_OPEN_AT_ONCE = """
+import os
+from geomforce.reports import ordered_map
+first = ordered_map(lambda x: bytes(1 << 20), range(6))  # more than a pipe holds
+second = ordered_map(lambda x: bytes(1 << 20), range(6))
+next(first)
+next(second)  # its workers are forked while the first map's pipes are open
+first.close()
+print(len(list(second)))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_closing_one_of_two_open_maps_waits_only_for_its_own_workers():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TWO_MAPS_OPEN_AT_ONCE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\nno child left\n", "")
