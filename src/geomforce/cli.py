@@ -236,8 +236,15 @@ def _cmd_parse(args):
 def _cmd_fields(args):
     spec = _surface_from_args(args)
     policy = geo.ExtensionPolicy.parse(args.policy)
+    # each sampling mode takes its own size flag, and not the other mode's
+    sizes = {"--resolution": args.resolution, "--count": args.count}
+    wanted, other = sizes if args.sampling == "grid" else reversed(sizes)
+    if sizes[wanted] is None:
+        raise CliInputError(f"--sampling {args.sampling} needs {wanted}")
+    if sizes[other] is not None:
+        raise CliInputError(f"--sampling {args.sampling} takes no {other}")
     resolution = None
-    if args.resolution:
+    if args.resolution is not None:
         parts = _numbers(args.resolution.lower().replace("x", ","),
                          "--resolution", int)
         if len(parts) > spec.dimension - 1 or min(parts) < 0:

@@ -17,8 +17,9 @@ chi_geom = -lap M in units hbar^2 / (4 mu).
 
 Internally all table computations carry a trailing batch axis so that
 grids of thousands of points evaluate in vectorized numpy.  Field samples
-take their points from the catalog charts (surfaces.chart_points) and
-project each of them to f = 0 once (sample_points).
+are the catalog charts' own points (surfaces.chart_points, through
+sample_points); the charts are exact, so the points lie on f = 0 to
+roundoff and are not projected.
 """
 
 from __future__ import annotations
@@ -103,17 +104,14 @@ class PhysicalScale:
 # Closest-point projection ----------------------------------------------------
 
 
-def project_to_surface(spec, point, max_iter=100, offset=None):
+def project_to_surface(spec, point, max_iter=100):
     """Closest point on f = 0, for one point (N,) or a batch (N, B).
 
     Alternates a Newton step along grad f with a tangential closest-point
     correction.  Convergence requires |f(y)| < PROJECTION_TOL and
     (y - point) parallel to grad f(y) within PROJECTION_ANGLE_TOL.  A
     converged column is not iterated further, so no point's result
-    depends on its batch, and a batch is iterated one BLOCK of columns at
-    a time into one output.  With an offset (B,), each column is first
-    moved to point + offset grad f(point), block by block as well
-    (sample_points), and that moved point is the column's input.
+    depends on its batch.
 
     Raises one NoConvergenceError for the whole batch: how many columns
     failed, and the input of the worst, the first NaN |f|, else the first
@@ -122,29 +120,6 @@ def project_to_surface(spec, point, max_iter=100, offset=None):
     point = np.asarray(point, dtype=float)
     single = point.ndim == 1
     pts = point[:, None] if single else point
-    y = np.empty(pts.shape)
-    failed, worst = 0, []  # (|f|, input) of each block's worst column
-    for start in range(0, pts.shape[1], BLOCK):
-        block = slice(start, start + BLOCK)
-        inputs = pts[:, block]
-        if offset is not None:
-            inputs = inputs + spec.grad_f(inputs) * offset[block]
-        y[:, block], live, residual = _project_block(spec, inputs, max_iter)
-        if live.size:
-            k = int(np.argmax(residual))  # the first NaN, if there is one
-            failed += live.size
-            worst.append((float(residual[k]), inputs[:, live[k]].tolist()))
-    if failed:
-        residual, where = worst[int(np.argmax([r for r, _ in worst]))]
-        raise NoConvergenceError(f"projection to '{spec.name}' did not converge", max_iter,
-                                 residual, where, failed, pts.shape[1])
-    return y[:, 0] if single else y
-
-
-def _project_block(spec, pts, max_iter):
-    """project_to_surface's iteration on the points (N, b): their projections,
-    the columns left unconverged after max_iter iterations, and those
-    columns' |f| (None if all converged)."""
     y = pts.copy()
     live = np.arange(pts.shape[1])
     scale = spec.feature_scale()
@@ -166,8 +141,12 @@ def _project_block(spec, pts, max_iter):
                   & (tan_res <= PROJECTION_ANGLE_TOL * dist + 1e-13 * scale))
             live = live[~ok]  # NaN is not ok
             if not live.size:
-                return y, live, None
-        return y, live, np.abs(spec.f(y[:, live]))
+                return y[:, 0] if single else y
+        residual = np.abs(spec.f(y[:, live]))
+    worst = int(np.argmax(residual))  # the first NaN, if there is one
+    raise NoConvergenceError(f"projection to '{spec.name}' did not converge", max_iter,
+                             float(residual[worst]), pts[:, live[worst]].tolist(),
+                             live.size, pts.shape[1])
 
 
 # Normal derivative tables -----------------------------------------------------
@@ -411,25 +390,18 @@ def curvature_force_scale(mass_kg, length_m):
 
 
 def sample_points(spec, sampling="grid", resolution=None, count=None, seed=0):
-    """On-surface points (N, B) of sample_field, each projected once: the chart
-    grid of the resolution, or `count` seeded chart draws that a seeded offset
-    of up to 5% of the feature scale along grad f moves off f = 0, so that the
-    projection is exercised.  An empty resolution or count gives no points.
-
-    The draws are made whole, in one order; project_to_surface moves them
-    by their offsets and projects them one BLOCK of columns at a time, so
-    that no batch-wide temporary of grad f or of the iteration is held."""
+    """On-surface points (N, B) of sample_field, the chart's own points: the
+    nodes of the chart grid of the resolution, or `count` chart draws from
+    np.random.default_rng(seed).  They lie on f = 0 to roundoff and are not
+    projected; curvature_fields refuses a point with |f| > 1e-9.  An empty
+    resolution or count gives no points."""
     if sampling not in ("grid", "random"):
         raise ValueError(f"unknown sampling mode '{sampling}'")
     if not (resolution if sampling == "grid" else count):
         return np.empty((spec.dimension, 0))
     if sampling == "grid":
-        points = chart_points(spec, resolution)[1].reshape(spec.dimension, -1)
-        return project_to_surface(spec, points)
-    rng = np.random.default_rng(seed)
-    points = chart_points(spec, count=count, rng=rng)[1]
-    offset = rng.uniform(-0.05, 0.05, count) * spec.feature_scale()
-    return project_to_surface(spec, points, offset=offset)
+        return chart_points(spec, resolution)[1].reshape(spec.dimension, -1)
+    return chart_points(spec, count=count, rng=np.random.default_rng(seed))[1]
 
 
 def sample_layout(dimension):

@@ -752,6 +752,23 @@ def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
     assert "".join(traj.csv_chunks()).encode() == default["trajectory.csv"]
 
 
+@pytest.mark.parametrize("extra,flag", [
+    ([], "--resolution"),  # grid is the default mode
+    (["--sampling", "grid"], "--resolution"),
+    (["--sampling", "random"], "--count"),
+    (["--sampling", "random", "--resolution", "8"], "--count"),
+    (["--sampling", "random", "--count", "5", "--resolution", "8"], "--resolution"),
+    (["--sampling", "grid", "--resolution", "8", "--count", "5"], "--count"),
+    (["--count", "0"], "--resolution"),
+])
+def test_fields_refuses_a_missing_or_foreign_size_flag(extra, flag, capsys):
+    code, out, err = run_cli(["fields", "--surface", "torus", "--R", "2", "--r", "1", *extra],
+                             capsys)
+    assert (code, out) == (1, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "CliInputError" and flag in diagnostic["message"]
+
+
 def test_fields_without_samples_print_an_empty_csv(capsys):
     code, out, _ = run_cli(TORUS_FIELDS + ["--count", "0", "--format", "csv"], capsys)
     assert (code, out) == (0, "")

@@ -98,7 +98,7 @@ def _no_convergence(spec, points, max_iter=100):
     return e.iterations, e.residual, e.point, e.failed, e.total
 
 
-def test_one_error_for_failures_in_two_blocks(monkeypatch):
+def test_one_error_for_failures_in_two_blocks():
     # failures in the first and the third of four blocks; the worst is the
     # second failure of the third block
     spec = from_expression(QUARTIC, 3)
@@ -115,11 +115,10 @@ def test_one_error_for_failures_in_two_blocks(monkeypatch):
     residual, point = max(worst, key=lambda w: w[0])  # the first of the largest
     assert point == points[:, far[3]].tolist()
     assert got == (100, residual, point, len(far), 3 * geo.BLOCK + 5)
-    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
-    assert _no_convergence(spec, points) == got  # as one batch
+    assert _no_convergence(spec, points) == got  # the same error again
 
 
-def test_a_nan_in_a_later_block_is_the_worst(monkeypatch):
+def test_a_nan_in_a_later_block_is_the_worst():
     # after 5 iterations the far columns of the first block still have a finite
     # |f|; the origin in the third block has NaN, and NaN is the worst
     spec = from_expression(QUARTIC, 3)
@@ -127,7 +126,6 @@ def test_a_nan_in_a_later_block_is_the_worst(monkeypatch):
     iterations, residual, point, failed, total = got = _no_convergence(spec, points, 5)
     assert (iterations, point, total) == (5, [0.0, 0.0, 0.0], 3 * geo.BLOCK + 5)
     assert np.isnan(residual) and failed >= 3
-    monkeypatch.setattr(geo, "BLOCK", points.shape[1])
     whole = _no_convergence(spec, points, 5)
     assert np.isnan(whole[1]) and whole[:1] + whole[2:] == got[:1] + got[2:]
 
@@ -136,27 +134,26 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
 
 
-def test_sampled_points_are_their_columns_projected_alone(torus):
-    # random: three full blocks and one of 5 columns; each column's input is
-    # its chart draw moved along grad f by its offset, drawn whole
+@pytest.mark.parametrize("name,params", [
+    ("circle", {"a": 1.0}), ("sphere", {"a": 1.0}), ("cylinder", {"a": 1.0}),
+    ("spheroid", {"a": 1.0, "b": 2.0}), ("torus", {"R": 2.0, "r": 1.0}), ("plane", {})])
+def test_sampled_points_are_chart_points(name, params):
+    # neither mode moves a point: grid nodes reshaped to (N, B), and draws
+    # from default_rng(seed), three full blocks and one of 5 columns
+    spec = builtin_surface(name, params)
+    resolution = 2 * geo.BLOCK + 3 if spec.dimension == 2 else (48, 32)
+    nodes = chart_points(spec, resolution)[1].reshape(spec.dimension, -1)
+    points = geo.sample_points(spec, "grid", resolution=resolution)
+    assert nodes.shape[1] > geo.BLOCK and _same_bits(points, nodes)
     count = 3 * geo.BLOCK + 5
-    rng = np.random.default_rng(9)
-    draws = chart_points(torus, count=count, rng=rng)[1]
-    offset = rng.uniform(-0.05, 0.05, count) * torus.feature_scale()
-    inputs = draws + torus.grad_f(draws) * offset
-    points = geo.sample_points(torus, "random", count=count, seed=9)
-    alone = np.stack([geo.project_to_surface(torus, x) for x in inputs.T], axis=1)
-    assert _same_bits(points, alone)
-    # grid: 48 x 32 nodes, one full block and one of 512 columns
-    nodes = chart_points(torus, (48, 32))[1].reshape(3, -1)
-    points = geo.sample_points(torus, "grid", resolution=(48, 32))
-    alone = np.stack([geo.project_to_surface(torus, x) for x in nodes.T], axis=1)
-    assert nodes.shape[1] == geo.BLOCK + 512 and _same_bits(points, alone)
+    draws = chart_points(spec, count=count, rng=np.random.default_rng(9))[1]
+    points = geo.sample_points(spec, "random", count=count, seed=9)
+    assert _same_bits(points, draws)
 
 
 def test_sample_points_hold_no_batch_wide_temporaries(torus):
-    # grad f and the projection over all 65,536 columns at once peak at
-    # 24.6e6 bytes; the draws, the offsets and the result take 3.7e6
+    # the draws, the chart's temporaries and the points peak at 4.2e6 bytes;
+    # grad f or a projection over all 65,536 columns at once took 24.6e6
     tracemalloc.start()
     try:
         geo.sample_points(torus, "random", count=65536, seed=7)
